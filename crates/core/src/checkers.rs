@@ -63,7 +63,7 @@ fn race_context(m: &Machine) -> Option<String> {
 /// `ForceAllocFail` or fault-plan `InjectFault`), a phrase describing the
 /// error path for bug descriptions.
 fn fault_path_note(m: &Machine) -> Option<String> {
-    m.decisions.iter().find_map(|d| match d {
+    m.decisions().iter().find_map(|d| match d {
         Decision::ForceAllocFail { .. } => {
             Some("an allocation-failure handling path".to_string())
         }
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn null_deref_on_alloc_failure_path_is_segfault() {
         let mut m = machine();
-        m.decisions.push(Decision::ForceAllocFail { kernel_call: 2 });
+        m.push_decision(Decision::ForceAllocFail { kernel_call: 2 });
         let f = SymFault::BadAccess { pc: 0x40_0200, addr: 8, kind: ddt_isa::AccessKind::Write };
         let bug = classify_fault(&m, &f).unwrap();
         assert_eq!(bug.class, BugClass::SegFault);
@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn injected_fault_path_note_shows_up_in_fault_descriptions() {
         let mut m = machine();
-        m.decisions.push(Decision::InjectFault {
+        m.push_decision(Decision::InjectFault {
             site: 3,
             kind: ddt_kernel::FaultFamily::SharedMemory,
         });
@@ -830,7 +830,7 @@ mod tests {
     #[test]
     fn lifecycle_path_note_shows_up_in_crash_descriptions() {
         let mut m = machine();
-        m.decisions.push(Decision::LifecycleEvent {
+        m.push_decision(Decision::LifecycleEvent {
             boundary: 2,
             event: crate::report::LifecycleEvent::SurpriseRemove,
         });

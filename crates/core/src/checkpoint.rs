@@ -30,6 +30,7 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
@@ -43,6 +44,7 @@ use ddt_trace::{
     CoverageRecord,
     FrontierRecord,
     JournalRecord,
+    PathPick,
 };
 
 use crate::coverage::Coverage;
@@ -221,34 +223,45 @@ impl CampaignWriter {
     /// (write-ahead ordering), then temp file + fsync + rename + directory
     /// fsync. A crash at any instruction leaves either the previous or the
     /// new checkpoint fully intact.
-    pub(crate) fn write_checkpoint(&mut self, mut ck: CheckpointFile) {
-        self.sync_journal();
+    pub(crate) fn write_checkpoint(&mut self, ck: CheckpointFile) {
+        let publish = self.prepare_checkpoint(ck);
+        let outcome = publish.run();
+        self.complete_checkpoint(outcome);
+    }
+
+    /// The cheap, locked half of [`CampaignWriter::write_checkpoint`]:
+    /// pushes every buffered journal record to the OS (a write, no fsync)
+    /// and stamps the sequence number. The returned job does the rest —
+    /// encoding and every fsync — without the writer, so a caller sharing
+    /// the writer behind a mutex need not hold it across the I/O. At most
+    /// one job may be outstanding: the sequence number advances only in
+    /// [`CampaignWriter::complete_checkpoint`].
+    pub(crate) fn prepare_checkpoint(&mut self, mut ck: CheckpointFile) -> PublishJob {
         ck.seq = self.seq;
-        let frontier = ck.frontier.len() as u64;
-        let bytes = encode_checkpoint(&ck);
-        let tmp = self.dir.join(format!(".checkpoint-{:06}.tmp", self.seq));
-        let dst = self.dir.join(format!("checkpoint-{:06}.ddtc", self.seq));
-        let res = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &dst)?;
-            if let Ok(d) = File::open(&self.dir) {
-                let _ = d.sync_all();
+        let flushed =
+            self.journal.as_mut().map(|w| w.flush().and_then(|()| w.get_ref().try_clone()));
+        let journal = match flushed {
+            Some(Ok(f)) => Some(f),
+            Some(Err(e)) => {
+                eprintln!("ddt: journal flush failed, disabling journal: {e}");
+                self.journal = None;
+                None
             }
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.record(&JournalRecord::Checkpoint { seq: self.seq, frontier });
-                self.seq += 1;
-                self.checkpoints_written += 1;
-                self.prune();
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                eprintln!("ddt: checkpoint write failed: {e}");
-            }
+            None => None,
+        };
+        PublishJob { dir: self.dir.clone(), ck, journal }
+    }
+
+    /// Records the outcome of a [`PublishJob`]: the journal's `Checkpoint`
+    /// record and the counters on success, nothing but a note on failure.
+    pub(crate) fn complete_checkpoint(&mut self, outcome: Published) {
+        if !outcome.journal_synced {
+            self.journal = None;
+        }
+        if let Some(frontier) = outcome.frontier {
+            self.record(&JournalRecord::Checkpoint { seq: self.seq, frontier });
+            self.seq += 1;
+            self.checkpoints_written += 1;
         }
     }
 
@@ -266,15 +279,78 @@ impl CampaignWriter {
             }
         }
     }
+}
 
-    /// Keeps the two newest checkpoints (the newest plus one fallback);
-    /// best-effort, purely a disk bound.
-    fn prune(&self) {
-        let mut seqs = checkpoint_seqs(&self.dir);
-        seqs.sort_unstable_by(|a, b| b.cmp(a));
-        for &(seq, _) in seqs.iter().skip(2) {
-            let _ = fs::remove_file(self.dir.join(format!("checkpoint-{seq:06}.ddtc")));
-        }
+/// One checkpoint publication detached from its [`CampaignWriter`]: the
+/// checkpoint image plus a handle on the journal, whose records up to the
+/// checkpoint are already written to the OS but not yet durable.
+pub(crate) struct PublishJob {
+    dir: PathBuf,
+    ck: CheckpointFile,
+    journal: Option<File>,
+}
+
+/// What a [`PublishJob`] achieved.
+pub(crate) struct Published {
+    /// False when the journal fsync failed (the writer disables it).
+    journal_synced: bool,
+    /// The published checkpoint's frontier size; `None` if it failed.
+    frontier: Option<u64>,
+}
+
+impl PublishJob {
+    /// Encodes and publishes the checkpoint. The journal is fsynced first,
+    /// so every record the checkpoint depends on is durable before the
+    /// rename makes it visible (write-ahead ordering). Then temp file +
+    /// fsync + rename + directory fsync, and the old checkpoints are
+    /// pruned.
+    pub(crate) fn run(self) -> Published {
+        let journal_synced = match &self.journal {
+            Some(f) => match f.sync_all() {
+                Ok(()) => true,
+                Err(e) => {
+                    eprintln!("ddt: journal fsync failed, disabling journal: {e}");
+                    false
+                }
+            },
+            None => true,
+        };
+        let seq = self.ck.seq;
+        let bytes = encode_checkpoint(&self.ck);
+        let tmp = self.dir.join(format!(".checkpoint-{seq:06}.tmp"));
+        let dst = self.dir.join(format!("checkpoint-{seq:06}.ddtc"));
+        let res = (|| -> std::io::Result<()> {
+            let mut f = File::create(&tmp)?;
+            f.write_all(&bytes)?;
+            f.sync_all()?;
+            fs::rename(&tmp, &dst)?;
+            if let Ok(d) = File::open(&self.dir) {
+                let _ = d.sync_all();
+            }
+            Ok(())
+        })();
+        let frontier = match res {
+            Ok(()) => {
+                prune_checkpoints(&self.dir);
+                Some(self.ck.frontier.len() as u64)
+            }
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                eprintln!("ddt: checkpoint write failed: {e}");
+                None
+            }
+        };
+        Published { journal_synced, frontier }
+    }
+}
+
+/// Keeps the two newest checkpoints (the newest plus one fallback);
+/// best-effort, purely a disk bound.
+fn prune_checkpoints(dir: &Path) {
+    let mut seqs = checkpoint_seqs(dir);
+    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    for &(seq, _) in seqs.iter().skip(2) {
+        let _ = fs::remove_file(dir.join(format!("checkpoint-{seq:06}.ddtc")));
     }
 }
 
@@ -328,7 +404,8 @@ pub fn load_latest(dir: &Path) -> Result<CheckpointFile, CampaignError> {
     Err(CampaignError::Corrupt(last_err))
 }
 
-/// Builds the checkpoint image of the current campaign state. The caller
+/// Builds the checkpoint image of the current campaign state from the
+/// pending machines' frontier records (see [`frontier_record`]). The caller
 /// must have folded `wall_ms` and the solver counters into `stats` first;
 /// the writer assigns the sequence number.
 #[allow(clippy::too_many_arguments)]
@@ -339,7 +416,7 @@ pub(crate) fn checkpoint_file(
     stats: &ExploreStats,
     bugs: &HashMap<String, Bug>,
     next_id: u64,
-    frontier: &[Machine],
+    frontier: Vec<FrontierRecord>,
     prune_seen: Vec<(u64, u64)>,
     finished: bool,
     interrupted: bool,
@@ -365,7 +442,7 @@ pub(crate) fn checkpoint_file(
             covered,
             timeline: timeline.into_iter().map(|(ms, n)| (ms, n as u64)).collect(),
         },
-        frontier: frontier.iter().map(frontier_record).collect(),
+        frontier,
         prune_seen,
     }
 }
@@ -373,15 +450,42 @@ pub(crate) fn checkpoint_file(
 /// Snapshots one live machine as its portable decision-prefix record — the
 /// unit a checkpoint stores and a fleet supervisor leases out.
 pub(crate) fn frontier_record(m: &Machine) -> FrontierRecord {
-    FrontierRecord {
-        id: m.id,
-        steps_total: m.steps_total,
-        trailing_skips: m.trailing_skips,
-        picks: m.picks_vec(),
-        fp: m.fingerprint(),
-        cov_fresh: m.cov_fresh,
-        cov_stamp: m.cov_stamp,
-        pending: m.st.verdict_pending,
+    FrontierSnap::of(m).into_record()
+}
+
+/// A pending machine as a checkpoint cut captures it: its frontier record
+/// with the choice log still shared rather than copied. Taking one is O(1)
+/// — a few copies, an O(1) fingerprint and an `Arc` bump — however long
+/// the log; [`FrontierSnap::into_record`] copies the log out later, when
+/// the machine itself may already have moved on.
+pub(crate) struct FrontierSnap {
+    /// Every record field but `picks`, which is left empty.
+    record: FrontierRecord,
+    /// The choice log, shared with the machine (it is immutable).
+    picks: Arc<[PathPick]>,
+}
+
+impl FrontierSnap {
+    /// Captures `m` in O(1).
+    pub(crate) fn of(m: &Machine) -> FrontierSnap {
+        FrontierSnap {
+            record: FrontierRecord {
+                id: m.id,
+                steps_total: m.steps_total,
+                trailing_skips: m.trailing_skips,
+                picks: Vec::new(),
+                fp: m.fingerprint(),
+                cov_fresh: m.cov_fresh,
+                cov_stamp: m.cov_stamp,
+                pending: m.st.verdict_pending,
+            },
+            picks: m.picks.clone(),
+        }
+    }
+
+    /// The full record, with its own copy of the choice log.
+    pub(crate) fn into_record(self) -> FrontierRecord {
+        FrontierRecord { picks: self.picks.to_vec(), ..self.record }
     }
 }
 

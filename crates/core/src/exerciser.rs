@@ -51,7 +51,13 @@ use crate::checkers::{
     scan_kernel_events,
     PendingBug,
 };
-use crate::checkpoint::{checkpoint_file, CampaignSeed, CampaignWriter, CheckpointPolicy};
+use crate::checkpoint::{
+    checkpoint_file, //
+    frontier_record,
+    CampaignSeed,
+    CampaignWriter,
+    CheckpointPolicy,
+};
 use crate::coverage::Coverage;
 use crate::replay::{ReplayCursor, ReplaySteer};
 use ddt_trace::{JournalRecord, PathStatus, SiteKind};
@@ -594,7 +600,7 @@ impl Ddt {
                     stats.wall_ms = coverage.elapsed_ms();
                     fold_solver(&mut stats, &solver);
                     let seen = prune.as_ref().map(|p| p.snapshot()).unwrap_or_default();
-                    let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice(), seen, false, false);
+                    let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice().iter().map(frontier_record).collect(), seen, false, false);
                     c.write_checkpoint(ck);
                 }
             }
@@ -622,7 +628,7 @@ impl Ddt {
                 c.record(&JournalRecord::Finished { distinct_bugs: bugs.len() as u64 });
             }
             let seen = prune.as_ref().map(|p| p.snapshot()).unwrap_or_default();
-            let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice(), seen, finished, interrupted);
+            let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice().iter().map(frontier_record).collect(), seen, finished, interrupted);
             c.write_checkpoint(ck);
             c.finish();
             health.checkpoints_written = c.checkpoints_written;
@@ -1074,7 +1080,7 @@ impl Ddt {
             interrupted_entry: m.interrupted_entry(),
             trace,
             inputs,
-            decisions: m.decisions.clone(),
+            decisions: m.decisions().to_vec(),
             key: pending.key.clone(),
             signature,
             occurrences: 1,
@@ -1101,14 +1107,14 @@ impl Ddt {
         // Concrete-to-symbolic hint: fork the failed-allocation alternative.
         // One failed acquisition per path, whichever mechanism injects it.
         let has_fault = m
-            .decisions
+            .decisions()
             .iter()
             .any(|d| matches!(d, Decision::ForceAllocFail { .. } | Decision::InjectFault { .. }));
         if self.config.annotations.wants_failure_fork(export) && !has_fault {
             let kernel_call = m.kernel_calls;
             if self.fork_site(m, sinks, SiteKind::AllocFail, |c| {
                 c.kernel.state.force_alloc_failures = 1;
-                c.decisions.push(Decision::ForceAllocFail { kernel_call });
+                c.push_decision(Decision::ForceAllocFail { kernel_call });
             }) {
                 // Became the failed-allocation alternative: the trap pc is
                 // unchanged, so re-dispatch consumes the armed fault.
@@ -1120,11 +1126,11 @@ impl Ddt {
         // The fork resumes at the call instruction with the one-shot fault
         // armed, so re-dispatch consumes it.
         let injector = FaultInjector::new(self.config.fault_plan.clone());
-        if let Some(kind) = injector.should_fork(export, &self.config.annotations, &m.decisions) {
+        if let Some(kind) = injector.should_fork(export, &self.config.annotations, m.decisions()) {
             let site = m.kernel_calls;
             if self.fork_site(m, sinks, SiteKind::FaultInject, |c| {
                 c.kernel.state.inject_fault = Some(kind);
-                c.decisions.push(Decision::InjectFault { site, kind });
+                c.push_decision(Decision::InjectFault { site, kind });
             }) {
                 return Ok(CallFlow::Restarted);
             }
@@ -1143,7 +1149,7 @@ impl Ddt {
         // keeps the fan-out linear. The condition is deliberately
         // independent of worklist capacity (see `run_quantum`).
         let may_backtrack = !m
-            .decisions
+            .decisions()
             .iter()
             .any(|d| matches!(d, Decision::ConcretizationBacktrack { .. }))
             && (0..4).any(|i| !m.st.cpu.regs[i].is_const());
@@ -1170,7 +1176,7 @@ impl Ddt {
                     let arm = move |s: &mut Machine| {
                         s.st.add_constraint(exclude);
                         s.st.set_model(model);
-                        s.decisions.push(Decision::ConcretizationBacktrack {
+                        s.push_decision(Decision::ConcretizationBacktrack {
                             kernel_call: call_idx,
                         });
                         s.log_pick(SiteKind::Backtrack, 1);
@@ -1266,7 +1272,7 @@ impl Ddt {
         let boundary = m.boundaries;
         self.fork_site(m, sinks, SiteKind::Interrupt, |c| {
             c.interrupt_budget -= 1;
-            c.decisions.push(Decision::InjectInterrupt { boundary });
+            c.push_decision(Decision::InjectInterrupt { boundary });
             let at_entry = c.running().to_string();
             let line = c.kernel.state.interrupt.as_ref().map(|i| i.line).unwrap_or(0);
             c.st.trace.push(TraceEvent::Interrupt { line, at_pc: c.st.cpu.pc });
@@ -1311,7 +1317,7 @@ impl Ddt {
         }
         if self.fork_site(m, sinks, SiteKind::Lifecycle, |c| {
             c.lifecycle_budget -= 1;
-            c.decisions.push(Decision::LifecycleEvent { boundary, event: power_event });
+            c.push_decision(Decision::LifecycleEvent { boundary, event: power_event });
             deliver_lifecycle(c, power_event, true);
         }) {
             return true;
@@ -1325,7 +1331,7 @@ impl Ddt {
             }
             if self.fork_site(m, sinks, SiteKind::Lifecycle, |c| {
                 c.lifecycle_budget -= 1;
-                c.decisions.push(Decision::LifecycleEvent {
+                c.push_decision(Decision::LifecycleEvent {
                     boundary,
                     event: LifecycleEvent::SurpriseRemove,
                 });

@@ -18,7 +18,7 @@ use ddt_kernel::{
 };
 use ddt_solver::Solver;
 use ddt_symvm::{SymOrigin, SymState};
-use ddt_trace::{fnv1a64, MachineFingerprint, PathPick, SiteKind};
+use ddt_trace::{fnv1a64, fnv1a64_extend, MachineFingerprint, PathPick, SiteKind};
 
 use crate::report::Decision;
 use std::sync::Arc;
@@ -129,29 +129,6 @@ impl Frame {
     }
 }
 
-/// One materialized node of a machine's choice log (a persistent cons
-/// list, shared structurally between a parent and its forked children).
-///
-/// The exploration loop visits a sequence of *nondeterministic fork sites*
-/// on every path. At each site the parent continues as alternative 0 and
-/// each child takes a 1-based alternative. A machine's identity is exactly
-/// its pick at every site, so the log below — run-lengths of "stayed
-/// parent" punctuated by materialized child picks — is a complete recipe
-/// for rebuilding the machine by steered re-execution from the root.
-/// Staying parent is O(1) and allocation-free (`trailing_skips` bump);
-/// only taking a child allocates a node.
-#[derive(Debug)]
-pub struct PathPicks {
-    /// The log up to the previous materialized pick.
-    pub base: Option<Arc<PathPicks>>,
-    /// Sites at which the ancestor stayed parent since `base`.
-    pub skips: u64,
-    /// The site kind at which a child alternative was taken.
-    pub kind: SiteKind,
-    /// Which alternative was taken (1-based).
-    pub pick: u32,
-}
-
 /// Base address of the exerciser's scratch window (packets, OID buffers).
 pub const SCRATCH_BASE: u32 = 0x0300_0000;
 /// Size of the scratch window.
@@ -183,8 +160,15 @@ pub struct Machine {
     pub kernel_calls: u64,
     /// Kernel/driver boundary crossings on this path (decision indexing).
     pub boundaries: u64,
-    /// Scheduling decisions taken on this path (for replay).
-    pub decisions: Vec<Decision>,
+    /// Scheduling decisions taken on this path (for replay). Private so
+    /// that every append goes through [`Machine::push_decision`], which
+    /// keeps `decisions_fnv` in step.
+    decisions: Vec<Decision>,
+    /// Running FNV-1a state over the compact JSON of `decisions` without
+    /// its closing `]`. Invariant: `fnv1a64_extend(decisions_fnv, b"]") ==
+    /// fnv1a64(&serde_json::to_vec(&decisions))`, so the fingerprint never
+    /// re-serializes the schedule.
+    decisions_fnv: u64,
     /// Kernel events already scanned by the checkers.
     pub events_scanned: usize,
     /// Bump cursor inside the scratch window.
@@ -197,8 +181,20 @@ pub struct Machine {
     /// Fault families actually consumed on this path (the unchecked-failure
     /// checker compares these against the entry's return status).
     pub injected_faults: Vec<FaultFamily>,
-    /// Choice log up to the last materialized child pick (shared tail).
-    pub picks: Option<Arc<PathPicks>>,
+    /// Choice log up to the last materialized child pick, root-most first.
+    ///
+    /// The exploration loop visits a sequence of *nondeterministic fork
+    /// sites* on every path. At each site the parent continues as
+    /// alternative 0 and each child takes a 1-based alternative. A
+    /// machine's identity is exactly its pick at every site, so this log —
+    /// run-lengths of "stayed parent" punctuated by materialized child
+    /// picks — is a complete recipe for rebuilding the machine by steered
+    /// re-execution from the root. Staying parent is O(1) and
+    /// allocation-free (a `trailing_skips` bump); taking a child copies the
+    /// log once (it holds a handful of picks). The log is immutable and
+    /// shared between forks, so a checkpoint cut captures it with one
+    /// `Arc` bump and copies it out as one contiguous block.
+    pub picks: Arc<[PathPick]>,
     /// Fork sites at which this machine stayed parent since the last
     /// materialized pick.
     pub trailing_skips: u64,
@@ -231,12 +227,13 @@ impl Machine {
             kernel_calls: 0,
             boundaries: 0,
             decisions: Vec::new(),
+            decisions_fnv: fnv1a64(b"["),
             events_scanned: 0,
             scratch_cursor: SCRATCH_BASE,
             steps_in_entry: 0,
             reported_held_locks: std::collections::BTreeSet::new(),
             injected_faults: Vec::new(),
-            picks: None,
+            picks: Arc::new([]),
             trailing_skips: 0,
             steps_total: 0,
             cov_fresh: 0,
@@ -259,6 +256,7 @@ impl Machine {
             kernel_calls: self.kernel_calls,
             boundaries: self.boundaries,
             decisions: self.decisions.clone(),
+            decisions_fnv: self.decisions_fnv,
             events_scanned: self.events_scanned,
             scratch_cursor: self.scratch_cursor,
             steps_in_entry: self.steps_in_entry,
@@ -288,6 +286,7 @@ impl Machine {
             kernel_calls: self.kernel_calls,
             boundaries: self.boundaries,
             decisions: self.decisions.clone(),
+            decisions_fnv: self.decisions_fnv,
             events_scanned: self.events_scanned,
             scratch_cursor: self.scratch_cursor,
             steps_in_entry: self.steps_in_entry,
@@ -302,6 +301,23 @@ impl Machine {
         }
     }
 
+    /// The scheduling decisions taken on this path, oldest first.
+    pub fn decisions(&self) -> &[Decision] {
+        &self.decisions
+    }
+
+    /// Appends a scheduling decision, extending the running schedule hash
+    /// by exactly the bytes the JSON array gains: a separating `,` (after
+    /// the first element) and the decision's own compact JSON.
+    pub fn push_decision(&mut self, d: Decision) {
+        if !self.decisions.is_empty() {
+            self.decisions_fnv = fnv1a64_extend(self.decisions_fnv, b",");
+        }
+        let json = serde_json::to_vec(&d).expect("decision serializes");
+        self.decisions_fnv = fnv1a64_extend(self.decisions_fnv, &json);
+        self.decisions.push(d);
+    }
+
     /// Records that this machine stayed on the parent side of a fork site.
     /// O(1), allocation-free — called at *every* site a path visits.
     pub fn note_site(&mut self) {
@@ -313,32 +329,15 @@ impl Machine {
     /// the parent's [`Machine::note_site`], so the child's skip run-length
     /// reflects the parent's count at the site.
     pub fn log_pick(&mut self, kind: SiteKind, pick: u32) {
-        self.picks = Some(Arc::new(PathPicks {
-            base: self.picks.take(),
-            skips: self.trailing_skips,
-            kind,
-            pick,
-        }));
+        let taken = PathPick { skips: self.trailing_skips, kind, pick };
+        self.picks = self.picks.iter().copied().chain([taken]).collect();
         self.trailing_skips = 0;
     }
 
-    /// Flattens the choice log into root-most-first wire records.
-    pub fn picks_vec(&self) -> Vec<PathPick> {
-        let mut out = Vec::new();
-        let mut node = self.picks.as_deref();
-        while let Some(n) = node {
-            out.push(PathPick { skips: n.skips, kind: n.kind, pick: n.pick });
-            node = n.base.as_deref();
-        }
-        out.reverse();
-        out
-    }
-
     /// Validation fingerprint for checkpointed frontier records: replaying
-    /// this machine's choice log from the root must land exactly here.
+    /// this machine's choice log from the root must land exactly here. O(1):
+    /// the schedule hash only needs the closing `]` of the running state.
     pub fn fingerprint(&self) -> MachineFingerprint {
-        let decisions_json =
-            serde_json::to_vec(&self.decisions).expect("decision schedule serializes");
         MachineFingerprint {
             pc: self.st.cpu.pc,
             kernel_calls: self.kernel_calls,
@@ -346,7 +345,7 @@ impl Machine {
             workload_pos: self.workload_pos as u64,
             interrupt_budget: self.interrupt_budget,
             frames: self.frames.len() as u32,
-            decisions_fnv: fnv1a64(&decisions_json),
+            decisions_fnv: fnv1a64_extend(self.decisions_fnv, b"]"),
         }
     }
 
@@ -546,7 +545,7 @@ mod tests {
         a.kernel.state.registry.insert("X".into(), 1);
         let mut b = a.fork(1);
         b.kernel.state.registry.insert("X".into(), 2);
-        b.decisions.push(Decision::InjectInterrupt { boundary: 0 });
+        b.push_decision(Decision::InjectInterrupt { boundary: 0 });
         assert_eq!(a.kernel.state.registry["X"], 1);
         assert!(a.decisions.is_empty());
         assert_eq!(b.kernel.state.registry["X"], 2);
@@ -566,15 +565,15 @@ mod tests {
         let mut grand = child.fork(2);
         grand.log_pick(SiteKind::Interrupt, 2);
         child.note_site();
-        assert_eq!(parent.picks_vec(), vec![]);
+        assert_eq!(parent.picks.to_vec(), vec![]);
         assert_eq!(parent.trailing_skips, 3);
         assert_eq!(
-            child.picks_vec(),
+            child.picks.to_vec(),
             vec![PathPick { skips: 2, kind: SiteKind::BranchFork, pick: 1 }]
         );
         assert_eq!(child.trailing_skips, 2);
         assert_eq!(
-            grand.picks_vec(),
+            grand.picks.to_vec(),
             vec![
                 PathPick { skips: 2, kind: SiteKind::BranchFork, pick: 1 },
                 PathPick { skips: 1, kind: SiteKind::Interrupt, pick: 2 },
@@ -588,7 +587,7 @@ mod tests {
         let mut m = machine();
         let fp0 = m.fingerprint();
         m.st.cpu.pc = 0x40;
-        m.decisions.push(Decision::InjectInterrupt { boundary: 3 });
+        m.push_decision(Decision::InjectInterrupt { boundary: 3 });
         let fp1 = m.fingerprint();
         assert_ne!(fp0, fp1);
         assert_eq!(fp1.pc, 0x40);

@@ -2,7 +2,7 @@
 //!
 //! "We are exploring ways to mitigate this problem by running symbolic
 //! execution in parallel (Cloud9)" — this module is that extension: the
-//! worklist becomes a shared lock-free queue, and worker threads (each with
+//! worklist becomes one shared queue, and worker threads (each with
 //! its own solver and symbolic-hardware environment) pull states, run a
 //! quantum, and push forks back. Execution states are self-contained
 //! snapshots (§4.1.2), which is exactly what makes them cheap to ship
@@ -17,25 +17,51 @@
 //!   keys are stable across exploration order, so the final set matches
 //!   the serial run.
 //!
-//! Durable campaigns (§4.7) are supported here too: workers append their
+//! Durable campaigns (§4.7) are supported here too. Workers append their
 //! quantum outcomes to the shared write-ahead journal, and a frontier
-//! checkpoint is taken at a *quiescent cut* — one worker elects itself
-//! writer, the others park between quanta, in-flight work drains, and the
-//! queue is snapshotted in FIFO order before everyone resumes.
+//! checkpoint is taken at a *quiescent cut*: one worker elects itself
+//! writer, the others park between quanta, and in-flight work drains.
+//!
+//! - **While the pool is parked** the writer does O(1) work per pending
+//!   machine: it walks the queue in place and takes a `FrontierSnap` of
+//!   each machine (scalar fields, the O(1) fingerprint, an `Arc` bump on
+//!   the immutable choice log). Then it copies the aggregates (stats,
+//!   bugs, coverage, prune set) into the checkpoint image and releases
+//!   the cut.
+//! - **After the cut**, while the other workers explore, the writer copies
+//!   the choice logs into frontier records and flushes the journal buffer
+//!   under the writer mutex. Then, without the mutex, it runs the journal
+//!   fsync, the encode, the temp-file write and fsync, the rename and the
+//!   pruning. No worker holds the writer mutex across an fsync.
+//! - **Write-ahead ordering holds** because every quantum journals before
+//!   it leaves the in-flight count. At the cut the journal buffer already
+//!   holds every record the checkpoint depends on. The flush hands them to
+//!   the OS before the journal fsync, and that fsync finishes before the
+//!   rename publishes the checkpoint. The next cut cannot begin its writes
+//!   until this one is done: the writer has to park for it first.
+//!
+//! The decision hash inside each fingerprint is kept incrementally by
+//! `Machine::push_decision` (see [`Machine::fingerprint`]), which is what
+//! makes a snapshot O(1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crossbeam::queue::SegQueue;
 use ddt_isa::analysis;
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
 use ddt_trace::{JournalRecord, PathStatus};
 
-use crate::checkpoint::{checkpoint_file, CampaignError, CampaignSeed, CampaignWriter};
+use crate::checkpoint::{
+    checkpoint_file, //
+    CampaignError,
+    CampaignSeed,
+    CampaignWriter,
+    FrontierSnap,
+};
 use crate::coverage::Coverage;
 use crate::exerciser::{Ddt, DriverUnderTest, QuantumSinks};
 use crate::hardware::DdtEnv;
@@ -55,12 +81,12 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 const QUANTUM_ID_BLOCK: u64 = 1 << 12;
 
 /// The workers' shared frontier. The `fifo` strategy keeps the historic
-/// lock-free queue (per-worker FIFO, byte-identical to the pre-strategy
-/// explorer); guided strategies trade it for a small mutex-guarded vector
-/// so every pop can rank the whole frontier against live coverage.
+/// shared FIFO (per-worker FIFO, byte-identical to the pre-strategy
+/// explorer); guided strategies trade it for a vector so every pop can rank
+/// the whole frontier against live coverage.
 enum SharedFrontier {
-    /// Lock-free FIFO (the Cloud9-style throughput default).
-    Fifo(SegQueue<Machine>),
+    /// Mutex-guarded FIFO (the Cloud9-style throughput default).
+    Fifo(Mutex<VecDeque<Machine>>),
     /// Strategy-ranked frontier. Lock order is frontier → coverage (pop is
     /// the only place both are held; nothing acquires them the other way).
     Guided { items: Mutex<Vec<Machine>>, strategy: Box<dyn SearchStrategy> },
@@ -69,14 +95,14 @@ enum SharedFrontier {
 impl SharedFrontier {
     fn push(&self, m: Machine) {
         match self {
-            SharedFrontier::Fifo(q) => q.push(m),
+            SharedFrontier::Fifo(q) => relock(q).push_back(m),
             SharedFrontier::Guided { items, .. } => relock(items).push(m),
         }
     }
 
     fn pop(&self, coverage: &Mutex<Coverage>) -> Option<Machine> {
         match self {
-            SharedFrontier::Fifo(q) => q.pop(),
+            SharedFrontier::Fifo(q) => relock(q).pop_front(),
             SharedFrontier::Guided { items, strategy } => {
                 let mut v = relock(items);
                 if v.is_empty() {
@@ -93,30 +119,24 @@ impl SharedFrontier {
 
     fn len(&self) -> usize {
         match self {
-            SharedFrontier::Fifo(q) => q.len(),
+            SharedFrontier::Fifo(q) => relock(q).len(),
             SharedFrontier::Guided { items, .. } => relock(items).len(),
         }
     }
 
     fn is_empty(&self) -> bool {
-        match self {
-            SharedFrontier::Fifo(q) => q.is_empty(),
-            SharedFrontier::Guided { items, .. } => relock(items).is_empty(),
-        }
+        self.len() == 0
     }
 
-    /// Removes every pending machine (checkpoint cuts and the final
-    /// snapshot). Order is preserved on re-push.
-    fn drain(&self) -> Vec<Machine> {
+    /// Captures every pending machine in queue order, in place and O(1)
+    /// per machine (checkpoint cuts and the final checkpoint): no machine
+    /// moves, and no choice log is copied until after the cut.
+    fn snapshot(&self) -> Vec<FrontierSnap> {
         match self {
-            SharedFrontier::Fifo(q) => {
-                let mut v = Vec::new();
-                while let Some(m) = q.pop() {
-                    v.push(m);
-                }
-                v
+            SharedFrontier::Fifo(q) => relock(q).iter().map(FrontierSnap::of).collect(),
+            SharedFrontier::Guided { items, .. } => {
+                relock(items).iter().map(FrontierSnap::of).collect()
             }
-            SharedFrontier::Guided { items, .. } => std::mem::take(&mut *relock(items)),
         }
     }
 }
@@ -190,7 +210,7 @@ pub(crate) fn explore_parallel(
     let analysis = analysis::analyze(&dut.image);
     let stack = StackLayout::default();
     let queue = match ddt.config.strategy {
-        Strategy::Fifo => SharedFrontier::Fifo(SegQueue::new()),
+        Strategy::Fifo => SharedFrontier::Fifo(Mutex::new(VecDeque::new())),
         s => SharedFrontier::Guided {
             items: Mutex::new(Vec::new()),
             strategy: s.runtime(&analysis),
@@ -249,6 +269,7 @@ pub(crate) fn explore_parallel(
         ))
     });
 
+    let every_quanta = campaign.as_ref().map_or(u64::MAX, |c| relock(c).every_quanta());
     let in_flight = AtomicUsize::new(0);
     let total_insns = AtomicU64::new(agg_init_insns(&agg_stats));
     let next_id = AtomicU64::new(first_id);
@@ -493,9 +514,8 @@ pub(crate) fn explore_parallel(
                     }
                     in_flight.fetch_sub(1, Ordering::AcqRel);
                     if let Some(c) = &campaign {
-                        let every = relock(c).every_quanta();
                         let q = quanta.fetch_add(1, Ordering::AcqRel) + 1;
-                        let elect = q.is_multiple_of(every)
+                        let elect = q.is_multiple_of(every_quanta)
                             && want_cut
                                 .compare_exchange(
                                     false,
@@ -514,37 +534,36 @@ pub(crate) fn explore_parallel(
                             {
                                 std::thread::yield_now();
                             }
-                            let frontier = queue.drain();
-                            {
-                                let mut snap = relock(&agg_stats).clone();
-                                snap.wall_ms = base_ms + started.elapsed().as_millis() as u64;
-                                let bugs_snap = relock(&merged);
-                                let cov = relock(&coverage);
-                                let seen = prune
-                                    .as_ref()
-                                    .map(|p| relock(p).snapshot())
-                                    .unwrap_or_default();
-                                let ck = checkpoint_file(
-                                    dut,
-                                    ddt,
-                                    &cov,
-                                    &snap,
-                                    &bugs_snap,
-                                    next_id.load(Ordering::Relaxed),
-                                    &frontier,
-                                    seen,
-                                    false,
-                                    false,
-                                );
-                                drop(cov);
-                                drop(bugs_snap);
-                                relock(c).write_checkpoint(ck);
-                            }
-                            // Order preserved: drained front first.
-                            for mm in frontier {
-                                queue.push(mm);
-                            }
+                            // Inside the cut, only the snapshot: O(1) per
+                            // pending machine, then the aggregates. The image
+                            // gets its frontier records after the cut.
+                            let frontier = queue.snapshot();
+                            let mut snap = relock(&agg_stats).clone();
+                            snap.wall_ms = base_ms + started.elapsed().as_millis() as u64;
+                            let seen =
+                                prune.as_ref().map(|p| relock(p).snapshot()).unwrap_or_default();
+                            let mut ck = checkpoint_file(
+                                dut,
+                                ddt,
+                                &relock(&coverage),
+                                &snap,
+                                &relock(&merged),
+                                next_id.load(Ordering::Relaxed),
+                                Vec::new(),
+                                seen,
+                                false,
+                                false,
+                            );
                             want_cut.store(false, Ordering::Release);
+                            // After the cut, while the pool explores: copy
+                            // out the choice logs, flush the journal under
+                            // the writer lock, then encode, fsync and rename
+                            // without it.
+                            ck.frontier =
+                                frontier.into_iter().map(FrontierSnap::into_record).collect();
+                            let publish = relock(c).prepare_checkpoint(ck);
+                            let outcome = publish.run();
+                            relock(c).complete_checkpoint(outcome);
                         }
                     }
                 }
@@ -568,7 +587,8 @@ pub(crate) fn explore_parallel(
     health.resume_replay_failures = replays.1;
     if let Some(c) = campaign {
         let mut w = c.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let frontier = queue.drain();
+        let frontier: Vec<_> =
+            queue.snapshot().into_iter().map(FrontierSnap::into_record).collect();
         if was_interrupted {
             w.record(&JournalRecord::Interrupted);
         }
@@ -584,7 +604,7 @@ pub(crate) fn explore_parallel(
             &stats,
             &bugs_map,
             next_id.load(Ordering::Relaxed),
-            &frontier,
+            frontier,
             seen,
             finished,
             was_interrupted,

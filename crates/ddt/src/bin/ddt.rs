@@ -126,16 +126,22 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The bundled driver called `name`: a Table 2 driver or the clean
+/// reference driver. Every command that accepts a bundled name resolves it
+/// here, so all of them see the same image, registry and descriptor.
+fn bundled_spec(name: &str) -> Option<ddt::drivers::DriverSpec> {
+    ddt::drivers::driver_by_name(name)
+        .or_else(|| (name == "clean_nic").then(ddt::drivers::clean_driver))
+}
+
 /// Builds a [`ddt::DriverUnderTest`] from a bundled name or a `.dxe` path,
 /// with the bundled spec's registry/descriptor defaults when available.
 /// `lifecycle` selects the lifecycle workload (suspend/resume/surprise
 /// removal spliced in before Halt) — required to replay bugs found with
 /// `--lifecycle`.
 fn load_dut(target: &str, audio: bool, lifecycle: bool) -> Result<ddt::DriverUnderTest, String> {
-    let mut dut = if let Some(spec) = ddt::drivers::driver_by_name(target) {
+    let mut dut = if let Some(spec) = bundled_spec(target) {
         ddt::DriverUnderTest::from_spec(&spec)
-    } else if target == "clean_nic" {
-        ddt::DriverUnderTest::from_spec(&ddt::drivers::clean_driver())
     } else {
         let image = load_image(target)?;
         let class = if audio { DriverClass::Audio } else { DriverClass::Net };
@@ -154,11 +160,8 @@ fn load_dut(target: &str, audio: bool, lifecycle: bool) -> Result<ddt::DriverUnd
 }
 
 fn load_image(arg: &str) -> Result<DxeImage, String> {
-    if let Some(spec) = ddt::drivers::driver_by_name(arg) {
+    if let Some(spec) = bundled_spec(arg) {
         return Ok(spec.build().image);
-    }
-    if arg == "clean_nic" {
-        return Ok(ddt::drivers::clean_driver().build().image);
     }
     let bytes = std::fs::read(arg).map_err(|e| format!("cannot read {arg}: {e}"))?;
     DxeImage::from_bytes(&bytes).map_err(|e| format!("{arg}: {e}"))
@@ -173,7 +176,7 @@ fn parse_target(args: &[String]) -> Result<ddt::DriverUnderTest, String> {
     };
     let image = load_image(target)?;
     // Bundled drivers bring their registry/descriptor defaults.
-    let bundled = ddt::drivers::driver_by_name(target);
+    let bundled = bundled_spec(target);
     let class = if args.iter().any(|a| a == "--audio")
         || bundled.as_ref().is_some_and(|b| b.class == DriverClass::Audio)
     {
@@ -925,4 +928,32 @@ fn flag_values(args: &[String], flag: &str) -> Vec<String> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// `test`, `serve` and `worker` build their target through
+    /// `parse_target`, `replay` through `load_dut`: both must hand the clean
+    /// driver the same registry and PCI descriptor the library does.
+    #[test]
+    fn clean_nic_target_carries_its_registry_and_descriptor() {
+        let spec = ddt::drivers::clean_driver();
+        let expected = ddt::DriverUnderTest::from_spec(&spec);
+        assert!(!expected.registry.is_empty());
+        for dut in [
+            parse_target(&argv(&["test", "clean_nic"])).expect("bundled target"),
+            load_dut("clean_nic", false, false).expect("bundled target"),
+        ] {
+            assert_eq!(dut.image.name, expected.image.name);
+            assert_eq!(dut.class, expected.class);
+            assert_eq!(dut.registry, expected.registry);
+            assert_eq!(dut.descriptor, expected.descriptor);
+        }
+    }
 }

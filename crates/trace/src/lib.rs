@@ -51,7 +51,7 @@ pub use fleet::{
 pub use ddt_symvm::{SymOrigin, TraceEvent};
 pub use minimize::{minimize_decisions, MinimizeResult};
 pub use provenance::{provenance_chains, ProvenanceChain};
-pub use signature::{checker_id, fnv1a64, signature};
+pub use signature::{checker_id, fnv1a64, fnv1a64_extend, signature};
 pub use store::{load_artifact, StoreIndex, TraceStore, STORE_VERSION};
 pub use triage::{triage, TriageSummary};
 

@@ -19,7 +19,13 @@
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Continues a 64-bit FNV-1a hash whose state over some prefix is `h`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`. This is what lets a
+/// hash over a growing byte stream be kept up to date in O(new bytes).
+pub fn fnv1a64_extend(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -110,5 +116,14 @@ mod tests {
         // Standard FNV-1a test vector.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn fnv_extends_across_any_split() {
+        let data = b"[{\"a\":1},{\"b\":2}]";
+        for split in 0..=data.len() {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(fnv1a64_extend(fnv1a64(head), tail), fnv1a64(data));
+        }
     }
 }

@@ -108,15 +108,23 @@ fn keys(report: &Value) -> Vec<String> {
     ks
 }
 
-/// Starts a campaign in a child process, waits until its first checkpoint
-/// lands on disk, then SIGKILLs it — the kill races freely against
-/// journal appends and checkpoint writes, which is the point.
+/// Starts a pcnet fault campaign that checkpoints every 4 quanta and kills
+/// it after its first checkpoint (see [`kill_after_first_checkpoint`]).
 fn kill_mid_campaign(dir: &Path, extra: &[&str]) {
+    let args = [&["test", "pcnet", "--faults", "--checkpoint-every", "4"][..], extra].concat();
+    kill_after_first_checkpoint(dir, &args);
+}
+
+/// Starts the campaign `args` (checkpointing into `dir`) in a child
+/// process, waits until its first checkpoint lands on disk, then SIGKILLs
+/// it — the kill races freely against journal appends and checkpoint
+/// writes, which is the point. Returns false if the campaign finished
+/// before it could be killed.
+fn kill_after_first_checkpoint(dir: &Path, args: &[&str]) -> bool {
     let mut child = Command::new(ddt_bin())
-        .args(["test", "pcnet", "--faults", "--checkpoint-dir"])
+        .args(args)
+        .arg("--checkpoint-dir")
         .arg(dir)
-        .args(["--checkpoint-every", "4"])
-        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -136,12 +144,13 @@ fn kill_mid_campaign(dir: &Path, extra: &[&str]) {
         if child.try_wait().expect("try_wait").is_some() {
             // The campaign finished before we could kill it; the resume
             // below then exercises the finished-rebuild path instead.
-            return;
+            return false;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
     child.kill().expect("SIGKILL child"); // std kill == SIGKILL on unix
     child.wait().expect("reap child");
+    true
 }
 
 #[test]
@@ -172,6 +181,36 @@ fn parallel_sigkill_resume_matches_uninterrupted() {
         as_u64(get(&reference, "covered_blocks")),
         "parallel resume changed coverage"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A parallel campaign whose frontier is large (ac97 under lifecycle and
+/// fault injection peaks at thousands of pending states), so the
+/// checkpoint that gets resumed is a periodic cut whose file was written
+/// while the workers had already resumed exploring.
+#[test]
+fn parallel_sigkill_resume_from_a_large_frontier() {
+    let flags = ["test", "ac97", "--faults", "--lifecycle", "--workers", "2"];
+    let reference = run_json(&flags, "ac97-par-ref");
+    let dir = tmp("ac97-par-kill");
+    let killed =
+        kill_after_first_checkpoint(&dir, &[&flags[..], &["--checkpoint-every", "64"]].concat());
+    let resumed =
+        run_json(&[&flags[..], &["--resume", dir.to_str().unwrap()]].concat(), "ac97-par-res");
+    assert_eq!(keys(&resumed), keys(&reference), "parallel resume changed the bug set");
+    assert_eq!(
+        as_u64(get(&resumed, "covered_blocks")),
+        as_u64(get(&reference, "covered_blocks")),
+        "parallel resume changed coverage"
+    );
+    if killed {
+        let health = get(&resumed, "health");
+        assert!(
+            as_u64(get(health, "resume_replayed_paths")) > 0,
+            "the resumed checkpoint carried no frontier"
+        );
+        assert_eq!(as_u64(get(health, "resume_replay_failures")), 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

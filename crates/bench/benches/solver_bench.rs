@@ -1,19 +1,16 @@
 //! Benchmarks for the verdict-query optimization layer: hash-consed
-//! interning, independence slicing, and incremental solver sessions.
+//! interning and independence slicing.
 //!
 //! The headline measurement is the explorer's hot pattern — a *deep-path
 //! query stream*, where each branch decision re-decides a constraint prefix
-//! that grew by one conjunct. A plain solver re-blasts the whole prefix per
-//! query (quadratic in depth); the optimized solver slices off independent
-//! components and answers on a persistent incremental core (linear-ish);
-//! the **batched lane** hands the whole stream to
-//! [`Solver::solve_obligations`] as one deferred-feasibility flush, where
-//! witness subsumption collapses the prefix chains to a handful of real
-//! solves. The run asserts the optimized stream is at least 2x and the
-//! batched flush at least 5x faster than plain, with identical verdicts in
-//! every mode, then appends a history entry (keyed by git revision + date)
-//! to the `BENCH_solver.json` trajectory at the repo root, alongside
-//! per-stage criterion timings and a bundled-driver end-to-end sample.
+//! that grew by one conjunct. A plain solver blasts the whole prefix as one
+//! SAT instance per query; the sliced solver splits it into its
+//! symbol-disjoint components and decides each one on its own, smaller
+//! instance. The run asserts the sliced stream is at least 2x faster than
+//! plain, with identical verdicts in both modes, then appends a history
+//! entry (keyed by git revision + date) to the `BENCH_solver.json`
+//! trajectory at the repo root, alongside per-stage criterion timings and a
+//! bundled-driver end-to-end sample.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -31,8 +28,8 @@ use serde::Value;
 /// under a fixed per-family witness — but those witnesses are nontrivial,
 /// so the solver's cheap candidate models (all-zero, all-ones, ...) never
 /// apply and every query pays for real decision work. That is the
-/// deep-path cost profile: a fresh solver re-lowers the whole prefix per
-/// query (quadratic in depth), the session lowers each conjunct once.
+/// deep-path cost profile: a plain solver lowers and searches the whole
+/// prefix per query, the sliced solver three components a third its size.
 fn deep_path_prefixes(depth: usize) -> Vec<Vec<Expr>> {
     const W: u32 = 16;
     let mut prefix = Vec::new();
@@ -52,22 +49,19 @@ fn deep_path_prefixes(depth: usize) -> Vec<Vec<Expr>> {
             .mul(&x.xor(&Expr::constant(i | 1, W)))
             .add(&y.mul(&x.add(&Expr::constant(i * 3 + 2, W))));
         // Pinning the blast-heavy term to its witness value (instead of
-        // pinning x and y directly) keeps real CDCL search in every query:
-        // that is the regime where the session wins, by reusing learned
-        // clauses and the lowered circuit across the whole stream, while a
-        // fresh solver restarts from nothing each time.
+        // pinning x and y directly) keeps real CDCL search in every query,
+        // so the stream measures decision work, not unit propagation.
         prefix.push(t.eq(&Expr::constant(t.eval(&witness), W)));
         stream.push(prefix.clone());
     }
     stream
 }
 
-fn solver_with(slicing: bool, incremental: bool) -> Solver {
+fn solver_with(slicing: bool) -> Solver {
     // Uncached on purpose: the point is the cost of *deciding*, not of
     // remembering — the query cache is measured by `cache_bench`.
     let mut s = Solver::uncached();
     s.set_slicing(slicing);
-    s.set_incremental(incremental);
     s
 }
 
@@ -104,100 +98,51 @@ fn bench_stages(c: &mut Criterion, stream: &[Vec<Expr>]) {
     });
 
     c.bench_function("solver/deep_path_stream_plain", |b| {
-        b.iter(|| run_stream(&mut solver_with(false, false), stream))
+        b.iter(|| run_stream(&mut solver_with(false), stream))
     });
-    c.bench_function("solver/deep_path_stream_optimized", |b| {
-        b.iter(|| run_stream(&mut solver_with(true, true), stream))
+    c.bench_function("solver/deep_path_stream_sliced", |b| {
+        b.iter(|| run_stream(&mut solver_with(true), stream))
     });
-}
-
-/// One batched deferred-feasibility flush over the whole stream, as
-/// `flush_pending` would issue it for a frontier of pending siblings.
-/// Returns the SAT count (guards dead-code folding and the correctness
-/// gate below).
-fn run_batched(s: &mut Solver, stream: &[Vec<Expr>]) -> usize {
-    s.solve_obligations(stream).iter().filter(|v| **v).count()
 }
 
 fn main() {
     let stream = deep_path_prefixes(40);
-    // The batched lane measures a frontier-sized flush: 120 obligation keys
-    // (the same three families, 40 prefixes each).
-    let batch_stream = deep_path_prefixes(120);
 
-    // Correctness gate before timing anything: all modes agree on every
+    // Correctness gate before timing anything: both modes agree on every
     // prefix of the workload.
-    let plain_sat = run_stream(&mut solver_with(false, false), &stream);
-    for (slicing, incremental) in [(true, false), (false, true), (true, true)] {
-        let sat = run_stream(&mut solver_with(slicing, incremental), &stream);
-        assert_eq!(
-            sat, plain_sat,
-            "verdicts diverged (slicing={slicing}, incremental={incremental})"
-        );
-    }
-    // The batched flush must reproduce the per-query verdicts positionally.
-    let batch_plain: Vec<bool> = {
-        let mut s = solver_with(false, false);
-        batch_stream.iter().map(|p| s.is_feasible(p)).collect()
-    };
-    let batch_verdicts = solver_with(false, false).solve_obligations(&batch_stream);
-    assert_eq!(batch_verdicts, batch_plain, "batched verdicts diverged from per-query");
+    let plain_sat = run_stream(&mut solver_with(false), &stream);
+    let sliced_sat = run_stream(&mut solver_with(true), &stream);
+    assert_eq!(sliced_sat, plain_sat, "slicing changed a verdict");
 
     let mut c = Criterion::default().configure_from_args().sample_size(3);
     bench_stages(&mut c, &stream);
 
     // The headline numbers, measured outside criterion so they can gate and
-    // be serialized: plain vs fully optimized over the 40-deep stream, and
-    // plain per-query vs one batched flush over the 120-key stream.
+    // be serialized: plain vs sliced over the 40-deep stream.
     let iters = 3;
-    let plain_ms = measure_ms(iters, || run_stream(&mut solver_with(false, false), &stream));
-    let opt_ms = measure_ms(iters, || run_stream(&mut solver_with(true, true), &stream));
+    let plain_ms = measure_ms(iters, || run_stream(&mut solver_with(false), &stream));
+    let opt_ms = measure_ms(iters, || run_stream(&mut solver_with(true), &stream));
     let speedup = plain_ms / opt_ms.max(1e-9);
-    println!("deep-path stream: plain {plain_ms:.2} ms, optimized {opt_ms:.2} ms ({speedup:.1}x)");
+    println!("deep-path stream: plain {plain_ms:.2} ms, sliced {opt_ms:.2} ms ({speedup:.1}x)");
     assert!(
         speedup >= 2.0,
-        "optimized deep-path stream must be at least 2x faster \
-         (plain {plain_ms:.2} ms vs optimized {opt_ms:.2} ms = {speedup:.2}x)"
+        "sliced deep-path stream must be at least 2x faster \
+         (plain {plain_ms:.2} ms vs sliced {opt_ms:.2} ms = {speedup:.2}x)"
     );
 
-    let batch_plain_ms = measure_ms(iters, || {
-        let mut s = solver_with(false, false);
-        batch_stream.iter().filter(|p| s.is_feasible(p)).count()
-    });
-    let mut witness_solver = solver_with(false, false);
-    let batched_ms = measure_ms(iters, || run_batched(&mut witness_solver, &batch_stream));
-    let witness_hits = witness_solver.stats().batch_witness_hits / iters as u64;
-    let batched_speedup = batch_plain_ms / batched_ms.max(1e-9);
-    println!(
-        "deep-path flush ({} keys): plain {batch_plain_ms:.2} ms, \
-         batched {batched_ms:.2} ms ({batched_speedup:.1}x, {witness_hits} witness hits/flush)",
-        batch_stream.len()
-    );
-    assert!(
-        batched_speedup >= 5.0,
-        "a batched obligation flush must be at least 5x faster than per-query \
-         (plain {batch_plain_ms:.2} ms vs batched {batched_ms:.2} ms = {batched_speedup:.2}x)"
-    );
-
-    // One bundled driver end to end, optimizations on vs off, as the
+    // One bundled driver end to end, `--no-slicing` vs the default, as the
     // macro-level sample for the trajectory point.
     let spec = ddt_drivers::driver_by_name("rtl8029").expect("bundled driver");
     let dut = DriverUnderTest::from_spec(&spec);
-    let run_campaign = |slicing: bool, incremental: bool| {
-        let config =
-            DdtConfig { use_slicing: slicing, use_incremental: incremental, ..DdtConfig::default() };
-        Ddt::new(config).test(&dut)
+    let run_campaign = |slicing: bool| {
+        Ddt::new(DdtConfig { use_slicing: slicing, ..DdtConfig::default() }).test(&dut)
     };
-    let campaign_off = run_campaign(false, false);
-    let campaign_on = run_campaign(true, true);
-    assert_eq!(campaign_on.bugs.len(), campaign_off.bugs.len(), "optimizations changed bugs");
+    let campaign_off = run_campaign(false);
+    let campaign_on = run_campaign(true);
+    assert_eq!(campaign_on.bugs.len(), campaign_off.bugs.len(), "slicing changed bugs");
     println!(
-        "rtl8029 campaign: baseline {} ms, optimized {} ms \
-         ({} session probes, {} sliced queries)",
-        campaign_off.stats.wall_ms,
-        campaign_on.stats.wall_ms,
-        campaign_on.stats.solver_session_probes,
-        campaign_on.stats.solver_sliced,
+        "rtl8029 campaign: --no-slicing {} ms, default {} ms ({} sliced queries)",
+        campaign_off.stats.wall_ms, campaign_on.stats.wall_ms, campaign_on.stats.solver_sliced,
     );
 
     let (interner_hits, interner_misses) = ddt_expr::intern_stats();
@@ -209,15 +154,9 @@ fn main() {
         ("deep_path_plain_ms".into(), Value::F64(round3(plain_ms))),
         ("deep_path_optimized_ms".into(), Value::F64(round3(opt_ms))),
         ("deep_path_speedup".into(), Value::F64(round2(speedup))),
-        ("batch_keys".into(), Value::U64(batch_stream.len() as u64)),
-        ("batch_plain_ms".into(), Value::F64(round3(batch_plain_ms))),
-        ("batch_flush_ms".into(), Value::F64(round3(batched_ms))),
-        ("batch_speedup".into(), Value::F64(round2(batched_speedup))),
-        ("batch_witness_hits".into(), Value::U64(witness_hits)),
         ("campaign_driver".into(), str_v("rtl8029".into())),
         ("campaign_baseline_ms".into(), Value::U64(campaign_off.stats.wall_ms)),
         ("campaign_optimized_ms".into(), Value::U64(campaign_on.stats.wall_ms)),
-        ("campaign_session_probes".into(), Value::U64(campaign_on.stats.solver_session_probes)),
         ("campaign_sliced_queries".into(), Value::U64(campaign_on.stats.solver_sliced)),
         ("interner_hits".into(), Value::U64(interner_hits)),
         ("interner_misses".into(), Value::U64(interner_misses)),

@@ -477,7 +477,6 @@ impl FrontierSnap {
                 fp: m.fingerprint(),
                 cov_fresh: m.cov_fresh,
                 cov_stamp: m.cov_stamp,
-                pending: m.st.verdict_pending,
             },
             picks: m.picks.clone(),
         }
@@ -720,10 +719,6 @@ impl Ddt {
         // uninterrupted run would.
         m.cov_fresh = rec.cov_fresh;
         m.cov_stamp = rec.cov_stamp;
-        // Replay never settles verdicts (the obligation belongs to the
-        // exploration loop, not the reconstruction); the record says whether
-        // this machine still owes one.
-        m.st.verdict_pending = rec.pending;
         Ok(m)
     }
 }

@@ -31,7 +31,7 @@ use ddt_kernel::state::DEVICE_MMIO_BASE;
 use ddt_kernel::{
     DevicePowerState, EntryInvocation, ExecContext, FaultFamily, Irql, Kernel, KernelEvent,
 };
-use ddt_solver::{QueryCache, Solver};
+use ddt_solver::{QueryCache, Solver, SolverStats};
 use ddt_symvm::{
     step, //
     SymCounter,
@@ -105,27 +105,6 @@ pub struct DdtConfig {
     /// verdicts are properties of the constraint set, and model-consuming
     /// queries never take the sliced path.
     pub use_slicing: bool,
-    /// Persistent incremental solver sessions for verdict-grade queries (on
-    /// by default; `--no-incremental` escape hatch). Also semantically
-    /// invisible.
-    pub use_incremental: bool,
-    /// Lazy batched branch feasibility (on by default; `--no-batch` escape
-    /// hatch). Branch forks always stage the untaken child optimistically
-    /// with a deferred verdict; this flag only chooses *when* the verdict
-    /// lands — in a batched flush with the child's frontier siblings
-    /// (default) or eagerly at the fork site (`--no-batch`). Both schedules
-    /// admit exactly the same states in the same order, so the flag is
-    /// excluded from the exploration fingerprint.
-    pub use_batch: bool,
-    /// Racing solver portfolio for hard verdict queries (on by default;
-    /// `--no-portfolio` escape hatch). Semantically invisible: every lane
-    /// returns the same verdict.
-    pub use_portfolio: bool,
-    /// Algebraic pre-blast rewriting of verdict queries (on by default;
-    /// `--no-rewrite` escape hatch). Semantically invisible: rewrites are
-    /// evaluation-preserving, and model-consuming queries never take the
-    /// rewritten path.
-    pub use_rewrite: bool,
     /// Pre-built cache to share across runs (warm-cache benchmarking, or
     /// one cache spanning several drivers). `None` means each run builds a
     /// fresh cache shared by all of its workers. Ignored when
@@ -174,10 +153,6 @@ impl Default for DdtConfig {
             fault_plan: FaultPlan::disabled(),
             use_query_cache: true,
             use_slicing: true,
-            use_incremental: true,
-            use_batch: true,
-            use_portfolio: true,
-            use_rewrite: true,
             shared_cache: None,
             panic_hook: None,
             trace_dir: None,
@@ -201,16 +176,13 @@ impl DdtConfig {
     }
 
     /// Builds one worker's solver over the run's cache handle, applying the
-    /// run's optimization switches.
+    /// run's slicing switch.
     pub(crate) fn solver_for(&self, run_cache: &Option<Arc<QueryCache>>) -> Solver {
         let mut solver = match run_cache {
             Some(cache) => Solver::with_cache(cache.clone()),
             None => Solver::uncached(),
         };
         solver.set_slicing(self.use_slicing);
-        solver.set_incremental(self.use_incremental);
-        solver.set_portfolio(self.use_portfolio);
-        solver.set_rewrite(self.use_rewrite);
         solver
     }
 
@@ -427,50 +399,9 @@ impl Ddt {
         let mut frontier = Frontier::new(strategy_rt, worklist);
         let mut prune = self.config.prune.then(|| PruneSet::seeded(seen));
         // Solver counters restored from a checkpoint are this campaign's
-        // prefix; this process's solver starts at zero, so fold additively.
-        let solver_base = (
-            stats.solver_queries,
-            stats.solver_fast_hits,
-            stats.solver_full,
-            stats.solver_cache_hits,
-            stats.solver_model_reuse,
-            stats.solver_unsat_subset,
-            stats.solver_sliced,
-            stats.solver_slice_components,
-            stats.solver_session_probes,
-            stats.solver_session_resets,
-            stats.solver_batch_flushes,
-            stats.solver_batched_verdicts,
-            stats.solver_batch_witness_hits,
-            stats.solver_portfolio_races,
-            stats.solver_portfolio_session_wins,
-            stats.solver_portfolio_fresh_wins,
-            stats.solver_portfolio_probe_wins,
-            stats.solver_rewrite_reductions,
-        );
-        let fold_solver = |stats: &mut ExploreStats, solver: &Solver| {
-            stats.solver_queries = solver_base.0 + solver.stats().queries;
-            stats.solver_fast_hits = solver_base.1 + solver.stats().fast_path_hits;
-            stats.solver_full = solver_base.2 + solver.stats().full_solves;
-            stats.solver_cache_hits = solver_base.3 + solver.stats().cache_hits;
-            stats.solver_model_reuse = solver_base.4 + solver.stats().cache_model_reuse;
-            stats.solver_unsat_subset = solver_base.5 + solver.stats().cache_unsat_subset;
-            stats.solver_sliced = solver_base.6 + solver.stats().sliced_queries;
-            stats.solver_slice_components = solver_base.7 + solver.stats().slice_components;
-            stats.solver_session_probes = solver_base.8 + solver.stats().session_probes;
-            stats.solver_session_resets = solver_base.9 + solver.stats().session_resets;
-            stats.solver_batch_flushes = solver_base.10 + solver.stats().batch_flushes;
-            stats.solver_batched_verdicts = solver_base.11 + solver.stats().batched_verdicts;
-            stats.solver_batch_witness_hits = solver_base.12 + solver.stats().batch_witness_hits;
-            stats.solver_portfolio_races = solver_base.13 + solver.stats().portfolio_races;
-            stats.solver_portfolio_session_wins =
-                solver_base.14 + solver.stats().portfolio_session_wins;
-            stats.solver_portfolio_fresh_wins =
-                solver_base.15 + solver.stats().portfolio_fresh_wins;
-            stats.solver_portfolio_probe_wins =
-                solver_base.16 + solver.stats().portfolio_probe_wins;
-            stats.solver_rewrite_reductions = solver_base.17 + solver.stats().rewrite_reductions;
-        };
+        // prefix; this process's solver starts at zero and is folded in as
+        // deltas since the last fold.
+        let mut folded = SolverStats::default();
 
         let mut campaign = self.config.checkpoint.as_ref().map(|policy| {
             CampaignWriter::start(policy, &dut.image.name, self.config.fingerprint(), first_seq)
@@ -488,17 +419,10 @@ impl Ddt {
             {
                 break;
             }
-            // Settle deferred branch-feasibility obligations (one batched
-            // solver pass over all pending siblings) before the strategy
-            // ranks the frontier: a pending machine must never be selected,
-            // and a restored frontier may carry obligations from the
-            // checkpointed run. Under `--no-batch` nothing is ever pending
-            // and this is a frontier scan.
-            Self::flush_pending(frontier.storage_mut(), &mut solver, &mut stats);
             // Pick the state the strategy ranks first (the default `fifo`
             // reproduces the historic EXE-style min-block-hit scan, §4.3).
             let Some(mut m) = frontier.pop(&coverage) else {
-                break; // The flush retired the whole frontier.
+                break;
             };
             let n_before = frontier.len();
             let covered_before = coverage.covered_blocks();
@@ -556,13 +480,7 @@ impl Ddt {
                 // Opt-in pruning: drop children whose structural fingerprint
                 // already appeared with no coverage delta since. Only this
                 // quantum's forks are candidates — never the parent, never
-                // states restored from a checkpoint. Deferred-verdict
-                // children are settled first: an infeasible zombie must not
-                // deposit its fingerprint in the seen-set (`PruneSet::check`
-                // records as it tests), or it would shadow a feasible twin.
-                if prune.is_some() {
-                    Self::flush_pending(&mut *storage, &mut solver, &mut stats);
-                }
+                // states restored from a checkpoint.
                 if let Some(p) = prune.as_mut() {
                     let mut i = n_before;
                     while i < storage.len() {
@@ -598,7 +516,8 @@ impl Ddt {
                 if quanta_since_checkpoint >= c.every_quanta() {
                     quanta_since_checkpoint = 0;
                     stats.wall_ms = coverage.elapsed_ms();
-                    fold_solver(&mut stats, &solver);
+                    stats.add_solver_delta(&folded, &solver.stats());
+                    folded = solver.stats();
                     let seen = prune.as_ref().map(|p| p.snapshot()).unwrap_or_default();
                     let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice().iter().map(frontier_record).collect(), seen, false, false);
                     c.write_checkpoint(ck);
@@ -607,7 +526,7 @@ impl Ddt {
         }
 
         stats.wall_ms = coverage.elapsed_ms();
-        fold_solver(&mut stats, &solver);
+        stats.add_solver_delta(&folded, &solver.stats());
         stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
         stats.sample_interner();
         stats.lifecycle_bugs = bugs
@@ -650,41 +569,6 @@ impl Ddt {
     /// explorer).
     pub(crate) fn make_root_machine(&self, dut: &DriverUnderTest) -> Machine {
         self.make_root(dut, &StackLayout::default())
-    }
-
-    /// Resolves every deferred-verdict machine in `storage` with one batched
-    /// solver pass ([`Solver::solve_obligations`]). Feasible machines clear
-    /// their flag and count as started paths; infeasible ones are removed,
-    /// order-preserving — leaving exactly the worklist an eager (`--no-batch`)
-    /// run would have built, which is what keeps the two modes
-    /// report-identical. No-op when nothing is pending.
-    pub(crate) fn flush_pending(
-        storage: &mut Vec<Machine>,
-        solver: &mut Solver,
-        stats: &mut ExploreStats,
-    ) {
-        if !storage.iter().any(|m| m.st.verdict_pending) {
-            return;
-        }
-        let keys: Vec<Vec<Expr>> = storage
-            .iter()
-            .filter(|m| m.st.verdict_pending)
-            .map(|m| m.st.constraints.clone())
-            .collect();
-        let verdicts = solver.solve_obligations(&keys);
-        let mut v = verdicts.iter();
-        storage.retain_mut(|m| {
-            if !m.st.verdict_pending {
-                return true;
-            }
-            if *v.next().expect("one verdict per obligation") {
-                m.st.verdict_pending = false;
-                stats.paths_started += 1;
-                true
-            } else {
-                false
-            }
-        });
     }
 
     /// Finalizes the keyed bug map into the report: fills the dedup
@@ -840,39 +724,20 @@ impl Ddt {
                         break;
                     }
                 }
-                SymStep::Forked { other } => {
+                SymStep::Forked { other, needs_verdict } => {
                     match sinks.steer(SiteKind::BranchFork) {
                         ReplaySteer::Stay => {
                             if !sinks.replaying() {
-                                // Staged deferred-verdict children occupy
-                                // capacity only until the next flush; before
-                                // declaring the worklist full, settle them so
-                                // the drop decision matches what an eager
-                                // (`--no-batch`) run would see.
-                                if sinks.worklist.len() >= self.config.max_states {
-                                    Self::flush_pending(sinks.worklist, solver, sinks.stats);
-                                }
                                 if sinks.worklist.len() < self.config.max_states {
-                                    let mut child = m.adopt(*other, *sinks.next_id);
-                                    *sinks.next_id += 1;
-                                    child.log_pick(SiteKind::BranchFork, 1);
-                                    sinks.fork_events.push((m.id, child.id, SiteKind::BranchFork));
-                                    // Lazy feasibility: a deferred-verdict
-                                    // child is staged now and decided at the
-                                    // next batched flush; `--no-batch` asks
-                                    // the solver for the same verdict here.
-                                    let mut admit = true;
-                                    if child.st.verdict_pending && !self.config.use_batch {
-                                        if solver.is_feasible_obligation(&child.st.constraints) {
-                                            child.st.verdict_pending = false;
-                                        } else {
-                                            admit = false;
-                                        }
-                                    }
-                                    if admit {
-                                        if !child.st.verdict_pending {
-                                            sinks.stats.paths_started += 1;
-                                        }
+                                    // The interpreter forked the untaken side
+                                    // without a solver call; decide it before
+                                    // it takes a frontier slot.
+                                    if !needs_verdict || solver.is_feasible(&other.constraints) {
+                                        let mut child = m.adopt(*other, *sinks.next_id);
+                                        *sinks.next_id += 1;
+                                        child.log_pick(SiteKind::BranchFork, 1);
+                                        sinks.fork_events.push((m.id, child.id, SiteKind::BranchFork));
+                                        sinks.stats.paths_started += 1;
                                         sinks.worklist.push(child);
                                     }
                                 } else {
@@ -882,6 +747,8 @@ impl Ddt {
                             m.note_site();
                         }
                         ReplaySteer::Child(_) => {
+                            // A recorded child was feasible when it was
+                            // forked, so replay needs no verdict.
                             let mut child = m.adopt(*other, m.id);
                             child.log_pick(SiteKind::BranchFork, 1);
                             *m = child;

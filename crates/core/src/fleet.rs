@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use ddt_isa::analysis::{self, CodeAnalysis};
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::Solver;
+use ddt_solver::{Solver, SolverStats};
 use ddt_trace::{
     encode_frame, encode_quarantine, read_frame, CoverageRecord, FleetFrame, FrontierRecord,
     QuarantineRecord, FLEET_VERSION,
@@ -185,53 +185,6 @@ pub struct WorkerOpts {
     pub hang_on_first_shard: bool,
 }
 
-/// Snapshot of the cumulative solver counters, used to compute exact
-/// per-shard deltas from a worker's long-lived solver.
-fn solver_tuple(solver: &Solver) -> [u64; 18] {
-    let s = solver.stats();
-    [
-        s.queries,
-        s.fast_path_hits,
-        s.full_solves,
-        s.cache_hits,
-        s.cache_model_reuse,
-        s.cache_unsat_subset,
-        s.sliced_queries,
-        s.slice_components,
-        s.session_probes,
-        s.session_resets,
-        s.batch_flushes,
-        s.batched_verdicts,
-        s.batch_witness_hits,
-        s.portfolio_races,
-        s.portfolio_session_wins,
-        s.portfolio_fresh_wins,
-        s.portfolio_probe_wins,
-        s.rewrite_reductions,
-    ]
-}
-
-fn apply_solver_delta(stats: &mut ExploreStats, before: [u64; 18], after: [u64; 18]) {
-    stats.solver_queries += after[0] - before[0];
-    stats.solver_fast_hits += after[1] - before[1];
-    stats.solver_full += after[2] - before[2];
-    stats.solver_cache_hits += after[3] - before[3];
-    stats.solver_model_reuse += after[4] - before[4];
-    stats.solver_unsat_subset += after[5] - before[5];
-    stats.solver_sliced += after[6] - before[6];
-    stats.solver_slice_components += after[7] - before[7];
-    stats.solver_session_probes += after[8] - before[8];
-    stats.solver_session_resets += after[9] - before[9];
-    stats.solver_batch_flushes += after[10] - before[10];
-    stats.solver_batched_verdicts += after[11] - before[11];
-    stats.solver_batch_witness_hits += after[12] - before[12];
-    stats.solver_portfolio_races += after[13] - before[13];
-    stats.solver_portfolio_session_wins += after[14] - before[14];
-    stats.solver_portfolio_fresh_wins += after[15] - before[15];
-    stats.solver_portfolio_probe_wins += after[16] - before[16];
-    stats.solver_rewrite_reductions += after[17] - before[17];
-}
-
 /// Runs the worker side of the fleet protocol: `Hello`, then a loop of
 /// lease grants — replay the prefix, explore the subtree to exhaustion,
 /// report the shard's additive deltas — with heartbeats in between.
@@ -331,11 +284,11 @@ where
             })?;
             continue;
         }
-        let solver_before = solver_tuple(&solver);
+        let solver_before = solver.stats();
         let outcome = explore_shard(ddt, dut, &analysis, &mut env, &mut solver, &rec, shard, &mut st, &ctl, &mut output, &send, heartbeat)?;
         match outcome {
             ShardOutcome::Done(mut stats, bugs, coverage) => {
-                apply_solver_delta(&mut stats, solver_before, solver_tuple(&solver));
+                stats.add_solver_delta(&solver_before, &solver.stats());
                 let mut bug_list: Vec<&Bug> = bugs.values().collect();
                 bug_list.sort_by(|a, b| a.key.cmp(&b.key));
                 send(&mut output, &FleetFrame::ShardDone {
@@ -513,11 +466,6 @@ fn explore_shard<W: Write>(
     let mut prune = ddt.config.prune.then(PruneSet::new);
 
     loop {
-        // Settle deferred obligations before selection — the leased root
-        // itself may have been checkpointed mid-obligation (rec.pending), in
-        // which case an infeasible verdict retires the whole shard here,
-        // before it executes anything.
-        Ddt::flush_pending(&mut worklist, solver, &mut stats);
         let mut m = match &mut guided {
             None => match worklist.pop() {
                 Some(m) => m,
@@ -582,10 +530,6 @@ fn explore_shard<W: Write>(
         for child in worklist[n_before..].iter_mut() {
             child.cov_fresh = fresh;
             child.cov_stamp = stamp;
-        }
-        if prune.is_some() {
-            // Zombies must not deposit fingerprints in the seen-set.
-            Ddt::flush_pending(&mut worklist, solver, &mut stats);
         }
         if let Some(p) = prune.as_mut() {
             let mut i = n_before;
@@ -775,7 +719,6 @@ impl<'a> Supervisor<'a> {
         let mut next_id: u64 = 1;
         let mut worklist = vec![root];
         let mut interrupted = false;
-        let solver_before = solver_tuple(&solver);
         while !worklist.is_empty() && worklist.len() < target {
             if ddt.config.stop_requested() {
                 interrupted = true;
@@ -785,12 +728,6 @@ impl<'a> Supervisor<'a> {
                 || coverage.elapsed_ms() > ddt.config.time_budget_ms
             {
                 break;
-            }
-            // Settle deferred branch-feasibility obligations before
-            // selection, exactly like the serial explorer's loop-top flush.
-            Ddt::flush_pending(&mut worklist, &mut solver, &mut stats);
-            if worklist.is_empty() {
-                break; // The flush retired the whole worklist.
             }
             // Same cold-block selection as the serial explorer; the census
             // is order-independent, this just keeps bootstrap efficient.
@@ -849,10 +786,6 @@ impl<'a> Supervisor<'a> {
                 child.cov_fresh = fresh;
                 child.cov_stamp = stamp;
             }
-            if prune.is_some() {
-                // Zombies must not deposit fingerprints in the seen-set.
-                Ddt::flush_pending(&mut worklist, &mut solver, &mut stats);
-            }
             if let Some(p) = prune.as_mut() {
                 let mut i = n_before;
                 while i < worklist.len() {
@@ -870,7 +803,7 @@ impl<'a> Supervisor<'a> {
             }
             stats.peak_states = stats.peak_states.max(worklist.len() + 1);
         }
-        apply_solver_delta(&mut stats, solver_before, solver_tuple(&solver));
+        stats.add_solver_delta(&SolverStats::default(), &solver.stats());
         stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
         let leases = worklist
             .iter()

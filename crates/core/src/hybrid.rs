@@ -37,7 +37,7 @@ use ddt_expr::SymId;
 use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng, Scheduler};
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::Solver;
+use ddt_solver::{Solver, SolverStats};
 use ddt_symvm::{SymOrigin, TraceEvent};
 use ddt_vm::BlockCache;
 
@@ -343,11 +343,8 @@ fn run_quanta(
         {
             break;
         }
-        // Settle deferred branch-feasibility obligations before selection
-        // (same loop-top flush as the serial explorer).
-        Ddt::flush_pending(frontier.storage_mut(), solver, stats);
         let Some(mut m) = frontier.pop(coverage) else {
-            break; // The flush retired the whole frontier.
+            break;
         };
         let n_before = frontier.len();
         let covered_before = coverage.covered_blocks();
@@ -569,17 +566,7 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     }
 
     stats.wall_ms = coverage.elapsed_ms();
-    let s = solver.stats();
-    stats.solver_queries = s.queries;
-    stats.solver_fast_hits = s.fast_path_hits;
-    stats.solver_full = s.full_solves;
-    stats.solver_cache_hits = s.cache_hits;
-    stats.solver_model_reuse = s.cache_model_reuse;
-    stats.solver_unsat_subset = s.cache_unsat_subset;
-    stats.solver_sliced = s.sliced_queries;
-    stats.solver_slice_components = s.slice_components;
-    stats.solver_session_probes = s.session_probes;
-    stats.solver_session_resets = s.session_resets;
+    stats.add_solver_delta(&SolverStats::default(), &solver.stats());
     stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
     stats.sample_interner();
     let insn_exhausted = stats.insns > ddt.config.max_total_insns;

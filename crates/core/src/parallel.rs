@@ -53,6 +53,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use ddt_isa::analysis;
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
+use ddt_solver::SolverStats;
 use ddt_trace::{JournalRecord, PathStatus};
 
 use crate::checkpoint::{
@@ -166,30 +167,6 @@ pub fn resume_parallel(
     Ok(explore_parallel(&continued, dut, workers, Some(seed)))
 }
 
-/// Cumulative solver counters already folded into the shared stats; each
-/// worker's solver is monotone, so per-quantum deltas sum exactly.
-#[derive(Clone, Copy, Default)]
-struct SolverSnap {
-    queries: u64,
-    fast: u64,
-    full: u64,
-    hits: u64,
-    reuse: u64,
-    unsat: u64,
-    sliced: u64,
-    slice_parts: u64,
-    probes: u64,
-    resets: u64,
-    flushes: u64,
-    batched: u64,
-    witness: u64,
-    races: u64,
-    race_session: u64,
-    race_fresh: u64,
-    race_probe: u64,
-    rewrites: u64,
-}
-
 /// Adds one quantum's counter deltas into the shared aggregate.
 fn merge_stats(agg: &mut ExploreStats, local: &ExploreStats) {
     // Worker-local stats never carry solver/interner/wall fields (those are
@@ -294,7 +271,8 @@ pub(crate) fn explore_parallel(
                     stack.initial_sp(),
                 );
                 env.check_memory = ddt.config.check_memory;
-                let mut prev_solver = SolverSnap::default();
+                // Solver counters already folded into the shared stats.
+                let mut prev_solver = SolverStats::default();
                 let mut idle_spins = 0u32;
                 loop {
                     if ddt.config.stop_requested() {
@@ -334,20 +312,6 @@ pub(crate) fn explore_parallel(
                         continue;
                     };
                     idle_spins = 0;
-                    // A machine restored from a batch-mode checkpoint may
-                    // still owe its branch-feasibility verdict (the shared
-                    // queue otherwise only holds settled machines — workers
-                    // flush their forks before pushing). Settle it before it
-                    // executes anything.
-                    if m.st.verdict_pending {
-                        if solver.is_feasible_obligation(&m.st.constraints) {
-                            m.st.verdict_pending = false;
-                            relock(&agg_stats).paths_started += 1;
-                        } else {
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
-                            continue;
-                        }
-                    }
                     let mut local_forks: Vec<Machine> = Vec::new();
                     // Reserve a block of ids for this quantum (ids are
                     // diagnostics; uniqueness suffices).
@@ -394,12 +358,6 @@ pub(crate) fn explore_parallel(
                         let now = cov.covered_blocks();
                         ((now - before) as u64, now as u64)
                     };
-                    // Settle this quantum's deferred-verdict forks in one
-                    // batched pass before they become globally schedulable:
-                    // the shared queue must only ever hold settled machines,
-                    // and an infeasible zombie must never reach the prune
-                    // seen-set below.
-                    Ddt::flush_pending(&mut local_forks, &mut solver, &mut local_stats);
                     // Opt-in structural pruning: drop this quantum's forks
                     // whose fingerprint repeats with no coverage delta. The
                     // shared seen-set makes the decision global, like the
@@ -428,49 +386,8 @@ pub(crate) fn explore_parallel(
                             agg.quanta_to_first_bug = stamp;
                         }
                         let s = solver.stats();
-                        agg.solver_queries += s.queries - prev_solver.queries;
-                        agg.solver_fast_hits += s.fast_path_hits - prev_solver.fast;
-                        agg.solver_full += s.full_solves - prev_solver.full;
-                        agg.solver_cache_hits += s.cache_hits - prev_solver.hits;
-                        agg.solver_model_reuse += s.cache_model_reuse - prev_solver.reuse;
-                        agg.solver_unsat_subset += s.cache_unsat_subset - prev_solver.unsat;
-                        agg.solver_sliced += s.sliced_queries - prev_solver.sliced;
-                        agg.solver_slice_components += s.slice_components - prev_solver.slice_parts;
-                        agg.solver_session_probes += s.session_probes - prev_solver.probes;
-                        agg.solver_session_resets += s.session_resets - prev_solver.resets;
-                        agg.solver_batch_flushes += s.batch_flushes - prev_solver.flushes;
-                        agg.solver_batched_verdicts += s.batched_verdicts - prev_solver.batched;
-                        agg.solver_batch_witness_hits +=
-                            s.batch_witness_hits - prev_solver.witness;
-                        agg.solver_portfolio_races += s.portfolio_races - prev_solver.races;
-                        agg.solver_portfolio_session_wins +=
-                            s.portfolio_session_wins - prev_solver.race_session;
-                        agg.solver_portfolio_fresh_wins +=
-                            s.portfolio_fresh_wins - prev_solver.race_fresh;
-                        agg.solver_portfolio_probe_wins +=
-                            s.portfolio_probe_wins - prev_solver.race_probe;
-                        agg.solver_rewrite_reductions +=
-                            s.rewrite_reductions - prev_solver.rewrites;
-                        prev_solver = SolverSnap {
-                            queries: s.queries,
-                            fast: s.fast_path_hits,
-                            full: s.full_solves,
-                            hits: s.cache_hits,
-                            reuse: s.cache_model_reuse,
-                            unsat: s.cache_unsat_subset,
-                            sliced: s.sliced_queries,
-                            slice_parts: s.slice_components,
-                            probes: s.session_probes,
-                            resets: s.session_resets,
-                            flushes: s.batch_flushes,
-                            batched: s.batched_verdicts,
-                            witness: s.batch_witness_hits,
-                            races: s.portfolio_races,
-                            race_session: s.portfolio_session_wins,
-                            race_fresh: s.portfolio_fresh_wins,
-                            race_probe: s.portfolio_probe_wins,
-                            rewrites: s.rewrite_reductions,
-                        };
+                        agg.add_solver_delta(&prev_solver, &s);
+                        prev_solver = s;
                         stamp
                     };
                     if !local_bugs.is_empty() {

@@ -9,6 +9,7 @@
 
 use ddt_expr::Assignment;
 use ddt_kernel::FaultFamily;
+use ddt_solver::SolverStats;
 use ddt_symvm::TraceEvent;
 use serde::{Deserialize, Serialize};
 
@@ -102,29 +103,23 @@ pub struct ExploreStats {
     pub solver_sliced: u64,
     /// Total components produced across all sliced queries.
     pub solver_slice_components: u64,
-    /// Verdict-grade component queries answered on a persistent
-    /// incremental solver session instead of a fresh core.
+    /// Always 0: the incremental solver session was removed. Kept only
+    /// because the campaign benchmark still reads it.
     pub solver_session_probes: u64,
-    /// Incremental-session core rebuilds (size caps or symbol-width
-    /// conflicts between sibling paths).
-    pub solver_session_resets: u64,
-    /// Deferred-obligation batches flushed (lazy batched feasibility).
+    /// Always 0: batched branch feasibility was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub solver_batch_flushes: u64,
-    /// Branch-feasibility verdicts delivered through batched flushes.
+    /// Always 0: batched branch feasibility was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub solver_batched_verdicts: u64,
-    /// Batched obligations discharged by evaluating a sibling's model
-    /// instead of solving (witness subsumption).
+    /// Always 0: batched branch feasibility was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub solver_batch_witness_hits: u64,
-    /// Hard verdict queries raced across the solver portfolio.
+    /// Always 0: the racing solver portfolio was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub solver_portfolio_races: u64,
-    /// Portfolio races won by the incremental-session lane.
-    pub solver_portfolio_session_wins: u64,
-    /// Portfolio races won by the fresh canonical-blast lane.
-    pub solver_portfolio_fresh_wins: u64,
-    /// Portfolio races won by the cached-answer probe lane.
-    pub solver_portfolio_probe_wins: u64,
-    /// Interned DAG nodes eliminated by the algebraic pre-blast rewriter
-    /// (summed over rewritten verdict queries).
+    /// Always 0: the pre-blast rewriter was removed. Kept only because the
+    /// campaign benchmark still reads it.
     pub solver_rewrite_reductions: u64,
     /// Hash-consing interner hits (process-global, sampled at report
     /// assembly; on a resumed campaign this covers the final process only).
@@ -211,6 +206,20 @@ impl ExploreStats {
             + self.faults_lifecycle
     }
 
+    /// Adds the solver counters that grew from `since` to `now`, two
+    /// snapshots of one solver. A solver's counters never decrease, so
+    /// these deltas sum exactly across quanta, shards and resumed runs.
+    pub(crate) fn add_solver_delta(&mut self, since: &SolverStats, now: &SolverStats) {
+        self.solver_queries += now.queries - since.queries;
+        self.solver_fast_hits += now.fast_path_hits - since.fast_path_hits;
+        self.solver_full += now.full_solves - since.full_solves;
+        self.solver_cache_hits += now.cache_hits - since.cache_hits;
+        self.solver_model_reuse += now.cache_model_reuse - since.cache_model_reuse;
+        self.solver_unsat_subset += now.cache_unsat_subset - since.cache_unsat_subset;
+        self.solver_sliced += now.sliced_queries - since.sliced_queries;
+        self.solver_slice_components += now.slice_components - since.slice_components;
+    }
+
     /// Samples the process-global expression-interner counters into this
     /// stats block. Called once at report assembly; the counters are
     /// cumulative for the process, so this is an assignment, not a fold.
@@ -243,16 +252,6 @@ impl ExploreStats {
         self.solver_unsat_subset += other.solver_unsat_subset;
         self.solver_sliced += other.solver_sliced;
         self.solver_slice_components += other.solver_slice_components;
-        self.solver_session_probes += other.solver_session_probes;
-        self.solver_session_resets += other.solver_session_resets;
-        self.solver_batch_flushes += other.solver_batch_flushes;
-        self.solver_batched_verdicts += other.solver_batched_verdicts;
-        self.solver_batch_witness_hits += other.solver_batch_witness_hits;
-        self.solver_portfolio_races += other.solver_portfolio_races;
-        self.solver_portfolio_session_wins += other.solver_portfolio_session_wins;
-        self.solver_portfolio_fresh_wins += other.solver_portfolio_fresh_wins;
-        self.solver_portfolio_probe_wins += other.solver_portfolio_probe_wins;
-        self.solver_rewrite_reductions += other.solver_rewrite_reductions;
         self.interner_hits += other.interner_hits;
         self.interner_misses += other.interner_misses;
         self.cache_evictions += other.cache_evictions;
@@ -317,28 +316,15 @@ pub struct RunHealth {
     pub solver_sliced: u64,
     /// Total symbol-disjoint components across sliced queries.
     pub solver_slice_components: u64,
-    /// Component queries answered on a persistent incremental session.
+    /// Always 0: the incremental solver session was removed. Kept only
+    /// because the campaign benchmark still reads it.
     pub session_probes: u64,
-    /// Incremental-session core rebuilds.
-    pub session_resets: u64,
-    /// Deferred-obligation batches flushed to the solver.
+    /// Always 0: batched branch feasibility was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub batch_flushes: u64,
-    /// Individual feasibility verdicts settled inside those batches.
+    /// Always 0: batched branch feasibility was removed. Kept only because
+    /// the campaign benchmark still reads it.
     pub batched_verdicts: u64,
-    /// Batched obligations discharged by evaluating a pooled witness model
-    /// instead of a fresh solve.
-    pub batch_witness_hits: u64,
-    /// Verdict-grade queries raced across the solver portfolio.
-    pub portfolio_races: u64,
-    /// Portfolio races won by the incremental-session lane.
-    pub portfolio_session_wins: u64,
-    /// Portfolio races won by the fresh-blast lane.
-    pub portfolio_fresh_wins: u64,
-    /// Portfolio races won by the cache-probe lane.
-    pub portfolio_probe_wins: u64,
-    /// Nodes removed from verdict queries by the algebraic pre-blast
-    /// rewriter.
-    pub rewrite_reductions: u64,
     /// Expression-interner hits (process-global sample).
     pub interner_hits: u64,
     /// Expression-interner misses (process-global sample).
@@ -416,16 +402,9 @@ impl RunHealth {
             cache_unsat_subset: stats.solver_unsat_subset,
             solver_sliced: stats.solver_sliced,
             solver_slice_components: stats.solver_slice_components,
-            session_probes: stats.solver_session_probes,
-            session_resets: stats.solver_session_resets,
-            batch_flushes: stats.solver_batch_flushes,
-            batched_verdicts: stats.solver_batched_verdicts,
-            batch_witness_hits: stats.solver_batch_witness_hits,
-            portfolio_races: stats.solver_portfolio_races,
-            portfolio_session_wins: stats.solver_portfolio_session_wins,
-            portfolio_fresh_wins: stats.solver_portfolio_fresh_wins,
-            portfolio_probe_wins: stats.solver_portfolio_probe_wins,
-            rewrite_reductions: stats.solver_rewrite_reductions,
+            session_probes: 0,
+            batch_flushes: 0,
+            batched_verdicts: 0,
             interner_hits: stats.interner_hits,
             interner_misses: stats.interner_misses,
             cache_evictions: stats.cache_evictions,
@@ -472,16 +451,6 @@ impl RunHealth {
         self.cache_unsat_subset += other.cache_unsat_subset;
         self.solver_sliced += other.solver_sliced;
         self.solver_slice_components += other.solver_slice_components;
-        self.session_probes += other.session_probes;
-        self.session_resets += other.session_resets;
-        self.batch_flushes += other.batch_flushes;
-        self.batched_verdicts += other.batched_verdicts;
-        self.batch_witness_hits += other.batch_witness_hits;
-        self.portfolio_races += other.portfolio_races;
-        self.portfolio_session_wins += other.portfolio_session_wins;
-        self.portfolio_fresh_wins += other.portfolio_fresh_wins;
-        self.portfolio_probe_wins += other.portfolio_probe_wins;
-        self.rewrite_reductions += other.rewrite_reductions;
         self.interner_hits += other.interner_hits;
         self.interner_misses += other.interner_misses;
         self.cache_evictions += other.cache_evictions;
@@ -561,31 +530,6 @@ impl RunHealth {
             "  sliced verdicts:        {} ({} components)\n",
             self.solver_sliced, self.solver_slice_components
         ));
-        out.push_str(&format!(
-            "  session probes:         {} ({} core resets)\n",
-            self.session_probes, self.session_resets
-        ));
-        if self.batch_flushes > 0 {
-            out.push_str(&format!(
-                "  batched verdicts:       {} in {} flush(es), {} by witness reuse\n",
-                self.batched_verdicts, self.batch_flushes, self.batch_witness_hits
-            ));
-        }
-        if self.portfolio_races > 0 {
-            out.push_str(&format!(
-                "  portfolio races:        {} (session {}, fresh {}, probe {})\n",
-                self.portfolio_races,
-                self.portfolio_session_wins,
-                self.portfolio_fresh_wins,
-                self.portfolio_probe_wins
-            ));
-        }
-        if self.rewrite_reductions > 0 {
-            out.push_str(&format!(
-                "  rewriter reductions:    {} node(s) eliminated pre-blast\n",
-                self.rewrite_reductions
-            ));
-        }
         let intern_lookups = self.interner_hits + self.interner_misses;
         if intern_lookups > 0 {
             out.push_str(&format!(
@@ -735,8 +679,6 @@ mod tests {
         stats.solver_unsat_subset = 1;
         stats.solver_sliced = 3;
         stats.solver_slice_components = 8;
-        stats.solver_session_probes = 12;
-        stats.solver_session_resets = 1;
         stats.interner_hits = 900;
         stats.interner_misses = 100;
         stats.cache_evictions = 5;
@@ -755,8 +697,6 @@ mod tests {
         assert_eq!(h.cache_unsat_subset, 1);
         assert_eq!(h.solver_sliced, 3);
         assert_eq!(h.solver_slice_components, 8);
-        assert_eq!(h.session_probes, 12);
-        assert_eq!(h.session_resets, 1);
         assert_eq!(h.interner_hits, 900);
         assert_eq!(h.interner_misses, 100);
         assert_eq!(h.cache_evictions, 5);
@@ -774,7 +714,6 @@ mod tests {
         assert!(text.contains("query-cache hits:       7 (exact 4, model-reuse 2, unsat-subset 1)"));
         assert!(text.contains("query-cache evictions:  5"));
         assert!(text.contains("sliced verdicts:        3 (8 components)"));
-        assert!(text.contains("session probes:         12 (1 core resets)"));
         assert!(text.contains("interner hit rate:      90.0% (900 of 1000 lookups)"));
         assert!(text.contains("registry 2"));
         assert!(text.contains("lifecycle 1"));

@@ -3,9 +3,7 @@
 //! ```text
 //! ddt test <driver.dxe | bundled-name> [--audio] [--registry K=V]...
 //!          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle]
-//!          [--workers N]
-//!          [--no-query-cache] [--no-slicing] [--no-incremental]
-//!          [--no-batch] [--no-portfolio] [--no-rewrite]
+//!          [--workers N] [--no-query-cache] [--no-slicing]
 //!          [--json FILE] [--replay] [--health]
 //!          [--trace-dir DIR] [--checkpoint-dir DIR] [--checkpoint-every N]
 //!          [--resume DIR]
@@ -51,6 +49,10 @@
 //! boundaries, with checkers for touch-after-remove and
 //! resume-without-restore. Like every fingerprinted knob it is shared by
 //! `test`, `fuzz`, `serve`, and `worker`.
+//!
+//! `test`, `fuzz`, `serve` and `worker` accept only the flags their usage
+//! lists: an unknown flag, or a valued flag without its value, exits 2 with
+//! a message naming it rather than running a default campaign.
 //!
 //! `serve` runs the same campaign as a fault-tolerant **fleet**: the
 //! supervisor shards the frontier across `--workers` `ddt worker`
@@ -106,8 +108,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ddt test <driver.dxe|name> [--audio] [--registry K=V]... \
          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle] [--workers N] \
-         [--no-query-cache] [--no-slicing] [--no-incremental] \
-         [--no-batch] [--no-portfolio] [--no-rewrite] \
+         [--no-query-cache] [--no-slicing] \
          [--strategy fifo|coverage-new-first|rarest-branch|bug-directed] \
          [--prune] [--no-prune] \
          [--json FILE] [--replay] [--health] \
@@ -238,32 +239,15 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
         config.fault_plan.enabled = true;
         config.fault_plan.families.insert(ddt::FaultFamily::Lifecycle);
     }
-    // Escape hatches: disable the shared counterexample cache, verdict
-    // slicing, or incremental sessions. The exploration is identical (all
-    // three are semantically invisible); only solver time changes. They
-    // exist purely for field bisection.
+    // Escape hatches: disable the shared counterexample cache or verdict
+    // slicing. The exploration is identical (both are semantically
+    // invisible); only solver time changes. They are the reference paths
+    // of the differential tests.
     if args.iter().any(|a| a == "--no-query-cache") {
         config.use_query_cache = false;
     }
     if args.iter().any(|a| a == "--no-slicing") {
         config.use_slicing = false;
-    }
-    if args.iter().any(|a| a == "--no-incremental") {
-        config.use_incremental = false;
-    }
-    // Same contract for the lazy-feasibility machinery (ISSUE 10):
-    // `--no-batch` settles every fork's verdict eagerly at the fork site,
-    // `--no-portfolio` pins hard verdict components to the single-lane
-    // pipeline, `--no-rewrite` skips algebraic pre-blast simplification.
-    // All three are report-invisible.
-    if args.iter().any(|a| a == "--no-batch") {
-        config.use_batch = false;
-    }
-    if args.iter().any(|a| a == "--no-portfolio") {
-        config.use_portfolio = false;
-    }
-    if args.iter().any(|a| a == "--no-rewrite") {
-        config.use_rewrite = false;
     }
     // Search strategy and fingerprint pruning. Both are fingerprinted, so
     // supervisor and workers agree, and a resume refuses a mismatched
@@ -305,36 +289,123 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
     Ok(config)
 }
 
-/// Projects a `serve` argv onto the argv for its `ddt worker` subprocesses:
-/// the target and every shared flag survive; supervisor-only flags are
-/// dropped (workers must not persist traces or reports themselves).
-fn worker_args_from(args: &[String]) -> Vec<String> {
-    const SUPERVISOR_VALUED: &[&str] = &[
+/// The flags one campaign subcommand accepts after its target, on top of
+/// [`SHARED_FLAGS`].
+struct FlagTable {
+    /// Flags that stand alone.
+    bare: &'static [&'static str],
+    /// Flags followed by one value.
+    valued: &'static [&'static str],
+}
+
+/// The target and configuration flags `parse_target` and `parse_config`
+/// read. Every campaign subcommand accepts them, so supervisor and workers
+/// parse the same fingerprinted knobs.
+const SHARED_FLAGS: FlagTable = FlagTable {
+    bare: &[
+        "--audio",
+        "--no-annotations",
+        "--no-memcheck",
+        "--faults",
+        "--lifecycle",
+        "--no-query-cache",
+        "--no-slicing",
+        "--prune",
+        "--no-prune",
+    ],
+    valued: &["--registry", "--strategy", "--max-path-insns", "--max-insns"],
+};
+
+const TEST_FLAGS: FlagTable = FlagTable {
+    bare: &["--replay", "--health"],
+    valued: &[
+        "--json",
+        "--trace-dir",
+        "--workers",
+        "--checkpoint-dir",
+        "--checkpoint-every",
+        "--resume",
+    ],
+};
+
+const FUZZ_FLAGS: FlagTable = FlagTable {
+    bare: &["--replay", "--health", "--no-escalate", "--no-drain"],
+    valued: &["--json", "--trace-dir", "--seed", "--batches", "--batch-size", "--quanta-per-batch"],
+};
+
+const SERVE_FLAGS: FlagTable = FlagTable {
+    bare: &["--replay", "--health"],
+    valued: &[
+        "--json",
+        "--trace-dir",
         "--workers",
         "--lease-timeout",
         "--max-retries",
+        "--heartbeat-ms",
         "--status-file",
         "--chaos-kill",
         "--shard-factor",
         "--max-respawns",
-        "--json",
-        "--trace-dir",
-    ];
-    const SUPERVISOR_BARE: &[&str] = &["--health", "--replay"];
-    let mut out = vec!["worker".to_string()];
-    let mut i = 1; // args[0] is "serve"
+    ],
+};
+
+/// Workers persist nothing themselves, so they take no report flags.
+const WORKER_FLAGS: FlagTable = FlagTable { bare: &[], valued: &["--worker-id", "--heartbeat-ms"] };
+
+/// The flag table of a campaign subcommand; `None` for the others.
+fn flag_table(cmd: &str) -> Option<&'static FlagTable> {
+    match cmd {
+        "test" => Some(&TEST_FLAGS),
+        "fuzz" => Some(&FUZZ_FLAGS),
+        "serve" => Some(&SERVE_FLAGS),
+        "worker" => Some(&WORKER_FLAGS),
+        _ => None,
+    }
+}
+
+/// True when `table` or the shared table lists `flag` in the given column.
+fn knows(table: &FlagTable, flag: &str, valued: bool) -> bool {
+    let column = |t: &FlagTable| if valued { t.valued } else { t.bare };
+    column(table).contains(&flag) || column(&SHARED_FLAGS).contains(&flag)
+}
+
+/// Checks every argument after a campaign subcommand's target against its
+/// flag table: an unknown flag or a valued flag with no value is an error
+/// that names it.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let cmd = args.first().map_or("", String::as_str);
+    let Some(table) = flag_table(cmd) else { return Ok(()) };
+    let mut i = 2; // args[0] is the subcommand, args[1] the target.
     while i < args.len() {
         let a = args[i].as_str();
-        if SUPERVISOR_VALUED.contains(&a) {
-            i += 2;
-            continue;
-        }
-        if SUPERVISOR_BARE.contains(&a) {
+        if knows(table, a, false) {
             i += 1;
-            continue;
+        } else if knows(table, a, true) {
+            if i + 1 == args.len() {
+                return Err(format!("{a} needs a value"));
+            }
+            i += 2;
+        } else {
+            return Err(format!("ddt {cmd}: unknown flag {a:?}"));
         }
-        out.push(args[i].clone());
-        i += 1;
+    }
+    Ok(())
+}
+
+/// Projects a checked `serve` argv onto the argv for its `ddt worker`
+/// subprocesses: the target and every flag the worker accepts survive;
+/// supervisor-only flags are dropped (workers must not persist traces or
+/// reports themselves).
+fn worker_args_from(args: &[String]) -> Vec<String> {
+    let mut out = vec!["worker".to_string(), args[1].clone()];
+    let mut i = 2; // args[0] is "serve", args[1] the target.
+    while i < args.len() {
+        let a = args[i].as_str();
+        let width = if knows(&SERVE_FLAGS, a, true) { 2 } else { 1 };
+        if knows(&WORKER_FLAGS, a, width == 2) {
+            out.extend_from_slice(&args[i..i + width]);
+        }
+        i += width;
     }
     out
 }
@@ -399,6 +470,10 @@ impl ddt::core::WorkerLauncher for ProcessLauncher {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else { return usage() };
+    if let Err(e) = check_flags(&args) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     match cmd {
         "list" => {
             println!("bundled drivers:");
@@ -955,5 +1030,43 @@ mod tests {
             assert_eq!(dut.registry, expected.registry);
             assert_eq!(dut.descriptor, expected.descriptor);
         }
+    }
+
+    #[test]
+    fn campaign_flags_are_checked_against_their_subcommand() {
+        for cmd in ["test", "fuzz", "serve", "worker"] {
+            let err = check_flags(&argv(&[cmd, "pcnet", "--no-batch"])).unwrap_err();
+            assert!(err.contains("--no-batch"), "{cmd}: {err}");
+        }
+        let err = check_flags(&argv(&["test", "pcnet", "--json"])).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        let err = check_flags(&argv(&["fuzz", "pcnet", "--chaos-kill", "1"])).unwrap_err();
+        assert!(err.contains("--chaos-kill"), "{err}");
+        let ok = argv(&["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"]);
+        check_flags(&ok).expect("known flags");
+        let config = parse_config(&ok).expect("config parses");
+        assert!(!config.use_slicing && !config.use_query_cache);
+        let dut = parse_target(&ok).expect("target parses");
+        assert!(dut.registry.contains(&("K".to_string(), 7)));
+    }
+
+    #[test]
+    fn serve_forwards_only_the_flags_a_worker_accepts() {
+        let serve = argv(&[
+            "serve", "pcnet", "--workers", "2", "--faults", "--json", "r.json", "--heartbeat-ms",
+            "50", "--no-slicing", "--trace-dir", "t", "--health", "--registry", "K=7",
+        ]);
+        check_flags(&serve).expect("serve flags");
+        let worker = worker_args_from(&serve);
+        assert_eq!(
+            worker,
+            argv(&[
+                "worker", "pcnet", "--faults", "--heartbeat-ms", "50", "--no-slicing", "--registry",
+                "K=7",
+            ])
+        );
+        let mut spawned = worker.clone();
+        spawned.extend(argv(&["--worker-id", "3"]));
+        check_flags(&spawned).expect("a worker accepts what serve forwards");
     }
 }

@@ -30,13 +30,11 @@ mod eval;
 mod intern;
 mod node;
 mod prop_tests;
-mod rewrite;
 mod visit;
 
 pub use canon::{cache_key, is_subset_sorted, partition_independent, subset_signature};
 pub use intern::intern_stats;
 pub use eval::Assignment;
-pub use rewrite::{dag_node_count, rewrite, rewrite_all};
 pub use node::{
     fold_bin, //
     fold_cmp,
@@ -46,7 +44,7 @@ pub use node::{
     ExprNode,
     SymId,
 };
-pub use visit::{collect_sym_widths, collect_syms, subst, sym_route};
+pub use visit::{collect_syms, subst, sym_route};
 
 /// Maximum supported bitvector width.
 pub const MAX_WIDTH: u32 = 64;

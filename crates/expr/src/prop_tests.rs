@@ -33,79 +33,6 @@ fn arb_small_expr(seed: u32) -> Expr {
     }
 }
 
-/// Deterministically builds an expression DAG of the given width from a
-/// seed — deeper and shape-richer than [`arb_small_expr`], covering every
-/// node kind the rewriter has rules for (extensions, extracts, concats,
-/// ites, comparisons at mixed widths).
-fn gen_deep_expr(rng: &mut u64, w: u32, depth: u32) -> Expr {
-    fn next(rng: &mut u64) -> u64 {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        *rng
-    }
-    // Symbol ids encode the width so every (id, width) pairing is unique.
-    let sym = |rng: &mut u64, w: u32| Expr::sym(SymId(100 * (1 + (next(rng) % 3) as u32) + w), w);
-    if depth == 0 {
-        return if next(rng) % 3 == 0 { Expr::constant(next(rng), w) } else { sym(rng, w) };
-    }
-    match next(rng) % 12 {
-        0 => Expr::constant(next(rng), w),
-        1 => sym(rng, w),
-        2 => gen_deep_expr(rng, w, depth - 1).not(),
-        3 => gen_deep_expr(rng, w, depth - 1).neg(),
-        4..=6 => {
-            use crate::BinOp::*;
-            let ops = [Add, Sub, Mul, UDiv, URem, SDiv, SRem, And, Or, Xor, Shl, LShr, AShr];
-            let op = ops[(next(rng) % ops.len() as u64) as usize];
-            let a = gen_deep_expr(rng, w, depth - 1);
-            let b = gen_deep_expr(rng, w, depth - 1);
-            Expr::bin(op, &a, &b)
-        }
-        7 if w > 1 => {
-            let iw = 1 + (next(rng) % (w as u64 - 1)) as u32;
-            let inner = gen_deep_expr(rng, iw, depth - 1);
-            if next(rng) % 2 == 0 {
-                inner.zext(w)
-            } else {
-                inner.sext(w)
-            }
-        }
-        8 if w < 64 => {
-            let outer = w + 1 + (next(rng) % (64 - w) as u64) as u32;
-            let inner = gen_deep_expr(rng, outer, depth - 1);
-            let lo = (next(rng) % (outer - w + 1) as u64) as u32;
-            inner.extract(lo + w - 1, lo)
-        }
-        9 if w > 1 => {
-            let lw = 1 + (next(rng) % (w as u64 - 1)) as u32;
-            let hi = gen_deep_expr(rng, w - lw, depth - 1);
-            let lo = gen_deep_expr(rng, lw, depth - 1);
-            hi.concat(&lo)
-        }
-        10 => {
-            let cond = gen_deep_expr(rng, 1, depth - 1);
-            let t = gen_deep_expr(rng, w, depth - 1);
-            let e = gen_deep_expr(rng, w, depth - 1);
-            Expr::ite(&cond, &t, &e)
-        }
-        _ => {
-            use crate::CmpOp::*;
-            let cw = [1u32, 8, 16, 32, 64][(next(rng) % 5) as usize];
-            let ops = [Eq, Ne, Ult, Ule, Slt, Sle];
-            let op = ops[(next(rng) % ops.len() as u64) as usize];
-            let a = gen_deep_expr(rng, cw, depth - 1);
-            let b = gen_deep_expr(rng, cw, depth - 1);
-            let c = Expr::cmp(op, &a, &b);
-            if w == 1 {
-                c
-            } else {
-                c.zext(w)
-            }
-        }
-    }
-}
-
 /// Deterministically builds a small boolean constraint from a seed.
 fn arb_small_constraint(seed: u32) -> Expr {
     let a = arb_small_expr(seed);
@@ -265,56 +192,6 @@ proptest! {
         // Subset reasoning primitives agree with set semantics.
         prop_assert!(crate::is_subset_sorted(&ka, &kab));
         prop_assert_eq!(crate::subset_signature(&ka) & !crate::subset_signature(&kab), 0);
-    }
-
-    /// Rewriter soundness: for random expression DAGs and random models,
-    /// the rewritten expression evaluates bit-identically to the original.
-    /// This is the contract that makes pre-blast rewriting verdict-sound in
-    /// the solver (DESIGN.md §4.12).
-    #[test]
-    fn rewrite_preserves_evaluation(
-        seed in any::<u64>(),
-        vals in prop::collection::vec(any::<u64>(), 9..10),
-    ) {
-        let mut rng = seed | 1;
-        let w = [1u32, 8, 16, 32, 64][(seed % 5) as usize];
-        let e = gen_deep_expr(&mut rng, w, 4);
-        let mut syms = std::collections::BTreeSet::new();
-        crate::collect_syms(&e, &mut syms);
-        let mut asg = Assignment::new();
-        for (i, id) in syms.iter().enumerate() {
-            asg.set(*id, vals[i % vals.len()]);
-        }
-        let r = crate::rewrite(&e);
-        prop_assert_eq!(r.width(), e.width(), "rewrite changed width of {}", e);
-        prop_assert_eq!(r.eval(&asg), e.eval(&asg), "rewrite changed value of {}", e);
-        // Idempotence: rewrite ∘ rewrite = rewrite.
-        prop_assert_eq!(crate::rewrite(&r), r.clone(), "rewrite not idempotent on {}", e);
-        // The batch entry point agrees with the single-expression one.
-        prop_assert_eq!(crate::rewrite_all(std::slice::from_ref(&e)), vec![r]);
-    }
-
-    /// Rewriter soundness on boolean constraints specifically (the shape
-    /// every solver key is made of), including under the all-zeros model the
-    /// solver uses as its first fast-path candidate.
-    #[test]
-    fn rewrite_preserves_constraint_truth(seed in any::<u64>(), x in any::<u64>(), y in any::<u64>()) {
-        let mut rng = seed | 1;
-        let c = gen_deep_expr(&mut rng, 1, 5);
-        let r = crate::rewrite(&c);
-        let mut syms = std::collections::BTreeSet::new();
-        crate::collect_syms(&c, &mut syms);
-        for vals in [[0u64, 0], [x, y], [u64::MAX, 1]] {
-            let mut asg = Assignment::new();
-            for (i, id) in syms.iter().enumerate() {
-                asg.set(*id, vals[i % 2]);
-            }
-            prop_assert_eq!(
-                r.eval_bool(&asg),
-                c.eval_bool(&asg),
-                "rewrite changed truth of {} under {:?}", c, asg
-            );
-        }
     }
 
     /// Substitution commutes with evaluation.

@@ -32,37 +32,6 @@ pub fn collect_syms(e: &Expr, out: &mut BTreeSet<SymId>) {
     }
 }
 
-/// Collects every symbol appearing in `e` together with the width it is
-/// used at. Within one well-formed path a symbol has a single width, but
-/// sibling paths number their symbols independently, so consumers that
-/// persist state *across* queries (the incremental solver session) use this
-/// to detect when a `SymId` is being reused at a different width.
-pub fn collect_sym_widths(e: &Expr, out: &mut HashMap<SymId, u32>) {
-    match e.node() {
-        ExprNode::Const { .. } => {}
-        ExprNode::Sym { id, width } => {
-            out.insert(*id, *width);
-        }
-        ExprNode::Not(a) | ExprNode::Neg(a) => collect_sym_widths(a, out),
-        ExprNode::Bin(_, a, b) | ExprNode::Cmp(_, a, b) => {
-            collect_sym_widths(a, out);
-            collect_sym_widths(b, out);
-        }
-        ExprNode::ZExt { e, .. } | ExprNode::SExt { e, .. } | ExprNode::Extract { e, .. } => {
-            collect_sym_widths(e, out)
-        }
-        ExprNode::Concat { hi, lo } => {
-            collect_sym_widths(hi, out);
-            collect_sym_widths(lo, out);
-        }
-        ExprNode::Ite { cond, then, els } => {
-            collect_sym_widths(cond, out);
-            collect_sym_widths(then, out);
-            collect_sym_widths(els, out);
-        }
-    }
-}
-
 impl Expr {
     /// Returns the set of symbols appearing in this expression.
     pub fn syms(&self) -> BTreeSet<SymId> {

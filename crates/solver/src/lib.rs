@@ -12,11 +12,10 @@
 //! The pipeline is: cheap model guessing (zero / small / all-ones candidate
 //! assignments evaluated directly) → shared [`QueryCache`] (exact
 //! memoization, UNSAT subset subsumption, counterexample reuse — see
-//! [`cache`]) → independence slicing + incremental session solving for
-//! verdict-grade queries (symbol-disjoint components decided separately,
-//! on a persistent assumption-based SAT core) → Tseitin bit-blasting
-//! ([`blast`]) → CDCL SAT ([`sat`]). The procedure is complete for the
-//! supported widths: every query gets a definite Sat/Unsat answer.
+//! [`cache`]) → independence slicing for verdict-grade queries
+//! (symbol-disjoint components decided and cached separately) → Tseitin
+//! bit-blasting ([`blast`]) → CDCL SAT ([`sat`]). The procedure is complete
+//! for the supported widths: every query gets a definite Sat/Unsat answer.
 //!
 //! Full solves always assert constraints in *canonical key order* (sorted,
 //! deduplicated), so a solve is a deterministic function of the query set —
@@ -52,9 +51,7 @@
 
 pub mod blast;
 pub mod cache;
-mod portfolio;
 pub mod sat;
-mod session;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -71,13 +68,6 @@ pub use crate::cache::{CacheAnswer, CacheStats, QueryCache, QueryGrade};
 
 use crate::blast::Blaster;
 use crate::sat::{SatOutcome, SatSolver};
-use crate::session::{ProbeAnswer, Session};
-
-/// Default portfolio engagement threshold: components whose expression DAG
-/// has fewer distinct nodes than this are decided single-lane (a race's
-/// thread-spawn cost would dwarf the solve). Sized so only the heavy tail
-/// of branch queries races.
-const PORTFOLIO_MIN_NODES: usize = 256;
 
 /// Outcome of a satisfiability query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,29 +116,6 @@ pub struct SolverStats {
     /// Total components produced by sliced queries (average components per
     /// sliced query = `slice_components / sliced_queries`).
     pub slice_components: u64,
-    /// Queries (or query components) decided on the persistent incremental
-    /// session core instead of a fresh blast.
-    pub session_probes: u64,
-    /// Times the session core was rebuilt (size caps, symbol-width reuse
-    /// conflicts, or defensive recovery).
-    pub session_resets: u64,
-    /// Deferred-obligation batches flushed through [`Solver::solve_obligations`].
-    pub batch_flushes: u64,
-    /// Branch-feasibility verdicts resolved inside batched flushes.
-    pub batched_verdicts: u64,
-    /// Batched verdicts proved `Sat` by a sibling obligation's model from
-    /// the same flush (witness subsumption — no solver call at all).
-    pub batch_witness_hits: u64,
-    /// Hard verdict components raced on the solver portfolio.
-    pub portfolio_races: u64,
-    /// Portfolio races won by the incremental-session lane.
-    pub portfolio_session_wins: u64,
-    /// Portfolio races won by the fresh-blast lane.
-    pub portfolio_fresh_wins: u64,
-    /// Portfolio races won by the cached-probe lane.
-    pub portfolio_probe_wins: u64,
-    /// Expression-DAG nodes eliminated by pre-blast algebraic rewriting.
-    pub rewrite_reductions: u64,
 }
 
 /// The bitvector solver.
@@ -156,15 +123,9 @@ pub struct SolverStats {
 /// Model-consuming queries (`check`) build a fresh SAT instance over the
 /// canonical key, so their results are pure functions of the query.
 /// Verdict-grade queries (`is_feasible` and friends) additionally go
-/// through two default-on optimizations, each with an escape hatch:
-///
-/// - **independence slicing** ([`Self::set_slicing`]): the query partitions
-///   into symbol-disjoint components that are decided separately and cached
-///   under their own (smaller) keys;
-/// - **incremental sessions** ([`Self::set_incremental`]): components are
-///   decided on a persistent SAT core via assumption literals, so repeated
-///   conjuncts along a deepening path never re-blast and learned clauses
-///   accumulate across queries.
+/// through **independence slicing** ([`Self::set_slicing`], default on): the
+/// query partitions into symbol-disjoint components that are decided
+/// separately and cached under their own (smaller) keys.
 ///
 /// Results are cached in a [`QueryCache`] that may be *shared* across
 /// solvers/workers: sibling paths in an exploration share long constraint
@@ -179,20 +140,6 @@ pub struct Solver {
     /// switch). Model-grade queries always run the canonical monolithic
     /// solve, so slicing cannot perturb any model a caller consumes.
     use_slicing: bool,
-    /// Incremental session solving for verdict-grade queries
-    /// (`--no-incremental` off switch).
-    use_incremental: bool,
-    /// Algebraic pre-blast rewriting of verdict-grade keys
-    /// (`--no-rewrite` off switch).
-    use_rewrite: bool,
-    /// Racing solver portfolio for hard verdict components
-    /// (`--no-portfolio` off switch).
-    use_portfolio: bool,
-    /// Minimum component DAG size (distinct nodes) before a race is worth
-    /// its thread-spawn cost; tests lower it to force engagement.
-    portfolio_min_nodes: usize,
-    /// The persistent incremental core, created lazily on first use.
-    session: Option<Session>,
 }
 
 impl Default for Solver {
@@ -210,31 +157,13 @@ impl Solver {
     /// Creates a solver backed by a shared cache handle. All explorer
     /// workers of one run share a single handle.
     pub fn with_cache(cache: Arc<QueryCache>) -> Solver {
-        Solver {
-            stats: SolverStats::default(),
-            cache: Some(cache),
-            use_slicing: true,
-            use_incremental: true,
-            use_rewrite: true,
-            use_portfolio: true,
-            portfolio_min_nodes: PORTFOLIO_MIN_NODES,
-            session: None,
-        }
+        Solver { stats: SolverStats::default(), cache: Some(cache), use_slicing: true }
     }
 
     /// Creates a solver with caching disabled: every non-trivial query runs
     /// the full decision procedure.
     pub fn uncached() -> Solver {
-        Solver {
-            stats: SolverStats::default(),
-            cache: None,
-            use_slicing: true,
-            use_incremental: true,
-            use_rewrite: true,
-            use_portfolio: true,
-            portfolio_min_nodes: PORTFOLIO_MIN_NODES,
-            session: None,
-        }
+        Solver { stats: SolverStats::default(), cache: None, use_slicing: true }
     }
 
     /// Enables or disables independence slicing of verdict-grade queries
@@ -243,37 +172,6 @@ impl Solver {
     /// model-consuming queries never take the sliced path.
     pub fn set_slicing(&mut self, on: bool) {
         self.use_slicing = on;
-    }
-
-    /// Enables or disables the persistent incremental session for
-    /// verdict-grade queries (`--no-incremental` escape hatch; default on).
-    pub fn set_incremental(&mut self, on: bool) {
-        self.use_incremental = on;
-        if !on {
-            self.session = None;
-        }
-    }
-
-    /// Enables or disables algebraic pre-blast rewriting of verdict-grade
-    /// keys (`--no-rewrite` escape hatch; default on). Rewriting is
-    /// evaluation-preserving (pinned by the `ddt-expr` property suite), so
-    /// this is purely a performance toggle: verdicts cannot change.
-    pub fn set_rewrite(&mut self, on: bool) {
-        self.use_rewrite = on;
-    }
-
-    /// Enables or disables the racing solver portfolio for hard verdict
-    /// components (`--no-portfolio` escape hatch; default on). Every lane
-    /// decides the same semantic property, so whichever lane wins, the
-    /// verdict — and therefore the campaign report — is identical.
-    pub fn set_portfolio(&mut self, on: bool) {
-        self.use_portfolio = on;
-    }
-
-    /// Overrides the minimum component DAG size (distinct nodes) at which
-    /// the portfolio engages. Tests set 0 to force races on small queries.
-    pub fn set_portfolio_min_nodes(&mut self, nodes: usize) {
-        self.portfolio_min_nodes = nodes;
     }
 
     /// Returns accumulated per-solver statistics.
@@ -367,14 +265,12 @@ impl Solver {
                 return hit;
             }
         }
-        // Verdict-grade queries may take the optimized pipeline —
-        // independence slicing and/or the persistent incremental session.
-        // Both are verdict-sound (Sat/Unsat is a semantic property of the
-        // constraint set), and neither ever feeds a non-canonical model into
-        // the exact cache map, so model-grade queries behave byte-identically
-        // whether or not the optimizations are enabled.
-        if grade == QueryGrade::Verdict && (self.use_slicing || self.use_incremental) {
-            return self.solve_verdict_optimized(key);
+        // Verdict-grade queries may take the sliced pipeline. Sat/Unsat is a
+        // semantic property of the constraint set, and slicing never feeds a
+        // non-canonical model into the exact cache map, so model-grade
+        // queries behave byte-identically whether or not it is enabled.
+        if grade == QueryGrade::Verdict && self.use_slicing {
+            return self.solve_sliced(key);
         }
         // Full decision procedure over the canonical key.
         self.full_solve(key, &syms)
@@ -417,43 +313,24 @@ impl Solver {
         result
     }
 
-    /// The verdict-grade optimized pipeline: partition the canonical key
-    /// into symbol-disjoint independence components, decide each component
-    /// separately — preferring component-granular cache answers and the
-    /// persistent incremental session — and compose a model of the whole
-    /// query from the per-component models. The conjunction is `Sat` iff
-    /// every component is, and symbol-disjointness makes the union of
-    /// component models a model of the conjunction.
-    fn solve_verdict_optimized(&mut self, key: Vec<Expr>) -> SatResult {
-        // Algebraic pre-blast rewriting. Sound for verdicts because every
-        // rule preserves evaluation under all assignments: the rewritten key
-        // is equisatisfiable with (indeed, pointwise equivalent to) the
-        // original. Downstream cache entries are made under the *rewritten*
-        // keys, which is safe for the same reason — an Unsat rewritten
-        // component is genuinely Unsat, and ring models are always
-        // re-evaluated against the key they are asked to witness.
-        let key = if self.use_rewrite {
-            match self.rewrite_verdict_key(key) {
-                Ok(k) => k,
-                Err(decided) => return decided,
-            }
-        } else {
-            key
-        };
-        let parts: Vec<Vec<Expr>> = if self.use_slicing {
-            partition_independent(&key)
-        } else {
-            vec![key.clone()]
-        };
+    /// The verdict-grade sliced pipeline: partition the canonical key into
+    /// symbol-disjoint independence components, decide each component
+    /// separately — preferring component-granular cache answers — and
+    /// compose a model of the whole query from the per-component models.
+    /// The conjunction is `Sat` iff every component is, and
+    /// symbol-disjointness makes the union of component models a model of
+    /// the conjunction.
+    fn solve_sliced(&mut self, key: Vec<Expr>) -> SatResult {
+        let parts = partition_independent(&key);
         let multi = parts.len() > 1;
         if multi {
             self.stats.sliced_queries += 1;
             self.stats.slice_components += parts.len() as u64;
         }
         let mut composed = Assignment::new();
-        for part in &parts {
+        for part in parts {
             let mut part_syms = BTreeSet::new();
-            for c in part {
+            for c in &part {
                 collect_syms(c, &mut part_syms);
             }
             // Component-granular cache consultation. The whole key already
@@ -462,7 +339,7 @@ impl Solver {
             // shared cache: one worker's solved component answers every
             // sibling query that embeds it).
             if multi {
-                if let Some(hit) = self.cache_lookup(part, QueryGrade::Verdict) {
+                if let Some(hit) = self.cache_lookup(&part, QueryGrade::Verdict) {
                     match hit {
                         SatResult::Unsat => return SatResult::Unsat,
                         SatResult::Sat(m) => {
@@ -472,7 +349,9 @@ impl Solver {
                     }
                 }
             }
-            match self.solve_component(part, &part_syms) {
+            // A fresh solve is canonical for the component key and
+            // `full_solve` memoizes it under that key.
+            match self.full_solve(part, &part_syms) {
                 SatResult::Unsat => return SatResult::Unsat,
                 SatResult::Sat(m) => merge_for(&mut composed, &m, &part_syms),
             }
@@ -482,230 +361,13 @@ impl Solver {
             "composed model does not satisfy the query"
         );
         if let Some(cache) = &self.cache {
-            // Composed and session models are composition/history dependent
-            // (not the canonical monolithic model), so they go to the
+            // The composed model depends on how the key sliced (it is not
+            // the canonical monolithic model), so it goes to the
             // verdict-reuse ring only — never the exact map, which
             // model-grade callers read.
             cache.remember_verdict_model(&composed);
         }
         SatResult::Sat(composed)
-    }
-
-    /// Rewrites a verdict-grade key to its simplified fixpoint form,
-    /// re-canonicalizes, and re-consults the cache under the smaller key.
-    /// Returns `Err` when rewriting (or the re-lookup) decides the query
-    /// outright.
-    fn rewrite_verdict_key(&mut self, key: Vec<Expr>) -> Result<Vec<Expr>, SatResult> {
-        let rewritten = ddt_expr::rewrite_all(&key);
-        if rewritten.iter().any(|c| c.is_false()) {
-            // A constraint simplified to a contradiction. Memoize under the
-            // original key so siblings short-circuit before rewriting.
-            if let Some(cache) = &self.cache {
-                cache.insert(key, SatResult::Unsat);
-            }
-            return Err(SatResult::Unsat);
-        }
-        let live: Vec<&Expr> = rewritten.iter().filter(|c| !c.is_true()).collect();
-        if live.is_empty() {
-            return Err(SatResult::Sat(Assignment::new()));
-        }
-        let new_key = QueryCache::canonical_key(&live);
-        if new_key == key {
-            return Ok(key);
-        }
-        let before = ddt_expr::dag_node_count(&key);
-        let after = ddt_expr::dag_node_count(&new_key);
-        self.stats.rewrite_reductions += before.saturating_sub(after) as u64;
-        // The original key already missed; the rewritten key is a different
-        // (smaller) entry that siblings may have populated.
-        if let Some(hit) = self.cache_lookup(&new_key, QueryGrade::Verdict) {
-            return Err(hit);
-        }
-        Ok(new_key)
-    }
-
-    /// Decides one verdict-grade component: a session probe when
-    /// incremental solving is on (with a fresh canonical solve as the
-    /// fallback whenever the session cannot answer), a fresh canonical
-    /// solve otherwise. Fresh solves are canonical for the component key
-    /// and get memoized by `full_solve`; session `Unsat` answers are
-    /// memoized here too (`Unsat` carries no model to corrupt), while
-    /// session `Sat` models never reach the exact map.
-    ///
-    /// Components whose DAG clears the portfolio threshold are raced
-    /// across solver lanes instead (see [`portfolio`]).
-    fn solve_component(&mut self, part: &[Expr], part_syms: &BTreeSet<SymId>) -> SatResult {
-        if self.use_portfolio && ddt_expr::dag_node_count(part) >= self.portfolio_min_nodes {
-            return self.race_component(part, part_syms);
-        }
-        if self.use_incremental {
-            let session = self.session.get_or_insert_with(Session::new);
-            let before = session.conflicts();
-            let answer = session.probe(part, part_syms);
-            let (probes, resets) = (session.probes, session.resets);
-            let conflicts = session.conflicts().saturating_sub(before);
-            self.stats.sat_conflicts += conflicts;
-            self.stats.session_probes = probes;
-            self.stats.session_resets = resets;
-            match answer {
-                Some(ProbeAnswer::Unsat) => {
-                    if let Some(cache) = &self.cache {
-                        cache.insert(part.to_vec(), SatResult::Unsat);
-                    }
-                    return SatResult::Unsat;
-                }
-                Some(ProbeAnswer::Sat(m)) => return SatResult::Sat(m),
-                None => {} // Defensive fallback: fresh solve below.
-            }
-        }
-        self.full_solve(part.to_vec(), part_syms)
-    }
-
-    /// Races one hard verdict component across the portfolio lanes
-    /// (incremental session, fresh canonical blast, cached-model probe) with
-    /// first-answer-wins cancellation, then routes the winner's result into
-    /// the cache exactly as the single-lane paths would have.
-    fn race_component(&mut self, part: &[Expr], part_syms: &BTreeSet<SymId>) -> SatResult {
-        self.stats.portfolio_races += 1;
-        let session =
-            if self.use_incremental { Some(self.session.get_or_insert_with(Session::new)) } else { None };
-        let out = portfolio::race(part, part_syms, session, self.cache.as_ref());
-        if let Some(s) = &self.session {
-            self.stats.session_probes = s.probes;
-            self.stats.session_resets = s.resets;
-        }
-        self.stats.sat_conflicts += out.conflicts;
-        match out.winner {
-            portfolio::Lane::Session => self.stats.portfolio_session_wins += 1,
-            portfolio::Lane::Fresh => self.stats.portfolio_fresh_wins += 1,
-            portfolio::Lane::Probe => self.stats.portfolio_probe_wins += 1,
-        }
-        if let Some(cache) = &self.cache {
-            match (&out.result, out.winner) {
-                // A probe win came *from* the cache; nothing new to deposit.
-                (_, portfolio::Lane::Probe) => {}
-                // Unsat is model-free and safe to memoize whatever lane
-                // proved it (matching the session-Unsat insert above).
-                (SatResult::Unsat, _) => cache.insert(part.to_vec(), SatResult::Unsat),
-                // The fresh lane's model is the canonical one for this key;
-                // session models are history-dependent and go to the
-                // verdict-reuse ring only.
-                (SatResult::Sat(_), portfolio::Lane::Fresh) => {
-                    cache.insert(part.to_vec(), out.result.clone())
-                }
-                (SatResult::Sat(m), portfolio::Lane::Session) => cache.remember_verdict_model(m),
-            }
-        }
-        out.result
-    }
-
-    /// Resolves a batch of deferred branch-feasibility obligations in one
-    /// pass. `keys[i]` holds the full constraint set of one pending machine;
-    /// the returned vector gives each machine's feasibility, positionally.
-    ///
-    /// Verdict-equivalent to calling [`Self::is_feasible`] once per entry —
-    /// feasibility is a semantic property of each constraint set, and every
-    /// shortcut below proves (never guesses) its answer. The batching win is
-    /// **witness subsumption**: obligations are solved deepest-first and
-    /// each `Sat` model joins a batch-local witness pool; any later
-    /// obligation the model satisfies is discharged by evaluation instead
-    /// of a solve. Frontier siblings share long constraint prefixes, so one
-    /// deep model routinely discharges most of a flush.
-    pub fn solve_obligations(&mut self, keys: &[Vec<Expr>]) -> Vec<bool> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        self.stats.batch_flushes += 1;
-        self.stats.batched_verdicts += keys.len() as u64;
-        // Deepest-first, stable on ties: a model of a longer key satisfies
-        // every key whose constraints it happens to imply, and prefix
-        // chains make that the common case.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(keys[i].len()));
-        let mut verdicts = vec![false; keys.len()];
-        let mut pool: Vec<Assignment> = Vec::new();
-        for &i in &order {
-            let cs = &keys[i];
-            if pool.iter().any(|m| cs.iter().all(|c| c.eval_bool(m))) {
-                self.stats.batch_witness_hits += 1;
-                verdicts[i] = true;
-                continue;
-            }
-            match self.check_obligation(cs) {
-                SatResult::Sat(m) => {
-                    verdicts[i] = true;
-                    pool.push(m);
-                }
-                SatResult::Unsat => {}
-            }
-        }
-        verdicts
-    }
-
-    /// Decides one deferred-obligation key that the witness pool missed.
-    ///
-    /// Obligation traffic is dominated by branch-feasibility keys — each a
-    /// known-feasible parent set plus one negated condition — arriving at
-    /// fork rate, far more often than any other verdict stream. The cheap
-    /// proofs (trivial cases, cached verdicts, candidate models) do nearly
-    /// all the work; the residue runs the rewriter + slicing pipeline with
-    /// the **incremental session suppressed**: on a long-lived session core
-    /// each probe costs proportionally to the whole accumulated core, and at
-    /// obligation volume that is a measured net loss large enough to blow
-    /// wall budgets, while fresh per-component solves are flat and still
-    /// feed the shared cache via `full_solve`'s memoization. Outsized
-    /// components still race the (sessionless) portfolio.
-    fn check_obligation(&mut self, constraints: &[Expr]) -> SatResult {
-        self.stats.queries += 1;
-        for c in constraints {
-            assert_eq!(c.width(), 1, "constraints must be boolean: {c}");
-        }
-        if constraints.iter().any(|c| c.is_false()) {
-            return SatResult::Unsat;
-        }
-        let live: Vec<&Expr> = constraints.iter().filter(|c| !c.is_true()).collect();
-        if live.is_empty() {
-            return SatResult::Sat(Assignment::new());
-        }
-        let mut syms = BTreeSet::new();
-        for c in &live {
-            collect_syms(c, &mut syms);
-        }
-        let key = QueryCache::canonical_key(&live);
-        if self.cache.is_some() {
-            if let Some(hit) = self.cache_lookup(&key, QueryGrade::Verdict) {
-                return hit;
-            }
-        }
-        for candidate in Self::candidate_models(&syms) {
-            if live.iter().all(|c| c.eval_bool(&candidate)) {
-                self.stats.fast_path_hits += 1;
-                if let Some(cache) = &self.cache {
-                    cache.remember_verdict_model(&candidate);
-                }
-                return SatResult::Sat(candidate);
-            }
-        }
-        // Slicing still pays for obligations (smaller fresh component solves,
-        // component-granular cache sharing across sibling keys); only the
-        // session is suppressed, for this query alone.
-        let saved = self.use_incremental;
-        self.use_incremental = false;
-        let result = if self.use_slicing || self.use_rewrite {
-            self.solve_verdict_optimized(key)
-        } else {
-            self.full_solve(key, &syms)
-        };
-        self.use_incremental = saved;
-        result
-    }
-
-    /// Eagerly settles one deferred obligation (`--no-batch` and pop-time
-    /// resolution of machines restored from batch-mode checkpoints).
-    /// Verdict-equivalent to [`Self::is_feasible`], but routed exactly like
-    /// a batch-pool miss so the two schedules differ only in batching.
-    pub fn is_feasible_obligation(&mut self, constraints: &[Expr]) -> bool {
-        self.check_obligation(constraints).is_sat()
     }
 
     /// Consults the shared cache and maps the answer onto stats. `None`
@@ -1113,12 +775,11 @@ mod tests {
         assert_eq!(uncached.stats().cache_model_reuse, 0);
     }
 
-    /// A solver with both verdict-grade optimizations disabled (the
-    /// `--no-slicing --no-incremental` escape hatches).
+    /// A solver with independence slicing disabled (the `--no-slicing`
+    /// escape hatch).
     fn plain_solver() -> Solver {
         let mut s = Solver::new();
         s.set_slicing(false);
-        s.set_incremental(false);
         s
     }
 
@@ -1153,7 +814,6 @@ mod tests {
         // Two independent components that defeat the fast-path candidates.
         let q = [x.eq(&c32(42)), y.mul(&c32(3)).eq(&c32(21))];
         let mut s = Solver::new();
-        s.set_incremental(false);
         let r = s.check_graded(&q, QueryGrade::Verdict);
         match r {
             SatResult::Sat(m) => {
@@ -1173,7 +833,6 @@ mod tests {
         let x = sym(0, 32);
         let y = sym(1, 32);
         let mut a = Solver::with_cache(cache.clone());
-        a.set_incremental(false);
         // Sliced verdict query: each component solved and memoized alone.
         assert!(a.is_feasible(&[x.eq(&c32(42)), y.eq(&c32(17))]));
         // A later *model-grade* query equal to one component is an exact hit
@@ -1207,39 +866,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_session_is_exercised_and_agrees() {
-        let x = sym(0, 32);
-        let mut s = Solver::uncached(); // No cache: every query must solve.
-        let mut plain = plain_solver();
-        // A deepening path: x != 0, x != 1, ... plus a range, as the
-        // explorer's branch-feasibility stream would issue.
-        let mut cs = vec![x.ult(&c32(50))];
-        for i in 0..6u64 {
-            cs.push(x.ne(&c32(i)));
-            assert_eq!(s.is_feasible(&cs), plain.is_feasible(&cs));
-        }
-        assert!(s.stats().session_probes > 0, "session never engaged");
-        assert_eq!(s.stats().full_solves, 0, "session path must not re-blast");
-        assert!(plain.stats().full_solves > 0);
-    }
-
-    #[test]
-    fn incremental_unsat_matches_plain() {
-        let x = sym(0, 32);
-        let mut s = Solver::uncached();
-        let q = [x.ult(&c32(5)), c32(10).ult(&x)];
-        assert!(!s.is_feasible(&q));
-        // And satisfiable again afterwards on the same core.
-        assert!(s.is_feasible(&[x.ult(&c32(5)), x.ne(&c32(0))]));
-    }
-
-    #[test]
     fn escape_hatches_restore_baseline_counters() {
         let x = sym(0, 32);
         let mut s = plain_solver();
         assert!(s.is_feasible(&[x.eq(&c32(42))]));
         assert_eq!(s.stats().sliced_queries, 0);
-        assert_eq!(s.stats().session_probes, 0);
         assert_eq!(s.stats().full_solves, 1);
     }
 
@@ -1258,7 +889,6 @@ mod tests {
             SatResult::Unsat => panic!(),
         }
         assert_eq!(s.stats().sliced_queries, 0);
-        assert_eq!(s.stats().session_probes, 0);
         assert_eq!(s.stats().full_solves, 1);
     }
 
@@ -1272,74 +902,5 @@ mod tests {
         let reversed: Vec<Expr> = cs.iter().rev().cloned().collect();
         let backward = Solver::uncached().check(&reversed);
         assert_eq!(forward, backward);
-    }
-
-    /// A prefix-chain batch like a flush produces: deepening constraints on
-    /// one path plus an infeasible sibling and an unrelated shallow key.
-    fn obligation_batch() -> Vec<Vec<Expr>> {
-        let x = sym(0, 32);
-        let y = sym(1, 32);
-        let mut chain = vec![c32(10).ult(&x)];
-        let mut keys = vec![chain.clone()];
-        for i in 0..6u64 {
-            chain.push(x.ne(&c32(i)));
-            keys.push(chain.clone());
-        }
-        // Infeasible sibling of the deepest prefix.
-        let mut dead = chain.clone();
-        dead.push(x.ule(&c32(5)));
-        keys.push(dead);
-        // Unrelated shallow key on another symbol.
-        keys.push(vec![y.eq(&c32(9))]);
-        keys
-    }
-
-    #[test]
-    fn solve_obligations_matches_per_query_feasibility() {
-        let keys = obligation_batch();
-        let mut batched = Solver::uncached();
-        let got = batched.solve_obligations(&keys);
-        let mut plain = Solver::uncached();
-        plain.set_portfolio(false);
-        plain.set_rewrite(false);
-        let want: Vec<bool> = keys.iter().map(|k| plain.is_feasible(k)).collect();
-        assert_eq!(got, want);
-        let st = batched.stats();
-        assert_eq!(st.batch_flushes, 1);
-        assert_eq!(st.batched_verdicts, keys.len() as u64);
-    }
-
-    #[test]
-    fn witness_subsumption_discharges_prefixes_without_solving() {
-        let keys = obligation_batch();
-        let mut s = Solver::uncached();
-        s.solve_obligations(&keys);
-        let st = s.stats();
-        // The deepest chain key is solved first; its model satisfies every
-        // shorter prefix, so those are discharged by evaluation.
-        assert!(
-            st.batch_witness_hits >= 6,
-            "expected the prefix chain to be witness-subsumed: {st:?}"
-        );
-    }
-
-    #[test]
-    fn empty_flush_is_free() {
-        let mut s = Solver::new();
-        assert!(s.solve_obligations(&[]).is_empty());
-        assert_eq!(s.stats().batch_flushes, 0);
-    }
-
-    #[test]
-    fn rewrite_escape_hatch_preserves_verdicts() {
-        let x = sym(0, 8);
-        let wide = Expr::zext(&x, 32);
-        // Narrowable comparison plus a range constraint — rewriter territory.
-        let cs = [wide.ult(&c32(200)), wide.ne(&c32(0))];
-        let mut on = Solver::uncached();
-        let mut off = Solver::uncached();
-        off.set_rewrite(false);
-        assert_eq!(on.is_feasible(&cs), off.is_feasible(&cs));
-        assert_eq!(off.stats().rewrite_reductions, 0);
     }
 }

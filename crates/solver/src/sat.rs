@@ -91,11 +91,6 @@ pub enum SatOutcome {
 const REASON_NONE: u32 = u32::MAX;
 const REASON_DECISION: u32 = u32::MAX - 1;
 
-/// Conflicts between polls of the cooperative cancellation flag — frequent
-/// enough to stop a losing portfolio lane quickly, rare enough that the
-/// atomic load never shows up in propagation-bound profiles.
-pub const CANCEL_POLL_CONFLICTS: u64 = 64;
-
 /// The CDCL solver.
 ///
 /// # Examples
@@ -143,20 +138,12 @@ pub struct SatSolver {
     pub propagations: u64,
     /// Scratch marks used by conflict analysis.
     seen: Vec<bool>,
-    /// Max-heap of candidate decision variables, ordered by activity.
-    /// Long-lived cores (the incremental session) grow to hundreds of
-    /// thousands of variables; a linear argmax scan per decision would make
-    /// every probe pay O(vars · decisions), so decisions must be O(log n).
+    /// Max-heap of candidate decision variables, ordered by activity. A
+    /// linear argmax scan per decision would cost O(vars · decisions) on
+    /// large blasted queries, so decisions are O(log n).
     heap: Vec<u32>,
     /// Position of each variable in `heap`, or `HEAP_ABSENT`.
     heap_pos: Vec<u32>,
-    /// Cooperative cancellation flag, polled between conflicts (the
-    /// portfolio's first-answer-wins kill switch). `None` = never cancel.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// True when the last `solve` returned early because `cancel` was set.
-    /// An aborted solve reports `Unsat` as a placeholder; callers that use
-    /// cancellation must check this flag and discard the outcome.
-    aborted: bool,
 }
 
 const HEAP_ABSENT: u32 = u32::MAX;
@@ -189,35 +176,6 @@ impl SatSolver {
             seen: Vec::new(),
             heap: Vec::new(),
             heap_pos: Vec::new(),
-            cancel: None,
-            aborted: false,
-        }
-    }
-
-    /// Installs a cooperative cancellation flag. While set, `solve` polls it
-    /// every [`CANCEL_POLL_CONFLICTS`] conflicts and returns early (with
-    /// [`Self::aborted`] raised) once it reads true. Used by the racing
-    /// portfolio to stop losing lanes after the first answer arrives.
-    pub fn set_cancel(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.cancel = Some(flag);
-    }
-
-    /// Removes the cancellation flag; subsequent solves run to completion.
-    pub fn clear_cancel(&mut self) {
-        self.cancel = None;
-    }
-
-    /// True when the last `solve` was cancelled rather than decided. The
-    /// reported outcome is meaningless in that case.
-    pub fn aborted(&self) -> bool {
-        self.aborted
-    }
-
-    #[inline]
-    fn cancelled(&self) -> bool {
-        match &self.cancel {
-            Some(f) => f.load(std::sync::atomic::Ordering::Relaxed),
-            None => false,
         }
     }
 
@@ -317,15 +275,6 @@ impl SatSolver {
     /// Number of clauses (problem + learned).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// True once the clause database itself is unsatisfiable (an empty or
-    /// level-0-conflicting clause was added). A dead solver answers every
-    /// `solve` with `Unsat`, so long-lived users (the incremental session)
-    /// check this to distinguish "unsat under assumptions" from "core gone
-    /// bad" before trusting an answer.
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     #[inline]
@@ -583,74 +532,27 @@ impl SatSolver {
     /// before returning, but keeps the final polarity of each variable in
     /// the saved phases, which `value` reports for `Sat`.
     pub fn solve(&mut self) -> SatOutcome {
-        self.solve_assuming(&[])
-    }
-
-    /// Decides satisfiability under temporary assumptions.
-    ///
-    /// Assumptions are treated as decisions at the outermost levels; they do
-    /// not persist after the call.
-    pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        self.aborted = false;
         if self.dead {
             return SatOutcome::Unsat;
         }
         let mut restart_limit = 128u64;
         let mut conflicts_here = 0u64;
         let model_found = 'outer: loop {
-            // (Re)establish assumptions after any restart.
             self.cancel_until(0);
             if self.propagate().is_some() {
                 self.dead = true;
                 break 'outer false;
             }
-            for &a in assumptions {
-                match self.lit_value(a) {
-                    LBool::True => continue,
-                    LBool::False => break 'outer false,
-                    LBool::Undef => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(a, REASON_DECISION);
-                        if let Some(confl) = self.propagate() {
-                            // Conflict directly under assumptions: analyze to
-                            // learn, then report unsat-under-assumptions.
-                            if self.trail_lim.len() as u32 > 0 {
-                                let (learned, _) = self.analyze(confl);
-                                self.cancel_until(0);
-                                if learned.len() == 1 {
-                                    self.enqueue(learned[0], REASON_NONE);
-                                    if self.propagate().is_some() {
-                                        self.dead = true;
-                                    }
-                                } else {
-                                    self.attach_clause(learned);
-                                }
-                            }
-                            break 'outer false;
-                        }
-                    }
-                }
-            }
-            let assumption_level = self.trail_lim.len() as u32;
             loop {
                 if let Some(confl) = self.propagate() {
                     self.conflicts += 1;
                     conflicts_here += 1;
-                    if conflicts_here % CANCEL_POLL_CONFLICTS == 0 && self.cancelled() {
-                        self.aborted = true;
+                    if self.trail_lim.is_empty() {
+                        // Conflict at level 0: the clause set is unsatisfiable.
+                        self.dead = true;
                         break 'outer false;
                     }
-                    if self.trail_lim.len() as u32 <= assumption_level {
-                        // Conflict at or below the assumption levels.
-                        if assumption_level == 0 {
-                            self.dead = true;
-                        }
-                        break 'outer false;
-                    }
-                    let (learned, mut bt) = self.analyze(confl);
-                    if bt < assumption_level {
-                        bt = assumption_level;
-                    }
+                    let (learned, bt) = self.analyze(confl);
                     self.cancel_until(bt);
                     if learned.len() == 1 {
                         if self.lit_value(learned[0]) == LBool::False {
@@ -826,19 +728,6 @@ mod tests {
         assert_ne!(m[0], m[1]);
         assert_ne!(m[1], m[2]);
         assert_eq!(m[0], m[2]);
-    }
-
-    #[test]
-    fn assumptions_are_temporary() {
-        let mut s = SatSolver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
-        assert_eq!(s.solve_assuming(&[Lit::neg(v[0]), Lit::neg(v[1])]), SatOutcome::Unsat);
-        // Without assumptions, still satisfiable.
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        // Contradictory assumption pair.
-        assert_eq!(s.solve_assuming(&[Lit::pos(v[0]), Lit::neg(v[0])]), SatOutcome::Unsat);
-        assert_eq!(s.solve(), SatOutcome::Sat);
     }
 
     #[test]

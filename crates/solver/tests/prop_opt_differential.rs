@@ -1,7 +1,7 @@
-//! Differential property tests for the verdict-grade solver optimizations:
-//! independence slicing and incremental sessions must agree — in verdict and
-//! in model validity — with the plain monolithic solver on random constraint
-//! sets, in every flag combination, cached and uncached.
+//! Differential property tests for the verdict-grade solver optimization:
+//! independence slicing must agree — in verdict and in model validity — with
+//! the plain monolithic solver on random constraint sets, cached and
+//! uncached.
 //!
 //! Multi-symbol generators are biased so queries actually slice: symbols 0/1
 //! and 2/3 form two families that only sometimes mix, producing a healthy
@@ -77,11 +77,10 @@ fn brute_force_sat(constraints: &[Expr]) -> bool {
     false
 }
 
-/// Builds a solver with the given optimization switches (cached variant).
-fn solver_with(slicing: bool, incremental: bool, cached: bool) -> Solver {
+/// Builds a solver with the given slicing and cache switches.
+fn solver_with(slicing: bool, cached: bool) -> Solver {
     let mut s = if cached { Solver::new() } else { Solver::uncached() };
     s.set_slicing(slicing);
-    s.set_incremental(incremental);
     s
 }
 
@@ -95,28 +94,26 @@ proptest! {
     fn all_modes_agree_on_verdict_and_model_validity(
         cs in prop::collection::vec(arb_constraint(), 1..5),
     ) {
-        let mut plain = solver_with(false, false, false);
+        let mut plain = solver_with(false, false);
         let expected = plain.is_feasible(&cs);
         for slicing in [false, true] {
-            for incremental in [false, true] {
-                for cached in [false, true] {
-                    let mut s = solver_with(slicing, incremental, cached);
-                    prop_assert_eq!(
-                        s.is_feasible(&cs), expected,
-                        "verdict flipped (slicing={}, incremental={}, cached={})",
-                        slicing, incremental, cached
-                    );
-                    // The full SatResult's model must satisfy the query in
-                    // every mode (composition and session soundness).
-                    match s.check(&cs) {
-                        SatResult::Sat(m) => {
-                            prop_assert!(expected, "check Sat but plain infeasible");
-                            for c in &cs {
-                                prop_assert!(c.eval_bool(&m), "model fails {}", c);
-                            }
+            for cached in [false, true] {
+                let mut s = solver_with(slicing, cached);
+                prop_assert_eq!(
+                    s.is_feasible(&cs), expected,
+                    "verdict flipped (slicing={}, cached={})",
+                    slicing, cached
+                );
+                // The full SatResult's model must satisfy the query in
+                // every mode (composition soundness).
+                match s.check(&cs) {
+                    SatResult::Sat(m) => {
+                        prop_assert!(expected, "check Sat but plain infeasible");
+                        for c in &cs {
+                            prop_assert!(c.eval_bool(&m), "model fails {}", c);
                         }
-                        SatResult::Unsat => prop_assert!(!expected),
                     }
+                    SatResult::Unsat => prop_assert!(!expected),
                 }
             }
         }
@@ -128,7 +125,7 @@ proptest! {
     fn optimized_verdict_matches_brute_force(
         cs in prop::collection::vec(arb_constraint(), 1..4),
     ) {
-        let mut s = solver_with(true, true, true);
+        let mut s = solver_with(true, true);
         prop_assert_eq!(s.is_feasible(&cs), brute_force_sat(&cs));
     }
 
@@ -151,28 +148,28 @@ proptest! {
             }
         }
         // Conjunction over disjoint components: sat iff all components sat.
-        let mut plain = solver_with(false, false, false);
+        let mut plain = solver_with(false, false);
         let whole = plain.is_feasible(&key);
         let all_parts = parts.iter().all(|p| {
-            let mut s = solver_with(false, false, false);
+            let mut s = solver_with(false, false);
             s.is_feasible(p)
         });
         prop_assert_eq!(whole, all_parts);
     }
 
     /// A long deepening-path query stream (the explorer's hot pattern) gives
-    /// identical verdict sequences with sessions on and off.
+    /// identical verdict sequences with slicing and the cache on and off.
     #[test]
     fn deepening_path_stream_matches(
         base in arb_constraint(),
         extras in prop::collection::vec(arb_constraint(), 1..6),
     ) {
-        let mut incremental = solver_with(true, true, false);
-        let mut plain = solver_with(false, false, false);
+        let mut optimized = solver_with(true, true);
+        let mut plain = solver_with(false, false);
         let mut cs = vec![base];
         for e in extras {
             cs.push(e);
-            prop_assert_eq!(incremental.is_feasible(&cs), plain.is_feasible(&cs));
+            prop_assert_eq!(optimized.is_feasible(&cs), plain.is_feasible(&cs));
         }
     }
 }

@@ -139,8 +139,14 @@ pub enum SymStep {
     /// A branch (or a symbolic divisor) forked; `other` is the second path.
     /// The current state already took its side and continues.
     Forked {
-        /// The other feasible path.
+        /// The other path.
         other: Box<SymState>,
+        /// True when no solver call has confirmed that `other`'s path
+        /// condition is satisfiable: the state's model witnessed only the
+        /// taken side of a branch, so the untaken side was forked without
+        /// asking. The caller decides it with `Solver::is_feasible` before
+        /// running it.
+        needs_verdict: bool,
     },
     /// The driver called a kernel export.
     KernelCall {
@@ -319,10 +325,11 @@ fn store(
     Ok(())
 }
 
-/// Decides a symbolic branch condition, forking if both sides are feasible.
+/// Decides a symbolic branch condition, forking if both sides may be
+/// feasible.
 ///
-/// Returns the fork partner (which takes the `!cond` side) if one was
-/// created; `self` takes the `cond`-true side when feasible.
+/// On a fork the partner takes the `!cond` side and `st` the `cond`-true
+/// side; otherwise `st` takes the one feasible side.
 fn branch(
     st: &mut SymState,
     solver: &mut Solver,
@@ -330,30 +337,26 @@ fn branch(
     cond: Expr,
     target: u32,
     fallthrough: u32,
-) -> Result<Option<Box<SymState>>, SymFault> {
+) -> Result<SymStep, SymFault> {
     if let Some(c) = cond.as_const() {
         st.trace.push(TraceEvent::Branch { pc, taken: c != 0, forked: false, constraint: cond });
         st.cpu.pc = if c != 0 { target } else { fallthrough };
-        return Ok(None);
+        return Ok(check_transfer(st));
     }
     let not_cond = cond.lnot();
-    // Lazy feasibility (ISSUE 10): when the cached model proves the taken
-    // side live, the untaken side is forked *optimistically* — no solver
-    // call here at all. The child carries `verdict_pending` and is decided
-    // later, either immediately after the quantum (`--no-batch`) or in a
-    // batched flush with its frontier siblings, before it ever executes.
-    // A live path always has a satisfiable condition, so `st` itself never
+    // When the cached model proves the taken side live, the untaken side is
+    // forked without a solver call here: the fork reports `needs_verdict`,
+    // and the caller decides the child before it takes a frontier slot. A
+    // live path always has a satisfiable condition, so `st` itself never
     // needs a verdict when the model decides its side.
     let model_side = st.model_eval(&cond).map(|v| v != 0);
     match model_side {
         Some(true) => {
-            // `st`'s true side is witnessed by the model; defer the ¬cond
-            // child's verdict. `add_constraint` drops the inherited model
-            // (it satisfies cond), leaving the child model-less until it is
-            // either witnessed at flush or first needs a concretization.
+            // `st`'s true side is witnessed by the model. `add_constraint`
+            // drops the inherited model (it satisfies cond), leaving the
+            // child model-less until it first needs one.
             let mut other = st.fork();
             other.add_constraint(not_cond.clone());
-            other.verdict_pending = true;
             other.trace.push(TraceEvent::Branch {
                 pc,
                 taken: false,
@@ -364,16 +367,15 @@ fn branch(
             st.add_constraint(cond.clone());
             st.trace.push(TraceEvent::Branch { pc, taken: true, forked: true, constraint: cond });
             st.cpu.pc = target;
-            Ok(Some(Box::new(other)))
+            Ok(SymStep::Forked { other: Box::new(other), needs_verdict: true })
         }
         Some(false) => {
             // The model witnesses the untaken side. `st` follows its model
             // (¬cond) only if the taken side is infeasible; otherwise `st`
             // takes the branch (canonical taken-side priority) with the
             // fresh model, and the partner inherits the parent model. This
-            // side keeps the synchronous model-grade check: the verdict
-            // decides which side `st` itself executes *this* instruction,
-            // so it cannot be deferred.
+            // side needs the model-grade check here: the verdict decides
+            // which side `st` itself executes *this* instruction.
             let mut cs = st.constraints.clone();
             cs.push(cond.clone());
             match solver.check(&cs) {
@@ -401,7 +403,7 @@ fn branch(
                         other.set_model(parent_model);
                     }
                     st.set_model(m);
-                    Ok(Some(Box::new(other)))
+                    Ok(SymStep::Forked { other: Box::new(other), needs_verdict: false })
                 }
                 ddt_solver::SatResult::Unsat => {
                     st.add_constraint(not_cond.clone());
@@ -412,14 +414,14 @@ fn branch(
                         constraint: not_cond,
                     });
                     st.cpu.pc = fallthrough;
-                    Ok(None)
+                    Ok(check_transfer(st))
                 }
             }
         }
         None => {
             // No cached model: one model-grade call decides the taken side;
-            // if it is live, `st` takes it and the ¬cond child's verdict is
-            // deferred exactly as in the model-witnessed case.
+            // if it is live, `st` takes it and the ¬cond child is left to
+            // the caller exactly as in the model-witnessed case.
             let mut cs = st.constraints.clone();
             cs.push(cond.clone());
             match solver.check(&cs) {
@@ -427,7 +429,6 @@ fn branch(
                     st.set_model(mt);
                     let mut other = st.fork();
                     other.add_constraint(not_cond.clone());
-                    other.verdict_pending = true;
                     other.trace.push(TraceEvent::Branch {
                         pc,
                         taken: false,
@@ -443,7 +444,7 @@ fn branch(
                         constraint: cond,
                     });
                     st.cpu.pc = target;
-                    Ok(Some(Box::new(other)))
+                    Ok(SymStep::Forked { other: Box::new(other), needs_verdict: true })
                 }
                 ddt_solver::SatResult::Unsat => {
                     cs.pop();
@@ -459,7 +460,7 @@ fn branch(
                                 constraint: not_cond,
                             });
                             st.cpu.pc = fallthrough;
-                            Ok(None)
+                            Ok(check_transfer(st))
                         }
                         ddt_solver::SatResult::Unsat => Err(SymFault::Infeasible),
                     }
@@ -563,7 +564,10 @@ pub fn step(st: &mut SymState, env: &mut dyn SymEnv, solver: &mut Solver) -> Sym
                             };
                             st.cpu.set(rd, v);
                             st.cpu.pc = next;
-                            return Ok(SymStep::Forked { other: Box::new(other) });
+                            return Ok(SymStep::Forked {
+                                other: Box::new(other),
+                                needs_verdict: false,
+                            });
                         }
                         st.add_constraint(is_zero.lnot());
                     }
@@ -681,10 +685,7 @@ pub fn step(st: &mut SymState, env: &mut dyn SymEnv, solver: &mut Solver) -> Sym
                     Bltu { .. } => a.ult(&b),
                     _ => b.ule(&a),
                 };
-                return match branch(st, solver, pc, cond, imm, next)? {
-                    Some(other) => Ok(SymStep::Forked { other }),
-                    None => Ok(check_transfer(st)),
-                };
+                return branch(st, solver, pc, cond, imm, next);
             }
             Call { imm } => {
                 st.cpu.set_u32(Reg::LR, next);
@@ -779,28 +780,18 @@ mod tests {
         let mut work = vec![root.clone()];
         let mut done = Vec::new();
         root.cpu.pc = 0; // Unused; root cloned above.
-        // Branch forks are optimistic (the ¬cond child defers its verdict);
-        // this harness resolves each one eagerly, exactly like the core
-        // driver's `--no-batch` mode.
-        let admit = |mut child: SymState, work: &mut Vec<SymState>, solver: &mut Solver| {
-            if child.verdict_pending {
-                if !solver.is_feasible_obligation(&child.constraints) {
-                    return;
-                }
-                child.verdict_pending = false;
-            }
-            work.push(child);
-        };
         while let Some(mut st) = work.pop() {
             loop {
                 let outcome = step(&mut st, env, &mut solver);
-                for fork in st.pending_forks.drain(..) {
-                    admit(fork, &mut work, &mut solver);
-                }
+                work.append(&mut st.pending_forks);
                 match outcome {
                     SymStep::Continue => continue,
-                    SymStep::Forked { other } => {
-                        admit(*other, &mut work, &mut solver);
+                    SymStep::Forked { other, needs_verdict } => {
+                        // Decide an unconfirmed branch child like the core
+                        // exerciser does at its fork site.
+                        if !needs_verdict || solver.is_feasible(&other.constraints) {
+                            work.push(*other);
+                        }
                         continue;
                     }
                     terminal => {
@@ -1229,7 +1220,7 @@ mod more_interp_tests {
             forks.append(&mut st.pending_forks);
             match outcome {
                 SymStep::Continue => continue,
-                SymStep::Forked { other } => {
+                SymStep::Forked { other, .. } => {
                     forks.push(*other);
                     continue;
                 }

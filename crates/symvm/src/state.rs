@@ -287,13 +287,6 @@ pub struct SymState {
     /// Escalation-lift pins for labeled kernel-boundary symbols (packet
     /// bytes, OIDs, registry values), consumed per-label in order.
     pub label_pins: HashMap<String, VecDeque<u64>>,
-    /// True while this state's feasibility verdict is deferred: the state
-    /// was forked optimistically at a branch without consulting the solver,
-    /// and must not execute a quantum until a batched flush (or an eager
-    /// per-fork check under `--no-batch`) proves its path condition
-    /// satisfiable. Not part of the exploration fingerprint — both batching
-    /// modes fork the same states; only *when* the verdict lands differs.
-    pub verdict_pending: bool,
 }
 
 impl SymState {
@@ -316,7 +309,6 @@ impl SymState {
             decode_cache: crate::interp::DecodeCache::default(),
             hw_pins: VecDeque::new(),
             label_pins: HashMap::new(),
-            verdict_pending: false,
         }
     }
 
@@ -340,9 +332,6 @@ impl SymState {
             decode_cache: self.decode_cache.clone(),
             hw_pins: self.hw_pins.clone(),
             label_pins: self.label_pins.clone(),
-            // The fork site decides whether the child owes a verdict; a
-            // plain fork inherits the parent's (settled) status.
-            verdict_pending: self.verdict_pending,
         }
     }
 

@@ -39,12 +39,11 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"DDTJ";
 /// `cov_stamp`) guided strategies rank by, and checkpoints carry the
 /// structural-fingerprint prune set.
 ///
-/// v3: frontier records carry the deferred-obligation flag (`pending`).
-/// Lazy batched feasibility stages branch-fork children whose verdict the
-/// solver has not yet confirmed; a checkpoint written between fork and
-/// flush must preserve that obligation so the resumed run settles it before
-/// selection, exactly where the uninterrupted run would have.
-pub const CAMPAIGN_VERSION: u64 = 3;
+/// v3 added a deferred-verdict flag to frontier records.
+///
+/// v4: the flag is gone again. Every branch child is decided at its fork
+/// site, so no frontier machine owes a verdict.
+pub const CAMPAIGN_VERSION: u64 = 4;
 
 /// The kinds of nondeterministic fork sites the exploration visits, in the
 /// vocabulary of the choice log. Every site is machine-local (its firing
@@ -140,10 +139,6 @@ pub struct FrontierRecord {
     pub cov_fresh: u64,
     /// Quantum ordinal that stamped `cov_fresh`.
     pub cov_stamp: u64,
-    /// True when the machine's branch-feasibility verdict is still deferred
-    /// (lazy batching forked it optimistically and no flush has run since);
-    /// the resumed exploration must settle it before first selection.
-    pub pending: bool,
 }
 
 /// Serialized coverage state (hit counts drive the exploration heuristic,
@@ -393,7 +388,6 @@ pub(crate) fn put_frontier_record(out: &mut Vec<u8>, rec: &FrontierRecord) {
     out.extend_from_slice(&rec.fp.decisions_fnv.to_le_bytes());
     put_varint(out, rec.cov_fresh);
     put_varint(out, rec.cov_stamp);
-    out.push(rec.pending as u8);
 }
 
 /// Decodes one frontier record.
@@ -423,12 +417,7 @@ pub(crate) fn read_frontier_record(c: &mut Cursor<'_>) -> Result<FrontierRecord,
     };
     let cov_fresh = c.varint()?;
     let cov_stamp = c.varint()?;
-    let pending = match c.byte()? {
-        0 => false,
-        1 => true,
-        b => return c.err(format!("bad pending flag {b}")),
-    };
-    Ok(FrontierRecord { id, steps_total, trailing_skips, picks, fp, cov_fresh, cov_stamp, pending })
+    Ok(FrontierRecord { id, steps_total, trailing_skips, picks, fp, cov_fresh, cov_stamp })
 }
 
 /// Encodes a coverage record (hits + covered set + timeline).
@@ -763,7 +752,6 @@ mod tests {
                 },
                 cov_fresh: 2,
                 cov_stamp: 17,
-                pending: true,
             }],
             prune_seen: vec![(0xaaaa_bbbb, 12), (0xcccc_dddd, 13)],
         }

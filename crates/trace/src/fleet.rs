@@ -28,9 +28,10 @@ use crate::signature::fnv1a64;
 pub const QUARANTINE_MAGIC: [u8; 4] = *b"DDTQ";
 /// Fleet protocol version (refused on mismatch at `Hello`).
 ///
-/// v2: lease and result frames carry frontier records with the
-/// deferred-obligation flag (campaign format v3).
-pub const FLEET_VERSION: u64 = 2;
+/// v2 carried campaign v3 frontier records (with a deferred-verdict flag).
+///
+/// v3: lease frames carry campaign v4 frontier records, without the flag.
+pub const FLEET_VERSION: u64 = 3;
 
 /// One message of the supervisor↔worker pipe protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -426,7 +427,6 @@ mod tests {
             },
             cov_fresh: 1,
             cov_stamp: 40,
-            pending: true,
         }
     }
 

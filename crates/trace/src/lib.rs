@@ -225,7 +225,6 @@ mod campaign_prop_tests {
             },
             cov_fresh: seed % 17,
             cov_stamp: seed % 5_000,
-            pending: seed % 4 == 0,
         }
     }
 

@@ -1,38 +1,27 @@
-//! Differential harness for the verdict-query optimizations: independence
-//! slicing, incremental solver sessions, and the lazy-feasibility stack
-//! from ISSUE 10 (deferred obligation batching, the algebraic pre-blast
-//! rewriter, and the racing solver portfolio).
+//! Differential harness for the verdict-query optimization: independence
+//! slicing, crossed with the shared query cache.
 //!
-//! All of them are pure solver-time optimizations and must be
-//! *semantically invisible*, exactly like the query cache: an exploration
-//! with them on, off, or in any mixture must find the same bugs via the
-//! same decision schedules with the same solved inputs and the same
-//! coverage. This harness runs bundled drivers across the flag matrix and
-//! compares the reports field by field (semantic fields only — solver
-//! counters legitimately differ between modes).
+//! Both are pure solver-time optimizations and must be *semantically
+//! invisible*: an exploration with them on, off, or in any mixture must
+//! find the same bugs via the same decision schedules with the same solved
+//! inputs and the same coverage. This harness runs bundled drivers across
+//! the flag matrix and compares the reports field by field (semantic fields
+//! only — solver counters legitimately differ between modes).
 
 use std::collections::HashMap;
+use std::process::Command;
 
-use ddt::{decision_streams, Ddt, DdtConfig, DriverUnderTest, Report};
+use ddt::{decision_streams, Ddt, DdtConfig, DriverUnderTest, FaultPlan, Report};
 
-fn run_with(dut: &DriverUnderTest, tweak: impl FnOnce(&mut DdtConfig)) -> Report {
-    let mut config = DdtConfig::default();
-    tweak(&mut config);
+fn run(dut: &DriverUnderTest, base: &DdtConfig, slicing: bool, cache: bool) -> Report {
+    let config = DdtConfig { use_slicing: slicing, use_query_cache: cache, ..base.clone() };
     Ddt::new(config).test(dut)
-}
-
-fn run(dut: &DriverUnderTest, slicing: bool, incremental: bool, cache: bool) -> Report {
-    run_with(dut, |c| {
-        c.use_slicing = slicing;
-        c.use_incremental = incremental;
-        c.use_query_cache = cache;
-    })
 }
 
 /// Asserts that two reports describe the same exploration: same bugs (by
 /// stable key), same decision schedules, same solved inputs, same coverage
-/// and path/instruction counts. Solver/cache counters are deliberately not
-/// compared.
+/// and path/instruction/drop counts. Solver/cache counters are deliberately
+/// not compared.
 fn assert_semantically_equal(a: &Report, b: &Report, label: &str) {
     let mut ak: Vec<&str> = a.bugs.iter().map(|x| x.key.as_str()).collect();
     let mut bk: Vec<&str> = b.bugs.iter().map(|x| x.key.as_str()).collect();
@@ -57,58 +46,40 @@ fn assert_semantically_equal(a: &Report, b: &Report, label: &str) {
     assert_eq!(a.covered_blocks, b.covered_blocks, "{label}: coverage diverged");
     assert_eq!(a.stats.paths_started, b.stats.paths_started, "{label}: path counts diverged");
     assert_eq!(a.stats.insns, b.stats.insns, "{label}: instruction counts diverged");
+    assert_eq!(a.stats.states_dropped, b.stats.states_dropped, "{label}: drop counts diverged");
 }
 
+/// Every cache × slicing combination against the all-on default, on two
+/// drivers at the default state cap and on rtl8029 at `max_states: 64`,
+/// with and without every fault family. At that cap the frontier is full
+/// for most of the run and forks are dropped, so a mode that admitted a
+/// different set of children, or admitted them at a different time, would
+/// change which paths survive and the drop count.
 #[test]
 fn optimization_flag_matrix_is_semantically_invisible() {
-    for driver in ["rtl8029", "pcnet"] {
+    let capped = DdtConfig { max_states: 64, ..DdtConfig::default() };
+    let capped_faults = DdtConfig { fault_plan: FaultPlan::full(), ..capped.clone() };
+    let campaigns = [
+        ("rtl8029", DdtConfig::default()),
+        ("pcnet", DdtConfig::default()),
+        ("rtl8029 max_states=64", capped),
+        ("rtl8029 max_states=64 faults", capped_faults),
+    ];
+    for (label, base) in &campaigns {
+        let driver = label.split(' ').next().expect("driver name");
         let spec = ddt::drivers::driver_by_name(driver).expect("bundled");
         let dut = DriverUnderTest::from_spec(&spec);
-        let baseline = run(&dut, true, true, true); // Everything on (default).
-        for (slicing, incremental, cache) in [
-            (false, true, true),   // --no-slicing
-            (true, false, true),   // --no-incremental
-            (false, false, true),  // both hatches
-            (true, true, false),   // --no-query-cache, optimizations on
-            (false, false, false), // the PR-before-this-one baseline
-        ] {
-            let other = run(&dut, slicing, incremental, cache);
-            let label = format!(
-                "{driver} (slicing={slicing}, incremental={incremental}, cache={cache})"
-            );
-            assert_semantically_equal(&baseline, &other, &label);
+        let baseline = run(&dut, base, true, true); // Everything on (default).
+        if base.max_states == 64 {
+            assert!(baseline.stats.states_dropped > 0, "{label}: the cap never bit");
         }
-    }
-}
-
-/// The batch/portfolio/rewrite flag matrix, against the all-defaults
-/// baseline: every hatch (and several mixtures with the pre-existing
-/// hatches) must be report-invisible.
-#[test]
-fn lazy_batching_matrix_is_semantically_invisible() {
-    for driver in ["rtl8029", "pcnet"] {
-        let spec = ddt::drivers::driver_by_name(driver).expect("bundled");
-        let dut = DriverUnderTest::from_spec(&spec);
-        let baseline = run_with(&dut, |_| {});
-        for (batch, portfolio, rewrite, cache, incremental) in [
-            (false, true, true, true, true),    // --no-batch
-            (true, false, true, true, true),    // --no-portfolio
-            (true, true, false, true, true),    // --no-rewrite
-            (false, false, false, true, true),  // all three hatches
-            (false, true, true, false, true),   // eager + uncached
-            (true, true, false, false, false),  // rewrite off, cache+session off
+        for (slicing, cache) in [
+            (false, true),  // --no-slicing
+            (true, false),  // --no-query-cache
+            (false, false), // both hatches
         ] {
-            let other = run_with(&dut, |c| {
-                c.use_batch = batch;
-                c.use_portfolio = portfolio;
-                c.use_rewrite = rewrite;
-                c.use_query_cache = cache;
-                c.use_incremental = incremental;
-            });
-            let label = format!(
-                "{driver} (batch={batch}, portfolio={portfolio}, rewrite={rewrite}, \
-                 cache={cache}, incremental={incremental})"
-            );
+            let other = run(&dut, base, slicing, cache);
+            let label = format!("{label} (slicing={slicing}, cache={cache})");
             assert_semantically_equal(&baseline, &other, &label);
         }
     }
@@ -119,237 +90,17 @@ fn escape_hatches_really_disable_the_machinery() {
     let spec = ddt::drivers::driver_by_name("rtl8029").expect("bundled");
     let dut = DriverUnderTest::from_spec(&spec);
 
-    let no_slicing = run(&dut, false, true, true);
+    let no_slicing = run(&dut, &DdtConfig::default(), false, true);
     assert_eq!(no_slicing.stats.solver_sliced, 0, "--no-slicing still sliced");
     assert_eq!(no_slicing.stats.solver_slice_components, 0);
-
-    let no_incremental = run(&dut, true, false, true);
-    assert_eq!(no_incremental.stats.solver_session_probes, 0, "--no-incremental still probed");
-    assert_eq!(no_incremental.stats.solver_session_resets, 0);
-
-    let no_batch = run_with(&dut, |c| c.use_batch = false);
-    assert_eq!(no_batch.stats.solver_batch_flushes, 0, "--no-batch still flushed");
-    assert_eq!(no_batch.stats.solver_batched_verdicts, 0);
-    assert_eq!(no_batch.stats.solver_batch_witness_hits, 0);
-
-    let no_portfolio = run_with(&dut, |c| c.use_portfolio = false);
-    assert_eq!(no_portfolio.stats.solver_portfolio_races, 0, "--no-portfolio still raced");
-    assert_eq!(
-        no_portfolio.stats.solver_portfolio_session_wins
-            + no_portfolio.stats.solver_portfolio_fresh_wins
-            + no_portfolio.stats.solver_portfolio_probe_wins,
-        0
-    );
-
-    let no_rewrite = run_with(&dut, |c| c.use_rewrite = false);
-    assert_eq!(no_rewrite.stats.solver_rewrite_reductions, 0, "--no-rewrite still rewrote");
-}
-
-/// The parallel explorer resolves deferred obligations at shard pop time;
-/// with the whole lazy stack disabled it resolves eagerly at the fork
-/// site. Bug sets must agree either way (decision streams and coverage
-/// are only compared serial-vs-serial — which equivalent path first
-/// exposes a bug is scheduler-dependent in a parallel run).
-#[test]
-fn parallel_lazy_batching_matches_eager_parallel() {
-    let spec = ddt::drivers::driver_by_name("pcnet").expect("bundled");
-    let dut = DriverUnderTest::from_spec(&spec);
-    let on = ddt::test_parallel(&Ddt::new(DdtConfig::default()), &dut, 4);
-    let mut eager = DdtConfig::default();
-    eager.use_batch = false;
-    eager.use_portfolio = false;
-    eager.use_rewrite = false;
-    let off = ddt::test_parallel(&Ddt::new(eager), &dut, 4);
-    let mut ok: Vec<&str> = on.bugs.iter().map(|b| b.key.as_str()).collect();
-    let mut fk: Vec<&str> = off.bugs.iter().map(|b| b.key.as_str()).collect();
-    ok.sort_unstable();
-    fk.sort_unstable();
-    assert_eq!(ok, fk, "parallel lazy-batching diverged from eager parallel");
-}
-
-/// SIGKILL + `--resume` with the lazy-feasibility stack on. A batching
-/// campaign killed mid-flight leaves deferred (`verdict_pending`) fork
-/// children in the checkpointed frontier — the CAMPAIGN v3 wire format
-/// round-trips them — and the resumed run must settle them to the same
-/// report as both the uninterrupted batching run and an eager `--no-batch`
-/// run of the same campaign.
-#[cfg(unix)]
-mod sigkill_resume_with_pending_obligations {
-    use std::path::{Path, PathBuf};
-    use std::process::{Command, Stdio};
-    use std::time::{Duration, Instant};
-
-    use serde::Value;
-
-    fn ddt_bin() -> &'static str {
-        env!("CARGO_BIN_EXE_ddt")
-    }
-
-    /// The workspace's offline `serde` stand-in exposes reports as a
-    /// [`Value`] tree; this wrapper lets `from_slice` hand the tree back.
-    struct Raw(Value);
-
-    impl serde::Deserialize for Raw {
-        fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-            Ok(Raw(v.clone()))
-        }
-    }
-
-    fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
-        match v {
-            Value::Map(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("report field {key:?} missing")),
-            other => panic!("expected a map for {key:?}, got {other:?}"),
-        }
-    }
-
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ddt-lazyres-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// Runs `ddt test` to completion with `--json`, returning the parsed
-    /// report. Exit code 1 (defects found) is success here.
-    fn run_json(args: &[&str], tag: &str) -> Value {
-        let json =
-            std::env::temp_dir().join(format!("ddt-lazyres-{}-{tag}.json", std::process::id()));
-        let _ = std::fs::remove_file(&json);
-        let out = Command::new(ddt_bin())
-            .args(args)
-            .arg("--json")
-            .arg(&json)
-            .output()
-            .expect("spawn ddt");
-        let code = out.status.code();
-        assert!(
-            matches!(code, Some(0) | Some(1)),
-            "ddt {args:?} exited with {code:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let bytes = std::fs::read(&json).expect("report json written");
-        let _ = std::fs::remove_file(&json);
-        let raw: Raw = serde_json::from_slice(&bytes).expect("report parses");
-        raw.0
-    }
-
-    /// Per-bug key/class/pc/inputs/occurrences plus coverage, sorted so
-    /// exploration order cannot matter.
-    fn essence(report: &Value) -> (Vec<String>, String, String) {
-        let Value::List(bug_list) = get(report, "bugs") else { panic!("bugs not a list") };
-        let mut bugs: Vec<String> = bug_list
-            .iter()
-            .map(|b| {
-                format!(
-                    "{:?}|{:?}|{:?}|{:?}|{:?}",
-                    get(b, "key"),
-                    get(b, "class"),
-                    get(b, "pc"),
-                    get(b, "inputs"),
-                    get(b, "occurrences")
-                )
-            })
-            .collect();
-        bugs.sort();
-        (
-            bugs,
-            format!("{:?}", get(report, "covered_blocks")),
-            format!("{:?}", get(report, "total_blocks")),
-        )
-    }
-
-    /// Starts a batching campaign (default flags, so the lazy-feasibility
-    /// stack is live), waits for the first checkpoint, then SIGKILLs it.
-    fn kill_mid_campaign(dir: &Path) {
-        let mut child = Command::new(ddt_bin())
-            .args(["test", "pcnet", "--faults", "--checkpoint-dir"])
-            .arg(dir)
-            .args(["--checkpoint-every", "4"])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn campaign child");
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let has_checkpoint = |d: &Path| {
-            std::fs::read_dir(d).ok().is_some_and(|rd| {
-                rd.flatten().any(|e| {
-                    let n = e.file_name();
-                    let n = n.to_string_lossy().into_owned();
-                    n.starts_with("checkpoint-") && n.ends_with(".ddtc")
-                })
-            })
-        };
-        while !has_checkpoint(dir) {
-            assert!(Instant::now() < deadline, "no checkpoint appeared within 60s");
-            if child.try_wait().expect("try_wait").is_some() {
-                // Finished before the kill landed; the resume below then
-                // exercises the finished-rebuild path instead, which is
-                // still a valid (if weaker) run of this test.
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        child.kill().expect("SIGKILL child"); // std kill == SIGKILL on unix
-        child.wait().expect("reap child");
-    }
-
-    #[test]
-    fn batched_sigkill_resume_matches_uninterrupted_and_eager() {
-        let batched = run_json(&["test", "pcnet", "--faults"], "batched-ref");
-        let eager = run_json(&["test", "pcnet", "--faults", "--no-batch"], "eager-ref");
-        assert_eq!(
-            essence(&batched),
-            essence(&eager),
-            "--no-batch diverged from the batching run before any kill"
-        );
-        let dir = tmp("kill");
-        kill_mid_campaign(&dir);
-        let resumed = run_json(
-            &["test", "pcnet", "--faults", "--resume", dir.to_str().unwrap()],
-            "batched-res",
-        );
-        assert_eq!(
-            essence(&resumed),
-            essence(&batched),
-            "resume with pending obligations diverged from the uninterrupted run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 #[test]
 fn optimization_counters_surface_in_stats_and_health() {
     let spec = ddt::drivers::driver_by_name("rtl8029").expect("bundled");
     let dut = DriverUnderTest::from_spec(&spec);
-    let on = run(&dut, true, true, true);
+    let on = run(&dut, &DdtConfig::default(), true, true);
 
-    // The batching machinery must actually carry the fork-feasibility
-    // traffic: a multi-path exploration defers obligations and flushes
-    // them in batches.
-    assert!(
-        on.stats.solver_batch_flushes > 0,
-        "a multi-path exploration must flush deferred obligations (stats: {:?})",
-        on.stats
-    );
-    assert!(
-        on.stats.solver_batched_verdicts > 0,
-        "flushes must settle verdicts (stats: {:?})",
-        on.stats
-    );
-    // Witness reuse never exceeds the verdicts it helped settle, and
-    // portfolio wins sum to the races run. (Fork-feasibility residue runs
-    // sessionless by design — Solver::check_obligation — so session-probe
-    // positivity is asserted at the solver unit level, not here.)
-    assert!(on.stats.solver_batch_witness_hits <= on.stats.solver_batched_verdicts);
-    assert_eq!(
-        on.stats.solver_portfolio_session_wins
-            + on.stats.solver_portfolio_fresh_wins
-            + on.stats.solver_portfolio_probe_wins,
-        on.stats.solver_portfolio_races
-    );
     // Slicing counters are structurally consistent: every sliced query has
     // at least two components.
     assert!(on.stats.solver_slice_components >= 2 * on.stats.solver_sliced);
@@ -358,17 +109,30 @@ fn optimization_counters_surface_in_stats_and_health() {
 
     assert_eq!(on.health.solver_sliced, on.stats.solver_sliced);
     assert_eq!(on.health.solver_slice_components, on.stats.solver_slice_components);
-    assert_eq!(on.health.session_probes, on.stats.solver_session_probes);
-    assert_eq!(on.health.session_resets, on.stats.solver_session_resets);
-    assert_eq!(on.health.batch_flushes, on.stats.solver_batch_flushes);
-    assert_eq!(on.health.batched_verdicts, on.stats.solver_batched_verdicts);
-    assert_eq!(on.health.batch_witness_hits, on.stats.solver_batch_witness_hits);
-    assert_eq!(on.health.portfolio_races, on.stats.solver_portfolio_races);
-    assert_eq!(on.health.portfolio_session_wins, on.stats.solver_portfolio_session_wins);
-    assert_eq!(on.health.portfolio_fresh_wins, on.stats.solver_portfolio_fresh_wins);
-    assert_eq!(on.health.portfolio_probe_wins, on.stats.solver_portfolio_probe_wins);
-    assert_eq!(on.health.rewrite_reductions, on.stats.solver_rewrite_reductions);
-    let text = on.health.render();
-    assert!(text.contains("session probes"));
-    assert!(text.contains("batched verdicts"));
+    assert!(on.health.render().contains("sliced verdicts"));
+}
+
+/// `--no-batch`, `--no-portfolio`, `--no-rewrite` and `--no-incremental`
+/// name no layer any more: the CLI must refuse them rather than silently
+/// run a default campaign, and the surviving hatches must still parse.
+#[test]
+fn cli_rejects_removed_hatches_and_keeps_the_surviving_ones() {
+    let ddt = env!("CARGO_BIN_EXE_ddt");
+    for flag in ["--no-batch", "--no-portfolio", "--no-rewrite", "--no-incremental"] {
+        let out = Command::new(ddt).args(["test", "pcnet", flag]).output().expect("spawn ddt");
+        assert_eq!(out.status.code(), Some(2), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "the message must name {flag}: {stderr}");
+    }
+    // A one-quantum budget keeps the accepted run short.
+    let out = Command::new(ddt)
+        .args(["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"])
+        .args(["--max-insns", "1"])
+        .output()
+        .expect("spawn ddt");
+    assert!(
+        matches!(out.status.code(), Some(0) | Some(1)),
+        "surviving flags were refused: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -28,13 +28,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ddt_kernel::loader::StackLayout;
-use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::Solver;
 use ddt_trace::{
     decode_checkpoint, //
     encode_checkpoint,
@@ -47,12 +43,11 @@ use ddt_trace::{
     PathPick,
 };
 
-use crate::coverage::Coverage;
-use crate::exerciser::{Ddt, DriverUnderTest, QuantumSinks};
-use crate::hardware::DdtEnv;
+use crate::exerciser::{Ddt, DriverUnderTest};
+use crate::explore::{Explorer, Quantum, RunState, Start};
 use crate::machine::Machine;
-use crate::replay::ReplayCursor;
 use crate::report::{Bug, ExploreStats, Report, RunHealth};
+use crate::search::PruneSet;
 
 /// Campaign durability policy.
 #[derive(Clone, Debug)]
@@ -204,6 +199,50 @@ impl CampaignWriter {
     /// Checkpoint cadence in quanta.
     pub(crate) fn every_quanta(&self) -> u64 {
         self.every_quanta
+    }
+
+    /// Journals one quantum: its fork events, then — if its path ended —
+    /// the terminal record with the bug keys it found first.
+    pub(crate) fn record_quantum(&mut self, q: &Quantum) {
+        for &(parent, child, kind) in &q.fork_events {
+            self.record(&JournalRecord::Forked { parent, child, kind });
+        }
+        if let Some(status) = q.end {
+            self.record(&JournalRecord::PathDone {
+                machine: q.machine,
+                status,
+                steps: q.steps,
+                new_bugs: q.new_bug_keys.clone(),
+            });
+        }
+    }
+
+    /// Closes the campaign at the end of a run: journals an interruption
+    /// or the finish, publishes the final checkpoint of `frontier` (a
+    /// finished one when nothing is pending), makes the journal durable,
+    /// and returns the campaign's health counters.
+    pub(crate) fn close(
+        mut self,
+        ddt: &Ddt,
+        dut: &DriverUnderTest,
+        run: &RunState,
+        frontier: Vec<FrontierRecord>,
+        interrupted: bool,
+    ) -> RunHealth {
+        if interrupted {
+            self.record(&JournalRecord::Interrupted);
+        }
+        let finished = frontier.is_empty();
+        if finished {
+            self.record(&JournalRecord::Finished { distinct_bugs: run.bugs.len() as u64 });
+        }
+        self.write_checkpoint(checkpoint_file(ddt, dut, run, frontier, finished, interrupted));
+        self.finish();
+        RunHealth {
+            checkpoints_written: self.checkpoints_written,
+            journal_records: self.journal_records,
+            ..RunHealth::default()
+        }
     }
 
     /// Appends one journal record (buffered; made durable at checkpoints).
@@ -404,38 +443,33 @@ pub fn load_latest(dir: &Path) -> Result<CheckpointFile, CampaignError> {
     Err(CampaignError::Corrupt(last_err))
 }
 
-/// Builds the checkpoint image of the current campaign state from the
-/// pending machines' frontier records (see [`frontier_record`]). The caller
-/// must have folded `wall_ms` and the solver counters into `stats` first;
-/// the writer assigns the sequence number.
-#[allow(clippy::too_many_arguments)]
+/// Builds the checkpoint image of a run with the given pending frontier
+/// (see [`frontier_record`]). The caller must have folded `wall_ms` and the
+/// solver counters into the run's stats first; the writer assigns the
+/// sequence number.
 pub(crate) fn checkpoint_file(
-    dut: &DriverUnderTest,
     ddt: &Ddt,
-    coverage: &Coverage,
-    stats: &ExploreStats,
-    bugs: &HashMap<String, Bug>,
-    next_id: u64,
+    dut: &DriverUnderTest,
+    run: &RunState,
     frontier: Vec<FrontierRecord>,
-    prune_seen: Vec<(u64, u64)>,
     finished: bool,
     interrupted: bool,
 ) -> CheckpointFile {
-    let (hits, covered, timeline) = coverage.snapshot();
+    let (hits, covered, timeline) = run.coverage.snapshot();
     // Key-sorted bug list: the JSON payload is byte-stable for a given bug
     // map, so identical campaign states produce identical checkpoints.
-    let mut bug_list: Vec<&Bug> = bugs.values().collect();
+    let mut bug_list: Vec<&Bug> = run.bugs.values().collect();
     bug_list.sort_by(|a, b| a.key.cmp(&b.key));
     CheckpointFile {
         seq: 0,
         driver: dut.image.name.clone(),
         config_fp: ddt.config.fingerprint(),
-        wall_ms: stats.wall_ms,
-        insns: stats.insns,
-        next_id,
+        wall_ms: run.stats.wall_ms,
+        insns: run.stats.insns,
+        next_id: run.next_id,
         finished,
         interrupted,
-        stats_json: serde_json::to_vec(stats).expect("stats are serializable"),
+        stats_json: serde_json::to_vec(&run.stats).expect("stats are serializable"),
         bugs_json: serde_json::to_vec(&bug_list).expect("bugs are serializable"),
         coverage: CoverageRecord {
             hits,
@@ -443,8 +477,13 @@ pub(crate) fn checkpoint_file(
             timeline: timeline.into_iter().map(|(ms, n)| (ms, n as u64)).collect(),
         },
         frontier,
-        prune_seen,
+        prune_seen: run.prune.as_ref().map(PruneSet::snapshot).unwrap_or_default(),
     }
+}
+
+/// The frontier records of pending machines, in order.
+pub(crate) fn frontier_records(pending: &[Machine]) -> Vec<FrontierRecord> {
+    pending.iter().map(frontier_record).collect()
 }
 
 /// Snapshots one live machine as its portable decision-prefix record — the
@@ -491,23 +530,22 @@ impl FrontierSnap {
 impl Ddt {
     /// Resumes an interrupted campaign from `dir` and continues it to a
     /// final report (serial explorer). See the module docs for the
-    /// protocol; [`Ddt::resume_parallel`] is the multi-worker variant.
+    /// protocol; [`crate::resume_parallel`] is the multi-worker variant.
     pub fn resume(&self, dut: &DriverUnderTest, dir: &Path) -> Result<Report, CampaignError> {
-        let (ck, stats, bugs) = self.load_for_resume(dut, dir)?;
-        if ck.finished {
-            return Ok(self.rebuild_finished_report(dut, &ck, stats, bugs));
+        let (seed, finished) = self.load_seed(dut, dir)?;
+        if finished {
+            return Ok(self.finished_report(dut, seed));
         }
-        let seed = self.rebuild_seed(dut, ck, stats, bugs);
-        let continued = self.with_campaign_dir(dir);
-        Ok(continued.explore_serial(dut, Some(seed)))
+        Ok(self.with_campaign_dir(dir).explore_serial(dut, Some(seed)))
     }
 
-    /// Loads and validates the newest checkpoint plus its JSON payloads.
-    pub(crate) fn load_for_resume(
+    /// Loads and validates the newest checkpoint in `dir` and rebuilds its
+    /// campaign seed; `true` when the campaign already ran to completion.
+    pub(crate) fn load_seed(
         &self,
         dut: &DriverUnderTest,
         dir: &Path,
-    ) -> Result<(CheckpointFile, ExploreStats, HashMap<String, Bug>), CampaignError> {
+    ) -> Result<(CampaignSeed, bool), CampaignError> {
         let ck = load_latest(dir)?;
         if ck.driver != dut.image.name {
             return Err(CampaignError::Mismatch(format!(
@@ -528,7 +566,16 @@ impl Ddt {
         let bug_list: Vec<Bug> = serde_json::from_slice(&ck.bugs_json)
             .map_err(|e| CampaignError::Corrupt(format!("bugs payload: {e}")))?;
         let bugs = bug_list.into_iter().map(|b| (b.key.clone(), b)).collect();
-        Ok((ck, stats, bugs))
+        let finished = ck.finished;
+        Ok((self.rebuild_seed(dut, ck, stats, bugs), finished))
+    }
+
+    /// The report of a campaign whose final checkpoint says it already ran
+    /// to completion: rebuilt from the checkpoint, nothing explored.
+    pub(crate) fn finished_report(&self, dut: &DriverUnderTest, seed: CampaignSeed) -> Report {
+        let analysis = ddt_isa::analysis::analyze(&dut.image);
+        let (run, _) = RunState::start(self, dut, analysis, Start::Resume(seed));
+        run.into_report(self, dut, None, |_| RunHealth::default())
     }
 
     /// A clone of this tool whose continued exploration checkpoints into
@@ -544,66 +591,23 @@ impl Ddt {
         Ddt::new(config)
     }
 
-    /// Report reconstruction for a campaign whose final checkpoint says it
-    /// already ran to completion: no exploration, same report.
-    pub(crate) fn rebuild_finished_report(
-        &self,
-        dut: &DriverUnderTest,
-        ck: &CheckpointFile,
-        stats: ExploreStats,
-        bugs: HashMap<String, Bug>,
-    ) -> Report {
-        let analysis = ddt_isa::analysis::analyze(&dut.image);
-        let coverage = Coverage::seeded(
-            analysis,
-            ck.coverage.hits.iter().copied(),
-            ck.coverage.covered.iter().copied(),
-            ck.coverage.timeline.iter().map(|&(ms, n)| (ms, n as usize)).collect(),
-            ck.wall_ms,
-        );
-        let mut stats = stats;
-        stats.sample_interner();
-        let insn_exhausted = stats.insns > self.config.max_total_insns;
-        let wall_exhausted = stats.wall_ms > self.config.time_budget_ms;
-        let mut health = RunHealth::from_stats(&stats, insn_exhausted, wall_exhausted);
-        let bug_list = self.finalize_bugs(bugs, &mut health, dut);
-        Report {
-            driver: dut.image.name.clone(),
-            bugs: bug_list,
-            total_blocks: coverage.total_blocks(),
-            covered_blocks: coverage.covered_blocks(),
-            coverage_timeline: coverage.timeline().to_vec(),
-            health,
-            stats,
-        }
-    }
-
     /// Reconstructs the frontier from choice-log prefixes and assembles the
     /// campaign seed. Paths that fail to replay (divergence, fingerprint
     /// mismatch, or a panic) are dropped with a stderr note and counted in
     /// run health — a degraded resume is still a valid exploration.
-    pub(crate) fn rebuild_seed(
+    fn rebuild_seed(
         &self,
         dut: &DriverUnderTest,
         ck: CheckpointFile,
         stats: ExploreStats,
         bugs: HashMap<String, Bug>,
     ) -> CampaignSeed {
-        let run_cache = self.config.run_cache();
-        let mut solver = self.config.solver_for(&run_cache);
-        let stack = StackLayout::default();
-        let mut env = DdtEnv::new(
-            DEVICE_MMIO_BASE,
-            dut.descriptor.mmio_len,
-            stack.base,
-            stack.initial_sp(),
-        );
-        env.check_memory = self.config.check_memory;
+        let mut explorer = Explorer::new(self, dut, &self.config.run_cache());
         let mut frontier = Vec::with_capacity(ck.frontier.len());
         let mut replayed_ok = 0;
         let mut replay_failed = 0;
         for rec in &ck.frontier {
-            match self.replay_prefix(dut, rec, &mut env, &mut solver) {
+            match explorer.replay_prefix_observed(rec, &mut |_| {}) {
                 Ok(m) => {
                     replayed_ok += 1;
                     frontier.push(m);
@@ -633,93 +637,6 @@ impl Ddt {
             replay_failed,
             prune_seen: ck.prune_seen,
         }
-    }
-
-    /// Replays one frontier record's choice log from the root, validating
-    /// the result against the recorded fingerprint. All exploration side
-    /// effects go to scratch sinks: the checkpoint's aggregates already
-    /// account for everything the prefix did the first time.
-    pub(crate) fn replay_prefix(
-        &self,
-        dut: &DriverUnderTest,
-        rec: &FrontierRecord,
-        env: &mut DdtEnv,
-        solver: &mut Solver,
-    ) -> Result<Machine, String> {
-        self.replay_prefix_observed(dut, rec, env, solver, &mut |_| {})
-    }
-
-    /// [`Ddt::replay_prefix`] with a progress observer: `on_quantum` is
-    /// called after every replayed quantum with the number of steps it
-    /// advanced. Replay of a deep prefix is real work that can outlast a
-    /// watchdog deadline, so callers with a supervisor (the fleet worker)
-    /// use the observer to keep heartbeating while the scratch sinks hide
-    /// the replay from every aggregate.
-    pub(crate) fn replay_prefix_observed(
-        &self,
-        dut: &DriverUnderTest,
-        rec: &FrontierRecord,
-        env: &mut DdtEnv,
-        solver: &mut Solver,
-        on_quantum: &mut dyn FnMut(u64),
-    ) -> Result<Machine, String> {
-        let mut m = self.make_root_machine(dut);
-        let mut cursor = ReplayCursor::new(rec.picks.clone(), rec.trailing_skips, rec.steps_total);
-        let mut scratch_worklist = Vec::new();
-        let mut scratch_next_id = u64::MAX;
-        let mut scratch_stats = ExploreStats::default();
-        let mut scratch_bugs = HashMap::new();
-        while m.steps_total < rec.steps_total {
-            let before = m.steps_total;
-            let mut exec_pcs = Vec::new();
-            let mut new_bug_keys = Vec::new();
-            let mut fork_events = Vec::new();
-            let end = catch_unwind(AssertUnwindSafe(|| {
-                let mut sinks = QuantumSinks {
-                    worklist: &mut scratch_worklist,
-                    next_id: &mut scratch_next_id,
-                    stats: &mut scratch_stats,
-                    bugs: &mut scratch_bugs,
-                    exec_pcs: &mut exec_pcs,
-                    new_bug_keys: &mut new_bug_keys,
-                    fork_events: &mut fork_events,
-                    replay: Some(&mut cursor),
-                };
-                self.run_quantum(dut, &mut m, env, solver, &mut sinks)
-            }));
-            let end = match end {
-                Ok(end) => end,
-                Err(_) => return Err("replay quantum panicked".to_string()),
-            };
-            if let Some(why) = &cursor.diverged {
-                return Err(why.clone());
-            }
-            if end.is_some() {
-                return Err("path terminated before its checkpointed step count".to_string());
-            }
-            if m.steps_total == before {
-                return Err("replay made no progress".to_string());
-            }
-            on_quantum(m.steps_total - before);
-        }
-        if !cursor.exhausted() {
-            return Err("choice log not fully consumed at target step count".to_string());
-        }
-        let fp = m.fingerprint();
-        if fp != rec.fp {
-            return Err(format!(
-                "state fingerprint mismatch after replay (pc {:#x} vs recorded {:#x})",
-                fp.pc, rec.fp.pc
-            ));
-        }
-        m.id = rec.id;
-        // Search metadata is not derivable from the choice log (it depends
-        // on global coverage at fork time), so restore it from the record —
-        // guided strategies rank a resumed frontier exactly like the
-        // uninterrupted run would.
-        m.cov_fresh = rec.cov_fresh;
-        m.cov_stamp = rec.cov_stamp;
-        Ok(m)
     }
 }
 

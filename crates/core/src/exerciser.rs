@@ -1,8 +1,9 @@
-//! The driver exerciser: DDT's main exploration loop (§3.2, §4.3).
+//! The driver exerciser: DDT's scheduling quantum (§3.2, §4.3).
 //!
 //! The exerciser loads the driver binary into the kernel (fake PnP), drives
 //! its entry points with the concrete workload generator, and symbolically
-//! executes the driver from each invocation:
+//! executes the driver from each invocation, one quantum at a time (the
+//! loop that schedules quanta is the exploration core, `crate::explore`):
 //!
 //! - branches on symbolic values fork (handled by `ddt-symvm`),
 //! - kernel calls cross into native kernel code through [`SymHost`],
@@ -12,26 +13,25 @@
 //! - allocation calls fork a failed alternative (the NULL-alternative
 //!   concrete-to-symbolic hint),
 //! - state selection follows the EXE-style minimum-block-hit heuristic
-//!   (§4.3) via [`Coverage::priority`].
+//!   (§4.3) via [`crate::coverage::Coverage::priority`].
 //!
 //! Paths end at faults (classified into bugs), kernel crashes, failed
 //! initialization (after leak checks — the paper's termination criterion),
 //! or workload exhaustion.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ddt_expr::Expr;
 use ddt_isa::image::DxeImage;
 use ddt_isa::{analysis, Reg};
-use ddt_kernel::loader::{DeviceDescriptor, LoadPlan, StackLayout};
-use ddt_kernel::state::DEVICE_MMIO_BASE;
+use ddt_kernel::loader::{DeviceDescriptor, LoadPlan};
 use ddt_kernel::{
     DevicePowerState, EntryInvocation, ExecContext, FaultFamily, Irql, Kernel, KernelEvent,
 };
-use ddt_solver::{QueryCache, Solver, SolverStats};
+use ddt_solver::{QueryCache, Solver};
 use ddt_symvm::{
     step, //
     SymCounter,
@@ -53,21 +53,21 @@ use crate::checkers::{
 };
 use crate::checkpoint::{
     checkpoint_file, //
-    frontier_record,
+    frontier_records,
     CampaignSeed,
     CampaignWriter,
     CheckpointPolicy,
 };
-use crate::coverage::Coverage;
-use crate::replay::{ReplayCursor, ReplaySteer};
-use ddt_trace::{JournalRecord, PathStatus, SiteKind};
+use crate::explore::{Explorer, RunState, Start};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::hardware::DdtEnv;
 use crate::machine::{Frame, Machine, SymHost};
+use crate::replay::{ReplayCursor, ReplaySteer};
 use crate::report::{Bug, BugOrigin, Decision, ExploreStats, LifecycleEvent, Report, RunHealth};
-use crate::search::{Frontier, PruneSet, Strategy};
+use crate::search::Strategy;
 use ddt_drivers::workload::{WorkloadOp, OID_BASE};
 use ddt_drivers::DriverClass;
+use ddt_trace::{PathStatus, SiteKind};
 
 /// Configuration for one DDT run.
 #[derive(Clone, Debug)]
@@ -278,28 +278,53 @@ impl PathEnd {
     }
 }
 
-/// Mutable context threaded through one scheduling quantum: the shared
-/// exploration sinks (worklist, id counter, stats, bug map, coverage pcs),
-/// the per-quantum outputs consumed by the campaign journal, and — during
-/// frontier reconstruction — the cursor that steers every fork site down
-/// the recorded choice log instead of spawning children.
+/// Mutable context threaded through one scheduling quantum: the
+/// exploration sinks (worklist, id counter, stats, bug map), the
+/// per-quantum outputs the explorer hands on (executed pcs, new bug keys,
+/// fork events), and — during frontier reconstruction — the cursor that
+/// steers every fork site down the recorded choice log instead of
+/// spawning children.
 pub(crate) struct QuantumSinks<'a> {
-    pub worklist: &'a mut Vec<Machine>,
-    pub next_id: &'a mut u64,
+    worklist: &'a mut Vec<Machine>,
+    next_id: &'a mut u64,
     pub stats: &'a mut ExploreStats,
     pub bugs: &'a mut HashMap<String, Bug>,
-    pub exec_pcs: &'a mut Vec<u32>,
+    /// Worklist capacity: forks beyond it are dropped.
+    max_states: usize,
+    /// Every pc executed, in order (coverage accounting).
+    pub exec_pcs: Vec<u32>,
     /// Keys first recorded during this quantum (journaled with the path).
-    pub new_bug_keys: &'a mut Vec<String>,
+    pub new_bug_keys: Vec<String>,
     /// Fork events `(parent, child, site)` from this quantum (journaled).
-    pub fork_events: &'a mut Vec<(u64, u64, SiteKind)>,
+    pub fork_events: Vec<(u64, u64, SiteKind)>,
     /// `Some` puts the quantum in replay mode: no children are spawned, the
     /// cursor decides at every site whether this machine stays the parent
     /// or becomes the recorded child.
     pub replay: Option<&'a mut ReplayCursor>,
 }
 
-impl QuantumSinks<'_> {
+impl<'a> QuantumSinks<'a> {
+    /// Exploration-mode sinks for one quantum.
+    pub(crate) fn new(
+        worklist: &'a mut Vec<Machine>,
+        next_id: &'a mut u64,
+        stats: &'a mut ExploreStats,
+        bugs: &'a mut HashMap<String, Bug>,
+        max_states: usize,
+    ) -> QuantumSinks<'a> {
+        QuantumSinks {
+            worklist,
+            next_id,
+            stats,
+            bugs,
+            max_states,
+            exec_pcs: Vec::with_capacity(QUANTUM as usize),
+            new_bug_keys: Vec::new(),
+            fork_events: Vec::new(),
+            replay: None,
+        }
+    }
+
     /// Asks the replay cursor (if any) how to treat a fork site;
     /// exploration always stays the parent and spawns the child.
     fn steer(&mut self, kind: SiteKind) -> ReplaySteer {
@@ -311,6 +336,33 @@ impl QuantumSinks<'_> {
 
     fn replaying(&self) -> bool {
         self.replay.is_some()
+    }
+
+    /// Fork admission, the one way a child enters the worklist. A full
+    /// worklist drops the fork (counted); otherwise `child` builds it under
+    /// the next id — returning `None` for an infeasible child, which uses
+    /// up no id — and the child logs its pick, is journaled as a fork of
+    /// `parent`, and is counted as a started path. Replay spawns nothing.
+    fn admit(
+        &mut self,
+        parent: u64,
+        kind: SiteKind,
+        pick: u32,
+        child: impl FnOnce(u64) -> Option<Machine>,
+    ) {
+        if self.replaying() {
+            return;
+        }
+        if self.worklist.len() >= self.max_states {
+            self.stats.states_dropped += 1;
+            return;
+        }
+        let Some(mut child) = child(*self.next_id) else { return };
+        *self.next_id += 1;
+        child.log_pick(kind, pick);
+        self.fork_events.push((parent, child.id, kind));
+        self.stats.paths_started += 1;
+        self.worklist.push(child);
     }
 }
 
@@ -335,279 +387,82 @@ impl Ddt {
         self.explore_serial(dut, None)
     }
 
-    /// The serial exploration loop, optionally seeded with the restored
-    /// frontier and aggregates of an interrupted campaign (§4.7).
+    /// Serial exploration (§4.3): the one local loop over the configured
+    /// strategy, optionally seeded with the restored frontier and
+    /// aggregates of an interrupted campaign (§4.7). It stops on the stop
+    /// flag or a budget; after each quantum it journals the quantum and
+    /// keeps the checkpoint cadence.
     pub(crate) fn explore_serial(
         &self,
         dut: &DriverUnderTest,
         seed: Option<CampaignSeed>,
     ) -> Report {
-        let run_cache = self.config.run_cache();
-        let mut solver = self.config.solver_for(&run_cache);
-        let analysis = analysis::analyze(&dut.image);
-        // Built before `analysis` moves into the coverage tracker:
-        // bug-directed precomputes its CFG distance map here.
-        let strategy_rt = self.config.strategy.runtime(&analysis);
-        let stack = StackLayout::default();
-        let mut env = DdtEnv::new(
-            DEVICE_MMIO_BASE,
-            dut.descriptor.mmio_len,
-            stack.base,
-            stack.initial_sp(),
-        );
-        env.check_memory = self.config.check_memory;
-
-        let (mut coverage, mut stats, mut bugs, mut next_id, worklist, first_seq, replays, seen) =
-            match seed {
-                Some(s) => (
-                    Coverage::seeded(
-                        analysis,
-                        s.coverage_hits,
-                        s.coverage_covered,
-                        s.coverage_timeline,
-                        s.base_wall_ms,
-                    ),
-                    s.stats,
-                    s.bugs,
-                    s.next_id,
-                    s.frontier,
-                    s.next_checkpoint_seq,
-                    (s.replayed_ok, s.replay_failed),
-                    s.prune_seen,
-                ),
-                None => {
-                    // Root machine: image + stack mapped, kernel configured,
-                    // DriverEntry invoked (the PnP load of §4.2).
-                    let root = self.make_root(dut, &stack);
-                    let stats = ExploreStats {
-                        symbols: root.st.counter.allocated(),
-                        paths_started: 1,
-                        ..Default::default()
-                    };
-                    (
-                        Coverage::new(analysis),
-                        stats,
-                        HashMap::new(),
-                        1,
-                        vec![root],
-                        0,
-                        (0, 0),
-                        Vec::new(),
-                    )
-                }
-            };
-        let mut frontier = Frontier::new(strategy_rt, worklist);
-        let mut prune = self.config.prune.then(|| PruneSet::seeded(seen));
-        // Solver counters restored from a checkpoint are this campaign's
-        // prefix; this process's solver starts at zero and is folded in as
-        // deltas since the last fold.
-        let mut folded = SolverStats::default();
-
+        let start = seed.map_or(Start::Root, Start::Resume);
+        let (mut run, mut frontier) = RunState::start(self, dut, analysis::analyze(&dut.image), start);
+        let mut explorer = Explorer::new(self, dut, &run.cache);
         let mut campaign = self.config.checkpoint.as_ref().map(|policy| {
-            CampaignWriter::start(policy, &dut.image.name, self.config.fingerprint(), first_seq)
+            CampaignWriter::start(policy, &dut.image.name, self.config.fingerprint(), run.checkpoint_seq)
         });
-        let mut quanta_since_checkpoint: u64 = 0;
+        let mut since_checkpoint: u64 = 0;
         let mut interrupted = false;
-
-        while !frontier.is_empty() {
-            if self.config.stop_requested() {
-                interrupted = true;
-                break;
-            }
-            if stats.insns > self.config.max_total_insns
-                || coverage.elapsed_ms() > self.config.time_budget_ms
-            {
-                break;
-            }
-            // Pick the state the strategy ranks first (the default `fifo`
-            // reproduces the historic EXE-style min-block-hit scan, §4.3).
-            let Some(mut m) = frontier.pop(&coverage) else {
-                break;
-            };
-            let n_before = frontier.len();
-            let covered_before = coverage.covered_blocks();
-            let mut exec_pcs = Vec::with_capacity(QUANTUM as usize);
-            let mut new_bug_keys = Vec::new();
-            let mut fork_events = Vec::new();
-            // Panic isolation: a bug in the harness (or a deliberately
-            // induced one, via the test hook) kills only this state, not
-            // the run. The incident is counted in the run health section.
-            let survived = catch_unwind(AssertUnwindSafe(|| {
-                let mut sinks = QuantumSinks {
-                    worklist: frontier.storage_mut(),
-                    next_id: &mut next_id,
-                    stats: &mut stats,
-                    bugs: &mut bugs,
-                    exec_pcs: &mut exec_pcs,
-                    new_bug_keys: &mut new_bug_keys,
-                    fork_events: &mut fork_events,
-                    replay: None,
-                };
-                self.run_quantum(dut, &mut m, &mut env, &mut solver, &mut sinks)
-            }));
-            let (alive, status) = match survived {
-                Ok(None) => (true, None),
-                Ok(Some(end)) => (false, Some(end.status())),
-                Err(_) => {
-                    stats.panics_caught += 1;
-                    // The machine's state is suspect; drop it.
-                    (false, Some(PathStatus::Panicked))
+        let Ok(()) = explorer.drain(
+            &mut run,
+            &mut frontier,
+            |run, _| {
+                if self.config.stop_requested() {
+                    interrupted = true;
+                    return true;
                 }
-            };
-            for pc in exec_pcs {
-                coverage.on_exec(pc);
-            }
-            // Search bookkeeping: quantum ordinal, coverage delta, and the
-            // per-state metadata the guided strategies rank by.
-            stats.quanta_executed += 1;
-            let stamp = stats.quanta_executed;
-            let covered_now = coverage.covered_blocks();
-            let fresh = (covered_now - covered_before) as u64;
-            if fresh > 0 {
-                stats.quanta_to_last_cover = stamp;
-            }
-            if stats.quanta_to_first_bug == 0 && !bugs.is_empty() {
-                stats.quanta_to_first_bug = stamp;
-            }
-            m.cov_fresh = fresh;
-            m.cov_stamp = stamp;
-            {
-                let storage = frontier.storage_mut();
-                for child in storage[n_before..].iter_mut() {
-                    child.cov_fresh = fresh;
-                    child.cov_stamp = stamp;
+                run.over_budget(&self.config)
+            },
+            |explorer, run, frontier, q| {
+                let Some(c) = campaign.as_mut() else { return Ok::<(), Infallible>(()) };
+                c.record_quantum(q);
+                since_checkpoint += 1;
+                if since_checkpoint >= c.every_quanta() {
+                    since_checkpoint = 0;
+                    run.stats.wall_ms = run.coverage.elapsed_ms();
+                    explorer.fold(&mut run.stats);
+                    c.write_checkpoint(checkpoint_file(self, dut, run, frontier_records(frontier.as_slice()), false, false));
                 }
-                // Opt-in pruning: drop children whose structural fingerprint
-                // already appeared with no coverage delta since. Only this
-                // quantum's forks are candidates — never the parent, never
-                // states restored from a checkpoint.
-                if let Some(p) = prune.as_mut() {
-                    let mut i = n_before;
-                    while i < storage.len() {
-                        let h = PruneSet::fp_hash(&storage[i].fingerprint());
-                        if p.check(h, covered_now as u64) {
-                            storage.swap_remove(i);
-                            stats.states_pruned += 1;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(c) = campaign.as_mut() {
-                for (parent, child, kind) in fork_events.drain(..) {
-                    c.record(&JournalRecord::Forked { parent, child, kind });
-                }
-                if let Some(status) = status {
-                    c.record(&JournalRecord::PathDone {
-                        machine: m.id,
-                        status,
-                        steps: m.steps_total,
-                        new_bugs: std::mem::take(&mut new_bug_keys),
-                    });
-                }
-            }
-            if alive {
-                frontier.push(m);
-            }
-            stats.peak_states = stats.peak_states.max(frontier.len() + 1);
-            quanta_since_checkpoint += 1;
-            if let Some(c) = campaign.as_mut() {
-                if quanta_since_checkpoint >= c.every_quanta() {
-                    quanta_since_checkpoint = 0;
-                    stats.wall_ms = coverage.elapsed_ms();
-                    stats.add_solver_delta(&folded, &solver.stats());
-                    folded = solver.stats();
-                    let seen = prune.as_ref().map(|p| p.snapshot()).unwrap_or_default();
-                    let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice().iter().map(frontier_record).collect(), seen, false, false);
-                    c.write_checkpoint(ck);
-                }
-            }
-        }
-
-        stats.wall_ms = coverage.elapsed_ms();
-        stats.add_solver_delta(&folded, &solver.stats());
-        stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
-        stats.sample_interner();
-        stats.lifecycle_bugs = bugs
-            .values()
-            .filter(|b| b.class == crate::report::BugClass::LifecycleViolation)
-            .count() as u64;
-        let insn_exhausted = stats.insns > self.config.max_total_insns;
-        let wall_exhausted = stats.wall_ms > self.config.time_budget_ms;
-        let mut health = RunHealth::from_stats(&stats, insn_exhausted, wall_exhausted);
-        health.resume_replayed_paths = replays.0;
-        health.resume_replay_failures = replays.1;
-        if let Some(c) = campaign.as_mut() {
-            if interrupted {
-                c.record(&JournalRecord::Interrupted);
-            }
-            let finished = frontier.is_empty();
-            if finished {
-                c.record(&JournalRecord::Finished { distinct_bugs: bugs.len() as u64 });
-            }
-            let seen = prune.as_ref().map(|p| p.snapshot()).unwrap_or_default();
-            let ck = checkpoint_file(dut, self, &coverage, &stats, &bugs, next_id, frontier.as_slice().iter().map(frontier_record).collect(), seen, finished, interrupted);
-            c.write_checkpoint(ck);
-            c.finish();
-            health.checkpoints_written = c.checkpoints_written;
-            health.journal_records = c.journal_records;
-        }
-        let bug_list = self.finalize_bugs(bugs, &mut health, dut);
-        Report {
-            driver: dut.image.name.clone(),
-            bugs: bug_list,
-            total_blocks: coverage.total_blocks(),
-            covered_blocks: coverage.covered_blocks(),
-            coverage_timeline: coverage.timeline().to_vec(),
-            health,
-            stats,
-        }
+                Ok(())
+            },
+        );
+        run.into_report(self, dut, Some(&mut explorer), |run| match campaign {
+            Some(c) => c.close(self, dut, run, frontier_records(frontier.as_slice()), interrupted),
+            None => RunHealth::default(),
+        })
     }
 
-    /// Builds the root machine (public to the crate for the parallel
-    /// explorer).
+    /// Builds the root machine: image and stack mapped, kernel configured,
+    /// DriverEntry invoked (the PnP load of §4.2).
     pub(crate) fn make_root_machine(&self, dut: &DriverUnderTest) -> Machine {
-        self.make_root(dut, &StackLayout::default())
-    }
-
-    /// Finalizes the keyed bug map into the report: fills the dedup
-    /// counters and persists trace artifacts when a store is configured.
-    /// Shared with the parallel explorer so both paths report identically.
-    ///
-    /// The report itself stays key-level (keys are deterministic across
-    /// exploration schedules; a bug's signature depends on which path
-    /// recorded it first, which is not). Keys sharing a signature collapse
-    /// in the store — `TraceStore::persist` merges occurrences under one
-    /// artifact — and in the `bugs_deduped` counter here.
-    pub(crate) fn finalize_bugs(
-        &self,
-        bugs: HashMap<String, Bug>,
-        health: &mut RunHealth,
-        dut: &DriverUnderTest,
-    ) -> Vec<Bug> {
-        let mut bug_list: Vec<Bug> = bugs.into_values().collect();
-        // The key tie-breaks bugs sharing an (entry, pc): without it the
-        // order falls back to hash-map iteration, which differs across
-        // processes — and fleet reports must diff clean against serial.
-        bug_list.sort_by_key(|a| (a.entry.clone(), a.pc, a.key.clone()));
-        health.bug_occurrences = bug_list.iter().map(|b| b.occurrences).sum();
-        let signatures: std::collections::HashSet<&str> =
-            bug_list.iter().map(|b| b.signature.as_str()).collect();
-        health.bugs_deduped = signatures.len() as u64;
-        health.lifecycle_bugs = bug_list
-            .iter()
-            .filter(|b| b.class == crate::report::BugClass::LifecycleViolation)
-            .count() as u64;
-        if let Some(dir) = &self.config.trace_dir {
-            match crate::tracestore::persist_bugs(dir, &bug_list, dut) {
-                Ok(n) => health.traces_persisted = n,
-                // A store failure must not lose the in-memory report; the
-                // zero counter plus the message is the health signal.
-                Err(e) => eprintln!("ddt: trace store write failed: {e}"),
-            }
+        let mut st = SymState::new(SymCounter::new());
+        let plan = LoadPlan::new(dut.image.clone());
+        for (start, len) in plan.regions() {
+            st.mem.map(start, len);
         }
-        bug_list
+        st.mem.seed_bytes(dut.image.load_base, &dut.image.text);
+        st.mem.seed_bytes(dut.image.data_base(), &dut.image.data);
+        st.mem.set_code_region(dut.image.load_base, dut.image.text.len() as u32);
+        st.grants.grant(
+            dut.image.load_base,
+            dut.image.image_end() - dut.image.load_base,
+            "driver image",
+        );
+        // Stack access is granted dynamically (above sp).
+        let mut kernel = Kernel::new();
+        for (k, v) in &dut.registry {
+            kernel.state.registry.insert(k.clone(), *v);
+        }
+        kernel.state.device = dut.descriptor.clone();
+        let mut m = Machine::new(st, kernel);
+        m.interrupt_budget = self.config.interrupt_budget;
+        let entry = plan.driver_entry();
+        m.frames.push(Frame::Entry { name: entry.name.clone(), held_at_entry: vec![] });
+        m.apply_invocation(&entry, false);
+        m.st.trace.push(TraceEvent::EntryInvoke { name: entry.name, addr: entry.addr });
+        m
     }
 
     /// Runs one scheduling quantum of a machine: up to [`QUANTUM`] symbolic
@@ -671,19 +526,11 @@ impl Ddt {
             if !alts.is_empty() {
                 match sinks.steer(SiteKind::PendingFork) {
                     ReplaySteer::Stay => {
-                        if !sinks.replaying() {
-                            for (i, alt) in alts.into_iter().enumerate() {
-                                if sinks.worklist.len() < self.config.max_states {
-                                    let mut child = m.adopt(alt, *sinks.next_id);
-                                    *sinks.next_id += 1;
-                                    child.log_pick(SiteKind::PendingFork, (i + 1) as u32);
-                                    sinks.fork_events.push((m.id, child.id, SiteKind::PendingFork));
-                                    sinks.stats.paths_started += 1;
-                                    sinks.worklist.push(child);
-                                } else {
-                                    sinks.stats.states_dropped += 1;
-                                }
-                            }
+                        for (i, alt) in alts.into_iter().enumerate() {
+                            let pick = (i + 1) as u32;
+                            sinks.admit(m.id, SiteKind::PendingFork, pick, |id| {
+                                Some(m.adopt(alt, id))
+                            });
                         }
                         m.note_site();
                     }
@@ -712,13 +559,13 @@ impl Ddt {
             // Survivable memory-checker violations: report, continue.
             for v in env.drain_violations() {
                 let pending = classify_violation(m, &v);
-                self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+                self.record_bug(sinks, m, pending, solver, dut);
             }
             match outcome {
                 SymStep::Continue => {
                     if m.steps_in_entry > self.config.max_invocation_insns {
                         if let Some(pending) = crate::checkers::check_infinite_loop(m, 64) {
-                            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+                            self.record_bug(sinks, m, pending, solver, dut);
                         }
                         end = Some(PathEnd::BudgetKilled);
                         break;
@@ -727,23 +574,13 @@ impl Ddt {
                 SymStep::Forked { other, needs_verdict } => {
                     match sinks.steer(SiteKind::BranchFork) {
                         ReplaySteer::Stay => {
-                            if !sinks.replaying() {
-                                if sinks.worklist.len() < self.config.max_states {
-                                    // The interpreter forked the untaken side
-                                    // without a solver call; decide it before
-                                    // it takes a frontier slot.
-                                    if !needs_verdict || solver.is_feasible(&other.constraints) {
-                                        let mut child = m.adopt(*other, *sinks.next_id);
-                                        *sinks.next_id += 1;
-                                        child.log_pick(SiteKind::BranchFork, 1);
-                                        sinks.fork_events.push((m.id, child.id, SiteKind::BranchFork));
-                                        sinks.stats.paths_started += 1;
-                                        sinks.worklist.push(child);
-                                    }
-                                } else {
-                                    sinks.stats.states_dropped += 1;
-                                }
-                            }
+                            // The interpreter forked the untaken side
+                            // without a solver call; decide it once it is
+                            // sure of a frontier slot.
+                            sinks.admit(m.id, SiteKind::BranchFork, 1, |id| {
+                                (!needs_verdict || solver.is_feasible(&other.constraints))
+                                    .then(|| m.adopt(*other, id))
+                            });
                             m.note_site();
                         }
                         ReplaySteer::Child(_) => {
@@ -760,7 +597,7 @@ impl Ddt {
                         Ok(CallFlow::Done) => {}
                         Ok(CallFlow::Restarted) => continue,
                         Err(pending) => {
-                            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+                            self.record_bug(sinks, m, pending, solver, dut);
                             end = Some(PathEnd::Faulted);
                             break;
                         }
@@ -783,7 +620,7 @@ impl Ddt {
                     let classified = classify_fault(m, &f);
                     match classified {
                         Some(pending) => {
-                            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+                            self.record_bug(sinks, m, pending, solver, dut);
                             end = Some(PathEnd::Faulted);
                         }
                         None => end = Some(PathEnd::Infeasible),
@@ -826,19 +663,11 @@ impl Ddt {
     ) -> bool {
         match sinks.steer(kind) {
             ReplaySteer::Stay => {
-                if !sinks.replaying() {
-                    if sinks.worklist.len() < self.config.max_states {
-                        let mut child = m.fork(*sinks.next_id);
-                        *sinks.next_id += 1;
-                        mutate(&mut child);
-                        child.log_pick(kind, 1);
-                        sinks.fork_events.push((m.id, child.id, kind));
-                        sinks.stats.paths_started += 1;
-                        sinks.worklist.push(child);
-                    } else {
-                        sinks.stats.states_dropped += 1;
-                    }
-                }
+                sinks.admit(m.id, kind, 1, |id| {
+                    let mut child = m.fork(id);
+                    mutate(&mut child);
+                    Some(child)
+                });
                 m.note_site();
                 false
             }
@@ -848,35 +677,6 @@ impl Ddt {
                 true
             }
         }
-    }
-
-    fn make_root(&self, dut: &DriverUnderTest, stack: &StackLayout) -> Machine {
-        let mut st = SymState::new(SymCounter::new());
-        let plan = LoadPlan::new(dut.image.clone());
-        for (start, len) in plan.regions() {
-            st.mem.map(start, len);
-        }
-        st.mem.seed_bytes(dut.image.load_base, &dut.image.text);
-        st.mem.seed_bytes(dut.image.data_base(), &dut.image.data);
-        st.mem.set_code_region(dut.image.load_base, dut.image.text.len() as u32);
-        st.grants.grant(
-            dut.image.load_base,
-            dut.image.image_end() - dut.image.load_base,
-            "driver image",
-        );
-        let _ = stack; // Stack access is granted dynamically (above sp).
-        let mut kernel = Kernel::new();
-        for (k, v) in &dut.registry {
-            kernel.state.registry.insert(k.clone(), *v);
-        }
-        kernel.state.device = dut.descriptor.clone();
-        let mut m = Machine::new(st, kernel);
-        m.interrupt_budget = self.config.interrupt_budget;
-        let entry = plan.driver_entry();
-        m.frames.push(Frame::Entry { name: entry.name.clone(), held_at_entry: vec![] });
-        m.apply_invocation(&entry, false);
-        m.st.trace.push(TraceEvent::EntryInvoke { name: entry.name, addr: entry.addr });
-        m
     }
 
     /// Converts a pending bug into a full report entry (trace + solved
@@ -889,14 +689,13 @@ impl Ddt {
     /// persisted.
     fn record_bug(
         &self,
-        bugs: &mut HashMap<String, Bug>,
-        new_keys: &mut Vec<String>,
+        sinks: &mut QuantumSinks,
         m: &Machine,
         pending: PendingBug,
         solver: &mut Solver,
         dut: &DriverUnderTest,
     ) {
-        if let Some(existing) = bugs.get_mut(&pending.key) {
+        if let Some(existing) = sinks.bugs.get_mut(&pending.key) {
             existing.occurrences += 1;
             return;
         }
@@ -954,8 +753,8 @@ impl Ddt {
             stack,
             provenance,
         };
-        new_keys.push(pending.key.clone());
-        bugs.insert(pending.key, bug);
+        sinks.new_bug_keys.push(pending.key.clone());
+        sinks.bugs.insert(pending.key, bug);
     }
 
     /// One kernel API call: annotations around a native kernel invocation,
@@ -1046,27 +845,20 @@ impl Ddt {
                         s.push_decision(Decision::ConcretizationBacktrack {
                             kernel_call: call_idx,
                         });
-                        s.log_pick(SiteKind::Backtrack, 1);
                     };
                     match sinks.steer(SiteKind::Backtrack) {
                         ReplaySteer::Stay => {
-                            if !sinks.replaying() {
-                                if sinks.worklist.len() < self.config.max_states {
-                                    snap.id = *sinks.next_id;
-                                    *sinks.next_id += 1;
-                                    arm(&mut snap);
-                                    sinks.fork_events.push((m.id, snap.id, SiteKind::Backtrack));
-                                    sinks.stats.paths_started += 1;
-                                    sinks.worklist.push(snap);
-                                } else {
-                                    sinks.stats.states_dropped += 1;
-                                }
-                            }
+                            sinks.admit(m.id, SiteKind::Backtrack, 1, |id| {
+                                snap.id = id;
+                                arm(&mut snap);
+                                Some(snap)
+                            });
                             m.note_site();
                         }
                         ReplaySteer::Child(_) => {
                             snap.id = m.id;
                             arm(&mut snap);
+                            snap.log_pick(SiteKind::Backtrack, 1);
                             *m = snap;
                             // The machine is now the pre-call snapshot with
                             // the exclusion armed; re-dispatch the call.
@@ -1090,7 +882,7 @@ impl Ddt {
         }
         apply_resource_grants(&mut m.st, &new_events);
         for pending in scan_kernel_events(m) {
-            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+            self.record_bug(sinks, m, pending, solver, dut);
         }
         // Resume the driver at the saved link register.
         let ret = m.st.cpu.get(Reg(0)).as_const().unwrap_or(0) as u32;
@@ -1240,12 +1032,12 @@ impl Ddt {
         let returned = m.frames.last().expect("checked").running().to_string();
         let held_at_entry = m.frames.last().expect("checked").held_at_entry().to_vec();
         for pending in on_invocation_return(m, &returned, status, &held_at_entry) {
-            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+            self.record_bug(sinks, m, pending, solver, dut);
         }
         // Lifecycle checkers need the returning frame still on the stack
         // (the resume-without-restore rule reads its trace mark).
         for pending in check_lifecycle(m) {
-            self.record_bug(sinks.bugs, sinks.new_bug_keys, m, pending, solver, dut);
+            self.record_bug(sinks, m, pending, solver, dut);
         }
         let frame = m.frames.pop().expect("checked");
         match frame {

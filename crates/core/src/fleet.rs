@@ -4,13 +4,16 @@
 //! only works if the harness survives its own workers dying. This module is
 //! the supervisor/worker engine behind `ddt serve`:
 //!
-//! - the supervisor **bootstraps** the frontier in-process (a short serial
-//!   exploration) until there are enough pending states to shard,
+//! - the supervisor **bootstraps** the frontier in-process — the one
+//!   exploration loop every mode runs, stopped once there are enough
+//!   pending states to shard,
 //! - each frontier state becomes a **lease**: a [`FrontierRecord`] decision
 //!   prefix granted to a worker, tracked with an attempt count and a
 //!   progress deadline,
 //! - workers replay their leased prefix (the checkpoint-resume machinery)
-//!   and explore the subtree to exhaustion, heartbeating progress counters,
+//!   and explore the subtree to exhaustion on the same loop, whose
+//!   after-quantum hook heartbeats progress counters and drains control
+//!   frames,
 //! - the **watchdog** detects crashed workers (closed pipe) and hung
 //!   workers (heartbeats stop, or arrive with frozen counters) and kills
 //!   them; their active lease is reassigned with exponential backoff, and
@@ -18,8 +21,9 @@
 //! - a lease that keeps killing workers is **quarantined** — written to the
 //!   trace store as a `DDTQ` record for offline reproduction — rather than
 //!   retried forever or allowed to abort the campaign,
-//! - results merge additively ([`ExploreStats::merge_add`],
-//!   [`Coverage::absorb`], keyed bug-map union) in ascending shard order,
+//! - results merge additively into the bootstrap's run state
+//!   ([`ExploreStats::merge_add`], [`crate::coverage::Coverage::absorb`],
+//!   keyed bug-map union) in ascending shard order,
 //!   so the final report matches a single-process run of the same seed
 //!   regardless of which workers died when. Fork sites fire on
 //!   machine-local state only (the replay invariant), so the explored path
@@ -31,16 +35,13 @@
 //! over in-memory pipes. Both speak [`FleetFrame`]s.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ddt_isa::analysis::{self, CodeAnalysis};
-use ddt_kernel::loader::StackLayout;
-use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::{Solver, SolverStats};
 use ddt_trace::{
     encode_frame, encode_quarantine, read_frame, CoverageRecord, FleetFrame, FrontierRecord,
     QuarantineRecord, FLEET_VERSION,
@@ -48,11 +49,9 @@ use ddt_trace::{
 use serde::Serialize;
 
 use crate::checkpoint::frontier_record;
-use crate::coverage::Coverage;
-use crate::exerciser::{Ddt, DriverUnderTest, QuantumSinks};
-use crate::hardware::DdtEnv;
+use crate::exerciser::{Ddt, DriverUnderTest};
+use crate::explore::{Explorer, RunState, Start};
 use crate::report::{Bug, BugClass, ExploreStats, Report, RunHealth};
-use crate::search::{PruneSet, Strategy};
 
 /// Fleet supervisor configuration.
 #[derive(Clone, Debug)]
@@ -230,16 +229,7 @@ where
     });
 
     let analysis = analysis::analyze(&dut.image);
-    let run_cache = ddt.config.run_cache();
-    let mut solver = ddt.config.solver_for(&run_cache);
-    let stack = StackLayout::default();
-    let mut env = DdtEnv::new(
-        DEVICE_MMIO_BASE,
-        dut.descriptor.mmio_len,
-        stack.base,
-        stack.initial_sp(),
-    );
-    env.check_memory = ddt.config.check_memory;
+    let mut explorer = Explorer::new(ddt, dut, &ddt.config.run_cache());
 
     let mut st = WorkerState {
         queue: VecDeque::new(),
@@ -284,11 +274,9 @@ where
             })?;
             continue;
         }
-        let solver_before = solver.stats();
-        let outcome = explore_shard(ddt, dut, &analysis, &mut env, &mut solver, &rec, shard, &mut st, &ctl, &mut output, &send, heartbeat)?;
+        let outcome = explore_shard(&mut explorer, &analysis, &rec, shard, &mut st, &ctl, &mut output, &send, heartbeat)?;
         match outcome {
-            ShardOutcome::Done(mut stats, bugs, coverage) => {
-                stats.add_solver_delta(&solver_before, &solver.stats());
+            ShardOutcome::Done(stats, bugs, coverage) => {
                 let mut bug_list: Vec<&Bug> = bugs.values().collect();
                 bug_list.sort_by(|a, b| a.key.cmp(&b.key));
                 send(&mut output, &FleetFrame::ShardDone {
@@ -401,22 +389,19 @@ enum ShardOutcome {
     Failed(String),
 }
 
-/// Replays one leased prefix and explores its subtree to exhaustion,
-/// heartbeating and draining control between quanta. All counters are
-/// shard-local deltas; the prefix replay itself goes to scratch sinks (its
-/// work was already accounted when the bootstrap originally executed it),
-/// but each replayed quantum still bumps the worker's `quanta` heartbeat
-/// counter: a deep prefix can legitimately take longer than the lease
-/// timeout to replay, and the supervisor's watchdog must see that as
-/// progress, not a hang. `insns` stays exploration-only so the
-/// supervisor's live budget estimate never double-counts replayed work.
+/// Replays one leased prefix and explores its subtree to exhaustion on the
+/// one exploration loop, heartbeating and draining control between quanta.
+/// All counters are shard-local deltas; the prefix replay itself goes to
+/// scratch sinks (its work was already accounted when the bootstrap
+/// originally executed it), but each replayed quantum still bumps the
+/// worker's `quanta` heartbeat counter: a deep prefix can legitimately take
+/// longer than the lease timeout to replay, and the supervisor's watchdog
+/// must see that as progress, not a hang. `insns` stays exploration-only so
+/// the supervisor's live budget estimate never double-counts replayed work.
 #[allow(clippy::too_many_arguments)]
 fn explore_shard<W: Write>(
-    ddt: &Ddt,
-    dut: &DriverUnderTest,
+    explorer: &mut Explorer,
     analysis: &CodeAnalysis,
-    env: &mut DdtEnv,
-    solver: &mut Solver,
     rec: &FrontierRecord,
     shard: u64,
     st: &mut WorkerState,
@@ -425,6 +410,9 @@ fn explore_shard<W: Write>(
     send: &impl Fn(&mut W, &FleetFrame) -> io::Result<()>,
     heartbeat: Duration,
 ) -> io::Result<ShardOutcome> {
+    // The shard's solver work starts here; whatever an earlier failed
+    // attempt did is not part of it.
+    explorer.fold(&mut ExploreStats::default());
     let replayed = {
         let mut hb_err: Option<io::Error> = None;
         let st = &mut *st;
@@ -436,7 +424,7 @@ fn explore_shard<W: Write>(
                 }
             }
         };
-        let replayed = ddt.replay_prefix_observed(dut, rec, env, solver, &mut on_quantum);
+        let replayed = explorer.replay_prefix_observed(rec, &mut on_quantum);
         if let Some(e) = hb_err {
             return Err(e);
         }
@@ -446,128 +434,44 @@ fn explore_shard<W: Write>(
         Ok(m) => m,
         Err(why) => return Ok(ShardOutcome::Failed(format!("prefix replay: {why}"))),
     };
-    let mut worklist = vec![root];
     // Shard-disjoint id space; ids only label forks, uniqueness is enough.
-    let mut next_id: u64 = (shard + 1) << 32;
-    let mut stats = ExploreStats::default();
-    let mut bugs: HashMap<String, Bug> = HashMap::new();
-    let mut hits: HashMap<u32, u64> = HashMap::new();
-    let mut covered: BTreeSet<u32> = BTreeSet::new();
+    // Guided strategies rank against the shard's own coverage census (the
+    // supervisor's merged view is not visible from here), and pruning is
+    // shard-local too.
+    let (ddt, dut) = (explorer.ddt(), explorer.dut());
+    let lease = Start::Lease { machine: root, next_id: (shard + 1) << 32 };
+    let (mut run, mut frontier) = RunState::start(ddt, dut, analysis.clone(), lease);
+    // No stop rule: the supervisor enforces the campaign budgets. The hook
+    // ends the shard early on an I/O error (`Some`) or once the supervisor
+    // is gone (`None`).
     let mut since_control: u64 = 0;
-    // Guided strategies rank against a shard-local coverage census (the
-    // supervisor's merged view is not visible from here); Fifo keeps the
-    // historic LIFO pop. Pruning is likewise shard-local.
-    let mut guided = (!matches!(ddt.config.strategy, Strategy::Fifo)).then(|| {
-        (
-            ddt.config.strategy.runtime(analysis),
-            Coverage::new(analysis.clone()),
-        )
-    });
-    let mut prune = ddt.config.prune.then(PruneSet::new);
-
-    loop {
-        let mut m = match &mut guided {
-            None => match worklist.pop() {
-                Some(m) => m,
-                None => break,
-            },
-            Some((strategy, cov)) => {
-                if worklist.is_empty() {
-                    break;
-                }
-                let i = strategy.select(&worklist, cov);
-                worklist.swap_remove(i)
-            }
-        };
-        let n_before = worklist.len();
-        let covered_before = covered.len();
-        let mut exec_pcs = Vec::new();
-        let mut new_bug_keys = Vec::new();
-        let mut fork_events = Vec::new();
-        let survived = catch_unwind(AssertUnwindSafe(|| {
-            let mut sinks = QuantumSinks {
-                worklist: &mut worklist,
-                next_id: &mut next_id,
-                stats: &mut stats,
-                bugs: &mut bugs,
-                exec_pcs: &mut exec_pcs,
-                new_bug_keys: &mut new_bug_keys,
-                fork_events: &mut fork_events,
-                replay: None,
-            };
-            ddt.run_quantum(dut, &mut m, env, solver, &mut sinks)
-        }));
-        let alive = match survived {
-            Ok(end) => end.is_none(),
-            Err(_) => {
-                stats.panics_caught += 1;
-                false
-            }
-        };
-        st.insns += exec_pcs.len() as u64;
-        for pc in exec_pcs {
-            if analysis.blocks.contains_key(&pc) {
-                *hits.entry(pc).or_insert(0) += 1;
-                covered.insert(pc);
-                st.covered.insert(pc);
-            }
-            if let Some((_, cov)) = guided.as_mut() {
-                cov.on_exec(pc);
-            }
-        }
-        stats.quanta_executed += 1;
-        let stamp = stats.quanta_executed;
-        let covered_now = covered.len();
-        let fresh = (covered_now - covered_before) as u64;
-        if fresh > 0 {
-            stats.quanta_to_last_cover = stamp;
-        }
-        if stats.quanta_to_first_bug == 0 && !bugs.is_empty() {
-            stats.quanta_to_first_bug = stamp;
-        }
-        m.cov_fresh = fresh;
-        m.cov_stamp = stamp;
-        for child in worklist[n_before..].iter_mut() {
-            child.cov_fresh = fresh;
-            child.cov_stamp = stamp;
-        }
-        if let Some(p) = prune.as_mut() {
-            let mut i = n_before;
-            while i < worklist.len() {
-                let h = PruneSet::fp_hash(&worklist[i].fingerprint());
-                if p.check(h, covered_now as u64) {
-                    worklist.swap_remove(i);
-                    stats.states_pruned += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if alive {
-            worklist.push(m);
-        }
-        stats.peak_states = stats.peak_states.max(worklist.len() + 1);
+    let drained = explorer.drain(&mut run, &mut frontier, |_, _| false, |_, run, _, q| {
+        st.insns += q.exec_pcs.len() as u64;
+        let blocks = &run.coverage.analysis().blocks;
+        st.covered.extend(q.exec_pcs.iter().filter(|pc| blocks.contains_key(pc)));
         st.quanta += 1;
         since_control += 1;
-        if since_control >= WORKER_CONTROL_STRIDE {
-            since_control = 0;
-            st.drain_control(ctl, output, send)?;
-            if st.disconnected {
-                return Ok(ShardOutcome::Failed("supervisor disconnected".into()));
-            }
-            st.maybe_heartbeat(output, send, heartbeat, Some(shard), false)?;
+        if since_control < WORKER_CONTROL_STRIDE {
+            return Ok(());
         }
+        since_control = 0;
+        st.drain_control(ctl, output, send).map_err(Some)?;
+        if st.disconnected {
+            return Err(None);
+        }
+        st.maybe_heartbeat(output, send, heartbeat, Some(shard), false).map_err(Some)
+    });
+    match drained {
+        Ok(()) => {}
+        Err(Some(e)) => return Err(e),
+        Err(None) => return Ok(ShardOutcome::Failed("supervisor disconnected".into())),
     }
-    let mut hit_list: Vec<(u32, u64)> = hits.into_iter().collect();
-    hit_list.sort_unstable();
-    let coverage = CoverageRecord {
-        hits: hit_list,
-        covered: covered.into_iter().collect(),
-        // No timeline: the shard's internal timing is meaningless to the
-        // merged campaign clock.
-        timeline: Vec::new(),
-    };
-    Ok(ShardOutcome::Done(stats, bugs, coverage))
+    explorer.fold(&mut run.stats);
+    let (hits, covered, _) = run.coverage.snapshot();
+    // No timeline: the shard's internal timing is meaningless to the
+    // merged campaign clock.
+    let coverage = CoverageRecord { hits, covered, timeline: Vec::new() };
+    Ok(ShardOutcome::Done(run.stats, run.bugs, coverage))
 }
 
 // ---------------------------------------------------------------------------
@@ -667,9 +571,8 @@ struct Supervisor<'a> {
     ddt: &'a Ddt,
     dut: &'a DriverUnderTest,
     fc: &'a FleetConfig,
-    coverage: Coverage,
-    stats: ExploreStats,
-    bugs: HashMap<String, Bug>,
+    /// The bootstrap's run state; shard results fold into it at the end.
+    run: RunState,
     leases: Vec<Lease>,
     results: BTreeMap<u64, ShardResult>,
     workers: BTreeMap<u64, WorkerSlot>,
@@ -687,125 +590,35 @@ struct Supervisor<'a> {
 }
 
 impl<'a> Supervisor<'a> {
-    /// Serial in-process exploration until the worklist is wide enough to
-    /// shard (or the whole exploration finishes first — tiny drivers never
-    /// need the fleet).
+    /// In-process exploration on the one loop until the frontier is wide
+    /// enough to shard (or the whole exploration finishes first — tiny
+    /// drivers never need the fleet). It stops on the stop flag, a budget,
+    /// or the width target `workers × shard_factor`, and pops with the
+    /// configured strategy like the serial explorer.
     fn bootstrap(ddt: &'a Ddt, dut: &'a DriverUnderTest, fc: &'a FleetConfig) -> Supervisor<'a> {
         let target = fc.workers.max(1) * fc.shard_factor.max(1);
-        let run_cache = ddt.config.run_cache();
-        let mut solver = ddt.config.solver_for(&run_cache);
         let analysis = analysis::analyze(&dut.image);
-        let stack = StackLayout::default();
-        let mut env = DdtEnv::new(
-            DEVICE_MMIO_BASE,
-            dut.descriptor.mmio_len,
-            stack.base,
-            stack.initial_sp(),
-        );
-        env.check_memory = ddt.config.check_memory;
-        // Guided strategies need the runtime built while `analysis` is still
-        // ours; Fifo keeps the historic full cold-block scan below.
-        let strategy_rt = (!matches!(ddt.config.strategy, Strategy::Fifo))
-            .then(|| ddt.config.strategy.runtime(&analysis));
-        let mut prune = ddt.config.prune.then(PruneSet::new);
-        let mut coverage = Coverage::new(analysis);
-        let root = ddt.make_root_machine(dut);
-        let mut stats = ExploreStats {
-            symbols: root.st.counter.allocated(),
-            paths_started: 1,
-            ..Default::default()
-        };
-        let mut bugs: HashMap<String, Bug> = HashMap::new();
-        let mut next_id: u64 = 1;
-        let mut worklist = vec![root];
+        let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
+        let mut explorer = Explorer::new(ddt, dut, &run.cache);
         let mut interrupted = false;
-        while !worklist.is_empty() && worklist.len() < target {
-            if ddt.config.stop_requested() {
-                interrupted = true;
-                break;
-            }
-            if stats.insns > ddt.config.max_total_insns
-                || coverage.elapsed_ms() > ddt.config.time_budget_ms
-            {
-                break;
-            }
-            // Same cold-block selection as the serial explorer; the census
-            // is order-independent, this just keeps bootstrap efficient.
-            // Guided strategies supply their own selector instead.
-            let best = match &strategy_rt {
-                Some(s) => s.select(&worklist, &coverage),
-                None => worklist
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, m)| coverage.priority(m.st.cpu.pc))
-                    .map(|(i, _)| i)
-                    .expect("worklist non-empty"),
-            };
-            let mut m = worklist.swap_remove(best);
-            let n_before = worklist.len();
-            let covered_before = coverage.covered_blocks();
-            let mut exec_pcs = Vec::new();
-            let mut new_bug_keys = Vec::new();
-            let mut fork_events = Vec::new();
-            let survived = catch_unwind(AssertUnwindSafe(|| {
-                let mut sinks = QuantumSinks {
-                    worklist: &mut worklist,
-                    next_id: &mut next_id,
-                    stats: &mut stats,
-                    bugs: &mut bugs,
-                    exec_pcs: &mut exec_pcs,
-                    new_bug_keys: &mut new_bug_keys,
-                    fork_events: &mut fork_events,
-                    replay: None,
-                };
-                ddt.run_quantum(dut, &mut m, &mut env, &mut solver, &mut sinks)
-            }));
-            let alive = match survived {
-                Ok(end) => end.is_none(),
-                Err(_) => {
-                    stats.panics_caught += 1;
-                    false
+        let Ok(()) = explorer.drain(
+            &mut run,
+            &mut frontier,
+            |run, frontier| {
+                if frontier.len() >= target {
+                    return true;
                 }
-            };
-            for pc in exec_pcs {
-                coverage.on_exec(pc);
-            }
-            stats.quanta_executed += 1;
-            let stamp = stats.quanta_executed;
-            let covered_now = coverage.covered_blocks();
-            let fresh = (covered_now - covered_before) as u64;
-            if fresh > 0 {
-                stats.quanta_to_last_cover = stamp;
-            }
-            if stats.quanta_to_first_bug == 0 && !bugs.is_empty() {
-                stats.quanta_to_first_bug = stamp;
-            }
-            m.cov_fresh = fresh;
-            m.cov_stamp = stamp;
-            for child in worklist[n_before..].iter_mut() {
-                child.cov_fresh = fresh;
-                child.cov_stamp = stamp;
-            }
-            if let Some(p) = prune.as_mut() {
-                let mut i = n_before;
-                while i < worklist.len() {
-                    let h = PruneSet::fp_hash(&worklist[i].fingerprint());
-                    if p.check(h, covered_now as u64) {
-                        worklist.swap_remove(i);
-                        stats.states_pruned += 1;
-                    } else {
-                        i += 1;
-                    }
+                if ddt.config.stop_requested() {
+                    interrupted = true;
+                    return true;
                 }
-            }
-            if alive {
-                worklist.push(m);
-            }
-            stats.peak_states = stats.peak_states.max(worklist.len() + 1);
-        }
-        stats.add_solver_delta(&SolverStats::default(), &solver.stats());
-        stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
-        let leases = worklist
+                run.over_budget(&ddt.config)
+            },
+            |_, _, _, _| Ok::<(), Infallible>(()),
+        );
+        explorer.fold(&mut run.stats);
+        let leases = frontier
+            .as_slice()
             .iter()
             .map(|m| Lease {
                 record: frontier_record(m),
@@ -818,9 +631,7 @@ impl<'a> Supervisor<'a> {
             ddt,
             dut,
             fc,
-            coverage,
-            stats,
-            bugs,
+            run,
             leases,
             results: BTreeMap::new(),
             workers: BTreeMap::new(),
@@ -839,7 +650,7 @@ impl<'a> Supervisor<'a> {
     /// Heartbeat `insns` counts exploration only — replayed prefixes bump
     /// `quanta` instead — so nothing here is double-counted.
     fn insns_estimate(&self) -> u64 {
-        let done = self.stats.insns
+        let done = self.run.stats.insns
             + self.results.values().map(|r| r.stats.insns).sum::<u64>();
         let in_flight: u64 = self
             .workers
@@ -857,7 +668,7 @@ impl<'a> Supervisor<'a> {
     fn budget_exceeded(&self) -> Option<&'static str> {
         if self.insns_estimate() > self.ddt.config.max_total_insns {
             Some("instruction")
-        } else if self.coverage.elapsed_ms() > self.ddt.config.time_budget_ms {
+        } else if self.run.coverage.elapsed_ms() > self.ddt.config.time_budget_ms {
             Some("wall-clock")
         } else {
             None
@@ -1357,7 +1168,7 @@ impl<'a> Supervisor<'a> {
         let count = |pat: fn(&LeaseState) -> bool| self.leases.iter().filter(|l| pat(&l.state)).count();
         let status = StatusFile {
             driver: self.dut.image.name.clone(),
-            elapsed_ms: self.coverage.elapsed_ms(),
+            elapsed_ms: self.run.coverage.elapsed_ms(),
             workers,
             shards_total: self.leases.len(),
             shards_done: count(|s| matches!(s, LeaseState::Done)),
@@ -1365,7 +1176,7 @@ impl<'a> Supervisor<'a> {
             shards_leased: count(|s| matches!(s, LeaseState::Leased { .. })),
             shards_quarantined: count(|s| matches!(s, LeaseState::Quarantined)),
             bugs: {
-                let mut keys: BTreeSet<String> = self.bugs.keys().cloned().collect();
+                let mut keys: BTreeSet<String> = self.run.bugs.keys().cloned().collect();
                 for r in self.results.values() {
                     keys.extend(r.bugs.iter().map(|b| b.key.clone()));
                 }
@@ -1373,17 +1184,18 @@ impl<'a> Supervisor<'a> {
             },
             covered_blocks: {
                 let mut covered: BTreeSet<u32> =
-                    self.coverage.snapshot().1.into_iter().collect();
+                    self.run.coverage.snapshot().1.into_iter().collect();
                 for r in self.results.values() {
                     covered.extend(r.coverage.covered.iter().copied());
                 }
                 covered.len()
             },
-            lifecycle_injected: self.stats.faults_lifecycle
+            lifecycle_injected: self.run.stats.faults_lifecycle
                 + self.results.values().map(|r| r.stats.faults_lifecycle).sum::<u64>(),
             lifecycle_bugs: {
                 let lifecycle = |b: &Bug| b.class == BugClass::LifecycleViolation;
                 let mut keys: BTreeSet<String> = self
+                    .run
                     .bugs
                     .values()
                     .filter(|b| lifecycle(b))
@@ -1405,57 +1217,29 @@ impl<'a> Supervisor<'a> {
         let _ = std::fs::write(&tmp, &json).and_then(|_| std::fs::rename(&tmp, path));
     }
 
-    /// Folds buffered shard results into the bootstrap aggregates (in
+    /// Folds buffered shard results into the bootstrap's run state (in
     /// ascending shard order — the merges are order-independent, the fixed
     /// order just makes runs bit-for-bit comparable) and assembles the
     /// final report exactly like the serial explorer.
-    fn finish(mut self) -> Report {
+    fn finish(self) -> Report {
         if self.interrupted {
             eprintln!("ddt: fleet: interrupted; reporting completed shards only");
         }
-        for (_, r) in std::mem::take(&mut self.results) {
-            self.stats.merge_add(&r.stats);
-            self.coverage
-                .absorb(r.coverage.hits.iter().copied(), r.coverage.covered.iter().copied());
-            for bug in r.bugs {
-                match self.bugs.entry(bug.key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        e.get_mut().occurrences += bug.occurrences;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(bug);
-                    }
-                }
-            }
+        let Supervisor { ddt, dut, mut run, results, mut health_extra, budget_stop, .. } = self;
+        for r in results.into_values() {
+            run.stats.merge_add(&r.stats);
+            run.coverage.absorb(r.coverage.hits.iter().copied(), r.coverage.covered.iter().copied());
+            run.merge_bugs(r.bugs);
         }
-        self.stats.wall_ms = self.coverage.elapsed_ms();
-        // Interner counters are a process-global sample, not a fold;
-        // workers send zeros, so this overwrite only ever reflects the
-        // supervisor process (bootstrap + its own replays).
-        self.stats.sample_interner();
         // Folded stats can sit under the budget even when the live
         // estimate stopped the run (an in-flight shard's work dies with
         // its worker); the recorded stop keeps the flags truthful.
-        let insn_exhausted = self.stats.insns > self.ddt.config.max_total_insns
-            || self.budget_stop == Some("instruction");
-        let wall_exhausted = self.stats.wall_ms > self.ddt.config.time_budget_ms
-            || self.budget_stop == Some("wall-clock");
-        let mut health = RunHealth::from_stats(&self.stats, insn_exhausted, wall_exhausted);
-        health.fleet_workers_spawned = self.health_extra.fleet_workers_spawned;
-        health.fleet_workers_lost = self.health_extra.fleet_workers_lost;
-        health.fleet_leases_reassigned = self.health_extra.fleet_leases_reassigned;
-        health.fleet_shards_stolen = self.health_extra.fleet_shards_stolen;
-        health.fleet_shards_quarantined = self.health_extra.fleet_shards_quarantined;
-        let bug_list = self.ddt.finalize_bugs(std::mem::take(&mut self.bugs), &mut health, self.dut);
-        Report {
-            driver: self.dut.image.name.clone(),
-            bugs: bug_list,
-            total_blocks: self.coverage.total_blocks(),
-            covered_blocks: self.coverage.covered_blocks(),
-            coverage_timeline: self.coverage.timeline().to_vec(),
-            stats: self.stats,
-            health,
-        }
+        health_extra.insn_budget_exhausted = budget_stop == Some("instruction");
+        health_extra.wall_budget_exhausted = budget_stop == Some("wall-clock");
+        // Interner counters are a process-global sample, not a fold;
+        // workers send zeros, so the report only ever reflects the
+        // supervisor process (bootstrap + its own replays).
+        run.into_report(ddt, dut, None, |_| health_extra)
     }
 }
 

@@ -9,18 +9,20 @@
 //!    per-label overrides such as packet bytes and OIDs, interrupt
 //!    boundaries, forced allocation failures). Coverage feedback comes
 //!    from the executor's superblock trace folded into the shared
-//!    [`Coverage`] tracker, so concrete and symbolic coverage share one
-//!    census.
+//!    [`crate::coverage::Coverage`] tracker, so concrete and symbolic
+//!    coverage share one census.
 //! 2. **Escalation bridge** — a concrete execution that reaches new
 //!    coverage or a non-clean outcome is lifted into a symbolic
 //!    [`Machine`]: the values the scripted device served become symbol
 //!    pins (`SymState::hw_pins` / `label_pins`), so the lifted state's
 //!    constraints walk the concrete path prefix and symbolic exploration
 //!    takes over at the frontier the fuzzer reached.
-//! 3. **Interleaved quanta** — between batches the scheduler runs bounded
-//!    symbolic quanta; after the last batch the frontier is drained
-//!    completely, so a hybrid run explores at least everything a
-//!    symbolic-only run would (the Table 2 superset guarantee).
+//! 3. **Interleaved quanta** — between batches the one exploration loop
+//!    every mode runs takes a bounded number of symbolic quanta; after the
+//!    last batch it drains the frontier completely, so a hybrid run
+//!    explores at least everything a symbolic-only run would (the Table 2
+//!    superset guarantee). Hybrid runs never prune, since a pruned fork
+//!    could be the only path to one of those findings.
 //!
 //! Bugs found purely concretely are synthesized into full [`Bug`] reports
 //! (trace events, solved-input assignment, decision schedule) so they
@@ -28,27 +30,21 @@
 //! [`BugOrigin::Concrete`]; bugs found on an escalated state are tagged
 //! [`BugOrigin::Escalated`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 use std::time::Instant;
 
 use ddt_expr::Assignment;
 use ddt_expr::SymId;
 use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng, Scheduler};
-use ddt_kernel::loader::StackLayout;
-use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::{Solver, SolverStats};
 use ddt_symvm::{SymOrigin, TraceEvent};
 use ddt_vm::BlockCache;
 
-use crate::coverage::Coverage;
-use crate::exerciser::{Ddt, DriverUnderTest, QuantumSinks};
-use crate::hardware::DdtEnv;
+use crate::exerciser::{Ddt, DriverUnderTest};
+use crate::explore::{Explorer, RunState, Start};
 use crate::machine::Machine;
 use crate::replay::{ConcreteOutcome, ConcreteRunner};
-use crate::report::{
-    Bug, BugClass, BugOrigin, Decision, ExploreStats, LifecycleEvent, Report, RunHealth,
-};
+use crate::report::{Bug, BugClass, BugOrigin, Decision, LifecycleEvent, Report, RunHealth};
 use crate::search::Frontier;
 
 /// Escalation dedup key: the hardware values an execution was served plus
@@ -317,130 +313,58 @@ fn lift_to_machine(
     m
 }
 
-/// Runs up to `max_quanta` symbolic quanta, sharing the exploration
-/// bookkeeping of `explore_serial`: coverage folding, search-strategy
-/// metadata, panic isolation, and escalation-origin propagation (a bug
-/// first recorded on an escalated machine — or any of its forks — is
-/// re-tagged [`BugOrigin::Escalated`]).
-#[allow(clippy::too_many_arguments)]
-fn run_quanta(
-    ddt: &Ddt,
-    dut: &DriverUnderTest,
-    env: &mut DdtEnv,
-    solver: &mut Solver,
+/// Runs the one exploration loop for at most `max` more quanta, or until a
+/// budget runs out. Hybrid never prunes (see [`run_hybrid`]). After each
+/// quantum it propagates escalation origins: forks of an escalated machine
+/// stay escalated, and a bug first recorded on one is re-tagged
+/// [`BugOrigin::Escalated`].
+fn symbolic_quanta(
+    explorer: &mut Explorer,
+    run: &mut RunState,
     frontier: &mut Frontier,
-    coverage: &mut Coverage,
-    stats: &mut ExploreStats,
-    bugs: &mut HashMap<String, Bug>,
-    next_id: &mut u64,
     escalated: &mut HashSet<u64>,
-    max_quanta: u64,
+    max: u64,
 ) {
-    let mut executed = 0u64;
-    while !frontier.is_empty() && executed < max_quanta {
-        if stats.insns > ddt.config.max_total_insns
-            || coverage.elapsed_ms() > ddt.config.time_budget_ms
-        {
-            break;
-        }
-        let Some(mut m) = frontier.pop(coverage) else {
-            break;
-        };
-        let n_before = frontier.len();
-        let covered_before = coverage.covered_blocks();
-        let mut exec_pcs = Vec::new();
-        let mut new_bug_keys = Vec::new();
-        let mut fork_events = Vec::new();
-        let survived = catch_unwind(AssertUnwindSafe(|| {
-            let mut sinks = QuantumSinks {
-                worklist: frontier.storage_mut(),
-                next_id: &mut *next_id,
-                stats: &mut *stats,
-                bugs: &mut *bugs,
-                exec_pcs: &mut exec_pcs,
-                new_bug_keys: &mut new_bug_keys,
-                fork_events: &mut fork_events,
-                replay: None,
-            };
-            ddt.run_quantum(dut, &mut m, env, solver, &mut sinks)
-        }));
-        let alive = match survived {
-            Ok(end) => end.is_none(),
-            Err(_) => {
-                stats.panics_caught += 1;
-                false
+    let config = &explorer.ddt().config;
+    let limit = run.stats.quanta_executed.saturating_add(max);
+    let Ok(()) = explorer.drain(
+        run,
+        frontier,
+        |run, _| run.stats.quanta_executed >= limit || run.over_budget(config),
+        |_, run, _, q| {
+            for &(parent, child, _) in &q.fork_events {
+                if escalated.contains(&parent) {
+                    escalated.insert(child);
+                }
             }
-        };
-        for pc in exec_pcs {
-            coverage.on_exec(pc);
-        }
-        stats.quanta_executed += 1;
-        executed += 1;
-        let stamp = stats.quanta_executed;
-        let covered_now = coverage.covered_blocks();
-        let fresh = (covered_now - covered_before) as u64;
-        if fresh > 0 {
-            stats.quanta_to_last_cover = stamp;
-        }
-        if stats.quanta_to_first_bug == 0 && !bugs.is_empty() {
-            stats.quanta_to_first_bug = stamp;
-        }
-        m.cov_fresh = fresh;
-        m.cov_stamp = stamp;
-        for child in frontier.storage_mut()[n_before..].iter_mut() {
-            child.cov_fresh = fresh;
-            child.cov_stamp = stamp;
-        }
-        // Escalation provenance: forks of an escalated machine stay
-        // escalated; a bug first recorded during this machine's quantum is
-        // re-tagged if the machine carries the escalation mark.
-        for (parent, child, _) in &fork_events {
-            if escalated.contains(parent) {
-                escalated.insert(*child);
-            }
-        }
-        if escalated.contains(&m.id) {
-            for key in &new_bug_keys {
-                if let Some(bug) = bugs.get_mut(key) {
-                    if bug.origin == BugOrigin::Symbolic {
-                        bug.origin = BugOrigin::Escalated;
+            if escalated.contains(&q.machine) {
+                for key in &q.new_bug_keys {
+                    if let Some(bug) = run.bugs.get_mut(key) {
+                        if bug.origin == BugOrigin::Symbolic {
+                            bug.origin = BugOrigin::Escalated;
+                        }
                     }
                 }
             }
-        }
-        if alive {
-            frontier.push(m);
-        }
-        stats.peak_states = stats.peak_states.max(frontier.len() + 1);
-    }
+            Ok::<(), Infallible>(())
+        },
+    );
 }
 
 /// The hybrid exploration loop: fuzz batches on the translated concrete
 /// executor interleaved with bounded symbolic quanta, then a full frontier
 /// drain. Produces the same [`Report`] shape as `Ddt::test`.
+///
+/// Hybrid mode never prunes, whatever `DdtConfig::prune` says. The drain
+/// guarantees that hybrid finds every bug the symbolic-only run finds, and
+/// a pruned fork can be the only path to one of them: on rtl8029, pruning
+/// the drain loses `fault:400420:QueryInformation:QueryInformation`, which
+/// `ddt test` finds with and without `--prune`.
 pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
-    let run_cache = ddt.config.run_cache();
-    let mut solver = ddt.config.solver_for(&run_cache);
     let analysis = ddt_isa::analysis::analyze(&dut.image);
-    let strategy_rt = ddt.config.strategy.runtime(&analysis);
-    let stack = StackLayout::default();
-    let mut env = DdtEnv::new(
-        DEVICE_MMIO_BASE,
-        dut.descriptor.mmio_len,
-        stack.base,
-        stack.initial_sp(),
-    );
-    env.check_memory = ddt.config.check_memory;
-    let mut coverage = Coverage::new(analysis);
-    let root = ddt.make_root_machine(dut);
-    let mut stats = ExploreStats {
-        symbols: root.st.counter.allocated(),
-        paths_started: 1,
-        ..Default::default()
-    };
-    let mut bugs: HashMap<String, Bug> = HashMap::new();
-    let mut next_id: u64 = 1;
-    let mut frontier = Frontier::new(strategy_rt, vec![root]);
+    let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
+    run.prune = None;
+    let mut explorer = Explorer::new(ddt, dut, &run.cache);
     let mut escalated: HashSet<u64> = HashSet::new();
     // Escalation dedup: two fuzz inputs that pinned identical values would
     // lift into machines exploring the same subtree.
@@ -460,7 +384,7 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let mut runner: Option<ConcreteRunner> = None;
 
     for _batch in 0..fz.batches {
-        if coverage.elapsed_ms() > ddt.config.time_budget_ms {
+        if run.coverage.elapsed_ms() > ddt.config.time_budget_ms {
             break;
         }
         let batch_start = Instant::now();
@@ -485,31 +409,31 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
             r.apply_fuzz_input(&input);
             let mut block_trace = Vec::new();
             let outcome = r.run_fast(&mut cache, &mut block_trace);
-            stats.fuzz_execs += 1;
-            stats.fuzz_insns += r.vm.insns_retired;
-            let new_blocks = coverage.absorb_concrete(block_trace);
-            stats.concrete_blocks += new_blocks;
+            run.stats.fuzz_execs += 1;
+            run.stats.fuzz_insns += r.vm.insns_retired;
+            let new_blocks = run.coverage.absorb_concrete(block_trace);
+            run.stats.concrete_blocks += new_blocks;
             let interesting = new_blocks > 0 || outcome != ConcreteOutcome::Completed;
             if interesting {
                 // Dedup by content hash: re-adding a verbatim seed is a no-op.
                 corpus.add(input.clone(), 1 + new_blocks);
             }
             if let Some(bug) = synthesize_bug(dut, r, &input, &outcome) {
-                match bugs.get_mut(&bug.key) {
+                match run.bugs.get_mut(&bug.key) {
                     Some(existing) => existing.occurrences += 1,
                     None => {
                         // A signature already known under another key is
                         // the same bug re-found; don't duplicate it.
-                        let known = bugs.values().any(|b| b.signature == bug.signature);
+                        let known = run.bugs.values().any(|b| b.signature == bug.signature);
                         if !known {
-                            stats.concrete_bugs += 1;
-                            if stats.quanta_to_first_bug == 0 {
+                            run.stats.concrete_bugs += 1;
+                            if run.stats.quanta_to_first_bug == 0 {
                                 // Concrete first blood: attribute it to the
                                 // next quantum ordinal so "earliest wins"
                                 // merges still hold.
-                                stats.quanta_to_first_bug = stats.quanta_executed + 1;
+                                run.stats.quanta_to_first_bug = run.stats.quanta_executed + 1;
                             }
-                            bugs.insert(bug.key.clone(), bug);
+                            run.bugs.insert(bug.key.clone(), bug);
                         }
                     }
                 }
@@ -521,20 +445,18 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
                 labels.sort();
                 if escalation_seen.insert((pins, labels)) {
                     let mut m = lift_to_machine(ddt, dut, r, &input);
-                    m.id = next_id;
-                    next_id += 1;
+                    m.id = run.next_id;
+                    run.next_id += 1;
                     escalated.insert(m.id);
                     frontier.push(m);
-                    stats.escalations += 1;
-                    stats.paths_started += 1;
+                    run.stats.escalations += 1;
+                    run.stats.paths_started += 1;
                 }
             }
         }
-        stats.fuzz_wall_ms += batch_start.elapsed().as_millis() as u64;
-        run_quanta(
-            ddt, dut, &mut env, &mut solver, &mut frontier, &mut coverage, &mut stats,
-            &mut bugs, &mut next_id, &mut escalated, fz.quanta_per_batch,
-        );
+        run.stats.fuzz_wall_ms += batch_start.elapsed().as_millis() as u64;
+        let max = fz.quanta_per_batch;
+        symbolic_quanta(&mut explorer, &mut run, &mut frontier, &mut escalated, max);
     }
     if fz.drain_frontier {
         // The superset guarantee is structural: hold the escalated states
@@ -552,36 +474,13 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
                 i += 1;
             }
         }
-        run_quanta(
-            ddt, dut, &mut env, &mut solver, &mut frontier, &mut coverage, &mut stats,
-            &mut bugs, &mut next_id, &mut escalated, u64::MAX,
-        );
+        symbolic_quanta(&mut explorer, &mut run, &mut frontier, &mut escalated, u64::MAX);
         for m in held {
             frontier.push(m);
         }
-        run_quanta(
-            ddt, dut, &mut env, &mut solver, &mut frontier, &mut coverage, &mut stats,
-            &mut bugs, &mut next_id, &mut escalated, u64::MAX,
-        );
+        symbolic_quanta(&mut explorer, &mut run, &mut frontier, &mut escalated, u64::MAX);
     }
-
-    stats.wall_ms = coverage.elapsed_ms();
-    stats.add_solver_delta(&SolverStats::default(), &solver.stats());
-    stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
-    stats.sample_interner();
-    let insn_exhausted = stats.insns > ddt.config.max_total_insns;
-    let wall_exhausted = stats.wall_ms > ddt.config.time_budget_ms;
-    let mut health = RunHealth::from_stats(&stats, insn_exhausted, wall_exhausted);
-    let bug_list = ddt.finalize_bugs(bugs, &mut health, dut);
-    Report {
-        driver: dut.image.name.clone(),
-        bugs: bug_list,
-        total_blocks: coverage.total_blocks(),
-        covered_blocks: coverage.covered_blocks(),
-        coverage_timeline: coverage.timeline().to_vec(),
-        health,
-        stats,
-    }
+    run.into_report(ddt, dut, Some(&mut explorer), |_| RunHealth::default())
 }
 
 #[cfg(test)]

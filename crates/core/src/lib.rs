@@ -38,6 +38,7 @@ pub mod checkers;
 pub mod checkpoint;
 pub mod coverage;
 pub mod exerciser;
+mod explore;
 pub mod faults;
 pub mod fleet;
 pub mod hardware;

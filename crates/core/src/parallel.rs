@@ -2,20 +2,22 @@
 //!
 //! "We are exploring ways to mitigate this problem by running symbolic
 //! execution in parallel (Cloud9)" — this module is that extension: the
-//! worklist becomes one shared queue, and worker threads (each with
-//! its own solver and symbolic-hardware environment) pull states, run a
-//! quantum, and push forks back. Execution states are self-contained
+//! frontier becomes one shared queue, and worker threads pull states, run
+//! a quantum, and push forks back. Execution states are self-contained
 //! snapshots (§4.1.2), which is exactly what makes them cheap to ship
 //! between workers.
 //!
-//! Differences from the serial explorer, both deliberate:
+//! Only the sharing is parallel-specific. Each thread runs its quanta on
+//! its own `Explorer` (environment and solver) and settles them with the
+//! same `RunState::settle` and keyed bug merge as every other mode, under
+//! one lock over the run state. What stays here is synchronisation:
 //!
-//! - state selection is FIFO per worker rather than the global min-hit
-//!   heuristic (a distributed searcher trades heuristic fidelity for
-//!   throughput, as Cloud9 does); coverage is still tracked, in batches;
-//! - bug deduplication merges per-quantum maps into one shared keyed map —
-//!   keys are stable across exploration order, so the final set matches
-//!   the serial run.
+//! - the shared frontier: the `fifo` strategy keeps a shared FIFO (per
+//!   worker FIFO, the Cloud9-style throughput default); guided strategies
+//!   rank one shared [`Frontier`] against live coverage at every pop;
+//! - in-flight accounting, so idle workers can tell a momentarily empty
+//!   queue from global quiescence;
+//! - the checkpoint cut.
 //!
 //! Durable campaigns (§4.7) are supported here too. Workers append their
 //! quantum outcomes to the shared write-ahead journal, and a frontier
@@ -25,9 +27,8 @@
 //! - **While the pool is parked** the writer does O(1) work per pending
 //!   machine: it walks the queue in place and takes a `FrontierSnap` of
 //!   each machine (scalar fields, the O(1) fingerprint, an `Arc` bump on
-//!   the immutable choice log). Then it copies the aggregates (stats,
-//!   bugs, coverage, prune set) into the checkpoint image and releases
-//!   the cut.
+//!   the immutable choice log). Then it copies the run state (stats, bugs,
+//!   coverage, prune set) into the checkpoint image and releases the cut.
 //! - **After the cut**, while the other workers explore, the writer copies
 //!   the choice logs into frontier records and flushes the journal buffer
 //!   under the writer mutex. Then, without the mutex, it runs the journal
@@ -45,16 +46,12 @@
 //! makes a snapshot O(1).
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use ddt_isa::analysis;
-use ddt_kernel::loader::StackLayout;
-use ddt_kernel::state::DEVICE_MMIO_BASE;
-use ddt_solver::SolverStats;
-use ddt_trace::{JournalRecord, PathStatus};
 
 use crate::checkpoint::{
     checkpoint_file, //
@@ -63,17 +60,16 @@ use crate::checkpoint::{
     CampaignWriter,
     FrontierSnap,
 };
-use crate::coverage::Coverage;
-use crate::exerciser::{Ddt, DriverUnderTest, QuantumSinks};
-use crate::hardware::DdtEnv;
+use crate::exerciser::{Ddt, DriverUnderTest};
+use crate::explore::{Explorer, RunState, Start};
 use crate::machine::Machine;
-use crate::report::{Bug, ExploreStats, Report, RunHealth};
-use crate::search::{PruneSet, SearchStrategy, Strategy};
+use crate::report::{ExploreStats, Report, RunHealth};
+use crate::search::{Frontier, Strategy};
 
 /// Poison-tolerant lock: a worker that panicked mid-update may leave the
-/// mutex poisoned, but every guarded structure here (coverage counters, bug
-/// maps, stat vectors) stays internally consistent under partial updates —
-/// losing one worker must not lose the run's results.
+/// mutex poisoned, but every guarded structure here (the run state, the
+/// frontier, the journal) stays internally consistent under partial
+/// updates — losing one worker must not lose the run's results.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -81,39 +77,41 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Ids reserved per quantum (a quantum forks far fewer states than this).
 const QUANTUM_ID_BLOCK: u64 = 1 << 12;
 
-/// The workers' shared frontier. The `fifo` strategy keeps the historic
-/// shared FIFO (per-worker FIFO, byte-identical to the pre-strategy
-/// explorer); guided strategies trade it for a vector so every pop can rank
-/// the whole frontier against live coverage.
+/// The workers' shared frontier. Lock order is frontier → run state: a
+/// guided pop ranks against the run's coverage while holding the frontier,
+/// and nothing acquires the two the other way.
 enum SharedFrontier {
-    /// Mutex-guarded FIFO (the Cloud9-style throughput default).
+    /// Mutex-guarded FIFO (the `fifo` strategy).
     Fifo(Mutex<VecDeque<Machine>>),
-    /// Strategy-ranked frontier. Lock order is frontier → coverage (pop is
-    /// the only place both are held; nothing acquires them the other way).
-    Guided { items: Mutex<Vec<Machine>>, strategy: Box<dyn SearchStrategy> },
+    /// Strategy-ranked frontier (the guided strategies).
+    Guided(Mutex<Frontier>),
 }
 
 impl SharedFrontier {
-    fn push(&self, m: Machine) {
-        match self {
-            SharedFrontier::Fifo(q) => relock(q).push_back(m),
-            SharedFrontier::Guided { items, .. } => relock(items).push(m),
+    fn new(frontier: Frontier, strategy: Strategy) -> SharedFrontier {
+        match strategy {
+            Strategy::Fifo => SharedFrontier::Fifo(Mutex::new(frontier.into_items().into())),
+            _ => SharedFrontier::Guided(Mutex::new(frontier)),
         }
     }
 
-    fn pop(&self, coverage: &Mutex<Coverage>) -> Option<Machine> {
+    fn push(&self, m: Machine) {
+        match self {
+            SharedFrontier::Fifo(q) => relock(q).push_back(m),
+            SharedFrontier::Guided(f) => relock(f).push(m),
+        }
+    }
+
+    fn pop(&self, run: &Mutex<RunState>) -> Option<Machine> {
         match self {
             SharedFrontier::Fifo(q) => relock(q).pop_front(),
-            SharedFrontier::Guided { items, strategy } => {
-                let mut v = relock(items);
-                if v.is_empty() {
+            SharedFrontier::Guided(f) => {
+                let mut f = relock(f);
+                if f.is_empty() {
                     return None;
                 }
-                let i = {
-                    let cov = relock(coverage);
-                    strategy.select(&v, &cov)
-                };
-                Some(v.swap_remove(i))
+                let run = relock(run);
+                f.pop(&run.coverage)
             }
         }
     }
@@ -121,7 +119,7 @@ impl SharedFrontier {
     fn len(&self) -> usize {
         match self {
             SharedFrontier::Fifo(q) => relock(q).len(),
-            SharedFrontier::Guided { items, .. } => relock(items).len(),
+            SharedFrontier::Guided(f) => relock(f).len(),
         }
     }
 
@@ -135,9 +133,7 @@ impl SharedFrontier {
     fn snapshot(&self) -> Vec<FrontierSnap> {
         match self {
             SharedFrontier::Fifo(q) => relock(q).iter().map(FrontierSnap::of).collect(),
-            SharedFrontier::Guided { items, .. } => {
-                relock(items).iter().map(FrontierSnap::of).collect()
-            }
+            SharedFrontier::Guided(f) => relock(f).as_slice().iter().map(FrontierSnap::of).collect(),
         }
     }
 }
@@ -158,21 +154,11 @@ pub fn resume_parallel(
     workers: usize,
     dir: &Path,
 ) -> Result<Report, CampaignError> {
-    let (ck, stats, bugs) = ddt.load_for_resume(dut, dir)?;
-    if ck.finished {
-        return Ok(ddt.rebuild_finished_report(dut, &ck, stats, bugs));
+    let (seed, finished) = ddt.load_seed(dut, dir)?;
+    if finished {
+        return Ok(ddt.finished_report(dut, seed));
     }
-    let seed = ddt.rebuild_seed(dut, ck, stats, bugs);
-    let continued = ddt.with_campaign_dir(dir);
-    Ok(explore_parallel(&continued, dut, workers, Some(seed)))
-}
-
-/// Adds one quantum's counter deltas into the shared aggregate.
-fn merge_stats(agg: &mut ExploreStats, local: &ExploreStats) {
-    // Worker-local stats never carry solver/interner/wall fields (those are
-    // folded separately from solver snapshots), so the full additive merge
-    // the fleet also uses is exact here.
-    agg.merge_add(local);
+    Ok(explore_parallel(&ddt.with_campaign_dir(dir), dut, workers, Some(seed)))
 }
 
 /// The parallel exploration loop, optionally seeded with the restored
@@ -184,72 +170,28 @@ pub(crate) fn explore_parallel(
     seed: Option<CampaignSeed>,
 ) -> Report {
     let workers = workers.max(1);
-    let analysis = analysis::analyze(&dut.image);
-    let stack = StackLayout::default();
-    let queue = match ddt.config.strategy {
-        Strategy::Fifo => SharedFrontier::Fifo(Mutex::new(VecDeque::new())),
-        s => SharedFrontier::Guided {
-            items: Mutex::new(Vec::new()),
-            strategy: s.runtime(&analysis),
-        },
-    };
-
+    let start = seed.map_or(Start::Root, Start::Resume);
+    let (run, frontier) = RunState::start(ddt, dut, analysis::analyze(&dut.image), start);
+    let queue = SharedFrontier::new(frontier, ddt.config.strategy);
     // One counterexample cache for the whole worker pool: a constraint set
     // solved (or refuted) by any worker is a cache hit for every other.
-    let run_cache = ddt.config.run_cache();
-
-    let (coverage, agg_init, bugs_init, first_id, first_seq, base_ms, replays, seen) = match seed
-    {
-        Some(s) => {
-            for m in s.frontier {
-                queue.push(m);
-            }
-            (
-                Coverage::seeded(
-                    analysis,
-                    s.coverage_hits,
-                    s.coverage_covered,
-                    s.coverage_timeline,
-                    s.base_wall_ms,
-                ),
-                s.stats,
-                s.bugs,
-                s.next_id,
-                s.next_checkpoint_seq,
-                s.base_wall_ms,
-                (s.replayed_ok, s.replay_failed),
-                s.prune_seen,
-            )
-        }
-        None => {
-            let root = ddt.make_root_machine(dut);
-            let stats = ExploreStats {
-                symbols: root.st.counter.allocated(),
-                paths_started: 1, // The root.
-                ..Default::default()
-            };
-            queue.push(root);
-            (Coverage::new(analysis), stats, HashMap::new(), 1, 0, 0, (0, 0), Vec::new())
-        }
-    };
-    let prune: Option<Mutex<PruneSet>> =
-        ddt.config.prune.then(|| Mutex::new(PruneSet::seeded(seen)));
-    let coverage = Mutex::new(coverage);
-    let agg_stats: Mutex<ExploreStats> = Mutex::new(agg_init);
-    let merged: Mutex<HashMap<String, Bug>> = Mutex::new(bugs_init);
+    let run_cache = run.cache.clone();
     let campaign: Option<Mutex<CampaignWriter>> = ddt.config.checkpoint.as_ref().map(|policy| {
         Mutex::new(CampaignWriter::start(
             policy,
             &dut.image.name,
             ddt.config.fingerprint(),
-            first_seq,
+            run.checkpoint_seq,
         ))
     });
-
     let every_quanta = campaign.as_ref().map_or(u64::MAX, |c| relock(c).every_quanta());
     let in_flight = AtomicUsize::new(0);
-    let total_insns = AtomicU64::new(agg_init_insns(&agg_stats));
-    let next_id = AtomicU64::new(first_id);
+    // The budgets continue a resumed campaign's consumption; workers check
+    // them lock-free.
+    let total_insns = AtomicU64::new(run.stats.insns);
+    let base_ms = run.coverage.elapsed_ms();
+    let started = Instant::now();
+    let next_id = AtomicU64::new(run.next_id);
     let quanta = AtomicU64::new(0);
     // Checkpoint cut coordination: `want_cut` parks every worker between
     // quanta; the electing writer waits for `parked + exited` to cover the
@@ -258,21 +200,12 @@ pub(crate) fn explore_parallel(
     let parked = AtomicUsize::new(0);
     let exited = AtomicUsize::new(0);
     let interrupted = AtomicBool::new(false);
-    let started = std::time::Instant::now();
+    let run = Mutex::new(run);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut solver = ddt.config.solver_for(&run_cache);
-                let mut env = DdtEnv::new(
-                    DEVICE_MMIO_BASE,
-                    dut.descriptor.mmio_len,
-                    stack.base,
-                    stack.initial_sp(),
-                );
-                env.check_memory = ddt.config.check_memory;
-                // Solver counters already folded into the shared stats.
-                let mut prev_solver = SolverStats::default();
+                let mut explorer = Explorer::new(ddt, dut, &run_cache);
                 let mut idle_spins = 0u32;
                 loop {
                     if ddt.config.stop_requested() {
@@ -300,7 +233,7 @@ pub(crate) fn explore_parallel(
                     // the "queue empty + nothing in flight" conclusion while
                     // work is still materializing (premature quiescence).
                     in_flight.fetch_add(1, Ordering::AcqRel);
-                    let Some(mut m) = queue.pop(&coverage) else {
+                    let Some(mut m) = queue.pop(&run) else {
                         let before = in_flight.fetch_sub(1, Ordering::AcqRel);
                         if before == 1 && queue.is_empty() && !want_cut.load(Ordering::Acquire) {
                             break; // Global quiescence: no work anywhere.
@@ -312,121 +245,31 @@ pub(crate) fn explore_parallel(
                         continue;
                     };
                     idle_spins = 0;
-                    let mut local_forks: Vec<Machine> = Vec::new();
-                    // Reserve a block of ids for this quantum (ids are
-                    // diagnostics; uniqueness suffices).
-                    let mut local_id = next_id.fetch_add(QUANTUM_ID_BLOCK, Ordering::Relaxed);
-                    let mut exec_pcs: Vec<u32> = Vec::with_capacity(256);
-                    // Per-quantum sinks: deltas merged into the shared
-                    // aggregates below, so a checkpoint cut always sees a
-                    // consistent whole-campaign view.
-                    let mut local_stats = ExploreStats::default();
-                    let mut local_bugs: HashMap<String, Bug> = HashMap::new();
-                    let mut new_bug_keys: Vec<String> = Vec::new();
-                    let mut fork_events = Vec::new();
-                    // Panic isolation, as in the serial explorer: a panicking
-                    // quantum costs one state, not the whole worker (and with
-                    // it the thread-join panic that would sink the run).
-                    let survived = catch_unwind(AssertUnwindSafe(|| {
-                        let mut sinks = QuantumSinks {
-                            worklist: &mut local_forks,
-                            next_id: &mut local_id,
-                            stats: &mut local_stats,
-                            bugs: &mut local_bugs,
-                            exec_pcs: &mut exec_pcs,
-                            new_bug_keys: &mut new_bug_keys,
-                            fork_events: &mut fork_events,
-                            replay: None,
-                        };
-                        ddt.run_quantum(dut, &mut m, &mut env, &mut solver, &mut sinks)
-                    }));
-                    let (alive, status) = match survived {
-                        Ok(None) => (true, None),
-                        Ok(Some(end)) => (false, Some(end.status())),
-                        Err(_) => {
-                            local_stats.panics_caught += 1;
-                            (false, Some(PathStatus::Panicked))
-                        }
-                    };
-                    total_insns.fetch_add(exec_pcs.len() as u64, Ordering::Relaxed);
-                    let (fresh, covered_now) = {
-                        let mut cov = relock(&coverage);
-                        let before = cov.covered_blocks();
-                        for pc in exec_pcs {
-                            cov.on_exec(pc);
-                        }
-                        let now = cov.covered_blocks();
-                        ((now - before) as u64, now as u64)
-                    };
-                    // Opt-in structural pruning: drop this quantum's forks
-                    // whose fingerprint repeats with no coverage delta. The
-                    // shared seen-set makes the decision global, like the
-                    // serial explorer's.
-                    if let Some(p) = &prune {
-                        let mut ps = relock(p);
-                        local_forks.retain(|f| {
-                            if ps.check(PruneSet::fp_hash(&f.fingerprint()), covered_now) {
-                                local_stats.states_pruned += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
-                    local_stats.peak_states = local_stats.peak_states.max(queue.len() + 1);
-                    let stamp = {
-                        let mut agg = relock(&agg_stats);
-                        merge_stats(&mut agg, &local_stats);
-                        agg.quanta_executed += 1;
-                        let stamp = agg.quanta_executed;
-                        if fresh > 0 {
-                            agg.quanta_to_last_cover = agg.quanta_to_last_cover.max(stamp);
-                        }
-                        if agg.quanta_to_first_bug == 0 && !local_bugs.is_empty() {
-                            agg.quanta_to_first_bug = stamp;
-                        }
-                        let s = solver.stats();
-                        agg.add_solver_delta(&prev_solver, &s);
-                        prev_solver = s;
-                        stamp
-                    };
-                    if !local_bugs.is_empty() {
-                        // Merge keyed bugs, summing sightings on collisions
-                        // (plain extend would silently drop counts).
-                        let mut g = relock(&merged);
-                        for (key, bug) in local_bugs {
-                            match g.entry(key) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    e.get_mut().occurrences += bug.occurrences;
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(bug);
-                                }
-                            }
-                        }
+                    // Per-quantum sinks, merged into the run state below so
+                    // a checkpoint cut always sees a consistent
+                    // whole-campaign view. Ids come in reserved blocks (they
+                    // are diagnostics; uniqueness suffices).
+                    let mut forks = Vec::new();
+                    let mut id = next_id.fetch_add(QUANTUM_ID_BLOCK, Ordering::Relaxed);
+                    let mut stats = ExploreStats::default();
+                    let mut bugs = HashMap::new();
+                    let q = explorer.quantum(&mut m, &mut forks, &mut id, &mut stats, &mut bugs);
+                    total_insns.fetch_add(q.exec_pcs.len() as u64, Ordering::Relaxed);
+                    stats.peak_states = queue.len() + 1;
+                    {
+                        let mut run = relock(&run);
+                        run.stats.merge_add(&stats);
+                        run.merge_bugs(bugs.into_values());
+                        explorer.fold(&mut run.stats);
+                        run.settle(&q, &mut m, &mut forks, 0);
                     }
                     if let Some(c) = &campaign {
-                        let mut w = relock(c);
-                        for (parent, child, kind) in fork_events.drain(..) {
-                            w.record(&JournalRecord::Forked { parent, child, kind });
-                        }
-                        if let Some(status) = status {
-                            w.record(&JournalRecord::PathDone {
-                                machine: m.id,
-                                status,
-                                steps: m.steps_total,
-                                new_bugs: std::mem::take(&mut new_bug_keys),
-                            });
-                        }
+                        relock(c).record_quantum(&q);
                     }
-                    for mut fork in local_forks {
-                        fork.cov_fresh = fresh;
-                        fork.cov_stamp = stamp;
+                    for fork in forks {
                         queue.push(fork);
                     }
-                    if alive {
-                        m.cov_fresh = fresh;
-                        m.cov_stamp = stamp;
+                    if q.end.is_none() {
                         queue.push(m);
                     }
                     in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -452,25 +295,15 @@ pub(crate) fn explore_parallel(
                                 std::thread::yield_now();
                             }
                             // Inside the cut, only the snapshot: O(1) per
-                            // pending machine, then the aggregates. The image
+                            // pending machine, then the run state. The image
                             // gets its frontier records after the cut.
                             let frontier = queue.snapshot();
-                            let mut snap = relock(&agg_stats).clone();
-                            snap.wall_ms = base_ms + started.elapsed().as_millis() as u64;
-                            let seen =
-                                prune.as_ref().map(|p| relock(p).snapshot()).unwrap_or_default();
-                            let mut ck = checkpoint_file(
-                                dut,
-                                ddt,
-                                &relock(&coverage),
-                                &snap,
-                                &relock(&merged),
-                                next_id.load(Ordering::Relaxed),
-                                Vec::new(),
-                                seen,
-                                false,
-                                false,
-                            );
+                            let mut ck = {
+                                let mut run = relock(&run);
+                                run.stats.wall_ms = base_ms + started.elapsed().as_millis() as u64;
+                                run.next_id = next_id.load(Ordering::Relaxed);
+                                checkpoint_file(ddt, dut, &run, Vec::new(), false, false)
+                            };
                             want_cut.store(false, Ordering::Release);
                             // After the cut, while the pool explores: copy
                             // out the choice logs, flush the journal under
@@ -489,64 +322,17 @@ pub(crate) fn explore_parallel(
         }
     });
 
-    let coverage = coverage.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let mut stats = agg_stats.into_inner().unwrap_or_else(PoisonError::into_inner);
-    // Evictions are a property of the one shared cache, not per worker.
-    stats.cache_evictions = run_cache.as_ref().map_or(0, |c| c.stats().evictions);
-    stats.sample_interner();
-    stats.wall_ms = base_ms + started.elapsed().as_millis() as u64;
-    let bugs_map = merged.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let was_interrupted = interrupted.load(Ordering::Relaxed);
-    let insn_exhausted = stats.insns > ddt.config.max_total_insns;
-    let wall_exhausted = stats.wall_ms > ddt.config.time_budget_ms;
-    let mut health = RunHealth::from_stats(&stats, insn_exhausted, wall_exhausted);
-    health.resume_replayed_paths = replays.0;
-    health.resume_replay_failures = replays.1;
-    if let Some(c) = campaign {
-        let mut w = c.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let frontier: Vec<_> =
-            queue.snapshot().into_iter().map(FrontierSnap::into_record).collect();
-        if was_interrupted {
-            w.record(&JournalRecord::Interrupted);
+    let mut run = run.into_inner().unwrap_or_else(PoisonError::into_inner);
+    run.next_id = next_id.load(Ordering::Relaxed);
+    let interrupted = interrupted.load(Ordering::Relaxed);
+    run.into_report(ddt, dut, None, |run| match campaign {
+        Some(c) => {
+            let w = c.into_inner().unwrap_or_else(PoisonError::into_inner);
+            let frontier = queue.snapshot().into_iter().map(FrontierSnap::into_record).collect();
+            w.close(ddt, dut, run, frontier, interrupted)
         }
-        let finished = frontier.is_empty();
-        if finished {
-            w.record(&JournalRecord::Finished { distinct_bugs: bugs_map.len() as u64 });
-        }
-        let seen = prune.as_ref().map(|p| relock(p).snapshot()).unwrap_or_default();
-        let ck = checkpoint_file(
-            dut,
-            ddt,
-            &coverage,
-            &stats,
-            &bugs_map,
-            next_id.load(Ordering::Relaxed),
-            frontier,
-            seen,
-            finished,
-            was_interrupted,
-        );
-        w.write_checkpoint(ck);
-        w.finish();
-        health.checkpoints_written = w.checkpoints_written;
-        health.journal_records = w.journal_records;
-    }
-    let bug_list = ddt.finalize_bugs(bugs_map, &mut health, dut);
-    Report {
-        driver: dut.image.name.clone(),
-        bugs: bug_list,
-        total_blocks: coverage.total_blocks(),
-        covered_blocks: coverage.covered_blocks(),
-        coverage_timeline: coverage.timeline().to_vec(),
-        health,
-        stats,
-    }
-}
-
-/// The restored instruction count: the shared budget counter continues the
-/// campaign's consumption instead of restarting it.
-fn agg_init_insns(agg: &Mutex<ExploreStats>) -> u64 {
-    relock(agg).insns
+        None => RunHealth::default(),
+    })
 }
 
 #[cfg(test)]

@@ -211,6 +211,21 @@ impl SearchStrategy for BugDirected {
     }
 }
 
+/// The fleet shard's `fifo` selector: the most recently pushed state first.
+/// Its `swap_remove` of the last index is a plain `pop`, so a shard runs
+/// depth-first down its leased subtree, as it always has.
+pub(crate) struct LastIn;
+
+impl SearchStrategy for LastIn {
+    fn name(&self) -> &'static str {
+        "last-in"
+    }
+
+    fn select(&self, frontier: &[Machine], _cov: &Coverage) -> usize {
+        frontier.len() - 1
+    }
+}
+
 /// The exerciser's frontier: the worklist plus the strategy that orders it.
 /// `pop` is selection + `swap_remove`, exactly like the historic loop, so
 /// the `fifo` strategy reproduces it operation for operation.
@@ -259,6 +274,11 @@ impl Frontier {
     /// post-quantum metadata stamping/pruning.
     pub fn storage_mut(&mut self) -> &mut Vec<Machine> {
         &mut self.items
+    }
+
+    /// The pending states, in push order.
+    pub fn into_items(self) -> Vec<Machine> {
+        self.items
     }
 
     /// The active strategy's name.

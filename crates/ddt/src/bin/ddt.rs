@@ -9,7 +9,7 @@
 //!          [--resume DIR]
 //! ddt fuzz <driver.dxe | bundled-name> [--seed N] [--batches N]
 //!          [--batch-size N] [--no-escalate] [--quanta-per-batch N]
-//!          [--no-drain] [...shared test flags]
+//!          [--no-drain] [...shared test flags but --prune/--no-prune]
 //! ddt serve <driver.dxe | bundled-name> [--workers N] [--lease-timeout MS]
 //!          [--max-retries N] [--heartbeat-ms MS] [--status-file FILE]
 //!          [--chaos-kill N] [--shard-factor N] [...shared test flags]
@@ -51,8 +51,11 @@
 //! `test`, `fuzz`, `serve`, and `worker`.
 //!
 //! `test`, `fuzz`, `serve` and `worker` accept only the flags their usage
-//! lists: an unknown flag, or a valued flag without its value, exits 2 with
-//! a message naming it rather than running a default campaign.
+//! lists: an unknown flag, a valued flag without its value, or a malformed
+//! or out-of-range number exits 2 with a message naming the flag rather
+//! than running a default campaign. A campaign that a budget cut short
+//! says so on stderr (`campaign incomplete: ...`): its report is not
+//! comparable across modes.
 //!
 //! `serve` runs the same campaign as a fault-tolerant **fleet**: the
 //! supervisor shards the frontier across `--workers` `ddt worker`
@@ -115,7 +118,8 @@ fn usage() -> ExitCode {
          [--trace-dir DIR] [--checkpoint-dir DIR] [--checkpoint-every N] \
          [--resume DIR] [--max-path-insns N] [--max-insns N]\n  \
          ddt fuzz <driver.dxe|name> [--seed N] [--batches N] [--batch-size N] \
-         [--no-escalate] [--quanta-per-batch N] [--no-drain] [...shared test flags]\n  \
+         [--no-escalate] [--quanta-per-batch N] [--no-drain] \
+         [...shared test flags but --prune/--no-prune]\n  \
          ddt serve <driver.dxe|name> [--workers N] [--lease-timeout MS] \
          [--max-retries N] [--heartbeat-ms MS] [--status-file FILE] \
          [--chaos-kill N] [--shard-factor N] [...shared test flags]\n  \
@@ -266,27 +270,112 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
     }
     // The per-path step budget: the hang watchdog for drivers stuck in
     // polling loops (counted as potential hangs in the health report).
-    if let Some(n) = flag_value(args, "--max-path-insns") {
-        match n.parse() {
-            Ok(v) if v > 0 => config.max_path_insns = v,
-            _ => return Err(format!("bad --max-path-insns value {n:?}")),
-        }
+    if let Some(n) = numeric_flag(args, "--max-path-insns", 1)? {
+        config.max_path_insns = n;
     }
     // The campaign-wide instruction budget. Lifecycle injection multiplies
     // the path count, so exhaustive runs over large drivers need headroom
     // beyond the default; exploration order under an exhausted budget is
     // mode-dependent, so differential comparisons raise this until the
     // campaign completes.
-    if let Some(n) = flag_value(args, "--max-insns") {
-        match n.parse() {
-            Ok(v) if v > 0 => config.max_total_insns = v,
-            _ => return Err(format!("bad --max-insns value {n:?}")),
-        }
+    if let Some(n) = numeric_flag(args, "--max-insns", 1)? {
+        config.max_total_insns = n;
     }
     if let Some(dir) = flag_value(args, "--trace-dir") {
         config.trace_dir = Some(std::path::PathBuf::from(dir));
     }
     Ok(config)
+}
+
+/// The value of a numeric flag, if present: decimal or `0x` hex, at least
+/// `min`. A malformed or out-of-range value is an error that names the
+/// flag, never a silent default.
+fn numeric_flag(args: &[String], flag: &str, min: u64) -> Result<Option<u64>, String> {
+    let Some(v) = flag_value(args, flag) else { return Ok(None) };
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    match parsed {
+        Ok(n) if n >= min => Ok(Some(n)),
+        _ => Err(format!("bad {flag} value {v:?}")),
+    }
+}
+
+/// [`numeric_flag`] narrowed to a smaller integer type: a value that does
+/// not fit is out of range, never an `as`-cast truncation that silently
+/// configures something else.
+fn narrow_flag<T: TryFrom<u64>>(args: &[String], flag: &str, min: u64) -> Result<Option<T>, String> {
+    numeric_flag(args, flag, min)?
+        .map(|n| T::try_from(n).map_err(|_| format!("bad {flag} value {n}: out of range")))
+        .transpose()
+}
+
+/// The hybrid-run flags of `ddt fuzz`.
+fn parse_fuzz_config(args: &[String]) -> Result<ddt::FuzzConfig, String> {
+    let mut fz = ddt::FuzzConfig::default();
+    if let Some(n) = numeric_flag(args, "--seed", 0)? {
+        fz.seed = n;
+    }
+    if let Some(n) = numeric_flag(args, "--batches", 1)? {
+        fz.batches = n;
+    }
+    if let Some(n) = numeric_flag(args, "--batch-size", 1)? {
+        fz.batch_size = n;
+    }
+    if let Some(n) = numeric_flag(args, "--quanta-per-batch", 0)? {
+        fz.quanta_per_batch = n;
+    }
+    if args.iter().any(|a| a == "--no-escalate") {
+        fz.escalate = false;
+    }
+    if args.iter().any(|a| a == "--no-drain") {
+        fz.drain_frontier = false;
+    }
+    Ok(fz)
+}
+
+/// The supervisor flags of `ddt serve`.
+fn parse_fleet_config(args: &[String]) -> Result<ddt::FleetConfig, String> {
+    let mut fc = ddt::FleetConfig::default();
+    if let Some(n) = narrow_flag(args, "--workers", 1)? {
+        fc.workers = n;
+    }
+    if let Some(n) = numeric_flag(args, "--lease-timeout", 1)? {
+        fc.lease_timeout_ms = n;
+    }
+    if let Some(n) = narrow_flag(args, "--max-retries", 0)? {
+        fc.max_retries = n;
+    }
+    if let Some(n) = numeric_flag(args, "--heartbeat-ms", 1)? {
+        fc.heartbeat_ms = n;
+    }
+    if let Some(n) = narrow_flag(args, "--chaos-kill", 0)? {
+        fc.chaos_kills = n;
+    }
+    if let Some(n) = narrow_flag(args, "--shard-factor", 1)? {
+        fc.shard_factor = n;
+    }
+    if let Some(n) = narrow_flag(args, "--max-respawns", 0)? {
+        fc.max_respawns = n;
+    }
+    if let Some(path) = flag_value(args, "--status-file") {
+        fc.status_file = Some(std::path::PathBuf::from(path));
+    }
+    Ok(fc)
+}
+
+/// The options of `ddt worker`. The test hooks come from the environment,
+/// for exercising the supervisor's recovery paths from the command line.
+fn parse_worker_opts(args: &[String]) -> Result<ddt::WorkerOpts, String> {
+    let env_u64 = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
+    Ok(ddt::WorkerOpts {
+        worker_id: numeric_flag(args, "--worker-id", 0)?.unwrap_or(0),
+        heartbeat_ms: numeric_flag(args, "--heartbeat-ms", 1)?.unwrap_or(0),
+        die_after_shards: env_u64("DDT_FLEET_TEST_DIE_AFTER"),
+        fail_shard: env_u64("DDT_FLEET_TEST_FAIL_SHARD"),
+        hang_on_first_shard: env_u64("DDT_FLEET_TEST_HANG").is_some(),
+    })
 }
 
 /// The flags one campaign subcommand accepts after its target, on top of
@@ -300,7 +389,9 @@ struct FlagTable {
 
 /// The target and configuration flags `parse_target` and `parse_config`
 /// read. Every campaign subcommand accepts them, so supervisor and workers
-/// parse the same fingerprinted knobs.
+/// parse the same fingerprinted knobs. The exception is fingerprint
+/// pruning (`--prune`, `--no-prune`): `test`, `serve` and `worker` list it,
+/// and `fuzz` rejects it, because hybrid mode never prunes (`run_hybrid`).
 const SHARED_FLAGS: FlagTable = FlagTable {
     bare: &[
         "--audio",
@@ -310,14 +401,12 @@ const SHARED_FLAGS: FlagTable = FlagTable {
         "--lifecycle",
         "--no-query-cache",
         "--no-slicing",
-        "--prune",
-        "--no-prune",
     ],
     valued: &["--registry", "--strategy", "--max-path-insns", "--max-insns"],
 };
 
 const TEST_FLAGS: FlagTable = FlagTable {
-    bare: &["--replay", "--health"],
+    bare: &["--replay", "--health", "--prune", "--no-prune"],
     valued: &[
         "--json",
         "--trace-dir",
@@ -334,7 +423,7 @@ const FUZZ_FLAGS: FlagTable = FlagTable {
 };
 
 const SERVE_FLAGS: FlagTable = FlagTable {
-    bare: &["--replay", "--health"],
+    bare: &["--replay", "--health", "--prune", "--no-prune"],
     valued: &[
         "--json",
         "--trace-dir",
@@ -350,7 +439,8 @@ const SERVE_FLAGS: FlagTable = FlagTable {
 };
 
 /// Workers persist nothing themselves, so they take no report flags.
-const WORKER_FLAGS: FlagTable = FlagTable { bare: &[], valued: &["--worker-id", "--heartbeat-ms"] };
+const WORKER_FLAGS: FlagTable =
+    FlagTable { bare: &["--prune", "--no-prune"], valued: &["--worker-id", "--heartbeat-ms"] };
 
 /// The flag table of a campaign subcommand; `None` for the others.
 fn flag_table(cmd: &str) -> Option<&'static FlagTable> {
@@ -595,16 +685,19 @@ fn main() -> ExitCode {
             };
             let checkpoint_dir = flag_value(&args, "--checkpoint-dir");
             let resume_dir = flag_value(&args, "--resume");
+            let numbers = numeric_flag(&args, "--checkpoint-every", 1)
+                .and_then(|every| Ok((every, narrow_flag(&args, "--workers", 1)?)));
+            let (every, workers): (_, Option<usize>) = match numbers {
+                Ok(n) => n,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
+                }
+            };
             if let Some(dir) = &checkpoint_dir {
                 let mut policy = ddt::CheckpointPolicy::new(std::path::PathBuf::from(dir));
-                if let Some(n) = flag_value(&args, "--checkpoint-every") {
-                    match n.parse() {
-                        Ok(q) if q > 0 => policy.every_quanta = q,
-                        _ => {
-                            eprintln!("bad --checkpoint-every value {n:?}");
-                            return ExitCode::from(2);
-                        }
-                    }
+                if let Some(q) = every {
+                    policy.every_quanta = q;
                 }
                 config.checkpoint = Some(policy);
             }
@@ -619,8 +712,6 @@ fn main() -> ExitCode {
             };
             let tool = ddt::Ddt::new(config);
             let started = std::time::Instant::now();
-            let workers: Option<usize> =
-                flag_value(&args, "--workers").map(|n| n.parse().unwrap_or(1));
             let report = match (&resume_dir, workers) {
                 (Some(dir), w) => {
                     let dir = std::path::Path::new(dir);
@@ -667,48 +758,13 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let mut fz = ddt::FuzzConfig::default();
-            let numeric = |flag: &str, min: u64| -> Result<Option<u64>, String> {
-                match flag_value(&args, flag) {
-                    None => Ok(None),
-                    Some(v) => {
-                        let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                            u64::from_str_radix(hex, 16)
-                        } else {
-                            v.parse()
-                        };
-                        match parsed {
-                            Ok(n) if n >= min => Ok(Some(n)),
-                            _ => Err(format!("bad {flag} value {v:?}")),
-                        }
-                    }
+            let fz = match parse_fuzz_config(&args) {
+                Ok(fz) => fz,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
                 }
             };
-            let parsed = (|| -> Result<(), String> {
-                if let Some(n) = numeric("--seed", 0)? {
-                    fz.seed = n;
-                }
-                if let Some(n) = numeric("--batches", 1)? {
-                    fz.batches = n;
-                }
-                if let Some(n) = numeric("--batch-size", 1)? {
-                    fz.batch_size = n;
-                }
-                if let Some(n) = numeric("--quanta-per-batch", 0)? {
-                    fz.quanta_per_batch = n;
-                }
-                Ok(())
-            })();
-            if let Err(e) = parsed {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-            if args.iter().any(|a| a == "--no-escalate") {
-                fz.escalate = false;
-            }
-            if args.iter().any(|a| a == "--no-drain") {
-                fz.drain_frontier = false;
-            }
             let tool = ddt::Ddt::new(config);
             let started = std::time::Instant::now();
             let report = ddt::run_hybrid(&tool, &dut, &fz);
@@ -742,56 +798,13 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let mut fc = ddt::FleetConfig::default();
-            let numeric = |flag: &str, min: u64| -> Result<Option<u64>, String> {
-                match flag_value(&args, flag) {
-                    None => Ok(None),
-                    Some(v) => match v.parse::<u64>() {
-                        Ok(n) if n >= min => Ok(Some(n)),
-                        _ => Err(format!("bad {flag} value {v:?}")),
-                    },
+            let fc = match parse_fleet_config(&args) {
+                Ok(fc) => fc,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
                 }
             };
-            // Checked narrowing: an out-of-range value is a parse error,
-            // never an `as`-cast truncation that silently configures
-            // something else.
-            let narrow_u32 = |flag: &str, n: u64| -> Result<u32, String> {
-                u32::try_from(n).map_err(|_| format!("bad {flag} value {n}: out of range"))
-            };
-            let narrow_usize = |flag: &str, n: u64| -> Result<usize, String> {
-                usize::try_from(n).map_err(|_| format!("bad {flag} value {n}: out of range"))
-            };
-            let parsed = (|| -> Result<(), String> {
-                if let Some(n) = numeric("--workers", 1)? {
-                    fc.workers = narrow_usize("--workers", n)?;
-                }
-                if let Some(n) = numeric("--lease-timeout", 1)? {
-                    fc.lease_timeout_ms = n;
-                }
-                if let Some(n) = numeric("--max-retries", 0)? {
-                    fc.max_retries = narrow_u32("--max-retries", n)?;
-                }
-                if let Some(n) = numeric("--heartbeat-ms", 1)? {
-                    fc.heartbeat_ms = n;
-                }
-                if let Some(n) = numeric("--chaos-kill", 0)? {
-                    fc.chaos_kills = narrow_u32("--chaos-kill", n)?;
-                }
-                if let Some(n) = numeric("--shard-factor", 1)? {
-                    fc.shard_factor = narrow_usize("--shard-factor", n)?;
-                }
-                if let Some(n) = numeric("--max-respawns", 0)? {
-                    fc.max_respawns = narrow_u32("--max-respawns", n)?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = parsed {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-            if let Some(path) = flag_value(&args, "--status-file") {
-                fc.status_file = Some(std::path::PathBuf::from(path));
-            }
             let exe = match std::env::current_exe() {
                 Ok(p) => p,
                 Err(e) => {
@@ -834,19 +847,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let env_u64 = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
-            let opts = ddt::WorkerOpts {
-                worker_id: flag_value(&args, "--worker-id")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                heartbeat_ms: flag_value(&args, "--heartbeat-ms")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                // Fault-injection hooks for exercising the supervisor's
-                // recovery paths from the command line.
-                die_after_shards: env_u64("DDT_FLEET_TEST_DIE_AFTER"),
-                fail_shard: env_u64("DDT_FLEET_TEST_FAIL_SHARD"),
-                hang_on_first_shard: env_u64("DDT_FLEET_TEST_HANG").is_some(),
+            let opts = match parse_worker_opts(&args) {
+                Ok(opts) => opts,
+                Err(e) => {
+                    eprintln!("ddt worker: {e}");
+                    return ExitCode::from(2);
+                }
             };
             let tool = ddt::Ddt::new(config);
             match ddt::core::run_worker(&tool, &dut, std::io::stdin(), std::io::stdout(), opts)
@@ -958,6 +964,9 @@ fn print_report(
     if args.iter().any(|a| a == "--health") || !report.health.pristine() {
         print!("{}", report.health.render());
     }
+    for line in incomplete_lines(&report.health) {
+        eprintln!("{line}");
+    }
     if let Some(path) = flag_value(args, "--json") {
         match serde_json::to_vec_pretty(report) {
             Ok(j) => {
@@ -977,6 +986,16 @@ fn print_report(
         );
     }
     None
+}
+
+/// One loud line per budget that ended the run early: the report of a
+/// truncated campaign depends on the exploration order.
+fn incomplete_lines(health: &ddt::RunHealth) -> Vec<String> {
+    [(health.insn_budget_exhausted, "instruction"), (health.wall_budget_exhausted, "wall-clock")]
+        .into_iter()
+        .filter(|&(hit, _)| hit)
+        .map(|(_, which)| format!("campaign incomplete: {which} budget exhausted"))
+        .collect()
 }
 
 fn verdict_code(report: &ddt::Report) -> ExitCode {
@@ -1042,6 +1061,51 @@ mod tests {
         assert!(err.contains("--json"), "{err}");
         let err = check_flags(&argv(&["fuzz", "pcnet", "--chaos-kill", "1"])).unwrap_err();
         assert!(err.contains("--chaos-kill"), "{err}");
+        // Hybrid mode never prunes, so `fuzz` refuses the flags; the
+        // subcommands that prune accept them.
+        for flag in ["--prune", "--no-prune"] {
+            let err = check_flags(&argv(&["fuzz", "rtl8029", flag])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            for cmd in ["test", "serve", "worker"] {
+                check_flags(&argv(&[cmd, "rtl8029", flag])).expect("prune is known");
+            }
+        }
+        // A malformed or out-of-range number names its flag instead of
+        // falling back to a default.
+        let bad = |list: &[&str]| -> String {
+            let args = argv(list);
+            check_flags(&args).expect("known flags");
+            let parsed = match list[0] {
+                "fuzz" => parse_fuzz_config(&args).map(drop),
+                "serve" => parse_fleet_config(&args).map(drop),
+                "worker" => parse_worker_opts(&args).map(drop),
+                _ => parse_config(&args)
+                    .and_then(|_| narrow_flag::<usize>(&args, "--workers", 1))
+                    .map(drop),
+            };
+            parsed.unwrap_err()
+        };
+        for (list, flag) in [
+            (&["test", "pcnet", "--workers", "abc"][..], "--workers"),
+            (&["test", "pcnet", "--workers", "0"], "--workers"),
+            (&["test", "pcnet", "--max-insns", "-5"], "--max-insns"),
+            (&["fuzz", "pcnet", "--batches", "1e3"], "--batches"),
+            (&["serve", "pcnet", "--max-retries", "4294967296"], "--max-retries"),
+            (&["worker", "pcnet", "--worker-id", "x"], "--worker-id"),
+            (&["worker", "pcnet", "--heartbeat-ms", "0"], "--heartbeat-ms"),
+        ] {
+            let err = bad(list);
+            assert!(err.contains(flag), "{list:?}: {err}");
+        }
+        let fz = parse_fuzz_config(&argv(&["fuzz", "pcnet", "--seed", "0xDD7"])).expect("hex");
+        assert_eq!(fz.seed, 0xDD7);
+        let opts = parse_worker_opts(&argv(&["worker", "pcnet", "--worker-id", "3"])).expect("id");
+        assert_eq!(opts.worker_id, 3);
+        // A budget that ended the run is announced, one line per budget.
+        let mut health = ddt::RunHealth::default();
+        assert!(incomplete_lines(&health).is_empty());
+        health.wall_budget_exhausted = true;
+        assert_eq!(incomplete_lines(&health), ["campaign incomplete: wall-clock budget exhausted"]);
         let ok = argv(&["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"]);
         check_flags(&ok).expect("known flags");
         let config = parse_config(&ok).expect("config parses");

@@ -43,6 +43,30 @@ fn ac97_bug_replays() {
 }
 
 #[test]
+fn interrupt_at_a_workload_boundary_replays() {
+    // The symbolic explorer also injects interrupts between entry points,
+    // where the frame stack is empty. The parallel explorer's witness of
+    // pro100's spinlock-variant bug is such a schedule (boundary 7, the
+    // bug in the DPC), and concrete replay must deliver that interrupt.
+    let spec = ddt::drivers::driver_by_name("pro100").unwrap();
+    let dut = DriverUnderTest::from_spec(&spec);
+    let report = Ddt::default().test(&dut);
+    let mut bug = report
+        .bugs
+        .iter()
+        .find(|b| b.key.starts_with("lockvariant:"))
+        .expect("pro100 has the spinlock-variant bug")
+        .clone();
+    bug.decisions = vec![ddt::core::Decision::InjectInterrupt { boundary: 7 }];
+    match replay_bug(&dut, &bug) {
+        ReplayOutcome::Reproduced { .. } => {}
+        ReplayOutcome::NotReproduced { observed } => {
+            panic!("the boundary-7 interrupt did not replay (observed {observed})")
+        }
+    }
+}
+
+#[test]
 fn injected_fault_bugs_replay_to_the_same_bug() {
     // A fault-plan run surfaces bugs whose decision schedules carry
     // `InjectFault` sites; replaying such a report must arm the same fault

@@ -175,17 +175,6 @@ impl DdtConfig {
         Some(self.shared_cache.clone().unwrap_or_default())
     }
 
-    /// Builds one worker's solver over the run's cache handle, applying the
-    /// run's slicing switch.
-    pub(crate) fn solver_for(&self, run_cache: &Option<Arc<QueryCache>>) -> Solver {
-        let mut solver = match run_cache {
-            Some(cache) => Solver::with_cache(cache.clone()),
-            None => Solver::uncached(),
-        };
-        solver.set_slicing(self.use_slicing);
-        solver
-    }
-
     /// Fingerprint of everything that steers exploration. A checkpoint
     /// records it and resume refuses a mismatch: a frontier recorded under
     /// one configuration will not replay under another. Cache and
@@ -255,28 +244,6 @@ pub struct Ddt {
 
 /// Steps per scheduling quantum.
 const QUANTUM: u64 = 256;
-
-#[derive(Clone, Copy)]
-pub(crate) enum PathEnd {
-    Completed,
-    Faulted,
-    Infeasible,
-    BudgetKilled,
-    StepBudget,
-}
-
-impl PathEnd {
-    /// The journal encoding of this terminal status.
-    pub(crate) fn status(self) -> PathStatus {
-        match self {
-            PathEnd::Completed => PathStatus::Completed,
-            PathEnd::Faulted => PathStatus::Faulted,
-            PathEnd::Infeasible => PathStatus::Infeasible,
-            PathEnd::BudgetKilled => PathStatus::BudgetKilled,
-            PathEnd::StepBudget => PathStatus::StepBudgetExceeded,
-        }
-    }
-}
 
 /// Mutable context threaded through one scheduling quantum: the
 /// exploration sinks (worklist, id counter, stats, bug map), the
@@ -398,10 +365,12 @@ impl Ddt {
         seed: Option<CampaignSeed>,
     ) -> Report {
         let start = seed.map_or(Start::Root, Start::Resume);
-        let (mut run, mut frontier) = RunState::start(self, dut, analysis::analyze(&dut.image), start);
+        let analysis = analysis::analyze(&dut.image);
+        let (mut run, mut frontier) = RunState::start(self, dut, analysis, start);
         let mut explorer = Explorer::new(self, dut, &run.cache);
         let mut campaign = self.config.checkpoint.as_ref().map(|policy| {
-            CampaignWriter::start(policy, &dut.image.name, self.config.fingerprint(), run.checkpoint_seq)
+            let fingerprint = self.config.fingerprint();
+            CampaignWriter::start(policy, &dut.image.name, fingerprint, run.checkpoint_seq)
         });
         let mut since_checkpoint: u64 = 0;
         let mut interrupted = false;
@@ -423,7 +392,8 @@ impl Ddt {
                     since_checkpoint = 0;
                     run.stats.wall_ms = run.coverage.elapsed_ms();
                     explorer.fold(&mut run.stats);
-                    c.write_checkpoint(checkpoint_file(self, dut, run, frontier_records(frontier.as_slice()), false, false));
+                    let pending = frontier_records(frontier.as_slice());
+                    c.write_checkpoint(checkpoint_file(self, dut, run, pending, false, false));
                 }
                 Ok(())
             },
@@ -484,7 +454,7 @@ impl Ddt {
         env: &mut DdtEnv,
         solver: &mut Solver,
         sinks: &mut QuantumSinks,
-    ) -> Option<PathEnd> {
+    ) -> Option<PathStatus> {
         if sinks.replay.is_none() {
             if let Some(hook) = &self.config.panic_hook {
                 let fired = hook
@@ -496,7 +466,7 @@ impl Ddt {
             }
         }
         let syms_before = m.st.counter.allocated();
-        let mut end: Option<PathEnd> = None;
+        let mut end: Option<PathStatus> = None;
         for _ in 0..QUANTUM {
             if let Some(cur) = sinks.replay.as_deref() {
                 // Prefix reconstruction stops exactly at the checkpointed
@@ -511,7 +481,7 @@ impl Ddt {
             // across entry points). Not checked during prefix replay — a
             // path over budget can never have entered a frontier.
             if sinks.replay.is_none() && m.steps_total >= self.config.max_path_insns {
-                end = Some(PathEnd::StepBudget);
+                end = Some(PathStatus::StepBudgetExceeded);
                 break;
             }
             m.steps_total += 1;
@@ -567,7 +537,7 @@ impl Ddt {
                         if let Some(pending) = crate::checkers::check_infinite_loop(m, 64) {
                             self.record_bug(sinks, m, pending, solver, dut);
                         }
-                        end = Some(PathEnd::BudgetKilled);
+                        end = Some(PathStatus::BudgetKilled);
                         break;
                     }
                 }
@@ -598,7 +568,7 @@ impl Ddt {
                         Ok(CallFlow::Restarted) => continue,
                         Err(pending) => {
                             self.record_bug(sinks, m, pending, solver, dut);
-                            end = Some(PathEnd::Faulted);
+                            end = Some(PathStatus::Faulted);
                             break;
                         }
                     }
@@ -607,13 +577,13 @@ impl Ddt {
                     match self.handle_return(m, solver, sinks, dut) {
                         ReturnFlow::Continue => {}
                         ReturnFlow::PathDone => {
-                            end = Some(PathEnd::Completed);
+                            end = Some(PathStatus::Completed);
                             break;
                         }
                     }
                 }
                 SymStep::Halted => {
-                    end = Some(PathEnd::Completed);
+                    end = Some(PathStatus::Completed);
                     break;
                 }
                 SymStep::Fault(f) => {
@@ -621,9 +591,9 @@ impl Ddt {
                     match classified {
                         Some(pending) => {
                             self.record_bug(sinks, m, pending, solver, dut);
-                            end = Some(PathEnd::Faulted);
+                            end = Some(PathStatus::Faulted);
                         }
-                        None => end = Some(PathEnd::Infeasible),
+                        None => end = Some(PathStatus::Infeasible),
                     }
                     break;
                 }
@@ -634,18 +604,15 @@ impl Ddt {
         // across any quantum partition (and across checkpoint/resume).
         sinks.stats.symbols += m.st.counter.allocated().wrapping_sub(syms_before);
         match end {
-            None => None, // Quantum expired; reschedule.
-            Some(e) => {
-                match e {
-                    PathEnd::Completed => sinks.stats.paths_completed += 1,
-                    PathEnd::Faulted => sinks.stats.paths_faulted += 1,
-                    PathEnd::Infeasible => sinks.stats.paths_infeasible += 1,
-                    PathEnd::BudgetKilled => sinks.stats.paths_budget_killed += 1,
-                    PathEnd::StepBudget => sinks.stats.paths_step_budget_killed += 1,
-                }
-                Some(e)
-            }
+            Some(PathStatus::Completed) => sinks.stats.paths_completed += 1,
+            Some(PathStatus::Faulted) => sinks.stats.paths_faulted += 1,
+            Some(PathStatus::Infeasible) => sinks.stats.paths_infeasible += 1,
+            Some(PathStatus::BudgetKilled) => sinks.stats.paths_budget_killed += 1,
+            Some(PathStatus::StepBudgetExceeded) => sinks.stats.paths_step_budget_killed += 1,
+            // Still alive (reschedule it); a panic is counted by the caller.
+            None | Some(PathStatus::Panicked) => {}
         }
+        end
     }
 
     /// One single-alternative fork site. In exploration the child is

@@ -30,7 +30,7 @@ use ddt_trace::{FrontierRecord, PathStatus, SiteKind};
 
 use crate::checkpoint::CampaignSeed;
 use crate::coverage::Coverage;
-use crate::exerciser::{Ddt, DdtConfig, DriverUnderTest, PathEnd, QuantumSinks};
+use crate::exerciser::{Ddt, DdtConfig, DriverUnderTest, QuantumSinks};
 use crate::hardware::DdtEnv;
 use crate::machine::Machine;
 use crate::replay::ReplayCursor;
@@ -67,12 +67,18 @@ pub(crate) struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
-    /// An engine for `dut` whose solver shares the run's query cache.
+    /// An engine for `dut` whose solver shares the run's query cache and
+    /// applies the run's slicing switch.
     pub(crate) fn new(
         ddt: &'a Ddt,
         dut: &'a DriverUnderTest,
         run_cache: &Option<Arc<QueryCache>>,
     ) -> Explorer<'a> {
+        let mut solver = match run_cache {
+            Some(cache) => Solver::with_cache(cache.clone()),
+            None => Solver::uncached(),
+        };
+        solver.set_slicing(ddt.config.use_slicing);
         let stack = StackLayout::default();
         let mut env = DdtEnv::new(
             DEVICE_MMIO_BASE,
@@ -81,13 +87,7 @@ impl<'a> Explorer<'a> {
             stack.initial_sp(),
         );
         env.check_memory = ddt.config.check_memory;
-        Explorer {
-            ddt,
-            dut,
-            env,
-            solver: ddt.config.solver_for(run_cache),
-            folded: SolverStats::default(),
-        }
+        Explorer { ddt, dut, env, solver, folded: SolverStats::default() }
     }
 
     /// The tool this engine explores for.
@@ -115,7 +115,7 @@ impl<'a> Explorer<'a> {
         let max_states = self.ddt.config.max_states;
         let mut sinks = QuantumSinks::new(worklist, next_id, stats, bugs, max_states);
         let end = match self.run(m, &mut sinks) {
-            Ok(end) => end.map(PathEnd::status),
+            Ok(end) => end,
             Err(()) => {
                 sinks.stats.panics_caught += 1;
                 Some(PathStatus::Panicked)
@@ -132,7 +132,11 @@ impl<'a> Explorer<'a> {
     }
 
     /// `run_quantum` under panic isolation; `Err` means it panicked.
-    fn run(&mut self, m: &mut Machine, sinks: &mut QuantumSinks) -> Result<Option<PathEnd>, ()> {
+    fn run(
+        &mut self,
+        m: &mut Machine,
+        sinks: &mut QuantumSinks,
+    ) -> Result<Option<PathStatus>, ()> {
         let Explorer { ddt, dut, env, solver, .. } = self;
         catch_unwind(AssertUnwindSafe(|| ddt.run_quantum(dut, m, env, solver, sinks)))
             .map_err(|_| ())

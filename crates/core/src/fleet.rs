@@ -274,7 +274,9 @@ where
             })?;
             continue;
         }
-        let outcome = explore_shard(&mut explorer, &analysis, &rec, shard, &mut st, &ctl, &mut output, &send, heartbeat)?;
+        let outcome = explore_shard(
+            &mut explorer, &analysis, &rec, shard, &mut st, &ctl, &mut output, &send, heartbeat,
+        )?;
         match outcome {
             ShardOutcome::Done(stats, bugs, coverage) => {
                 let mut bug_list: Vec<&Bug> = bugs.values().collect();
@@ -1228,7 +1230,8 @@ impl<'a> Supervisor<'a> {
         let Supervisor { ddt, dut, mut run, results, mut health_extra, budget_stop, .. } = self;
         for r in results.into_values() {
             run.stats.merge_add(&r.stats);
-            run.coverage.absorb(r.coverage.hits.iter().copied(), r.coverage.covered.iter().copied());
+            let coverage = &r.coverage;
+            run.coverage.absorb(coverage.hits.iter().copied(), coverage.covered.iter().copied());
             run.merge_bugs(r.bugs);
         }
         // Folded stats can sit under the budget even when the live

@@ -133,7 +133,9 @@ impl SharedFrontier {
     fn snapshot(&self) -> Vec<FrontierSnap> {
         match self {
             SharedFrontier::Fifo(q) => relock(q).iter().map(FrontierSnap::of).collect(),
-            SharedFrontier::Guided(f) => relock(f).as_slice().iter().map(FrontierSnap::of).collect(),
+            SharedFrontier::Guided(f) => {
+                relock(f).as_slice().iter().map(FrontierSnap::of).collect()
+            }
         }
     }
 }

@@ -305,7 +305,11 @@ fn numeric_flag(args: &[String], flag: &str, min: u64) -> Result<Option<u64>, St
 /// [`numeric_flag`] narrowed to a smaller integer type: a value that does
 /// not fit is out of range, never an `as`-cast truncation that silently
 /// configures something else.
-fn narrow_flag<T: TryFrom<u64>>(args: &[String], flag: &str, min: u64) -> Result<Option<T>, String> {
+fn narrow_flag<T: TryFrom<u64>>(
+    args: &[String],
+    flag: &str,
+    min: u64,
+) -> Result<Option<T>, String> {
     numeric_flag(args, flag, min)?
         .map(|n| T::try_from(n).map_err(|_| format!("bad {flag} value {n}: out of range")))
         .transpose()
@@ -1105,7 +1109,8 @@ mod tests {
         let mut health = ddt::RunHealth::default();
         assert!(incomplete_lines(&health).is_empty());
         health.wall_budget_exhausted = true;
-        assert_eq!(incomplete_lines(&health), ["campaign incomplete: wall-clock budget exhausted"]);
+        let lines = incomplete_lines(&health);
+        assert_eq!(lines, ["campaign incomplete: wall-clock budget exhausted"]);
         let ok = argv(&["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"]);
         check_flags(&ok).expect("known flags");
         let config = parse_config(&ok).expect("config parses");

@@ -664,7 +664,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// The serial explorer checks its budgets every quantum
-    /// (`Ddt::explore`); the fleet checks the same budgets every
+    /// (`RunState::over_budget`); the fleet checks the same budgets every
     /// supervision tick against the live estimate, so `ddt serve` stops
     /// where `ddt test` would instead of running unbounded.
     fn budget_exceeded(&self) -> Option<&'static str> {

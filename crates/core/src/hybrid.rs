@@ -363,6 +363,7 @@ fn symbolic_quanta(
 pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let analysis = ddt_isa::analysis::analyze(&dut.image);
     let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
+    // No prune set: the superset guarantee needs every fork (see above).
     run.prune = None;
     let mut explorer = Explorer::new(ddt, dut, &run.cache);
     let mut escalated: HashSet<u64> = HashSet::new();

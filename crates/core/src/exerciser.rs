@@ -58,7 +58,7 @@ use crate::checkpoint::{
     CampaignWriter,
     CheckpointPolicy,
 };
-use crate::explore::{Explorer, RunState, Start};
+use crate::explore::{Explorer, RunState, RunView, Start};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::hardware::DdtEnv;
 use crate::machine::{Frame, Machine, SymHost};
@@ -258,10 +258,15 @@ pub(crate) struct QuantumSinks<'a> {
     pub bugs: &'a mut HashMap<String, Bug>,
     /// Worklist capacity: forks beyond it are dropped.
     max_states: usize,
+    /// The run around a quantum whose worklist and bug map are its own (a
+    /// parallel worker's); `None` when they are the run's (a local loop).
+    run: Option<&'a RunView>,
     /// Every pc executed, in order (coverage accounting).
     pub exec_pcs: Vec<u32>,
     /// Keys first recorded during this quantum (journaled with the path).
     pub new_bug_keys: Vec<String>,
+    /// Sightings of keys the run already holds, one entry per sighting.
+    pub repeat_bug_keys: Vec<String>,
     /// Fork events `(parent, child, site)` from this quantum (journaled).
     pub fork_events: Vec<(u64, u64, SiteKind)>,
     /// `Some` puts the quantum in replay mode: no children are spawned, the
@@ -278,6 +283,7 @@ impl<'a> QuantumSinks<'a> {
         stats: &'a mut ExploreStats,
         bugs: &'a mut HashMap<String, Bug>,
         max_states: usize,
+        run: Option<&'a RunView>,
     ) -> QuantumSinks<'a> {
         QuantumSinks {
             worklist,
@@ -285,8 +291,10 @@ impl<'a> QuantumSinks<'a> {
             stats,
             bugs,
             max_states,
+            run,
             exec_pcs: Vec::with_capacity(QUANTUM as usize),
             new_bug_keys: Vec::new(),
+            repeat_bug_keys: Vec::new(),
             fork_events: Vec::new(),
             replay: None,
         }
@@ -306,10 +314,11 @@ impl<'a> QuantumSinks<'a> {
     }
 
     /// Fork admission, the one way a child enters the worklist. A full
-    /// worklist drops the fork (counted); otherwise `child` builds it under
-    /// the next id — returning `None` for an infeasible child, which uses
-    /// up no id — and the child logs its pick, is journaled as a fork of
-    /// `parent`, and is counted as a started path. Replay spawns nothing.
+    /// run drops the fork (counted); otherwise `child` builds it under the
+    /// next id — returning `None` for an infeasible child, which uses up no
+    /// id and no place — and the child logs its pick, is journaled as a
+    /// fork of `parent`, and is counted as a started path. Replay spawns
+    /// nothing.
     fn admit(
         &mut self,
         parent: u64,
@@ -320,16 +329,37 @@ impl<'a> QuantumSinks<'a> {
         if self.replaying() {
             return;
         }
-        if self.worklist.len() >= self.max_states {
+        if !self.reserve() {
             self.stats.states_dropped += 1;
             return;
         }
-        let Some(mut child) = child(*self.next_id) else { return };
+        let Some(mut child) = child(*self.next_id) else {
+            if let Some(run) = self.run {
+                run.live.fetch_sub(1, Ordering::AcqRel);
+            }
+            return;
+        };
         *self.next_id += 1;
         child.log_pick(kind, pick);
         self.fork_events.push((parent, child.id, kind));
         self.stats.paths_started += 1;
         self.worklist.push(child);
+    }
+
+    /// Takes a place for one more pending state under `max_states`. A
+    /// local loop's worklist is its whole frontier. A parallel quantum
+    /// counts the run's live states instead, one of which is the machine
+    /// it is running: the others may number at most `max_states`.
+    fn reserve(&self) -> bool {
+        match self.run {
+            None => self.worklist.len() < self.max_states,
+            Some(run) => run
+                .live
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                    (n <= self.max_states).then_some(n + 1)
+                })
+                .is_ok(),
+        }
     }
 }
 
@@ -650,7 +680,9 @@ impl Ddt {
     /// inputs + decision schedule, §3.5) and dedups it.
     ///
     /// Deduplication is two-level: the checker key collapses repeat
-    /// sightings within this run (counted via [`Bug::occurrences`]), and the
+    /// sightings within this run (counted via [`Bug::occurrences`]; a
+    /// parallel quantum hands a key the run already holds back as a repeat,
+    /// so only a key's first sighting builds a bug), and the
     /// trace signature (crash pc + frame stack + checker id + provenance
     /// roots, §3.6) identifies the bug across states and runs once
     /// persisted.
@@ -664,6 +696,10 @@ impl Ddt {
     ) {
         if let Some(existing) = sinks.bugs.get_mut(&pending.key) {
             existing.occurrences += 1;
+            return;
+        }
+        if sinks.run.is_some_and(|run| run.knows_bug(&pending.key)) {
+            sinks.repeat_bug_keys.push(pending.key);
             return;
         }
         let inputs = match pending.model.clone() {

@@ -18,9 +18,10 @@
 //!   [`RunState::into_report`] turns them into the [`Report`].
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use ddt_isa::analysis::CodeAnalysis;
 use ddt_kernel::loader::StackLayout;
@@ -51,8 +52,44 @@ pub(crate) struct Quantum {
     pub exec_pcs: Vec<u32>,
     /// Bug keys first recorded during the quantum.
     pub new_bug_keys: Vec<String>,
+    /// Sightings of keys the run already held (parallel quanta only; a
+    /// local loop counts them in the run's map as they happen).
+    pub repeat_bug_keys: Vec<String>,
     /// Fork events `(parent, child, site)`.
     pub fork_events: Vec<(u64, u64, SiteKind)>,
+}
+
+/// What a quantum with sinks of its own sees of the parallel run around
+/// it: the live states the state cap is checked against, and the bug keys
+/// the run already holds.
+pub(crate) struct RunView {
+    /// Machines alive anywhere in the run: pending in a frontier, running,
+    /// stolen in transit, or admitted by a running quantum. It drops when a
+    /// path ends or a fork is pruned, so zero means the run is over.
+    pub live: AtomicUsize,
+    /// Every key of the run's bug map. A key enters after its bug does.
+    known_bugs: RwLock<HashSet<String>>,
+}
+
+impl RunView {
+    /// The view of `run`, whose frontiers hold `pending` states in all.
+    pub(crate) fn new(run: &RunState, pending: usize) -> RunView {
+        RunView {
+            live: AtomicUsize::new(pending),
+            known_bugs: RwLock::new(run.bugs.keys().cloned().collect()),
+        }
+    }
+
+    /// True when the run's bug map holds `key`.
+    pub(crate) fn knows_bug(&self, key: &str) -> bool {
+        self.known_bugs.read().unwrap_or_else(PoisonError::into_inner).contains(key)
+    }
+
+    /// Records keys the run's bug map has just taken in.
+    pub(crate) fn learn_bugs(&self, keys: &[String]) {
+        let mut known = self.known_bugs.write().unwrap_or_else(PoisonError::into_inner);
+        known.extend(keys.iter().cloned());
+    }
 }
 
 /// One thread's exploration engine: the symbolic-hardware environment and
@@ -102,8 +139,10 @@ impl<'a> Explorer<'a> {
 
     /// Runs one scheduling quantum of `m`. Forks go to `worklist` under ids
     /// drawn from `next_id`; counters and bug sightings go to `stats` and
-    /// `bugs`. A panic — a harness bug, or one induced by the test hook —
-    /// costs this one path, counted in `stats.panics_caught`, not the run.
+    /// `bugs`. `run` is `None` when those are the run's own; a parallel
+    /// worker passes its run's view instead. A panic — a harness bug, or
+    /// one induced by the test hook — costs this one path, counted in
+    /// `stats.panics_caught`, not the run.
     pub(crate) fn quantum(
         &mut self,
         m: &mut Machine,
@@ -111,9 +150,10 @@ impl<'a> Explorer<'a> {
         next_id: &mut u64,
         stats: &mut ExploreStats,
         bugs: &mut HashMap<String, Bug>,
+        run: Option<&RunView>,
     ) -> Quantum {
         let max_states = self.ddt.config.max_states;
-        let mut sinks = QuantumSinks::new(worklist, next_id, stats, bugs, max_states);
+        let mut sinks = QuantumSinks::new(worklist, next_id, stats, bugs, max_states, run);
         let end = match self.run(m, &mut sinks) {
             Ok(end) => end,
             Err(()) => {
@@ -127,6 +167,7 @@ impl<'a> Explorer<'a> {
             end,
             exec_pcs: sinks.exec_pcs,
             new_bug_keys: sinks.new_bug_keys,
+            repeat_bug_keys: sinks.repeat_bug_keys,
             fork_events: sinks.fork_events,
         }
     }
@@ -174,6 +215,7 @@ impl<'a> Explorer<'a> {
                 &mut run.next_id,
                 &mut run.stats,
                 &mut run.bugs,
+                None,
             );
             run.settle(&q, &mut m, frontier.storage_mut(), first_child);
             if q.end.is_none() {
@@ -212,6 +254,7 @@ impl<'a> Explorer<'a> {
                 &mut scratch_stats,
                 &mut scratch_bugs,
                 max_states,
+                None,
             );
             sinks.replay = Some(&mut cursor);
             let end = self

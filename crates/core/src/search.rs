@@ -78,11 +78,6 @@ impl Strategy {
         }
     }
 
-    /// True for every strategy except the baseline.
-    pub fn is_guided(self) -> bool {
-        !matches!(self, Strategy::Fifo)
-    }
-
     /// Builds the runtime selector. `bug-directed` precomputes its
     /// distance-to-checker-site map from the CFG here, so call this before
     /// the analysis is consumed by [`Coverage::new`].
@@ -276,11 +271,6 @@ impl Frontier {
         &mut self.items
     }
 
-    /// The pending states, in push order.
-    pub fn into_items(self) -> Vec<Machine> {
-        self.items
-    }
-
     /// The active strategy's name.
     pub fn strategy_name(&self) -> &'static str {
         self.strategy.name()
@@ -364,8 +354,6 @@ mod tests {
         }
         assert_eq!(Strategy::parse("breadth-first"), None);
         assert_eq!(Strategy::default(), Strategy::Fifo);
-        assert!(!Strategy::Fifo.is_guided());
-        assert!(Strategy::RarestBranch.is_guided());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!          [--chaos-kill N] [--shard-factor N] [...shared test flags]
 //! ddt worker <driver.dxe | bundled-name> --worker-id N [...shared test flags]
 //! ddt replay --trace <bug-dir | manifest.json | trace.bin> [--driver PATH]
+//!            [--audio] [--lifecycle]
 //! ddt triage <store-dir>
 //! ddt asm <source.s> -o <driver.dxe>
 //! ddt disas <driver.dxe>
@@ -123,7 +124,8 @@ fn usage() -> ExitCode {
          ddt serve <driver.dxe|name> [--workers N] [--lease-timeout MS] \
          [--max-retries N] [--heartbeat-ms MS] [--status-file FILE] \
          [--chaos-kill N] [--shard-factor N] [...shared test flags]\n  \
-         ddt replay --trace <bug-dir|manifest.json|trace.bin> [--driver PATH]\n  \
+         ddt replay --trace <bug-dir|manifest.json|trace.bin> [--driver PATH] \
+         [--audio] [--lifecycle]\n  \
          ddt triage <store-dir>\n  \
          ddt asm <src.s> -o <out.dxe>\n  ddt disas <driver.dxe>\n  \
          ddt info <driver.dxe|name>\n  ddt export <name> -o <out.dxe>\n  ddt list"
@@ -382,8 +384,8 @@ fn parse_worker_opts(args: &[String]) -> Result<ddt::WorkerOpts, String> {
     })
 }
 
-/// The flags one campaign subcommand accepts after its target, on top of
-/// [`SHARED_FLAGS`].
+/// The flags one subcommand accepts after its positional arguments; a
+/// campaign subcommand also accepts [`SHARED_FLAGS`].
 struct FlagTable {
     /// Flags that stand alone.
     bare: &'static [&'static str],
@@ -446,41 +448,68 @@ const SERVE_FLAGS: FlagTable = FlagTable {
 const WORKER_FLAGS: FlagTable =
     FlagTable { bare: &["--prune", "--no-prune"], valued: &["--worker-id", "--heartbeat-ms"] };
 
-/// The flag table of a campaign subcommand; `None` for the others.
-fn flag_table(cmd: &str) -> Option<&'static FlagTable> {
+/// `asm` and `export` name their output file.
+const OUTPUT_FLAGS: FlagTable = FlagTable { bare: &[], valued: &["-o"] };
+
+/// `replay` names its artifact and may override the artifact's driver.
+const REPLAY_FLAGS: FlagTable =
+    FlagTable { bare: &["--audio", "--lifecycle"], valued: &["--trace", "--driver"] };
+
+/// `disas`, `info`, `triage` and `list` take no flags.
+const NO_FLAGS: FlagTable = FlagTable { bare: &[], valued: &[] };
+
+/// How a subcommand's arguments are checked: the number of positional
+/// arguments before its flags (its target, if it has one), its flag table,
+/// and whether it is a campaign subcommand, which takes [`SHARED_FLAGS`]
+/// as well. `None` for an unknown subcommand.
+fn syntax(cmd: &str) -> Option<(usize, &'static FlagTable, bool)> {
     match cmd {
-        "test" => Some(&TEST_FLAGS),
-        "fuzz" => Some(&FUZZ_FLAGS),
-        "serve" => Some(&SERVE_FLAGS),
-        "worker" => Some(&WORKER_FLAGS),
+        "test" => Some((1, &TEST_FLAGS, true)),
+        "fuzz" => Some((1, &FUZZ_FLAGS, true)),
+        "serve" => Some((1, &SERVE_FLAGS, true)),
+        "worker" => Some((1, &WORKER_FLAGS, true)),
+        "asm" | "export" => Some((1, &OUTPUT_FLAGS, false)),
+        "disas" | "info" | "triage" => Some((1, &NO_FLAGS, false)),
+        "replay" => Some((0, &REPLAY_FLAGS, false)),
+        "list" => Some((0, &NO_FLAGS, false)),
         _ => None,
     }
 }
 
-/// True when `table` or the shared table lists `flag` in the given column.
-fn knows(table: &FlagTable, flag: &str, valued: bool) -> bool {
-    let column = |t: &FlagTable| if valued { t.valued } else { t.bare };
-    column(table).contains(&flag) || column(&SHARED_FLAGS).contains(&flag)
+/// True when `table` lists `flag` in the given column.
+fn lists(table: &FlagTable, flag: &str, valued: bool) -> bool {
+    if valued { table.valued } else { table.bare }.contains(&flag)
 }
 
-/// Checks every argument after a campaign subcommand's target against its
-/// flag table: an unknown flag or a valued flag with no value is an error
-/// that names it.
+/// True when a campaign `table` or the shared table lists `flag` in the
+/// given column.
+fn knows(table: &FlagTable, flag: &str, valued: bool) -> bool {
+    lists(table, flag, valued) || lists(&SHARED_FLAGS, flag, valued)
+}
+
+/// Checks every argument after a subcommand's positional arguments
+/// against its flag table: an unknown flag, a valued flag with no value or
+/// an extra argument is an error that names it.
 fn check_flags(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map_or("", String::as_str);
-    let Some(table) = flag_table(cmd) else { return Ok(()) };
-    let mut i = 2; // args[0] is the subcommand, args[1] the target.
+    let Some((positional, table, campaign)) = syntax(cmd) else { return Ok(()) };
+    let known = |a: &str, valued| {
+        if campaign { knows(table, a, valued) } else { lists(table, a, valued) }
+    };
+    let mut i = 1 + positional; // args[0] is the subcommand.
     while i < args.len() {
         let a = args[i].as_str();
-        if knows(table, a, false) {
+        if known(a, false) {
             i += 1;
-        } else if knows(table, a, true) {
+        } else if known(a, true) {
             if i + 1 == args.len() {
                 return Err(format!("{a} needs a value"));
             }
             i += 2;
-        } else {
+        } else if a.starts_with('-') {
             return Err(format!("ddt {cmd}: unknown flag {a:?}"));
+        } else {
+            return Err(format!("ddt {cmd}: unexpected argument {a:?}"));
         }
     }
     Ok(())
@@ -1111,6 +1140,34 @@ mod tests {
         health.wall_budget_exhausted = true;
         let lines = incomplete_lines(&health);
         assert_eq!(lines, ["campaign incomplete: wall-clock budget exhausted"]);
+        // The other subcommands check their own flags, without the shared
+        // campaign flags, and take no extra arguments.
+        for (list, named) in [
+            (&["info", "pcnet", "--bogus"][..], "--bogus"),
+            (&["disas", "pcnet", "extra", "--faults"], "extra"),
+            (&["disas", "pcnet", "--faults"], "--faults"),
+            (&["list", "--x"], "--x"),
+            (&["list", "pcnet"], "pcnet"),
+            (&["triage", "store", "--bogus"], "--bogus"),
+            (&["asm", "a.s", "-o"], "-o"),
+            (&["export", "pcnet", "-o", "p.dxe", "--lifecycle"], "--lifecycle"),
+            (&["replay", "bug-dir"], "bug-dir"),
+            (&["replay", "--trace", "bug-dir", "--workers", "2"], "--workers"),
+        ] {
+            let err = check_flags(&argv(list)).unwrap_err();
+            assert!(err.contains(named), "{list:?}: {err}");
+        }
+        for list in [
+            &["asm", "a.s", "-o", "a.dxe"][..],
+            &["export", "pcnet", "-o", "p.dxe"],
+            &["replay", "--trace", "bug-dir", "--driver", "p.dxe", "--audio", "--lifecycle"],
+            &["disas", "pcnet"],
+            &["info", "pcnet"],
+            &["triage", "store"],
+            &["list"],
+        ] {
+            check_flags(&argv(list)).expect("known flags");
+        }
         let ok = argv(&["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"]);
         check_flags(&ok).expect("known flags");
         let config = parse_config(&ok).expect("config parses");

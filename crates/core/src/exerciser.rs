@@ -335,7 +335,7 @@ impl<'a> QuantumSinks<'a> {
         }
         let Some(mut child) = child(*self.next_id) else {
             if let Some(run) = self.run {
-                run.live.fetch_sub(1, Ordering::AcqRel);
+                run.release(1);
             }
             return;
         };
@@ -347,18 +347,12 @@ impl<'a> QuantumSinks<'a> {
     }
 
     /// Takes a place for one more pending state under `max_states`. A
-    /// local loop's worklist is its whole frontier. A parallel quantum
-    /// counts the run's live states instead, one of which is the machine
-    /// it is running: the others may number at most `max_states`.
+    /// local loop's worklist is its whole frontier; a parallel quantum
+    /// asks the run.
     fn reserve(&self) -> bool {
         match self.run {
             None => self.worklist.len() < self.max_states,
-            Some(run) => run
-                .live
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                    (n <= self.max_states).then_some(n + 1)
-                })
-                .is_ok(),
+            Some(run) => run.reserve(self.max_states),
         }
     }
 }

@@ -20,7 +20,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use ddt_isa::analysis::CodeAnalysis;
@@ -66,7 +66,7 @@ pub(crate) struct RunView {
     /// Machines alive anywhere in the run: pending in a frontier, running,
     /// stolen in transit, or admitted by a running quantum. It drops when a
     /// path ends or a fork is pruned, so zero means the run is over.
-    pub live: AtomicUsize,
+    live: AtomicUsize,
     /// Every key of the run's bug map. A key enters after its bug does.
     known_bugs: RwLock<HashSet<String>>,
 }
@@ -78,6 +78,28 @@ impl RunView {
             live: AtomicUsize::new(pending),
             known_bugs: RwLock::new(run.bugs.keys().cloned().collect()),
         }
+    }
+
+    /// Takes a place for one more pending state under `max_states`. The
+    /// count includes the caller's own running machine, so the others may
+    /// number at most `max_states`, the serial loop's rule.
+    pub(crate) fn reserve(&self, max_states: usize) -> bool {
+        self.live
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n <= max_states).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Removes `n` machines from the run (ended paths, pruned forks, an
+    /// infeasible fork's place) and returns how many are left.
+    pub(crate) fn release(&self, n: usize) -> usize {
+        self.live.fetch_sub(n, Ordering::SeqCst) - n
+    }
+
+    /// True when no machine is left anywhere: the run is over.
+    pub(crate) fn is_over(&self) -> bool {
+        self.live.load(Ordering::SeqCst) == 0
     }
 
     /// True when the run's bug map holds `key`.

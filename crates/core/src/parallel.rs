@@ -194,7 +194,7 @@ impl Pool {
         let mut idle = relock(&self.idle);
         self.blocked.fetch_add(1, Ordering::SeqCst);
         self.cut_ready.notify_one();
-        if self.view.live.load(Ordering::SeqCst) > 0 && self.all_empty() {
+        if !self.view.is_over() && self.all_empty() {
             idle = self.wake.wait(idle).unwrap_or_else(PoisonError::into_inner);
         }
         self.blocked.fetch_sub(1, Ordering::SeqCst);
@@ -329,7 +329,7 @@ pub(crate) fn explore_parallel(
                 if pool.steal(w) {
                     continue;
                 }
-                if pool.view.live.load(Ordering::SeqCst) == 0 {
+                if pool.view.is_over() {
                     break; // Quiescence: no machine anywhere.
                 }
                 pool.sleep();
@@ -369,7 +369,7 @@ pub(crate) fn explore_parallel(
                 // is the serial loop's frontier after its push, and peaks
                 // are measured as it measures them.
                 let gone = admitted - forks.len() + usize::from(q.end.is_some());
-                let live = pool.view.live.fetch_sub(gone, Ordering::SeqCst) - gone;
+                let live = pool.view.release(gone);
                 run.stats.peak_states = run.stats.peak_states.max(live + 1);
             }
             if let Some(c) = &campaign {

@@ -32,7 +32,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::convert::Infallible;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ddt_expr::Assignment;
 use ddt_expr::SymId;
@@ -383,6 +383,9 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let mut sched = Scheduler::new();
     let mut cache = BlockCache::new();
     let mut runner: Option<ConcreteRunner> = None;
+    // Summed at full resolution and stored once: a batch shorter than a
+    // millisecond would otherwise count as zero.
+    let mut fuzz_wall = Duration::ZERO;
 
     for _batch in 0..fz.batches {
         if run.coverage.elapsed_ms() > ddt.config.time_budget_ms {
@@ -455,10 +458,11 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
                 }
             }
         }
-        run.stats.fuzz_wall_ms += batch_start.elapsed().as_millis() as u64;
+        fuzz_wall += batch_start.elapsed();
         let max = fz.quanta_per_batch;
         symbolic_quanta(&mut explorer, &mut run, &mut frontier, &mut escalated, max);
     }
+    run.stats.fuzz_wall_ms = fuzz_wall.as_millis() as u64;
     if fz.drain_frontier {
         // The superset guarantee is structural: hold the escalated states
         // aside and finish the baseline (non-escalated) subtree first —
@@ -555,6 +559,28 @@ mod tests {
         assert_eq!(a.stats.fuzz_execs, b.stats.fuzz_execs);
         assert_eq!(a.stats.fuzz_insns, b.stats.fuzz_insns);
         assert_eq!(a.covered_blocks, b.covered_blocks);
+    }
+
+    #[test]
+    fn sub_millisecond_batches_still_count_toward_fuzz_wall_time() {
+        // pro100's 64-execution batches each finish in well under a
+        // millisecond, so truncating every batch to whole milliseconds
+        // recorded 0 ms for the whole run.
+        let spec = ddt_drivers::driver_by_name("pro100").expect("bundled");
+        let dut = DriverUnderTest::from_spec(&spec);
+        let ddt = Ddt::new(DdtConfig::default());
+        let fz = FuzzConfig {
+            seed: 201,
+            batches: 120,
+            batch_size: 64,
+            escalate: false,
+            quanta_per_batch: 0,
+            drain_frontier: false,
+            ..FuzzConfig::default()
+        };
+        let report = run_hybrid(&ddt, &dut, &fz);
+        assert_eq!(report.stats.fuzz_execs, 120 * 64);
+        assert!(report.stats.fuzz_wall_ms > 0, "{} insns in 0 ms", report.stats.fuzz_insns);
     }
 
     #[test]

@@ -146,15 +146,13 @@ fn main() {
     );
 
     let (interner_hits, interner_misses) = ddt_expr::intern_stats();
-    let str_v = |v: String| Value::Str(v);
-    let entry = Value::Map(vec![
-        ("rev".into(), str_v(cmd_line("git", &["rev-parse", "--short", "HEAD"]))),
-        ("date".into(), str_v(cmd_line("date", &["+%F"]))),
+    let mut fields = ddt_bench::rev_and_date();
+    fields.extend([
         ("deep_path_depth".into(), Value::U64(stream.len() as u64)),
         ("deep_path_plain_ms".into(), Value::F64(round3(plain_ms))),
         ("deep_path_optimized_ms".into(), Value::F64(round3(opt_ms))),
         ("deep_path_speedup".into(), Value::F64(round2(speedup))),
-        ("campaign_driver".into(), str_v("rtl8029".into())),
+        ("campaign_driver".into(), Value::Str("rtl8029".into())),
         ("campaign_baseline_ms".into(), Value::U64(campaign_off.stats.wall_ms)),
         ("campaign_optimized_ms".into(), Value::U64(campaign_on.stats.wall_ms)),
         ("campaign_sliced_queries".into(), Value::U64(campaign_on.stats.solver_sliced)),
@@ -162,26 +160,12 @@ fn main() {
         ("interner_misses".into(), Value::U64(interner_misses)),
     ]);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    let json = trajectory_with(std::fs::read_to_string(out).ok().as_deref(), entry);
+    let history = ddt_bench::trajectory_history(std::fs::read_to_string(out).ok().as_deref());
+    let json = ddt_bench::trajectory_with("solver", history, Value::Map(fields), &["rev", "date"]);
     match std::fs::write(out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
     }
-}
-
-/// Runs `cmd args...` and returns its first output line (trimmed), or
-/// `"unknown"` when unavailable — bench results must not depend on the
-/// environment cooperating.
-fn cmd_line(cmd: &str, args: &[&str]) -> String {
-    std::process::Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.lines().next().unwrap_or("").trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn round3(v: f64) -> f64 {
@@ -190,66 +174,4 @@ fn round3(v: f64) -> f64 {
 
 fn round2(v: f64) -> f64 {
     (v * 1e2).round() / 1e2
-}
-
-/// The workspace's offline `serde` stand-in has no blanket impls for its
-/// [`Value`] model; this wrapper moves a raw tree through `from_str` /
-/// `to_string_pretty` unchanged.
-struct Raw(Value);
-
-impl serde::Deserialize for Raw {
-    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        Ok(Raw(v.clone()))
-    }
-}
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-/// Map-field lookup on a raw value tree.
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    v.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Builds the trajectory document: `summary` mirrors the newest entry and
-/// `history` accumulates one entry per (rev, date), newest last. A
-/// pre-trajectory scalar file (the old single-point format) is migrated as
-/// the oldest history entry; re-running on the same rev+date replaces that
-/// entry instead of duplicating it.
-fn trajectory_with(existing: Option<&str>, entry: Value) -> String {
-    let mut history: Vec<Value> = Vec::new();
-    if let Some(Raw(prev)) = existing.and_then(|s| serde_json::from_str::<Raw>(s).ok()) {
-        match field(&prev, "history").and_then(Value::as_list) {
-            Some(entries) => history = entries.to_vec(),
-            // Old scalar format: keep the measurement as the first point.
-            None => {
-                if let Value::Map(mut fields) = prev {
-                    fields.retain(|(k, _)| k != "bench");
-                    if !fields.iter().any(|(k, _)| k == "rev") {
-                        fields.insert(0, ("rev".into(), Value::Str("pre-trajectory".into())));
-                    }
-                    if !fields.iter().any(|(k, _)| k == "date") {
-                        fields.insert(1, ("date".into(), Value::Str("unknown".into())));
-                    }
-                    history.push(Value::Map(fields));
-                }
-            }
-        }
-    }
-    history.retain(|e| {
-        !(field(e, "rev") == field(&entry, "rev") && field(e, "date") == field(&entry, "date"))
-    });
-    history.push(entry.clone());
-    let doc = Value::Map(vec![
-        ("bench".into(), Value::Str("solver".into())),
-        ("format".into(), Value::Str("trajectory-v1".into())),
-        ("summary".into(), entry),
-        ("history".into(), Value::List(history)),
-    ]);
-    let mut s = serde_json::to_string_pretty(&Raw(doc)).expect("trajectory serializes");
-    s.push('\n');
-    s
 }

@@ -6,231 +6,238 @@
 //! second of the full engine vs concrete instructions per second of the
 //! fuzz loop (scheduling, mutation, snapshot-reset, and kernel dispatch
 //! included — this is the *usable* executor rate, not a dispatch
-//! microbenchmark).
+//! microbenchmark). Both engines are timed with `Instant` in nanoseconds,
+//! and each driver's fuzz-only run is sized to take about 100 ms.
 //!
-//! Acceptance gates:
-//! 1. The concrete executor sustains at least 50x the symbolic
-//!    instruction rate on every bundled NIC driver.
-//! 2. Hybrid reaches its first bug no later (in scheduling quanta) than
+//! Every run appends an entry to the `BENCH_concrete.json` trajectory at
+//! the repo root (`format: trajectory-v1`, one slot per rev, date and
+//! mode). Gates, against the newest earlier entry of the same mode:
+//! 1. concrete insns/s on each driver drops no more than 25% below it;
+//! 2. every count column equals it (both engines are deterministic, so a
+//!    moved count is a change of behaviour, not noise).
+//!
+//! And on every run:
+//! 3. fuzzing covers blocks, and both engines find bugs;
+//! 4. hybrid reaches its first bug no later (in scheduling quanta) than
 //!    the symbolic-only run: the canned corpus finds a concrete bug
 //!    during the first fuzz batch, before the first symbolic quantum.
 //!
-//! `--smoke` runs the pcnet subset for CI and still writes the JSON.
+//! `--smoke` runs the pcnet subset for CI.
 
+use std::time::Instant;
+
+use ddt_bench::field;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest, FuzzConfig};
-use serde::Deserialize;
+use serde::Value;
 
-// Mirror of the emitted JSON, deserialized back as the well-formedness
-// check (the vendored serde has no free-form `Value` parser).
-#[derive(Deserialize)]
-#[allow(dead_code)]
-struct BenchFile {
-    bench: String,
-    smoke: bool,
-    min_speedup_gate: u64,
-    drivers: Vec<BenchDriver>,
+/// Largest drop of concrete insns/s below the previous entry that passes.
+const MAX_RATE_DROP: f64 = 0.25;
+
+/// The columns that must not move between entries of the same mode.
+const COUNT_COLUMNS: [&str; 8] = [
+    "symbolic_insns",
+    "symbolic_bugs",
+    "symbolic_first_bug_quanta",
+    "concrete_execs",
+    "concrete_insns",
+    "concrete_blocks",
+    "concrete_bugs",
+    "hybrid_first_bug_quanta",
+];
+
+/// Fuzz-only batches of 100 executions: an execution takes 25–35 µs on
+/// each NIC driver (2-vCPU host), so a run takes about 100 ms.
+const FUZZ_BATCHES: u64 = 40;
+
+/// Instructions per second over a nanosecond wall time.
+fn rate(insns: u64, wall_ns: u64) -> u64 {
+    (insns as u128 * 1_000_000_000 / wall_ns.max(1) as u128) as u64
 }
 
-#[derive(Deserialize)]
-#[allow(dead_code)]
-struct BenchDriver {
-    driver: String,
-    symbolic_insns: u64,
-    symbolic_wall_ms: u64,
-    symbolic_insns_per_sec: u64,
-    symbolic_bugs: u64,
-    symbolic_first_bug_quanta: u64,
-    concrete_execs: u64,
-    concrete_insns: u64,
-    concrete_wall_ms: u64,
-    concrete_insns_per_sec: u64,
-    concrete_blocks: u64,
-    concrete_bugs: u64,
-    speedup: u64,
-    hybrid_first_bug_quanta: u64,
-}
-
-struct Row {
-    driver: &'static str,
-    sym_insns: u64,
-    sym_wall_ms: u64,
-    sym_rate: u64,
-    sym_bugs: u64,
-    sym_first_bug: u64,
-    conc_execs: u64,
-    conc_insns: u64,
-    conc_wall_ms: u64,
-    conc_rate: u64,
-    conc_blocks: u64,
-    conc_bugs: u64,
-    speedup: u64,
-    hybrid_first_bug: u64,
-}
-
-/// Instructions per second with millisecond walls clamped to 1 (the fuzz
-/// phase of a small driver finishes in single-digit milliseconds).
-fn rate(insns: u64, wall_ms: u64) -> u64 {
-    insns * 1000 / wall_ms.max(1)
-}
-
-fn bench_driver(name: &'static str) -> Row {
+fn bench_driver(name: &'static str) -> Vec<(String, Value)> {
     let spec = ddt_drivers::driver_by_name(name).expect("bundled driver");
     let dut = DriverUnderTest::from_spec(&spec);
     let tool = Ddt::new(DdtConfig::default());
 
+    let start = Instant::now();
     let sym = tool.test(&dut);
+    let sym_ns = start.elapsed().as_nanos() as u64;
 
-    // Pure fuzzing: no escalation, no symbolic quanta, no drain. Enough
-    // volume that the per-run wall is tens of milliseconds.
+    // Pure fuzzing: no escalation, no symbolic quanta, no drain.
     let fuzz_only = FuzzConfig {
-        batches: 10,
+        batches: FUZZ_BATCHES,
         batch_size: 100,
         escalate: false,
         quanta_per_batch: 0,
         drain_frontier: false,
         ..FuzzConfig::default()
     };
+    let start = Instant::now();
     let conc = ddt_core::run_hybrid(&tool, &dut, &fuzz_only);
+    let conc_ns = start.elapsed().as_nanos() as u64;
 
     // The full pipeline, for time-to-first-bug: the canned seeds find a
     // concrete bug before the first symbolic quantum runs.
     let hybrid = ddt_core::run_hybrid(&tool, &dut, &FuzzConfig::default());
 
-    let sym_rate = rate(sym.stats.insns, sym.stats.wall_ms);
-    let conc_rate = rate(conc.stats.fuzz_insns, conc.stats.fuzz_wall_ms);
-    Row {
-        driver: name,
-        sym_insns: sym.stats.insns,
-        sym_wall_ms: sym.stats.wall_ms,
-        sym_rate,
-        sym_bugs: sym.bugs.len() as u64,
-        sym_first_bug: sym.stats.quanta_to_first_bug,
-        conc_execs: conc.stats.fuzz_execs,
-        conc_insns: conc.stats.fuzz_insns,
-        conc_wall_ms: conc.stats.fuzz_wall_ms,
-        conc_rate,
-        conc_blocks: conc.stats.concrete_blocks,
-        conc_bugs: conc.stats.concrete_bugs,
-        speedup: conc_rate / sym_rate.max(1),
-        hybrid_first_bug: hybrid.stats.quanta_to_first_bug,
+    let sym_rate = rate(sym.stats.insns, sym_ns);
+    let conc_rate = rate(conc.stats.fuzz_insns, conc_ns);
+    let speedup = (conc_rate as f64 / sym_rate.max(1) as f64 * 100.0).round() / 100.0;
+    let u = Value::U64;
+    vec![
+        ("driver".into(), Value::Str(name.into())),
+        ("symbolic_insns".into(), u(sym.stats.insns)),
+        ("symbolic_wall_ns".into(), u(sym_ns)),
+        ("symbolic_insns_per_sec".into(), u(sym_rate)),
+        ("symbolic_bugs".into(), u(sym.bugs.len() as u64)),
+        ("symbolic_first_bug_quanta".into(), u(sym.stats.quanta_to_first_bug)),
+        ("concrete_execs".into(), u(conc.stats.fuzz_execs)),
+        ("concrete_insns".into(), u(conc.stats.fuzz_insns)),
+        ("concrete_wall_ns".into(), u(conc_ns)),
+        ("concrete_insns_per_sec".into(), u(conc_rate)),
+        ("concrete_blocks".into(), u(conc.stats.concrete_blocks)),
+        ("concrete_bugs".into(), u(conc.stats.concrete_bugs)),
+        ("speedup".into(), Value::F64(speedup)),
+        ("hybrid_first_bug_quanta".into(), u(hybrid.stats.quanta_to_first_bug)),
+    ]
+}
+
+fn num(row: &Value, key: &str) -> u64 {
+    field(row, key).and_then(Value::as_u64).unwrap_or_else(|| panic!("missing column {key}"))
+}
+
+/// Checks one driver's row against the same driver's row of the previous
+/// entry; returns the failures.
+fn compare(row: &Value, prev: &Value) -> Vec<String> {
+    let driver = field(row, "driver").and_then(Value::as_str).unwrap_or("?");
+    let mut failures = Vec::new();
+    let (now, before) = (num(row, "concrete_insns_per_sec"), num(prev, "concrete_insns_per_sec"));
+    if (now as f64) < before as f64 * (1.0 - MAX_RATE_DROP) {
+        failures.push(format!(
+            "{driver}: concrete rate {now} insns/s is more than {:.0}% below the previous {before}",
+            MAX_RATE_DROP * 100.0
+        ));
     }
+    for key in COUNT_COLUMNS {
+        let (now, before) = (num(row, key), num(prev, key));
+        if now != before {
+            failures.push(format!("{driver}: {key} is {now}, the previous entry has {before}"));
+        }
+    }
+    failures
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    const GATE: u64 = 50;
     let drivers: &[&'static str] =
         if smoke { &["pcnet"] } else { &["pro1000", "pcnet", "rtl8029"] };
 
     println!("Concrete executor vs symbolic engine (bundled NIC drivers)");
     println!();
     println!(
-        "  {:<10} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
-        "Driver", "Sym insn/s", "Conc insn/s", "Speedup", "Conc execs", "Conc blocks", "1st(sym)", "1st(hyb)"
+        "  {:<10} {:>12} {:>12} {:>9} {:>12} {:>10} {:>12} {:>9} {:>8}",
+        "Driver", "Sym insn/s", "Conc insn/s", "Speedup", "Conc execs", "Conc ms", "Conc blocks",
+        "1st(sym)", "1st(hyb)"
     );
     let mut rows = Vec::new();
     for &name in drivers {
-        let r = bench_driver(name);
+        let row = Value::Map(bench_driver(name));
         println!(
-            "  {:<10} {:>12} {:>12} {:>8}x {:>12} {:>12} {:>9} {:>8}",
-            r.driver,
-            r.sym_rate,
-            r.conc_rate,
-            r.speedup,
-            r.conc_execs,
-            r.conc_blocks,
-            r.sym_first_bug,
-            r.hybrid_first_bug
+            "  {:<10} {:>12} {:>12} {:>8.1}x {:>12} {:>10.1} {:>12} {:>9} {:>8}",
+            name,
+            num(&row, "symbolic_insns_per_sec"),
+            num(&row, "concrete_insns_per_sec"),
+            field(&row, "speedup").and_then(Value::as_f64).unwrap_or(0.0),
+            num(&row, "concrete_execs"),
+            num(&row, "concrete_wall_ns") as f64 / 1e6,
+            num(&row, "concrete_blocks"),
+            num(&row, "symbolic_first_bug_quanta"),
+            num(&row, "hybrid_first_bug_quanta"),
         );
-        rows.push(r);
+        rows.push(row);
     }
     println!();
 
-    for r in &rows {
-        assert!(
-            r.speedup >= GATE,
-            "{}: concrete executor only {}x the symbolic rate (gate {}x): \
-             {} insns/{} ms vs {} insns/{} ms",
-            r.driver,
-            r.speedup,
-            GATE,
-            r.conc_insns,
-            r.conc_wall_ms,
-            r.sym_insns,
-            r.sym_wall_ms
-        );
-        assert!(r.conc_blocks > 0, "{}: fuzzing covered no blocks", r.driver);
+    for row in &rows {
+        let driver = field(row, "driver").and_then(Value::as_str).unwrap_or("?");
+        assert!(num(row, "concrete_blocks") > 0, "{driver}: fuzzing covered no blocks");
         // Every bundled NIC driver has Table 2 bugs, and the canned corpus
         // reaches at least one of them concretely — so the hybrid pipeline
         // reports first blood no later than the symbolic engine.
-        assert!(r.sym_bugs > 0 && r.conc_bugs > 0, "{}: no bugs found", r.driver);
         assert!(
-            r.hybrid_first_bug <= r.sym_first_bug,
-            "{}: hybrid first bug at quantum {} vs symbolic {}",
-            r.driver,
-            r.hybrid_first_bug,
-            r.sym_first_bug
+            num(row, "symbolic_bugs") > 0 && num(row, "concrete_bugs") > 0,
+            "{driver}: no bugs found"
+        );
+        let (hybrid, symbolic) =
+            (num(row, "hybrid_first_bug_quanta"), num(row, "symbolic_first_bug_quanta"));
+        assert!(
+            hybrid <= symbolic,
+            "{driver}: hybrid first bug at quantum {hybrid} vs symbolic {symbolic}"
         );
     }
-    println!("  gate: all drivers >= {GATE}x and hybrid first-bug <= symbolic first-bug");
+
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concrete.json");
+    let history = ddt_bench::trajectory_history(std::fs::read_to_string(out).ok().as_deref());
+    let previous = history
+        .iter()
+        .rev()
+        .find(|e| field(e, "smoke").and_then(Value::as_bool) == Some(smoke));
+    let mut failures = Vec::new();
+    match previous {
+        Some(prev) => {
+            let prev_rows = field(prev, "drivers").and_then(Value::as_list).unwrap_or(&[]);
+            for row in &rows {
+                let driver = field(row, "driver");
+                if let Some(p) = prev_rows.iter().find(|p| field(p, "driver") == driver) {
+                    failures.extend(compare(row, p));
+                }
+            }
+            println!(
+                "  gate: concrete insns/s within {:.0}% of, and counts equal to, rev {} ({})",
+                MAX_RATE_DROP * 100.0,
+                field(prev, "rev").and_then(Value::as_str).unwrap_or("?"),
+                field(prev, "date").and_then(Value::as_str).unwrap_or("?"),
+            );
+        }
+        None => println!("  gate: first entry of this mode, nothing to compare against"),
+    }
     println!();
 
-    let driver_blobs: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"driver\": \"{}\",\n",
-                    "      \"symbolic_insns\": {},\n",
-                    "      \"symbolic_wall_ms\": {},\n",
-                    "      \"symbolic_insns_per_sec\": {},\n",
-                    "      \"symbolic_bugs\": {},\n",
-                    "      \"symbolic_first_bug_quanta\": {},\n",
-                    "      \"concrete_execs\": {},\n",
-                    "      \"concrete_insns\": {},\n",
-                    "      \"concrete_wall_ms\": {},\n",
-                    "      \"concrete_insns_per_sec\": {},\n",
-                    "      \"concrete_blocks\": {},\n",
-                    "      \"concrete_bugs\": {},\n",
-                    "      \"speedup\": {},\n",
-                    "      \"hybrid_first_bug_quanta\": {}\n",
-                    "    }}"
-                ),
-                r.driver,
-                r.sym_insns,
-                r.sym_wall_ms,
-                r.sym_rate,
-                r.sym_bugs,
-                r.sym_first_bug,
-                r.conc_execs,
-                r.conc_insns,
-                r.conc_wall_ms,
-                r.conc_rate,
-                r.conc_blocks,
-                r.conc_bugs,
-                r.speedup,
-                r.hybrid_first_bug
-            )
-        })
-        .collect();
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"concrete\",\n  \"smoke\": {},\n",
-            "  \"min_speedup_gate\": {},\n  \"drivers\": [\n{}\n  ]\n}}\n"
-        ),
-        smoke,
-        GATE,
-        driver_blobs.join(",\n")
-    );
-    // Well-formedness check before writing: the CI job parses this file.
-    let parsed: BenchFile = serde_json::from_str(&json).expect("bench JSON is well-formed");
-    assert_eq!(parsed.bench, "concrete");
-    assert_eq!(parsed.drivers.len(), drivers.len());
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concrete.json");
+    let mut entry = ddt_bench::rev_and_date();
+    entry.push(("smoke".into(), Value::Bool(smoke)));
+    entry.push(("drivers".into(), Value::List(rows)));
+    let json =
+        ddt_bench::trajectory_with("concrete", history, Value::Map(entry), &["rev", "date", "smoke"]);
+    // A failed gate leaves the trajectory as it was, so the entry it was
+    // measured against stays the newest.
+    assert!(failures.is_empty(), "concrete bench gate failed:\n  {}", failures.join("\n  "));
     match std::fs::write(out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(rate: u64, blocks: u64) -> Value {
+        let mut fields: Vec<(String, Value)> =
+            COUNT_COLUMNS.iter().map(|&k| (k.to_string(), Value::U64(1))).collect();
+        fields.push(("driver".into(), Value::Str("pcnet".into())));
+        fields.push(("concrete_insns_per_sec".into(), Value::U64(rate)));
+        fields.retain(|(k, _)| k != "concrete_blocks");
+        fields.push(("concrete_blocks".into(), Value::U64(blocks)));
+        Value::Map(fields)
+    }
+
+    #[test]
+    fn gate_allows_a_quarter_drop_and_no_count_change() {
+        let prev = row(4_000_000, 53);
+        assert!(compare(&row(3_000_000, 53), &prev).is_empty());
+        assert!(compare(&row(9_000_000, 53), &prev).is_empty());
+        assert_eq!(compare(&row(2_999_999, 53), &prev).len(), 1);
+        let moved = compare(&row(4_000_000, 54), &prev);
+        assert_eq!(moved, vec!["pcnet: concrete_blocks is 54, the previous entry has 53"]);
     }
 }

@@ -206,8 +206,8 @@ fn main() {
     let mut entry = ddt_bench::rev_and_date();
     entry.push(("smoke".into(), Value::Bool(smoke)));
     entry.push(("drivers".into(), Value::List(rows)));
-    let json =
-        ddt_bench::trajectory_with("concrete", history, Value::Map(entry), &["rev", "date", "smoke"]);
+    let slot = ["rev", "date", "smoke"];
+    let json = ddt_bench::trajectory_with("concrete", history, Value::Map(entry), &slot);
     // A failed gate leaves the trajectory as it was, so the entry it was
     // measured against stays the newest.
     assert!(failures.is_empty(), "concrete bench gate failed:\n  {}", failures.join("\n  "));

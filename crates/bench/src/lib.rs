@@ -96,7 +96,12 @@ pub fn trajectory_history(existing: Option<&str>) -> Vec<Value> {
 /// point and `summary` mirrors it. An older entry that agrees with `entry`
 /// on every `slot` field (say rev and date) is replaced instead of kept
 /// twice.
-pub fn trajectory_with(bench: &str, mut history: Vec<Value>, entry: Value, slot: &[&str]) -> String {
+pub fn trajectory_with(
+    bench: &str,
+    mut history: Vec<Value>,
+    entry: Value,
+    slot: &[&str],
+) -> String {
     history.retain(|e| !slot.iter().all(|k| field(e, k) == field(&entry, k)));
     history.push(entry.clone());
     let doc = Value::Map(vec![
@@ -129,9 +134,12 @@ mod tests {
                 ("v".into(), Value::U64(v)),
             ])
         };
-        let doc = trajectory_with("t", Vec::new(), point("a", true, 1), &["rev", "smoke"]);
-        let doc = trajectory_with("t", trajectory_history(Some(&doc)), point("a", false, 2), &["rev", "smoke"]);
-        let doc = trajectory_with("t", trajectory_history(Some(&doc)), point("a", true, 3), &["rev", "smoke"]);
+        let slot = ["rev", "smoke"];
+        let mut doc = String::new();
+        for (smoke, v) in [(true, 1), (false, 2), (true, 3)] {
+            let history = trajectory_history(Some(&doc));
+            doc = trajectory_with("t", history, point("a", smoke, v), &slot);
+        }
         let history = trajectory_history(Some(&doc));
         assert_eq!(history, vec![point("a", false, 2), point("a", true, 3)]);
         let Raw(parsed) = serde_json::from_str(&doc).expect("well-formed");

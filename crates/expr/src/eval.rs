@@ -4,17 +4,19 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::node::{Expr, ExprNode};
+use crate::node::{BuildSymIdHasher, Expr, ExprNode};
 use crate::{fold_bin, fold_cmp, mask, sext, SymId};
 
 /// A concrete assignment of values to symbolic variables.
 ///
 /// Produced by the solver as a model of a satisfiable path condition and
 /// consumed by the replay engine (concrete values for hardware reads,
-/// registry parameters, entry-point arguments).
+/// registry parameters, entry-point arguments). Every evaluation looks
+/// symbols up here, so the map hashes with [`crate::SymIdHasher`]; the
+/// serialized form lists the pairs sorted by symbol whatever the hasher.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
-    values: HashMap<SymId, u64>,
+    values: HashMap<SymId, u64, BuildSymIdHasher>,
 }
 
 impl Assignment {

@@ -39,10 +39,14 @@ pub use node::{
     fold_bin, //
     fold_cmp,
     BinOp,
+    BuildExprHasher,
+    BuildSymIdHasher,
     CmpOp,
     Expr,
+    ExprHasher,
     ExprNode,
     SymId,
+    SymIdHasher,
 };
 pub use visit::{collect_syms, subst, sym_route};
 

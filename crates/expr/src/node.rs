@@ -1,6 +1,7 @@
 //! Expression node definitions and simplifying smart constructors.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -22,6 +23,72 @@ impl fmt::Display for SymId {
         write!(f, "s{}", self.0)
     }
 }
+
+/// Hashes a [`SymId`] with one multiplication instead of SipHash.
+///
+/// Symbol ids are small dense integers, so the Fibonacci multiplier
+/// spreads them over both the low bits (the bucket) and the high bits (the
+/// tag) of a `HashMap`'s hash. Other input is folded the same way, one word
+/// at a time.
+#[derive(Clone, Copy, Default)]
+pub struct SymIdHasher(u64);
+
+impl Hasher for SymIdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` for maps and sets keyed by [`SymId`].
+pub type BuildSymIdHasher = BuildHasherDefault<SymIdHasher>;
+
+/// Passes an [`Expr`]'s precomputed structural hash through unchanged.
+///
+/// That hash is already a SipHash digest (computed once, at intern time),
+/// so hashing it again would only repeat the work. A key that writes more
+/// than one word, or bytes, is folded with FNV-1a.
+#[derive(Clone, Copy, Default)]
+pub struct ExprHasher(u64);
+
+impl Hasher for ExprHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = if self.0 == 0 { n } else { (self.0 ^ n).wrapping_mul(0x0100_0000_01b3) };
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `BuildHasher` for maps and sets keyed by [`Expr`].
+pub type BuildExprHasher = BuildHasherDefault<ExprHasher>;
 
 /// Binary bitvector operators (operands and result share a width).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

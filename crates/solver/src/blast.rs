@@ -1,13 +1,22 @@
 //! Tseitin bit-blasting of bitvector expressions to CNF.
 //!
-//! Each [`Expr`] is lowered to a vector of SAT literals, least-significant
+//! Each [`Expr`] is lowered to a run of SAT literals, least-significant
 //! bit first. Gate outputs are fresh variables constrained by Tseitin
 //! clauses. Lowered expressions are cached so shared subtrees blast once.
+//!
+//! Every lowered literal lives in one pool, and a node's lowering is a
+//! [`Bits`] span of it, so no node allocates or clones a vector of its
+//! own. The node cache is keyed with [`BuildExprHasher`], which reuses an
+//! `Expr`'s precomputed hash. [`Blaster::reset`] empties the pool and both
+//! maps but keeps their memory for the next instance.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ddt_expr::{
     BinOp, //
+    BuildExprHasher,
+    BuildSymIdHasher,
     CmpOp,
     Expr,
     ExprNode,
@@ -16,22 +25,63 @@ use ddt_expr::{
 
 use crate::sat::{Lit, SatSolver};
 
+/// A lowered bitvector: `len` literals of the pool starting at `start`,
+/// least-significant bit first. The pool only grows within an instance,
+/// so a span stays valid until [`Blaster::reset`].
+#[derive(Clone, Copy, Debug)]
+struct Bits {
+    start: u32,
+    len: u32,
+}
+
+impl Bits {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// The pool index of bit `i`.
+    fn at(self, i: usize) -> usize {
+        self.start as usize + i
+    }
+}
+
 /// Bit-blasting context over a [`SatSolver`].
 pub struct Blaster {
     /// The literal that is constantly true (unit-clause-asserted variable).
     true_lit: Lit,
+    /// Every lowered literal; each [`Bits`] names a run of it.
+    pool: Vec<Lit>,
     /// Bits allocated per symbolic variable.
-    sym_bits: HashMap<SymId, Vec<Lit>>,
+    sym_bits: HashMap<SymId, Bits, BuildSymIdHasher>,
     /// Structural cache of lowered expressions.
-    cache: HashMap<Expr, Vec<Lit>>,
+    cache: HashMap<Expr, Bits, BuildExprHasher>,
 }
 
 impl Blaster {
     /// Creates a blaster, allocating the constant-true variable in `sat`.
     pub fn new(sat: &mut SatSolver) -> Blaster {
-        let t = sat.new_var();
-        sat.add_clause(&[Lit::pos(t)]);
-        Blaster { true_lit: Lit::pos(t), sym_bits: HashMap::new(), cache: HashMap::new() }
+        Blaster {
+            true_lit: Self::assert_constant_true(sat),
+            pool: Vec::new(),
+            sym_bits: HashMap::default(),
+            cache: HashMap::default(),
+        }
+    }
+
+    /// Resets `sat` and this blaster to the state of a fresh
+    /// `SatSolver::new()` and `Blaster::new`, keeping all of their memory.
+    pub fn reset(&mut self, sat: &mut SatSolver) {
+        sat.reset();
+        self.pool.clear();
+        self.sym_bits.clear();
+        self.cache.clear();
+        self.true_lit = Self::assert_constant_true(sat);
+    }
+
+    fn assert_constant_true(sat: &mut SatSolver) -> Lit {
+        let t = Lit::pos(sat.new_var());
+        sat.add_clause(&[t]);
+        t
     }
 
     /// The constant-true literal.
@@ -52,23 +102,42 @@ impl Blaster {
         }
     }
 
-    /// Returns (allocating on first use) the bit literals of symbol `id`.
-    pub fn sym_lits(&mut self, sat: &mut SatSolver, id: SymId, width: u32) -> Vec<Lit> {
-        if let Some(bits) = self.sym_bits.get(&id) {
-            assert_eq!(bits.len(), width as usize, "symbol {id} used at two widths");
-            return bits.clone();
+    /// Bit `i` of `b`.
+    fn lit(&self, b: Bits, i: usize) -> Lit {
+        self.pool[b.at(i)]
+    }
+
+    /// The span of everything pushed to the pool since it held `start`
+    /// literals.
+    fn since(&self, start: usize) -> Bits {
+        Bits { start: start as u32, len: (self.pool.len() - start) as u32 }
+    }
+
+    /// Returns (allocating on first use) the bits of symbol `id`.
+    fn sym_bits_of(&mut self, sat: &mut SatSolver, id: SymId, width: u32) -> Bits {
+        if let Some(&bits) = self.sym_bits.get(&id) {
+            assert_eq!(bits.len, width, "symbol {id} used at two widths");
+            return bits;
         }
-        let bits: Vec<Lit> = (0..width).map(|_| Lit::pos(sat.new_var())).collect();
-        self.sym_bits.insert(id, bits.clone());
+        let bits = self.fresh_bits(sat, width);
+        self.sym_bits.insert(id, bits);
         bits
+    }
+
+    fn fresh_bits(&mut self, sat: &mut SatSolver, width: u32) -> Bits {
+        let start = self.pool.len();
+        for _ in 0..width {
+            self.pool.push(Lit::pos(sat.new_var()));
+        }
+        self.since(start)
     }
 
     /// Returns the model value of symbol `id` after a Sat outcome, or `None`
     /// if the symbol never appeared in any blasted constraint.
     pub fn sym_model(&self, sat: &SatSolver, id: SymId) -> Option<u64> {
-        let bits = self.sym_bits.get(&id)?;
+        let bits = *self.sym_bits.get(&id)?;
         let mut v = 0u64;
-        for (i, l) in bits.iter().enumerate() {
+        for (i, l) in self.pool[bits.range()].iter().enumerate() {
             let bit = sat.value(l.var()).unwrap_or(false);
             if bit == l.is_pos() {
                 v |= 1 << i;
@@ -77,107 +146,143 @@ impl Blaster {
         Some(v)
     }
 
-    /// Iterates over symbols that have been blasted.
-    pub fn blasted_syms(&self) -> impl Iterator<Item = SymId> + '_ {
-        self.sym_bits.keys().copied()
-    }
-
     /// Asserts that the 1-bit expression `e` is true.
     pub fn assert_true(&mut self, sat: &mut SatSolver, e: &Expr) {
         assert_eq!(e.width(), 1, "can only assert booleans");
-        let bits = self.blast(sat, e);
-        sat.add_clause(&[bits[0]]);
+        let bits = self.lower(sat, e);
+        sat.add_clause(&[self.lit(bits, 0)]);
     }
 
-    /// Lowers `e` to a literal vector (LSB first), with caching.
-    pub fn blast(&mut self, sat: &mut SatSolver, e: &Expr) -> Vec<Lit> {
-        if let Some(bits) = self.cache.get(e) {
-            return bits.clone();
+    /// Lowers `e` to its literals (LSB first), with caching.
+    pub fn blast(&mut self, sat: &mut SatSolver, e: &Expr) -> &[Lit] {
+        let bits = self.lower(sat, e);
+        &self.pool[bits.range()]
+    }
+
+    fn lower(&mut self, sat: &mut SatSolver, e: &Expr) -> Bits {
+        if let Some(&bits) = self.cache.get(e) {
+            return bits;
         }
-        let bits = self.blast_uncached(sat, e);
-        debug_assert_eq!(bits.len(), e.width() as usize);
-        self.cache.insert(e.clone(), bits.clone());
+        let bits = self.lower_uncached(sat, e);
+        debug_assert_eq!(bits.len, e.width());
+        self.cache.insert(e.clone(), bits);
         bits
     }
 
-    fn blast_uncached(&mut self, sat: &mut SatSolver, e: &Expr) -> Vec<Lit> {
+    fn lower_uncached(&mut self, sat: &mut SatSolver, e: &Expr) -> Bits {
         match e.node() {
-            ExprNode::Const { bits, width } => {
-                (0..*width).map(|i| self.const_lit((bits >> i) & 1 == 1)).collect()
-            }
-            ExprNode::Sym { id, width } => self.sym_lits(sat, *id, *width),
+            ExprNode::Const { bits, width } => self.constant(*bits, *width),
+            ExprNode::Sym { id, width } => self.sym_bits_of(sat, *id, *width),
             ExprNode::Not(a) => {
-                self.blast(sat, a).into_iter().map(|l| l.negate()).collect()
+                let x = self.lower(sat, a);
+                self.negated(x)
             }
             ExprNode::Neg(a) => {
                 // -x = ~x + 1.
-                let w = a.width();
-                let nx: Vec<Lit> = self.blast(sat, a).into_iter().map(|l| l.negate()).collect();
-                let one: Vec<Lit> = (0..w).map(|i| self.const_lit(i == 0)).collect();
-                self.adder(sat, &nx, &one, self.false_lit()).0
+                let x = self.lower(sat, a);
+                let nx = self.negated(x);
+                let one = self.constant(1, a.width());
+                self.adder(sat, nx, one, self.false_lit()).0
             }
             ExprNode::Bin(op, a, b) => {
                 let w = a.width();
-                let x = self.blast(sat, a);
-                let y = self.blast(sat, b);
+                let x = self.lower(sat, a);
+                let y = self.lower(sat, b);
                 match op {
-                    BinOp::Add => self.adder(sat, &x, &y, self.false_lit()).0,
+                    BinOp::Add => self.adder(sat, x, y, self.false_lit()).0,
                     BinOp::Sub => {
-                        let ny: Vec<Lit> = y.iter().map(|l| l.negate()).collect();
-                        self.adder(sat, &x, &ny, self.true_lit()).0
+                        let ny = self.negated(y);
+                        self.adder(sat, x, ny, self.true_lit()).0
                     }
-                    BinOp::Mul => self.multiplier(sat, &x, &y),
-                    BinOp::And => self.zipmap(sat, &x, &y, GateKind::And),
-                    BinOp::Or => self.zipmap(sat, &x, &y, GateKind::Or),
-                    BinOp::Xor => self.zipmap(sat, &x, &y, GateKind::Xor),
-                    BinOp::Shl => self.shifter(sat, &x, &y, ShiftKind::Left),
-                    BinOp::LShr => self.shifter(sat, &x, &y, ShiftKind::LogicalRight),
-                    BinOp::AShr => self.shifter(sat, &x, &y, ShiftKind::ArithRight),
+                    BinOp::Mul => self.multiplier(sat, x, y),
+                    BinOp::And => self.zipmap(sat, x, y, GateKind::And),
+                    BinOp::Or => self.zipmap(sat, x, y, GateKind::Or),
+                    BinOp::Xor => self.zipmap(sat, x, y, GateKind::Xor),
+                    BinOp::Shl => self.shifter(sat, x, y, ShiftKind::Left),
+                    BinOp::LShr => self.shifter(sat, x, y, ShiftKind::LogicalRight),
+                    BinOp::AShr => self.shifter(sat, x, y, ShiftKind::ArithRight),
                     BinOp::UDiv | BinOp::URem | BinOp::SDiv | BinOp::SRem => {
                         self.division(sat, *op, a, b, w)
                     }
                 }
             }
             ExprNode::Cmp(op, a, b) => {
-                let x = self.blast(sat, a);
-                let y = self.blast(sat, b);
+                let x = self.lower(sat, a);
+                let y = self.lower(sat, b);
                 let r = match op {
-                    CmpOp::Eq => self.equality(sat, &x, &y),
-                    CmpOp::Ne => self.equality(sat, &x, &y).negate(),
-                    CmpOp::Ult => self.less_than(sat, &x, &y, false, true),
-                    CmpOp::Ule => self.less_than(sat, &x, &y, false, false),
-                    CmpOp::Slt => self.less_than(sat, &x, &y, true, true),
-                    CmpOp::Sle => self.less_than(sat, &x, &y, true, false),
+                    CmpOp::Eq => self.equality(sat, x, y),
+                    CmpOp::Ne => self.equality(sat, x, y).negate(),
+                    CmpOp::Ult => self.less_than(sat, x, y, false, true),
+                    CmpOp::Ule => self.less_than(sat, x, y, false, false),
+                    CmpOp::Slt => self.less_than(sat, x, y, true, true),
+                    CmpOp::Sle => self.less_than(sat, x, y, true, false),
                 };
-                vec![r]
+                let start = self.pool.len();
+                self.pool.push(r);
+                self.since(start)
             }
             ExprNode::ZExt { e, width } => {
-                let mut bits = self.blast(sat, e);
-                bits.resize(*width as usize, self.false_lit());
-                bits
+                let x = self.lower(sat, e);
+                self.extended(x, *width, self.false_lit())
             }
             ExprNode::SExt { e, width } => {
-                let mut bits = self.blast(sat, e);
-                let sign = *bits.last().expect("non-empty");
-                bits.resize(*width as usize, sign);
-                bits
+                let x = self.lower(sat, e);
+                let sign = self.lit(x, x.len as usize - 1);
+                self.extended(x, *width, sign)
             }
             ExprNode::Extract { e, hi, lo } => {
-                let bits = self.blast(sat, e);
-                bits[*lo as usize..=*hi as usize].to_vec()
+                // A slice of the operand's span: nothing to copy.
+                let x = self.lower(sat, e);
+                Bits { start: x.start + lo, len: hi - lo + 1 }
             }
             ExprNode::Concat { hi, lo } => {
-                let mut bits = self.blast(sat, lo);
-                bits.extend(self.blast(sat, hi));
-                bits
+                let l = self.lower(sat, lo);
+                let h = self.lower(sat, hi);
+                let start = self.pool.len();
+                self.pool.extend_from_within(l.range());
+                self.pool.extend_from_within(h.range());
+                self.since(start)
             }
             ExprNode::Ite { cond, then, els } => {
-                let c = self.blast(sat, cond)[0];
-                let t = self.blast(sat, then);
-                let f = self.blast(sat, els);
-                t.iter().zip(f.iter()).map(|(&ti, &fi)| self.mux(sat, c, ti, fi)).collect()
+                let c = self.lower(sat, cond);
+                let c = self.lit(c, 0);
+                let t = self.lower(sat, then);
+                let f = self.lower(sat, els);
+                let start = self.pool.len();
+                for i in 0..t.len as usize {
+                    let m = self.mux(sat, c, self.lit(t, i), self.lit(f, i));
+                    self.pool.push(m);
+                }
+                self.since(start)
             }
         }
+    }
+
+    // ---- spans without gates ---------------------------------------------
+
+    /// The `width` low bits of the constant `value`.
+    fn constant(&mut self, value: u64, width: u32) -> Bits {
+        let start = self.pool.len();
+        for i in 0..width {
+            self.pool.push(self.const_lit((value >> i) & 1 == 1));
+        }
+        self.since(start)
+    }
+
+    fn negated(&mut self, x: Bits) -> Bits {
+        let start = self.pool.len();
+        for i in 0..x.len as usize {
+            self.pool.push(self.lit(x, i).negate());
+        }
+        self.since(start)
+    }
+
+    /// `x` resized to `width` bits, padding with `fill`.
+    fn extended(&mut self, x: Bits, width: u32, fill: Lit) -> Bits {
+        let start = self.pool.len();
+        self.pool.extend_from_within(x.range());
+        self.pool.resize(start + width as usize, fill);
+        self.since(start)
     }
 
     // ---- gate primitives -------------------------------------------------
@@ -291,102 +396,111 @@ impl Blaster {
         self.or(sat, a, b)
     }
 
-    fn zipmap(&mut self, sat: &mut SatSolver, x: &[Lit], y: &[Lit], kind: GateKind) -> Vec<Lit> {
-        x.iter().zip(y.iter()).map(|(&a, &b)| self.gate(sat, kind, a, b)).collect()
+    fn zipmap(&mut self, sat: &mut SatSolver, x: Bits, y: Bits, kind: GateKind) -> Bits {
+        let start = self.pool.len();
+        for i in 0..x.len as usize {
+            let o = self.gate(sat, kind, self.lit(x, i), self.lit(y, i));
+            self.pool.push(o);
+        }
+        self.since(start)
     }
 
     /// Ripple-carry adder; returns (sum bits, carry-out).
-    fn adder(&mut self, sat: &mut SatSolver, x: &[Lit], y: &[Lit], cin: Lit) -> (Vec<Lit>, Lit) {
-        let mut sum = Vec::with_capacity(x.len());
+    fn adder(&mut self, sat: &mut SatSolver, x: Bits, y: Bits, cin: Lit) -> (Bits, Lit) {
+        let start = self.pool.len();
         let mut carry = cin;
-        for (&a, &b) in x.iter().zip(y.iter()) {
+        for i in 0..x.len as usize {
+            let (a, b) = (self.lit(x, i), self.lit(y, i));
             let axb = self.xor(sat, a, b);
-            sum.push(self.xor(sat, axb, carry));
+            let sum = self.xor(sat, axb, carry);
+            self.pool.push(sum);
             // carry_out = (a & b) | (carry & (a ^ b)).
             let ab = self.and(sat, a, b);
             let ca = self.and(sat, carry, axb);
             carry = self.or(sat, ab, ca);
         }
-        (sum, carry)
+        (self.since(start), carry)
     }
 
     /// Shift-and-add multiplier (modulo 2^w).
-    fn multiplier(&mut self, sat: &mut SatSolver, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
-        let w = x.len();
-        let mut acc: Vec<Lit> = vec![self.false_lit(); w];
+    fn multiplier(&mut self, sat: &mut SatSolver, x: Bits, y: Bits) -> Bits {
+        let w = x.len as usize;
+        let mut acc = self.constant(0, x.len);
         for i in 0..w {
             // Partial product: (y[i] ? x : 0) << i, truncated to w bits.
-            let mut pp: Vec<Lit> = vec![self.false_lit(); w];
+            let pp = self.constant(0, x.len);
             for j in 0..(w - i) {
-                pp[i + j] = self.and(sat, y[i], x[j]);
+                let bit = self.and(sat, self.lit(y, i), self.lit(x, j));
+                self.pool[pp.at(i + j)] = bit;
             }
-            acc = self.adder(sat, &acc, &pp, self.false_lit()).0;
+            acc = self.adder(sat, acc, pp, self.false_lit()).0;
         }
         acc
     }
 
     /// Barrel shifter with our ISA semantics (amount >= w yields 0 for
     /// logical shifts, sign-fill saturation for arithmetic right shift).
-    #[allow(clippy::needless_range_loop)] // Stage index is also a shift amount.
-    fn shifter(&mut self, sat: &mut SatSolver, x: &[Lit], y: &[Lit], kind: ShiftKind) -> Vec<Lit> {
-        let w = x.len();
-        let stages = usize::BITS - (w - 1).leading_zeros(); // ceil(log2 w).
-        let sign = *x.last().expect("non-empty");
+    fn shifter(&mut self, sat: &mut SatSolver, x: Bits, y: Bits, kind: ShiftKind) -> Bits {
+        let w = x.len as usize;
+        let stages = (usize::BITS - (w - 1).leading_zeros()) as usize; // ceil(log2 w).
         let fill = match kind {
-            ShiftKind::ArithRight => sign,
+            ShiftKind::ArithRight => self.lit(x, w - 1),
             _ => self.false_lit(),
         };
-        let mut cur: Vec<Lit> = x.to_vec();
-        for s in 0..stages as usize {
+        let mut cur = x;
+        for s in 0..stages {
             let amt = 1usize << s;
-            let ctrl = y[s];
-            let mut next = Vec::with_capacity(w);
+            let ctrl = self.lit(y, s);
+            let start = self.pool.len();
             for i in 0..w {
                 let shifted = match kind {
                     ShiftKind::Left => {
                         if i >= amt {
-                            cur[i - amt]
+                            self.lit(cur, i - amt)
                         } else {
                             self.false_lit()
                         }
                     }
                     ShiftKind::LogicalRight | ShiftKind::ArithRight => {
                         if i + amt < w {
-                            cur[i + amt]
+                            self.lit(cur, i + amt)
                         } else {
                             fill
                         }
                     }
                 };
-                next.push(self.mux(sat, ctrl, shifted, cur[i]));
+                let bit = self.mux(sat, ctrl, shifted, self.lit(cur, i));
+                self.pool.push(bit);
             }
-            cur = next;
+            cur = self.since(start);
         }
         // If any shift-amount bit above the used stages is set, or the used
         // bits encode >= w, the result is all-fill (0 or sign).
         let mut oversize = self.false_lit();
-        for (i, &yl) in y.iter().enumerate() {
-            if i >= stages as usize {
-                oversize = self.or(sat, oversize, yl);
-            }
+        for i in stages..y.len as usize {
+            oversize = self.or(sat, oversize, self.lit(y, i));
         }
         // Amounts in [w, 2^stages) via the low bits also overshoot.
         if !w.is_power_of_two() {
             // low_bits >= w check: compare y[0..stages] with constant w.
-            let wconst: Vec<Lit> =
-                (0..stages as usize).map(|i| self.const_lit((w >> i) & 1 == 1)).collect();
-            let low: Vec<Lit> = y[..stages as usize].to_vec();
-            let lt = self.less_than(sat, &low, &wconst, false, true);
+            let wconst = self.constant(w as u64, stages as u32);
+            let low = Bits { start: y.start, len: stages as u32 };
+            let lt = self.less_than(sat, low, wconst, false, true);
             oversize = self.or(sat, oversize, lt.negate());
         }
-        cur.into_iter().map(|b| self.mux(sat, oversize, fill, b)).collect()
+        let start = self.pool.len();
+        for i in 0..w {
+            let bit = self.mux(sat, oversize, fill, self.lit(cur, i));
+            self.pool.push(bit);
+        }
+        self.since(start)
     }
 
     /// Equality over bit vectors.
-    fn equality(&mut self, sat: &mut SatSolver, x: &[Lit], y: &[Lit]) -> Lit {
+    fn equality(&mut self, sat: &mut SatSolver, x: Bits, y: Bits) -> Lit {
         let mut acc = self.true_lit();
-        for (&a, &b) in x.iter().zip(y.iter()) {
-            let diff = self.xor(sat, a, b);
+        for i in 0..x.len as usize {
+            let diff = self.xor(sat, self.lit(x, i), self.lit(y, i));
             acc = self.and(sat, acc, diff.negate());
         }
         acc
@@ -396,18 +510,18 @@ impl Blaster {
     fn less_than(
         &mut self,
         sat: &mut SatSolver,
-        x: &[Lit],
-        y: &[Lit],
+        x: Bits,
+        y: Bits,
         signed: bool,
         strict: bool,
     ) -> Lit {
-        let w = x.len();
+        let w = x.len as usize;
         // Lexicographic from MSB down: lt = (xi < yi) | (xi == yi) & lt_rest.
         // For the sign bit under signed comparison the polarity flips
         // (1 means negative, so x_sign=1,y_sign=0 => x < y).
         let mut acc = if strict { self.false_lit() } else { self.true_lit() };
         for i in 0..w {
-            let (a, b) = (x[i], y[i]);
+            let (a, b) = (self.lit(x, i), self.lit(y, i));
             let (a, b) = if signed && i == w - 1 { (b, a) } else { (a, b) };
             // bit_lt = !a & b.
             let bit_lt = self.and(sat, a.negate(), b);
@@ -427,15 +541,15 @@ impl Blaster {
     ///
     /// Panics if the operand width exceeds 32 bits (the relation is encoded
     /// at `2w` bits, which must fit in the 64-bit expression layer).
-    fn division(&mut self, sat: &mut SatSolver, op: BinOp, a: &Expr, b: &Expr, w: u32) -> Vec<Lit> {
+    fn division(&mut self, sat: &mut SatSolver, op: BinOp, a: &Expr, b: &Expr, w: u32) -> Bits {
         assert!(w <= 32, "division blasting supports widths up to 32 bits");
         match op {
             BinOp::UDiv | BinOp::URem => {
                 let (q, r) = self.udivrem(sat, a, b, w);
                 if op == BinOp::UDiv {
-                    self.blast(sat, &q)
+                    self.lower(sat, &q)
                 } else {
-                    self.blast(sat, &r)
+                    self.lower(sat, &r)
                 }
             }
             BinOp::SDiv | BinOp::SRem => {
@@ -455,14 +569,14 @@ impl Blaster {
                         let b_zero = b.eq(&zero);
                         let out =
                             Expr::ite(&b_zero, &Expr::constant(u64::MAX, w), &signed_q);
-                        self.blast(sat, &out)
+                        self.lower(sat, &out)
                     }
                     BinOp::SRem => {
                         // Remainder takes the dividend's sign.
                         let signed_r = Expr::ite(&a_neg, &r.neg(), &r);
                         let b_zero = b.eq(&zero);
                         let out = Expr::ite(&b_zero, a, &signed_r);
-                        self.blast(sat, &out)
+                        self.lower(sat, &out)
                     }
                     _ => unreachable!(),
                 }
@@ -496,7 +610,7 @@ impl Blaster {
     /// Uses high symbol ids that the execution engine never allocates.
     fn fresh_vec(&mut self, sat: &mut SatSolver, w: u32) -> Expr {
         let id = SymId(0x8000_0000u32 | self.sym_bits.len() as u32);
-        let bits: Vec<Lit> = (0..w).map(|_| Lit::pos(sat.new_var())).collect();
+        let bits = self.fresh_bits(sat, w);
         self.sym_bits.insert(id, bits);
         Expr::sym(id, w)
     }

@@ -120,8 +120,11 @@ pub struct SolverStats {
 
 /// The bitvector solver.
 ///
-/// Model-consuming queries (`check`) build a fresh SAT instance over the
-/// canonical key, so their results are pure functions of the query.
+/// Model-consuming queries (`check`) solve a fresh SAT instance over the
+/// canonical key, so their results are pure functions of the query. The
+/// instance is fresh in content only: every full solve resets and refills
+/// the solver's one [`SatSolver`] and [`Blaster`], so their memory is
+/// reused from solve to solve while no clause outlives its solve.
 /// Verdict-grade queries (`is_feasible` and friends) additionally go
 /// through **independence slicing** ([`Self::set_slicing`], default on): the
 /// query partitions into symbol-disjoint components that are decided
@@ -140,6 +143,10 @@ pub struct Solver {
     /// switch). Model-grade queries always run the canonical monolithic
     /// solve, so slicing cannot perturb any model a caller consumes.
     use_slicing: bool,
+    /// The SAT core every full solve resets and refills.
+    sat: SatSolver,
+    /// The bit-blaster over `sat`, reset with it.
+    blaster: Blaster,
 }
 
 impl Default for Solver {
@@ -157,13 +164,19 @@ impl Solver {
     /// Creates a solver backed by a shared cache handle. All explorer
     /// workers of one run share a single handle.
     pub fn with_cache(cache: Arc<QueryCache>) -> Solver {
-        Solver { stats: SolverStats::default(), cache: Some(cache), use_slicing: true }
+        Solver::build(Some(cache))
     }
 
     /// Creates a solver with caching disabled: every non-trivial query runs
     /// the full decision procedure.
     pub fn uncached() -> Solver {
-        Solver { stats: SolverStats::default(), cache: None, use_slicing: true }
+        Solver::build(None)
+    }
+
+    fn build(cache: Option<Arc<QueryCache>>) -> Solver {
+        let mut sat = SatSolver::new();
+        let blaster = Blaster::new(&mut sat);
+        Solver { stats: SolverStats::default(), cache, use_slicing: true, sat, blaster }
     }
 
     /// Enables or disables independence slicing of verdict-grade queries
@@ -277,27 +290,23 @@ impl Solver {
     }
 
     /// Canonical monolithic solve: blasts `key` in canonical order on a
-    /// fresh core. The result — verdict *and* model — is a deterministic
-    /// pure function of the key, which is what makes it safe to memoize
-    /// under the key and replay to model-consuming callers.
+    /// freshly reset core. The result — verdict *and* model — is a
+    /// deterministic pure function of the key, which is what makes it safe
+    /// to memoize under the key and replay to model-consuming callers.
     fn full_solve(&mut self, key: Vec<Expr>, syms: &BTreeSet<SymId>) -> SatResult {
         self.stats.full_solves += 1;
-        let mut sat = SatSolver::new();
-        let mut blaster = Blaster::new(&mut sat);
+        let (sat, blaster) = (&mut self.sat, &mut self.blaster);
+        blaster.reset(sat);
         for c in &key {
-            blaster.assert_true(&mut sat, c);
+            blaster.assert_true(sat, c);
         }
-        let result = match sat.solve() {
-            SatOutcome::Unsat => {
-                self.stats.sat_conflicts += sat.conflicts;
-                SatResult::Unsat
-            }
+        let outcome = sat.solve();
+        self.stats.sat_conflicts += sat.conflicts;
+        let result = match outcome {
+            SatOutcome::Unsat => SatResult::Unsat,
             SatOutcome::Sat => {
-                self.stats.sat_conflicts += sat.conflicts;
-                let mut model = Assignment::new();
-                for id in syms {
-                    model.set(*id, blaster.sym_model(&sat, *id).unwrap_or(0));
-                }
+                let model: Assignment =
+                    syms.iter().map(|&id| (id, blaster.sym_model(sat, id).unwrap_or(0))).collect();
                 // The blaster's internal division symbols are filtered out by
                 // only reporting symbols that occur in the input constraints.
                 debug_assert!(

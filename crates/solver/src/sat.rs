@@ -6,6 +6,11 @@
 //! MiniSat recipe: two-watched-literal propagation, VSIDS-style activity
 //! ordering, first-UIP conflict analysis with backjumping, phase saving, and
 //! geometric restarts.
+//!
+//! Clauses live in one flat literal arena, and [`SatSolver::reset`] empties
+//! the instance while keeping every buffer's memory, so a solver that
+//! decides one query after another allocates only when a query outgrows
+//! all earlier ones.
 
 /// A propositional variable, numbered from 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,9 +112,16 @@ const REASON_DECISION: u32 = u32::MAX - 1;
 /// assert_eq!(s.value(b), Some(true));
 /// ```
 pub struct SatSolver {
-    /// Clause database; learned clauses are appended after problem clauses.
-    clauses: Vec<Vec<Lit>>,
-    /// Watch lists: for each literal, the clauses watching it.
+    /// Clause arena: each clause is a length word (a `Lit` whose payload is
+    /// the literal count) followed by its literals, and is named by the
+    /// arena offset of that word. Learned clauses are appended after
+    /// problem clauses.
+    arena: Vec<Lit>,
+    /// Number of clauses in `arena` (problem + learned).
+    num_clauses: usize,
+    /// Watch lists: for each literal, the clauses watching it. Lists past
+    /// the current variables are empty, kept from an earlier instance so
+    /// that `new_var` after `reset` does not allocate them again.
     watches: Vec<Vec<u32>>,
     /// Current assignment per variable.
     assigns: Vec<LBool>,
@@ -138,6 +150,9 @@ pub struct SatSolver {
     pub propagations: u64,
     /// Scratch marks used by conflict analysis.
     seen: Vec<bool>,
+    /// Scratch literals: `add_clause`'s simplified input, and the clause
+    /// that conflict analysis learns.
+    scratch: Vec<Lit>,
     /// Max-heap of candidate decision variables, ordered by activity. A
     /// linear argmax scan per decision would cost O(vars · decisions) on
     /// large blasted queries, so decisions are O(log n).
@@ -158,7 +173,8 @@ impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> SatSolver {
         SatSolver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -174,9 +190,37 @@ impl SatSolver {
             decisions: 0,
             propagations: 0,
             seen: Vec::new(),
+            scratch: Vec::new(),
             heap: Vec::new(),
             heap_pos: Vec::new(),
         }
+    }
+
+    /// Empties the instance: no variables, no clauses, zeroed statistics,
+    /// exactly the state of [`SatSolver::new`]. Every buffer keeps its
+    /// memory for the next instance.
+    pub fn reset(&mut self) {
+        for w in &mut self.watches[..2 * self.assigns.len()] {
+            w.clear();
+        }
+        self.arena.clear();
+        self.num_clauses = 0;
+        self.assigns.clear();
+        self.phase.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.dead = false;
+        self.conflicts = 0;
+        self.decisions = 0;
+        self.propagations = 0;
+        self.seen.clear();
+        self.heap.clear();
+        self.heap_pos.clear();
     }
 
     /// Allocates a fresh variable.
@@ -188,8 +232,10 @@ impl SatSolver {
         self.reason.push(REASON_NONE);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let lits = 2 * self.assigns.len();
+        if self.watches.len() < lits {
+            self.watches.resize_with(lits, Vec::new);
+        }
         self.heap_pos.push(HEAP_ABSENT);
         self.heap_insert(v.0);
         v
@@ -274,7 +320,7 @@ impl SatSolver {
 
     /// Number of clauses (problem + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     #[inline]
@@ -297,48 +343,53 @@ impl SatSolver {
             return false;
         }
         // Simplify: drop duplicate/false literals, detect tautology/satisfied.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        let mut satisfied = false;
         for &l in lits {
             debug_assert!((l.var().0 as usize) < self.num_vars(), "undeclared variable");
             match self.lit_value(l) {
-                LBool::True => return true, // Already satisfied at level 0.
-                LBool::False => continue,   // Permanently false literal.
-                LBool::Undef => {}
+                LBool::True => satisfied = true, // Already satisfied at level 0.
+                LBool::False => continue,        // Permanently false literal.
+                LBool::Undef => satisfied = c.contains(&l.negate()), // Tautology.
             }
-            if c.contains(&l.negate()) {
-                return true; // Tautology.
+            if satisfied {
+                break;
             }
             if !c.contains(&l) {
                 c.push(l);
             }
         }
-        match c.len() {
-            0 => {
-                self.dead = true;
-                false
-            }
-            1 => {
-                self.enqueue(c[0], REASON_NONE);
-                if self.propagate().is_some() {
+        let alive = satisfied
+            || match c.len() {
+                0 => {
                     self.dead = true;
                     false
-                } else {
+                }
+                1 => {
+                    self.enqueue(c[0], REASON_NONE);
+                    self.dead = self.propagate().is_some();
+                    !self.dead
+                }
+                _ => {
+                    self.attach_clause(&c);
                     true
                 }
-            }
-            _ => {
-                self.attach_clause(c);
-                true
-            }
-        }
+            };
+        self.scratch = c;
+        alive
     }
 
-    fn attach_clause(&mut self, c: Vec<Lit>) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[c[0].index()].push(idx);
-        self.watches[c[1].index()].push(idx);
-        self.clauses.push(c);
-        idx
+    /// Appends `c` (at least two literals) to the arena, watching its
+    /// first two literals, and returns its offset.
+    fn attach_clause(&mut self, c: &[Lit]) -> u32 {
+        let cref = self.arena.len() as u32;
+        self.watches[c[0].index()].push(cref);
+        self.watches[c[1].index()].push(cref);
+        self.arena.push(Lit(c.len() as u32));
+        self.arena.extend_from_slice(c);
+        self.num_clauses += 1;
+        cref
     }
 
     #[inline]
@@ -374,7 +425,8 @@ impl SatSolver {
                 let ci = ws[i];
                 // Disjoint field borrows: clause data vs. assignments/watches.
                 let assigns = &self.assigns;
-                let clause = &mut self.clauses[ci as usize];
+                let len = self.arena[ci as usize].0 as usize;
+                let clause = &mut self.arena[ci as usize + 1..][..len];
                 // Ensure the false literal is at position 1.
                 if clause[0] == false_lit {
                     clause.swap(0, 1);
@@ -432,22 +484,25 @@ impl SatSolver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns (learned clause, backjump level).
-    #[allow(clippy::needless_range_loop)] // `start` skips the asserting slot.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit(0)]; // Slot 0 holds the asserting literal.
+    /// First-UIP conflict analysis. Leaves the learned clause in `scratch`
+    /// (asserting literal first) and returns the backjump level.
+    fn analyze(&mut self, confl: u32) -> u32 {
+        let mut learned = std::mem::take(&mut self.scratch);
+        learned.clear();
+        learned.push(Lit(0)); // Slot 0 holds the asserting literal.
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
         let mut idx = self.trail.len();
         let cur_level = self.trail_lim.len() as u32;
         loop {
-            // Clone: conflict analysis is rare relative to propagation, and
-            // `bump_var` below needs `&mut self`.
-            let clause = self.clauses[confl as usize].clone();
+            // The conflict clause is read in place, one literal at a time:
+            // `bump_var` below needs `&mut self` but never touches the arena.
+            let base = confl as usize + 1;
+            let len = self.arena[confl as usize].0 as usize;
             let start = if p.is_some() { 1 } else { 0 };
-            for k in start..clause.len() {
-                let q = clause[k];
+            for k in start..len {
+                let q = self.arena[base + k];
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -495,7 +550,8 @@ impl SatSolver {
         if learned.len() > 1 {
             learned.swap(1, max_i);
         }
-        (learned, bt)
+        self.scratch = learned;
+        bt
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -552,18 +608,20 @@ impl SatSolver {
                         self.dead = true;
                         break 'outer false;
                     }
-                    let (learned, bt) = self.analyze(confl);
+                    let bt = self.analyze(confl);
                     self.cancel_until(bt);
-                    if learned.len() == 1 {
-                        if self.lit_value(learned[0]) == LBool::False {
+                    let first = self.scratch[0];
+                    if self.scratch.len() == 1 {
+                        if self.lit_value(first) == LBool::False {
                             break 'outer false;
                         }
-                        if self.lit_value(learned[0]) == LBool::Undef {
-                            self.enqueue(learned[0], REASON_NONE);
+                        if self.lit_value(first) == LBool::Undef {
+                            self.enqueue(first, REASON_NONE);
                         }
                     } else {
-                        let ci = self.attach_clause(learned);
-                        let first = self.clauses[ci as usize][0];
+                        let learned = std::mem::take(&mut self.scratch);
+                        let ci = self.attach_clause(&learned);
+                        self.scratch = learned;
                         if self.lit_value(first) == LBool::Undef {
                             self.enqueue(first, ci);
                         }
@@ -738,6 +796,101 @@ mod tests {
         assert!(s.add_clause(&[Lit::pos(v[1]), Lit::pos(v[1])])); // Duplicate collapsed.
         assert_eq!(s.solve(), SatOutcome::Sat);
         assert_eq!(s.value(v[1]), Some(true));
+    }
+
+    /// Loads a DIMACS-style CNF (literal `k` is variable `|k| - 1`,
+    /// negated when `k < 0`) over `nvars` fresh variables.
+    fn load(s: &mut SatSolver, nvars: usize, cnf: &[Vec<i32>]) -> bool {
+        let vars = lits(s, nvars);
+        let lit = |k: i32| Lit::new(vars[k.unsigned_abs() as usize - 1], k > 0);
+        let mut alive = true;
+        for c in cnf {
+            alive &= s.add_clause(&c.iter().map(|&k| lit(k)).collect::<Vec<_>>());
+        }
+        alive
+    }
+
+    /// Everything a solve is judged by: outcome, model, and search counts.
+    type Run = (SatOutcome, Vec<Option<bool>>, u64, u64, u64);
+
+    fn run(s: &mut SatSolver, nvars: usize, cnf: &[Vec<i32>]) -> Run {
+        load(s, nvars, cnf);
+        let outcome = s.solve();
+        let model = (0..nvars as u32).map(|v| s.value(Var(v))).collect();
+        (outcome, model, s.conflicts, s.decisions, s.propagations)
+    }
+
+    /// `pigeons` pigeons into `pigeons - 1` holes: unsatisfiable, and it
+    /// takes conflict analysis to show it.
+    fn pigeonhole(pigeons: i32) -> (usize, Vec<Vec<i32>>) {
+        let holes = pigeons - 1;
+        let p = |i: i32, j: i32| i * holes + j + 1;
+        let mut cnf: Vec<Vec<i32>> =
+            (0..pigeons).map(|i| (0..holes).map(|j| p(i, j)).collect()).collect();
+        for j in 0..holes {
+            for a in 0..pigeons {
+                for b in a + 1..pigeons {
+                    cnf.push(vec![-p(a, j), -p(b, j)]);
+                }
+            }
+        }
+        ((pigeons * holes) as usize, cnf)
+    }
+
+    /// A satisfiable random 3-SAT instance that needs decisions and
+    /// conflicts: 40 variables at a clause ratio of 4, planted solution.
+    fn planted_3sat() -> (usize, Vec<Vec<i32>>) {
+        let mut seed = 0x9e37_79b9u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (nvars, planted) = (40i32, 0x5a5a_3c3c_f0f0u64);
+        let mut cnf = Vec::new();
+        while cnf.len() < 160 {
+            let c: Vec<i32> = (0..3)
+                .map(|_| {
+                    let v = (next() % nvars as u64) as i32 + 1;
+                    if next() % 2 == 0 { v } else { -v }
+                })
+                .collect();
+            let holds = |k: i32| ((planted >> (k.unsigned_abs() - 1)) & 1 == 1) == (k > 0);
+            if c.iter().any(|&k| holds(k)) {
+                cnf.push(c);
+            }
+        }
+        (nvars as usize, cnf)
+    }
+
+    #[test]
+    fn reset_after_a_dead_instance_solves_like_a_fresh_one() {
+        let mut reused = SatSolver::new();
+        assert!(!load(&mut reused, 2, &[vec![1], vec![-1, 2], vec![-2]]));
+        assert_eq!(reused.solve(), SatOutcome::Unsat);
+        for (nvars, cnf) in [planted_3sat(), pigeonhole(5)] {
+            reused.reset();
+            assert_eq!(run(&mut reused, nvars, &cnf), run(&mut SatSolver::new(), nvars, &cnf));
+        }
+    }
+
+    #[test]
+    fn reset_after_learning_and_restarts_solves_like_a_fresh_one() {
+        let mut reused = SatSolver::new();
+        let (nvars, hard) = pigeonhole(7);
+        assert_eq!(run(&mut reused, nvars, &hard).0, SatOutcome::Unsat);
+        assert!(reused.conflicts > 128, "the first restart comes after 128 conflicts");
+        assert!(reused.num_clauses() > hard.len(), "learned clauses were kept");
+        let (sat_vars, sat) = planted_3sat();
+        let fresh = run(&mut SatSolver::new(), sat_vars, &sat);
+        assert_eq!(fresh.0, SatOutcome::Sat);
+        assert!(fresh.2 > 0 && fresh.3 > 0, "the instance needs search");
+        for (nvars, cnf) in [(sat_vars, sat), pigeonhole(5), (nvars, hard)] {
+            reused.reset();
+            assert_eq!(reused.num_vars() + reused.num_clauses(), 0);
+            assert_eq!(run(&mut reused, nvars, &cnf), run(&mut SatSolver::new(), nvars, &cnf));
+        }
     }
 
     #[test]

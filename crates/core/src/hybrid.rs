@@ -576,7 +576,6 @@ mod tests {
             escalate: false,
             quanta_per_batch: 0,
             drain_frontier: false,
-            ..FuzzConfig::default()
         };
         let report = run_hybrid(&ddt, &dut, &fz);
         assert_eq!(report.stats.fuzz_execs, 120 * 64);

@@ -154,6 +154,20 @@ mod tests {
     }
 
     #[test]
+    fn assignment_wire_form_is_sorted_by_symbol() {
+        // Ids that differ only in their high bits, inserted in descending
+        // order: the map's hasher decides its iteration order, the wire
+        // form must not depend on it.
+        let asg: Assignment = (0..64u32).rev().map(|i| (SymId(i << 20), i as u64)).collect();
+        let wire = asg.to_value();
+        let pairs = wire.as_map().expect("struct")[0].1.as_list().expect("pair list").to_vec();
+        let ids: Vec<u64> =
+            pairs.iter().map(|p| p.as_list().expect("pair")[0].as_u64().expect("id")).collect();
+        assert_eq!(ids, (0..64u64).map(|i| i << 20).collect::<Vec<_>>());
+        assert_eq!(Assignment::from_value(&wire).expect("round trip"), asg);
+    }
+
+    #[test]
     fn eval_signed_ops() {
         let x = Expr::sym(SymId(1), 8);
         let mut asg = Assignment::new();

@@ -26,10 +26,11 @@ impl fmt::Display for SymId {
 
 /// Hashes a [`SymId`] with one multiplication instead of SipHash.
 ///
-/// Symbol ids are small dense integers, so the Fibonacci multiplier
-/// spreads them over both the low bits (the bucket) and the high bits (the
-/// tag) of a `HashMap`'s hash. Other input is folded the same way, one word
-/// at a time.
+/// The Fibonacci multiplier spreads small dense ids over the high bits of
+/// the hash (a `HashMap`'s tag), and folding the high half into the low
+/// half spreads them over the low bits (its bucket), even for ids that
+/// differ only in their high bits, as ids read from a trace file may.
+/// Other input is folded the same way, one word at a time.
 #[derive(Clone, Copy, Default)]
 pub struct SymIdHasher(u64);
 
@@ -48,7 +49,8 @@ impl Hasher for SymIdHasher {
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
     }
 
     #[inline]
@@ -64,7 +66,7 @@ pub type BuildSymIdHasher = BuildHasherDefault<SymIdHasher>;
 ///
 /// That hash is already a SipHash digest (computed once, at intern time),
 /// so hashing it again would only repeat the work. A key that writes more
-/// than one word, or bytes, is folded with FNV-1a.
+/// than one word, or bytes, gets them rotated and XOR-ed in.
 #[derive(Clone, Copy, Default)]
 pub struct ExprHasher(u64);
 
@@ -72,13 +74,13 @@ impl Hasher for ExprHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            self.write_u64(b as u64);
         }
     }
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.0 = if self.0 == 0 { n } else { (self.0 ^ n).wrapping_mul(0x0100_0000_01b3) };
+        self.0 = self.0.rotate_left(5) ^ n;
     }
 
     #[inline]

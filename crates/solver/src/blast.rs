@@ -153,12 +153,7 @@ impl Blaster {
         sat.add_clause(&[self.lit(bits, 0)]);
     }
 
-    /// Lowers `e` to its literals (LSB first), with caching.
-    pub fn blast(&mut self, sat: &mut SatSolver, e: &Expr) -> &[Lit] {
-        let bits = self.lower(sat, e);
-        &self.pool[bits.range()]
-    }
-
+    /// Lowers `e` to its bits (LSB first), with caching.
     fn lower(&mut self, sat: &mut SatSolver, e: &Expr) -> Bits {
         if let Some(&bits) = self.cache.get(e) {
             return bits;

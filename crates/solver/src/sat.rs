@@ -342,25 +342,8 @@ impl SatSolver {
         if self.dead {
             return false;
         }
-        // Simplify: drop duplicate/false literals, detect tautology/satisfied.
         let mut c = std::mem::take(&mut self.scratch);
-        c.clear();
-        let mut satisfied = false;
-        for &l in lits {
-            debug_assert!((l.var().0 as usize) < self.num_vars(), "undeclared variable");
-            match self.lit_value(l) {
-                LBool::True => satisfied = true, // Already satisfied at level 0.
-                LBool::False => continue,        // Permanently false literal.
-                LBool::Undef => satisfied = c.contains(&l.negate()), // Tautology.
-            }
-            if satisfied {
-                break;
-            }
-            if !c.contains(&l) {
-                c.push(l);
-            }
-        }
-        let alive = satisfied
+        let alive = self.simplify_into(lits, &mut c)
             || match c.len() {
                 0 => {
                     self.dead = true;
@@ -378,6 +361,28 @@ impl SatSolver {
             };
         self.scratch = c;
         alive
+    }
+
+    /// Simplify: copies `lits` into `c` without duplicate or permanently
+    /// false literals. Returns true, leaving `c` partial, when the clause
+    /// is already satisfied at level 0 or is a tautology.
+    fn simplify_into(&self, lits: &[Lit], c: &mut Vec<Lit>) -> bool {
+        c.clear();
+        for &l in lits {
+            debug_assert!((l.var().0 as usize) < self.num_vars(), "undeclared variable");
+            match self.lit_value(l) {
+                LBool::True => return true, // Already satisfied at level 0.
+                LBool::False => continue,   // Permanently false literal.
+                LBool::Undef => {}
+            }
+            if c.contains(&l.negate()) {
+                return true; // Tautology.
+            }
+            if !c.contains(&l) {
+                c.push(l);
+            }
+        }
+        false
     }
 
     /// Appends `c` (at least two literals) to the arena, watching its

@@ -45,8 +45,8 @@ const COUNT_COLUMNS: [&str; 8] = [
     "hybrid_first_bug_quanta",
 ];
 
-/// Fuzz-only batches of 100 executions: an execution takes 25–35 µs on
-/// each NIC driver (2-vCPU host), so a run takes about 100 ms.
+/// Fuzz-only batches of 100 executions: an execution takes about 20 µs
+/// on each NIC driver (2-vCPU host), so a run takes 70–100 ms.
 const FUZZ_BATCHES: u64 = 40;
 
 /// Instructions per second over a nanosecond wall time.

@@ -7,7 +7,10 @@
 //! fuzz loop (scheduling, mutation, snapshot-reset, and kernel dispatch
 //! included — this is the *usable* executor rate, not a dispatch
 //! microbenchmark). Both engines are timed with `Instant` in nanoseconds,
-//! and each driver's fuzz-only run is sized to take about 100 ms.
+//! and each driver's fuzz-only run is sized to take about 100 ms. That run
+//! is timed three times and the fastest counts: the host's CPUs change
+//! speed for seconds at a time, and the fastest of a few runs is the
+//! campaign benchmark's rule for such a host (`campaign_bench/NOTES.md`).
 //!
 //! Every run appends an entry to the `BENCH_concrete.json` trajectory at
 //! the repo root (`format: trajectory-v1`, one slot per rev, date and
@@ -49,6 +52,9 @@ const COUNT_COLUMNS: [&str; 8] = [
 /// on each NIC driver (2-vCPU host), so a run takes 70–100 ms.
 const FUZZ_BATCHES: u64 = 40;
 
+/// Timed fuzz-only runs per driver; the concrete rate is the fastest's.
+const FUZZ_RUNS: usize = 3;
+
 /// Instructions per second over a nanosecond wall time.
 fn rate(insns: u64, wall_ns: u64) -> u64 {
     (insns as u128 * 1_000_000_000 / wall_ns.max(1) as u128) as u64
@@ -72,9 +78,19 @@ fn bench_driver(name: &'static str) -> Vec<(String, Value)> {
         drain_frontier: false,
         ..FuzzConfig::default()
     };
-    let start = Instant::now();
-    let conc = ddt_core::run_hybrid(&tool, &dut, &fuzz_only);
-    let conc_ns = start.elapsed().as_nanos() as u64;
+    let runs: Vec<_> = (0..FUZZ_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let report = ddt_core::run_hybrid(&tool, &dut, &fuzz_only);
+            (report, start.elapsed().as_nanos() as u64)
+        })
+        .collect();
+    // The runs are seeded alike, so they do the same work.
+    assert!(
+        runs.iter().all(|(r, _)| r.stats.fuzz_insns == runs[0].0.stats.fuzz_insns),
+        "{name}: fuzz-only runs retired different instruction counts"
+    );
+    let (conc, conc_ns) = runs.into_iter().min_by_key(|&(_, ns)| ns).expect("FUZZ_RUNS > 0");
 
     // The full pipeline, for time-to-first-bug: the canned seeds find a
     // concrete bug before the first symbolic quantum runs.

@@ -612,7 +612,7 @@ mod tests {
             32,
         );
         let id = match sym.node() {
-            ddt_expr::ExprNode::Sym { id, .. } => *id,
+            ddt_expr::NodeView::Sym { id, .. } => id,
             _ => unreachable!(),
         };
         let v = AccessViolation {

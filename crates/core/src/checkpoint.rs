@@ -602,7 +602,7 @@ impl Ddt {
         stats: ExploreStats,
         bugs: HashMap<String, Bug>,
     ) -> CampaignSeed {
-        let mut explorer = Explorer::new(self, dut, &self.config.run_cache());
+        let mut explorer = Explorer::new(self, dut, &self.config.run_cache(), &dut.root_mem());
         let mut frontier = Vec::with_capacity(ck.frontier.len());
         let mut replayed_ok = 0;
         let mut replay_failed = 0;

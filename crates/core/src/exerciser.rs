@@ -34,7 +34,9 @@ use ddt_kernel::{
 use ddt_solver::{QueryCache, Solver};
 use ddt_symvm::{
     step, //
+    RootMem,
     SymCounter,
+    SymMemory,
     SymOrigin,
     SymState,
     SymStep,
@@ -232,6 +234,17 @@ impl DriverUnderTest {
             workload: ddt_drivers::workload::workload_for(spec.class),
         }
     }
+
+    /// The memory every root state of a campaign starts from: the image's
+    /// text and data seeded, and its text decoded. A campaign builds it
+    /// once and shares it with every root, lift and prefix replay.
+    pub(crate) fn root_mem(&self) -> Arc<RootMem> {
+        let mut root = RootMem::new();
+        root.seed(self.image.load_base, &self.image.text);
+        root.seed(self.image.data_base(), &self.image.data);
+        root.set_code_region(self.image.load_base, self.image.text.len() as u32);
+        Arc::new(root)
+    }
 }
 
 /// The DDT tool.
@@ -391,7 +404,7 @@ impl Ddt {
         let start = seed.map_or(Start::Root, Start::Resume);
         let analysis = analysis::analyze(&dut.image);
         let (mut run, mut frontier) = RunState::start(self, dut, analysis, start);
-        let mut explorer = Explorer::new(self, dut, &run.cache);
+        let mut explorer = Explorer::new(self, dut, &run.cache, &run.root);
         let mut campaign = self.config.checkpoint.as_ref().map(|policy| {
             let fingerprint = self.config.fingerprint();
             CampaignWriter::start(policy, &dut.image.name, fingerprint, run.checkpoint_seq)
@@ -428,17 +441,16 @@ impl Ddt {
         })
     }
 
-    /// Builds the root machine: image and stack mapped, kernel configured,
-    /// DriverEntry invoked (the PnP load of §4.2).
-    pub(crate) fn make_root_machine(&self, dut: &DriverUnderTest) -> Machine {
+    /// Builds the root machine over the campaign's root memory (see
+    /// [`DriverUnderTest::root_mem`]): image and stack mapped, kernel
+    /// configured, DriverEntry invoked (the PnP load of §4.2).
+    pub(crate) fn make_root_machine(&self, dut: &DriverUnderTest, root: &Arc<RootMem>) -> Machine {
         let mut st = SymState::new(SymCounter::new());
+        st.mem = SymMemory::with_root(root.clone());
         let plan = LoadPlan::new(dut.image.clone());
         for (start, len) in plan.regions() {
             st.mem.map(start, len);
         }
-        st.mem.seed_bytes(dut.image.load_base, &dut.image.text);
-        st.mem.seed_bytes(dut.image.data_base(), &dut.image.data);
-        st.mem.set_code_region(dut.image.load_base, dut.image.text.len() as u32);
         st.grants.grant(
             dut.image.load_base,
             dut.image.image_end() - dut.image.load_base,
@@ -1351,6 +1363,26 @@ enum ReturnFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The root's decoded text is what fetching and decoding would give,
+    /// at every instruction slot of every bundled driver's text.
+    #[test]
+    fn every_bundled_text_decodes_in_the_root_table_as_fetched() {
+        let specs = ddt_drivers::drivers().into_iter().chain([ddt_drivers::clean_driver()]);
+        for spec in specs {
+            let dut = DriverUnderTest::from_spec(&spec);
+            let (base, len) = (dut.image.load_base, dut.image.text.len() as u32);
+            let mut mem = SymMemory::with_root(dut.root_mem());
+            mem.map(base, len);
+            let slots = len / ddt_isa::INSN_SIZE;
+            assert!(slots > 0, "{}", spec.name);
+            for pc in (0..slots).map(|i| base + i * ddt_isa::INSN_SIZE) {
+                let raw = mem.read_concrete_bytes(pc, ddt_isa::INSN_SIZE).expect("concrete");
+                let fetched = ddt_isa::decode(raw.as_slice().try_into().expect("8 bytes"));
+                assert_eq!(mem.decoded_insn(pc), Some(fetched), "{} pc {pc:#x}", spec.name);
+            }
+        }
+    }
 
     /// The per-path step budget is the hang watchdog: a driver spinning in
     /// a polling loop forever must be killed, counted as a *potential hang*

@@ -27,6 +27,7 @@ use ddt_isa::analysis::CodeAnalysis;
 use ddt_kernel::loader::StackLayout;
 use ddt_kernel::state::DEVICE_MMIO_BASE;
 use ddt_solver::{QueryCache, Solver, SolverStats};
+use ddt_symvm::RootMem;
 use ddt_trace::{FrontierRecord, PathStatus, SiteKind};
 
 use crate::checkpoint::CampaignSeed;
@@ -121,17 +122,21 @@ pub(crate) struct Explorer<'a> {
     dut: &'a DriverUnderTest,
     env: DdtEnv,
     solver: Solver,
+    /// The campaign's root memory, which every root this engine builds
+    /// (lifts and prefix replays) starts from.
+    root: Arc<RootMem>,
     /// Solver counters already folded into run statistics.
     folded: SolverStats,
 }
 
 impl<'a> Explorer<'a> {
     /// An engine for `dut` whose solver shares the run's query cache and
-    /// applies the run's slicing switch.
+    /// applies the run's slicing switch, and whose roots share `root`.
     pub(crate) fn new(
         ddt: &'a Ddt,
         dut: &'a DriverUnderTest,
         run_cache: &Option<Arc<QueryCache>>,
+        root: &Arc<RootMem>,
     ) -> Explorer<'a> {
         let mut solver = match run_cache {
             Some(cache) => Solver::with_cache(cache.clone()),
@@ -146,7 +151,12 @@ impl<'a> Explorer<'a> {
             stack.initial_sp(),
         );
         env.check_memory = ddt.config.check_memory;
-        Explorer { ddt, dut, env, solver, folded: SolverStats::default() }
+        Explorer { ddt, dut, env, solver, root: root.clone(), folded: SolverStats::default() }
+    }
+
+    /// A fresh root machine over the campaign's root memory.
+    pub(crate) fn root_machine(&self) -> Machine {
+        self.ddt.make_root_machine(self.dut, &self.root)
     }
 
     /// The tool this engine explores for.
@@ -261,7 +271,7 @@ impl<'a> Explorer<'a> {
         rec: &FrontierRecord,
         on_quantum: &mut dyn FnMut(u64),
     ) -> Result<Machine, String> {
-        let mut m = self.ddt.make_root_machine(self.dut);
+        let mut m = self.root_machine();
         let mut cursor = ReplayCursor::new(rec.picks.clone(), rec.trailing_skips, rec.steps_total);
         let mut scratch_worklist = Vec::new();
         let mut scratch_next_id = u64::MAX;
@@ -341,6 +351,8 @@ pub(crate) struct RunState {
     pub prune: Option<PruneSet>,
     /// The query cache all of the run's explorers share.
     pub cache: Option<Arc<QueryCache>>,
+    /// The root memory all of the run's roots share.
+    pub root: Arc<RootMem>,
     /// Sequence number of the run's next checkpoint.
     pub checkpoint_seq: u64,
     /// Frontier paths a resume replayed, and those it had to drop.
@@ -372,9 +384,11 @@ impl RunState {
         let mut checkpoint_seq = 0;
         let mut resumed = (0, 0);
         let mut prune_seen = Vec::new();
+        let mut root_mem = None;
         let (coverage, pending) = match start {
             Start::Root => {
-                let root = ddt.make_root_machine(dut);
+                let mem = root_mem.insert(dut.root_mem());
+                let root = ddt.make_root_machine(dut, mem);
                 stats.symbols = root.st.counter.allocated();
                 stats.paths_started = 1;
                 (Coverage::new(analysis), vec![root])
@@ -400,6 +414,11 @@ impl RunState {
                 (coverage, s.frontier)
             }
         };
+        // A lease and a resumed frontier were replayed over the root memory
+        // the run goes on with.
+        let root = root_mem
+            .or_else(|| pending.first().map(|m| m.st.mem.root().clone()))
+            .unwrap_or_else(|| dut.root_mem());
         let run = RunState {
             coverage,
             stats,
@@ -409,6 +428,7 @@ impl RunState {
             // A shard's solver lives in its worker's explorer, over the
             // worker's cache; shard results carry no cache counters.
             cache: if lease { None } else { config.run_cache() },
+            root,
             checkpoint_seq,
             resumed,
         };

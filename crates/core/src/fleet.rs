@@ -229,7 +229,7 @@ where
     });
 
     let analysis = analysis::analyze(&dut.image);
-    let mut explorer = Explorer::new(ddt, dut, &ddt.config.run_cache());
+    let mut explorer = Explorer::new(ddt, dut, &ddt.config.run_cache(), &dut.root_mem());
 
     let mut st = WorkerState {
         queue: VecDeque::new(),
@@ -601,7 +601,7 @@ impl<'a> Supervisor<'a> {
         let target = fc.workers.max(1) * fc.shard_factor.max(1);
         let analysis = analysis::analyze(&dut.image);
         let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
-        let mut explorer = Explorer::new(ddt, dut, &run.cache);
+        let mut explorer = Explorer::new(ddt, dut, &run.cache, &run.root);
         let mut interrupted = false;
         let Ok(()) = explorer.drain(
             &mut run,

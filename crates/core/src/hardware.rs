@@ -129,8 +129,8 @@ impl SymEnv for DdtEnv {
             SymOrigin::HardwareRead { addr },
             8 * size as u32,
         );
-        if let ddt_expr::ExprNode::Sym { id, .. } = sym.node() {
-            st.trace.push(TraceEvent::HardwareRead { addr, id: *id });
+        if let ddt_expr::NodeView::Sym { id, .. } = sym.node() {
+            st.trace.push(TraceEvent::HardwareRead { addr, id });
         }
         sym
     }
@@ -149,8 +149,8 @@ impl SymEnv for DdtEnv {
             SymOrigin::PortRead { port },
             32,
         );
-        if let ddt_expr::ExprNode::Sym { id, .. } = sym.node() {
-            st.trace.push(TraceEvent::HardwareRead { addr: port, id: *id });
+        if let ddt_expr::NodeView::Sym { id, .. } = sym.node() {
+            st.trace.push(TraceEvent::HardwareRead { addr: port, id });
         }
         sym
     }

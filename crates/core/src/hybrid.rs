@@ -295,13 +295,8 @@ fn synthesize_bug(
 /// symbols it constrains them to the pinned values, so the lifted state
 /// follows the concrete path while the pins last and explores symbolically
 /// beyond them.
-fn lift_to_machine(
-    ddt: &Ddt,
-    dut: &DriverUnderTest,
-    runner: &mut ConcreteRunner,
-    input: &FuzzInput,
-) -> Machine {
-    let mut m = ddt.make_root_machine(dut);
+fn lift_to_machine(explorer: &Explorer, runner: &mut ConcreteRunner, input: &FuzzInput) -> Machine {
+    let mut m = explorer.root_machine();
     m.st.hw_pins = runner
         .hardware_served()
         .iter()
@@ -365,7 +360,7 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
     // No prune set: the superset guarantee needs every fork (see above).
     run.prune = None;
-    let mut explorer = Explorer::new(ddt, dut, &run.cache);
+    let mut explorer = Explorer::new(ddt, dut, &run.cache, &run.root);
     let mut escalated: HashSet<u64> = HashSet::new();
     // Escalation dedup: two fuzz inputs that pinned identical values would
     // lift into machines exploring the same subtree.
@@ -448,7 +443,7 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
                 let mut labels = input.labels.clone();
                 labels.sort();
                 if escalation_seen.insert((pins, labels)) {
-                    let mut m = lift_to_machine(ddt, dut, r, &input);
+                    let mut m = lift_to_machine(&explorer, r, &input);
                     m.id = run.next_id;
                     run.next_id += 1;
                     escalated.insert(m.id);

@@ -288,6 +288,7 @@ pub(crate) fn explore_parallel(
     // One counterexample cache for the whole worker pool: a constraint set
     // solved (or refuted) by any worker is a cache hit for every other.
     let run_cache = run.cache.clone();
+    let root = run.root.clone();
     let campaign: Option<Mutex<CampaignWriter>> = ddt.config.checkpoint.as_ref().map(|policy| {
         Mutex::new(CampaignWriter::start(
             policy,
@@ -310,7 +311,7 @@ pub(crate) fn explore_parallel(
     // Worker `w`: pop its own frontier (or steal, or block), run the
     // quantum, settle it, push its machines, and take a cut when elected.
     let worker = |w: usize| {
-        let mut explorer = Explorer::new(ddt, dut, &run_cache);
+        let mut explorer = Explorer::new(ddt, dut, &run_cache, &root);
         loop {
             if ddt.config.stop_requested() {
                 interrupted.store(true, Ordering::Relaxed);

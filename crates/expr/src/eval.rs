@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::node::{BuildSymIdHasher, Expr, ExprNode};
+use crate::node::{BuildSymIdHasher, Expr, NodeView};
 use crate::{fold_bin, fold_cmp, mask, sext, SymId};
 
 /// A concrete assignment of values to symbolic variables.
@@ -70,19 +70,19 @@ impl Expr {
     /// zero. The result is masked to the expression's width.
     pub fn eval(&self, asg: &Assignment) -> u64 {
         match self.node() {
-            ExprNode::Const { bits, .. } => *bits,
-            ExprNode::Sym { id, width } => mask(asg.get_or_zero(*id), *width),
-            ExprNode::Not(e) => mask(!e.eval(asg), e.width()),
-            ExprNode::Neg(e) => mask(e.eval(asg).wrapping_neg(), e.width()),
-            ExprNode::Bin(op, a, b) => fold_bin(*op, a.eval(asg), b.eval(asg), a.width()),
-            ExprNode::Cmp(op, a, b) => fold_cmp(*op, a.eval(asg), b.eval(asg), a.width()) as u64,
-            ExprNode::ZExt { e, .. } => e.eval(asg),
-            ExprNode::SExt { e, width } => mask(sext(e.eval(asg), e.width()) as u64, *width),
-            ExprNode::Extract { e, hi, lo } => mask(e.eval(asg) >> lo, hi - lo + 1),
-            ExprNode::Concat { hi, lo } => {
+            NodeView::Const { bits, .. } => bits,
+            NodeView::Sym { id, width } => mask(asg.get_or_zero(id), width),
+            NodeView::Not(e) => mask(!e.eval(asg), e.width()),
+            NodeView::Neg(e) => mask(e.eval(asg).wrapping_neg(), e.width()),
+            NodeView::Bin(op, a, b) => fold_bin(op, a.eval(asg), b.eval(asg), a.width()),
+            NodeView::Cmp(op, a, b) => fold_cmp(op, a.eval(asg), b.eval(asg), a.width()) as u64,
+            NodeView::ZExt { e, .. } => e.eval(asg),
+            NodeView::SExt { e, width } => mask(sext(e.eval(asg), e.width()) as u64, width),
+            NodeView::Extract { e, hi, lo } => mask(e.eval(asg) >> lo, hi - lo + 1),
+            NodeView::Concat { hi, lo } => {
                 mask((hi.eval(asg) << lo.width()) | lo.eval(asg), self.width())
             }
-            ExprNode::Ite { cond, then, els } => {
+            NodeView::Ite { cond, then, els } => {
                 if cond.eval(asg) != 0 {
                     then.eval(asg)
                 } else {

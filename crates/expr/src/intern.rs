@@ -1,11 +1,17 @@
 //! The hash-consing interner: one shared allocation per distinct subtree.
 //!
-//! Every [`Expr`] in the process is built through [`intern`], so two
-//! structurally identical expressions always share one `Arc` allocation.
-//! That invariant is what lets `Expr::eq` be a pointer comparison and
-//! `Expr::hash` a single precomputed-word write: the solver's bit-blast
+//! Every [`Expr`] that is not an inline constant (a constant of at most 32
+//! bits, which lives in the handle's own word) is built through [`intern`],
+//! so two structurally identical expressions always share one `Arc`
+//! allocation. That invariant is what lets `Expr::eq` be a word comparison
+//! and `Expr::hash` a single precomputed-word write: the solver's bit-blast
 //! memo table, the query cache's canonical keys, and `cache_key`'s sort all
 //! become O(1) per node instead of O(tree).
+//!
+//! Constants, which are most of what the symbolic VM builds while it runs
+//! the kernel and driver concretely, never reach this table, so the shard
+//! locks, digests and reference counts here are paid only for symbolic
+//! structure. [`intern_stats`] counts those calls only.
 //!
 //! The table is sharded to keep construction cheap under the parallel
 //! explorer, and stores [`Weak`] handles so dropping the last user of a
@@ -14,11 +20,10 @@
 //! the inserts that encounter them.
 //!
 //! Hashing is *shallow*: a node's hash mixes its variant tag and scalar
-//! fields with the precomputed hashes of its (already interned) children,
-//! so interning one node is O(1) regardless of subtree depth. The hash is
-//! a pure function of the expression's structure (no pointers), hence
-//! stable across processes — the cache's Bloom signatures derived from it
-//! are deterministic.
+//! fields with the structural digests of its children, so interning one
+//! node is O(1) regardless of subtree depth. The hash is a pure function of
+//! the expression's structure (no pointers), hence stable across processes
+//! — the cache's Bloom signatures derived from it are deterministic.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -49,8 +54,8 @@ fn lock(shard: &Shard) -> MutexGuard<'_, HashMap<u64, Vec<Weak<Interned>>>> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shallow structural hash of a node whose children are already interned:
-/// the children contribute their stored hashes, not a traversal.
+/// Shallow structural hash of a node whose children are already built:
+/// the children contribute their structural digests, not a traversal.
 pub(crate) fn shallow_hash(node: &ExprNode) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     node.hash(&mut h);
@@ -89,7 +94,8 @@ pub(crate) fn intern(node: ExprNode) -> Expr {
 
 /// Interner counters since process start: `(hits, misses)`. A hit is an
 /// intern call that found the structure already live; the hit rate is the
-/// sharing factor the hash-consing layer achieves.
+/// sharing factor the hash-consing layer achieves. Inline constants never
+/// intern, so they count in neither.
 pub fn intern_stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }

@@ -3,8 +3,10 @@
 //! This crate is the expression layer of the Klee-equivalent substrate used
 //! by DDT (see DESIGN.md §4.2). It provides:
 //!
-//! - [`Expr`]: an immutable, reference-counted bitvector expression tree with
-//!   widths of 1–64 bits,
+//! - [`Expr`]: an immutable bitvector expression tree with widths of 1–64
+//!   bits, one machine word per handle: constants of up to 32 bits are
+//!   carried inline, every other node is hash-consed into one shared,
+//!   reference-counted allocation (see [`NodeView`] for reading a node),
 //! - smart constructors that aggressively constant-fold and apply algebraic
 //!   simplifications at build time,
 //! - [`Expr::eval`]: evaluation under a concrete [`Assignment`] of symbols,
@@ -45,6 +47,7 @@ pub use node::{
     Expr,
     ExprHasher,
     ExprNode,
+    NodeView,
     SymId,
     SymIdHasher,
 };

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -128,11 +129,11 @@ pub enum CmpOp {
 /// is giving constraint sets a canonical element order for cache keys (see
 /// [`crate::cache_key`]), so it must stay consistent with `Eq` and `Hash`.
 ///
-/// Because child `Expr`s are hash-consed (see [`crate::intern`]), the
-/// derived `PartialEq`/`Hash` here are *shallow*: children compare by
-/// pointer and hash by their precomputed structural hash. Under the
-/// interning invariant (every live `Expr` is interned) shallow equality
-/// coincides with deep structural equality.
+/// Because child `Expr`s are hash-consed or inline (see [`Expr`]), the
+/// derived `PartialEq`/`Hash` here are *shallow*: children compare by word
+/// and hash by their structural digest. Under the interning invariant
+/// (every live non-inline `Expr` is interned) shallow equality coincides
+/// with deep structural equality.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ExprNode {
     /// A constant with `width` significant bits (stored masked).
@@ -159,34 +160,206 @@ pub enum ExprNode {
     Ite { cond: Expr, then: Expr, els: Expr },
 }
 
-/// The interned payload behind an [`Expr`]: the node plus its precomputed
-/// structural hash and width, filled in once at intern time so that
-/// `Expr::hash` and `Expr::width` are O(1) forever after.
+/// A borrowed view of an [`Expr`]'s node: what [`Expr::node`] returns.
+///
+/// It mirrors [`ExprNode`] variant for variant and field for field, with
+/// children borrowed instead of owned, because an inline constant (see
+/// [`Expr`]) has no stored node to lend. The derived `Ord` and `Hash` are
+/// therefore those of `ExprNode`: same variant order, same field order, and
+/// a borrowed child hashes and compares as the child itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum NodeView<'a> {
+    /// A constant with `width` significant bits.
+    Const { bits: u64, width: u32 },
+    /// A symbolic variable.
+    Sym { id: SymId, width: u32 },
+    /// Bitwise negation.
+    Not(&'a Expr),
+    /// Two's-complement negation.
+    Neg(&'a Expr),
+    /// Binary operator.
+    Bin(BinOp, &'a Expr, &'a Expr),
+    /// Comparison; result width is 1.
+    Cmp(CmpOp, &'a Expr, &'a Expr),
+    /// Zero extension to `width` bits.
+    ZExt { e: &'a Expr, width: u32 },
+    /// Sign extension to `width` bits.
+    SExt { e: &'a Expr, width: u32 },
+    /// Bit slice `[hi:lo]` (inclusive).
+    Extract { e: &'a Expr, hi: u32, lo: u32 },
+    /// Concatenation; `hi` occupies the upper bits.
+    Concat { hi: &'a Expr, lo: &'a Expr },
+    /// If-then-else on a 1-bit condition.
+    Ite { cond: &'a Expr, then: &'a Expr, els: &'a Expr },
+}
+
+impl<'a> NodeView<'a> {
+    fn of(node: &'a ExprNode) -> NodeView<'a> {
+        match node {
+            ExprNode::Const { bits, width } => NodeView::Const { bits: *bits, width: *width },
+            ExprNode::Sym { id, width } => NodeView::Sym { id: *id, width: *width },
+            ExprNode::Not(e) => NodeView::Not(e),
+            ExprNode::Neg(e) => NodeView::Neg(e),
+            ExprNode::Bin(op, a, b) => NodeView::Bin(*op, a, b),
+            ExprNode::Cmp(op, a, b) => NodeView::Cmp(*op, a, b),
+            ExprNode::ZExt { e, width } => NodeView::ZExt { e, width: *width },
+            ExprNode::SExt { e, width } => NodeView::SExt { e, width: *width },
+            ExprNode::Extract { e, hi, lo } => NodeView::Extract { e, hi: *hi, lo: *lo },
+            ExprNode::Concat { hi, lo } => NodeView::Concat { hi, lo },
+            ExprNode::Ite { cond, then, els } => NodeView::Ite { cond, then, els },
+        }
+    }
+
+    /// The owned node this view reads (children are cloned handles).
+    pub fn to_node(self) -> ExprNode {
+        match self {
+            NodeView::Const { bits, width } => ExprNode::Const { bits, width },
+            NodeView::Sym { id, width } => ExprNode::Sym { id, width },
+            NodeView::Not(e) => ExprNode::Not(e.clone()),
+            NodeView::Neg(e) => ExprNode::Neg(e.clone()),
+            NodeView::Bin(op, a, b) => ExprNode::Bin(op, a.clone(), b.clone()),
+            NodeView::Cmp(op, a, b) => ExprNode::Cmp(op, a.clone(), b.clone()),
+            NodeView::ZExt { e, width } => ExprNode::ZExt { e: e.clone(), width },
+            NodeView::SExt { e, width } => ExprNode::SExt { e: e.clone(), width },
+            NodeView::Extract { e, hi, lo } => ExprNode::Extract { e: e.clone(), hi, lo },
+            NodeView::Concat { hi, lo } => ExprNode::Concat { hi: hi.clone(), lo: lo.clone() },
+            NodeView::Ite { cond, then, els } => {
+                ExprNode::Ite { cond: cond.clone(), then: then.clone(), els: els.clone() }
+            }
+        }
+    }
+}
+
+/// The interned payload behind a non-inline [`Expr`]: the node plus its
+/// precomputed structural hash and width, filled in once at intern time so
+/// that `Expr::hash` and `Expr::width` are O(1) forever after.
 pub(crate) struct Interned {
     pub(crate) hash: u64,
     pub(crate) width: u32,
     pub(crate) node: ExprNode,
 }
 
-/// An immutable, cheaply clonable bitvector expression.
+/// Widest constant an [`Expr`] carries inline rather than interned.
+const INLINE_MAX_WIDTH: u32 = 32;
+
+/// Low bit of an inline constant's word; an `Arc<Interned>` pointer is
+/// 8-aligned, so its low bit is always clear.
+const INLINE_TAG: usize = 1;
+
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("Expr packs a 32-bit constant and its width into one 64-bit word");
+
+/// An immutable, cheaply clonable bitvector expression, one machine word.
 ///
 /// Constructed through the associated smart constructors, which constant-fold
 /// and simplify eagerly so that fully concrete computations never allocate
 /// deep trees.
 ///
-/// Expressions are **hash-consed**: identical subtrees share one allocation
-/// (see [`crate::intern`]), so `==` is a pointer comparison, `Hash` writes a
-/// precomputed word, and `width` is a stored field. The structural [`Ord`]
-/// keeps its deep total order (with a pointer fast path at every level) —
-/// canonical cache keys depend on it being a pure function of structure.
-#[derive(Clone)]
-pub struct Expr(Arc<Interned>);
+/// The word is one of two things:
+///
+/// - **an inline constant**: a constant of at most 32 bits is the word
+///   `bits << 32 | width << 1 | 1`. Building, cloning, comparing and
+///   dropping it touches no allocation, no interner and no shared counter;
+///   the symbolic VM's mostly concrete values are all of this kind.
+/// - **an interned node**: every other node (including constants wider
+///   than 32 bits) is a strong count of an `Arc` the interner hands out
+///   (see [`crate::intern`]), so identical subtrees share one allocation.
+///
+/// Each constant has exactly one form, so `==` is a word comparison in both
+/// cases. `Hash` writes the structural digest an interned node stores, which
+/// for an inline constant is computed on demand and equals the digest of
+/// its `ExprNode::Const`. The structural [`Ord`] keeps its deep total order
+/// (with a word fast path at every level): constants order by `(bits,
+/// width)` before every other node whatever their form, so canonical cache
+/// keys stay a pure function of structure.
+pub struct Expr(NonNull<Interned>);
+
+// SAFETY: an `Expr` is either plain data (an inline constant) or one strong
+// count of an `Arc<Interned>`; `Interned` holds only `Send + Sync` data, so
+// sharing or sending the handle is as safe as for that `Arc`.
+unsafe impl Send for Expr {}
+// SAFETY: see the `Send` impl above.
+unsafe impl Sync for Expr {}
+
+impl Expr {
+    /// The inline word for a constant, when it has one: `width` at most
+    /// [`INLINE_MAX_WIDTH`] and `bits` fitting in 32 bits. Other constants
+    /// (wide ones, or unmasked ones a codec reproduces verbatim) intern.
+    #[inline]
+    fn inline(bits: u64, width: u32) -> Option<Expr> {
+        if width > INLINE_MAX_WIDTH || bits > u32::MAX as u64 {
+            return None;
+        }
+        let word = (bits as usize) << 32 | (width as usize) << 1 | INLINE_TAG;
+        // The tag bit makes the word non-zero; an address without
+        // provenance is never dereferenced (see `interned`).
+        NonNull::new(std::ptr::without_provenance_mut(word)).map(Expr)
+    }
+
+    #[inline]
+    fn word(&self) -> usize {
+        self.0.as_ptr().addr()
+    }
+
+    /// `(bits, width)` of an inline constant.
+    #[inline]
+    fn inline_const(&self) -> Option<(u64, u32)> {
+        let w = self.word();
+        (w & INLINE_TAG != 0).then_some(((w >> 32) as u64, (w >> 1) as u32 & 0x3f))
+    }
+
+    /// The interned payload, unless this is an inline constant.
+    #[inline]
+    fn interned(&self) -> Option<&Interned> {
+        if self.word() & INLINE_TAG != 0 {
+            return None;
+        }
+        // SAFETY: an untagged word is the pointer `Arc::into_raw` returned
+        // in `from_interned`, and this handle owns one strong count of that
+        // `Arc`, so the payload lives at least as long as `&self`.
+        Some(unsafe { self.0.as_ref() })
+    }
+
+    /// Takes over one strong count of an interned payload (interner
+    /// internal).
+    #[inline]
+    pub(crate) fn from_interned(arc: Arc<Interned>) -> Self {
+        let ptr = Arc::into_raw(arc).cast_mut();
+        debug_assert_eq!(ptr.addr() & INLINE_TAG, 0, "Interned is 8-aligned");
+        Expr(NonNull::new(ptr).expect("Arc pointers are non-null"))
+    }
+}
+
+impl Clone for Expr {
+    #[inline]
+    fn clone(&self) -> Self {
+        if self.word() & INLINE_TAG == 0 {
+            // SAFETY: an untagged word came from `Arc::into_raw` and this
+            // handle keeps that `Arc` alive; the new handle owns the count
+            // added here.
+            unsafe { Arc::increment_strong_count(self.0.as_ptr().cast_const()) };
+        }
+        Expr(self.0)
+    }
+}
+
+impl Drop for Expr {
+    #[inline]
+    fn drop(&mut self) {
+        if self.word() & INLINE_TAG == 0 {
+            // SAFETY: an untagged word came from `Arc::into_raw`, and this
+            // handle owns exactly one strong count, released here once.
+            unsafe { Arc::decrement_strong_count(self.0.as_ptr().cast_const()) };
+        }
+    }
+}
 
 impl PartialEq for Expr {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        // Interning makes structural equality and pointer equality coincide.
-        Arc::ptr_eq(&self.0, &other.0)
+        // Interning makes structural equality and pointer equality coincide,
+        // and an inline constant's word is its value.
+        self.0 == other.0
     }
 }
 
@@ -195,7 +368,7 @@ impl Eq for Expr {}
 impl std::hash::Hash for Expr {
     #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.hash);
+        state.write_u64(self.structural_hash());
     }
 }
 
@@ -208,26 +381,29 @@ impl PartialOrd for Expr {
 
 impl Ord for Expr {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if self == other {
             return std::cmp::Ordering::Equal;
         }
         // Deep structural order; recursion re-enters this fast path at
         // every shared subtree.
-        self.0.node.cmp(&other.0.node)
+        self.node().cmp(&other.node())
     }
 }
 
 impl Serialize for Expr {
     fn to_value(&self) -> serde::Value {
         // Same wire shape as the historical derived newtype impl: the node.
-        self.node().to_value()
+        match self.interned() {
+            Some(i) => i.node.to_value(),
+            None => self.node().to_node().to_value(),
+        }
     }
 }
 
 impl Deserialize for Expr {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         // Re-intern on the way in so the process-wide invariant (every live
-        // Expr is interned) survives deserialization.
+        // non-inline Expr is interned) survives deserialization.
         ExprNode::from_value(v).map(Expr::from_node)
     }
 }
@@ -240,13 +416,12 @@ impl fmt::Debug for Expr {
 
 impl Expr {
     fn new(node: ExprNode) -> Self {
+        if let ExprNode::Const { bits, width } = node {
+            if let Some(e) = Expr::inline(bits, width) {
+                return e;
+            }
+        }
         crate::intern::intern(node)
-    }
-
-    /// Wraps an interned payload (interner internal).
-    #[inline]
-    pub(crate) fn from_interned(arc: Arc<Interned>) -> Self {
-        Expr(arc)
     }
 
     /// Allocates the interned payload for a node, computing its width from
@@ -265,28 +440,48 @@ impl Expr {
         Arc::new(Interned { hash, width, node })
     }
 
-    /// True when both handles point at the same interned allocation (under
-    /// the interning invariant, equivalent to `==`; exposed for tests and
-    /// diagnostics that want to assert the sharing itself).
+    /// True when both handles are the same word: the same interned
+    /// allocation, or the same inline constant. Under the interning
+    /// invariant this is equivalent to `==`; it is exposed for tests and
+    /// diagnostics that want to assert the sharing itself.
     #[inline]
     pub fn ptr_eq(a: &Expr, b: &Expr) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        a.0 == b.0
     }
 
-    /// Returns the underlying node.
+    /// The structural digest: the one stored at intern time, or for an
+    /// inline constant the digest its `ExprNode::Const` would store.
     #[inline]
-    pub fn node(&self) -> &ExprNode {
-        &self.0.node
+    fn structural_hash(&self) -> u64 {
+        match self.interned() {
+            Some(i) => i.hash,
+            None => {
+                let (bits, width) = self.inline_const().expect("untagged words are interned");
+                crate::intern::shallow_hash(&ExprNode::Const { bits, width })
+            }
+        }
+    }
+
+    /// Returns a view of the underlying node.
+    #[inline]
+    pub fn node(&self) -> NodeView<'_> {
+        match self.interned() {
+            Some(i) => NodeView::of(&i.node),
+            None => {
+                let (bits, width) = self.inline_const().expect("untagged words are interned");
+                NodeView::Const { bits, width }
+            }
+        }
     }
 
     /// Wraps a node verbatim, without smart-constructor simplification.
     ///
     /// For codecs (binary trace encoding, serde) that must reproduce an
     /// expression tree *exactly* as stored: rebuilding through the smart
-    /// constructors could rewrite the tree. The node is still interned, so
-    /// decoded trees share allocations with live ones. The caller is
-    /// responsible for the width invariants the constructors normally
-    /// enforce.
+    /// constructors could rewrite the tree. A non-constant node is still
+    /// interned, so decoded trees share allocations with live ones. The
+    /// caller is responsible for the width invariants the constructors
+    /// normally enforce.
     pub fn from_node(node: ExprNode) -> Expr {
         Expr::new(node)
     }
@@ -320,20 +515,26 @@ impl Expr {
     /// time; O(1) even for deep trees).
     #[inline]
     pub fn width(&self) -> u32 {
-        self.0.width
+        match self.interned() {
+            Some(i) => i.width,
+            None => (self.word() >> 1) as u32 & 0x3f,
+        }
     }
 
     /// Returns the constant value if this expression is a constant.
+    #[inline]
     pub fn as_const(&self) -> Option<u64> {
-        match self.node() {
-            ExprNode::Const { bits, .. } => Some(*bits),
-            _ => None,
+        match self.interned() {
+            Some(Interned { node: ExprNode::Const { bits, .. }, .. }) => Some(*bits),
+            Some(_) => None,
+            None => Some((self.word() >> 32) as u64),
         }
     }
 
     /// Returns true if this expression is fully concrete (a constant).
+    #[inline]
     pub fn is_const(&self) -> bool {
-        matches!(self.node(), ExprNode::Const { .. })
+        self.as_const().is_some()
     }
 
     /// Returns true if this is the 1-bit constant `true`.
@@ -388,7 +589,7 @@ impl Expr {
             }
         }
         // Reassociate (x + c1) + c2 => x + (c1+c2); same for Sub folded into Add.
-        if let (ExprNode::Bin(BinOp::Add, x, c1), Some(c2)) = (a.node(), b.as_const()) {
+        if let (NodeView::Bin(BinOp::Add, x, c1), Some(c2)) = (a.node(), b.as_const()) {
             if op == BinOp::Add {
                 if let Some(c1v) = c1.as_const() {
                     return Expr::bin(BinOp::Add, x, &Expr::constant(c1v.wrapping_add(c2), w));
@@ -417,8 +618,8 @@ impl Expr {
     /// Bitwise NOT.
     pub fn not(&self) -> Expr {
         match self.node() {
-            ExprNode::Const { bits, width } => Expr::constant(!bits, *width),
-            ExprNode::Not(inner) => inner.clone(),
+            NodeView::Const { bits, width } => Expr::constant(!bits, width),
+            NodeView::Not(inner) => inner.clone(),
             _ => Expr::new(ExprNode::Not(self.clone())),
         }
     }
@@ -426,8 +627,8 @@ impl Expr {
     /// Two's-complement negation.
     pub fn neg(&self) -> Expr {
         match self.node() {
-            ExprNode::Const { bits, width } => Expr::constant(bits.wrapping_neg(), *width),
-            ExprNode::Neg(inner) => inner.clone(),
+            NodeView::Const { bits, width } => Expr::constant(bits.wrapping_neg(), width),
+            NodeView::Neg(inner) => inner.clone(),
             _ => Expr::new(ExprNode::Neg(self.clone())),
         }
     }
@@ -442,7 +643,7 @@ impl Expr {
         // For 1-bit values logical and bitwise negation coincide; also flip
         // comparisons directly so path constraints stay in negation-normal
         // form, which helps the solver's preprocessing.
-        if let ExprNode::Cmp(op, a, b) = self.node() {
+        if let NodeView::Cmp(op, a, b) = self.node() {
             let flipped = match op {
                 CmpOp::Eq => CmpOp::Ne,
                 CmpOp::Ne => CmpOp::Eq,
@@ -468,8 +669,8 @@ impl Expr {
             return self.clone();
         }
         match self.node() {
-            ExprNode::Const { bits, .. } => Expr::constant(*bits, width),
-            ExprNode::ZExt { e, .. } => e.zext(width),
+            NodeView::Const { bits, .. } => Expr::constant(bits, width),
+            NodeView::ZExt { e, .. } => e.zext(width),
             _ => Expr::new(ExprNode::ZExt { e: self.clone(), width }),
         }
     }
@@ -482,7 +683,7 @@ impl Expr {
             return self.clone();
         }
         match self.node() {
-            ExprNode::Const { bits, width: w } => Expr::constant(sext(*bits, *w) as u64, width),
+            NodeView::Const { bits, width: w } => Expr::constant(sext(bits, w) as u64, width),
             _ => Expr::new(ExprNode::SExt { e: self.clone(), width }),
         }
     }
@@ -500,11 +701,11 @@ impl Expr {
         }
         let out_w = hi - lo + 1;
         match self.node() {
-            ExprNode::Const { bits, .. } => Expr::constant(bits >> lo, out_w),
+            NodeView::Const { bits, .. } => Expr::constant(bits >> lo, out_w),
             // Extract of extract composes.
-            ExprNode::Extract { e, lo: lo2, .. } => e.extract(hi + lo2, lo + lo2),
+            NodeView::Extract { e, lo: lo2, .. } => e.extract(hi + lo2, lo + lo2),
             // Extract entirely within one side of a concat.
-            ExprNode::Concat { hi: h, lo: l } => {
+            NodeView::Concat { hi: h, lo: l } => {
                 let lw = l.width();
                 if hi < lw {
                     l.extract(hi, lo)
@@ -515,7 +716,7 @@ impl Expr {
                 }
             }
             // Extract of zext: inside original, or pure zero bits.
-            ExprNode::ZExt { e, .. } => {
+            NodeView::ZExt { e, .. } => {
                 let iw = e.width();
                 if hi < iw {
                     e.extract(hi, lo)
@@ -544,12 +745,12 @@ impl Expr {
         }
         // Concat of adjacent extracts of the same source merges.
         if let (
-            ExprNode::Extract { e: e1, hi: h1, lo: l1 },
-            ExprNode::Extract { e: e2, hi: h2, lo: l2 },
+            NodeView::Extract { e: e1, hi: h1, lo: l1 },
+            NodeView::Extract { e: e2, hi: h2, lo: l2 },
         ) = (self.node(), lo.node())
         {
-            if e1 == e2 && *l1 == h2 + 1 {
-                return e1.extract(*h1, *l2);
+            if e1 == e2 && l1 == h2 + 1 {
+                return e1.extract(h1, l2);
             }
         }
         // Zero upper bits => zext.
@@ -670,14 +871,14 @@ impl Expr {
     /// Returns the number of nodes in the tree (diagnostics, size caps).
     pub fn size(&self) -> usize {
         match self.node() {
-            ExprNode::Const { .. } | ExprNode::Sym { .. } => 1,
-            ExprNode::Not(e) | ExprNode::Neg(e) => 1 + e.size(),
-            ExprNode::Bin(_, a, b) | ExprNode::Cmp(_, a, b) => 1 + a.size() + b.size(),
-            ExprNode::ZExt { e, .. } | ExprNode::SExt { e, .. } | ExprNode::Extract { e, .. } => {
+            NodeView::Const { .. } | NodeView::Sym { .. } => 1,
+            NodeView::Not(e) | NodeView::Neg(e) => 1 + e.size(),
+            NodeView::Bin(_, a, b) | NodeView::Cmp(_, a, b) => 1 + a.size() + b.size(),
+            NodeView::ZExt { e, .. } | NodeView::SExt { e, .. } | NodeView::Extract { e, .. } => {
                 1 + e.size()
             }
-            ExprNode::Concat { hi, lo } => 1 + hi.size() + lo.size(),
-            ExprNode::Ite { cond, then, els } => 1 + cond.size() + then.size() + els.size(),
+            NodeView::Concat { hi, lo } => 1 + hi.size() + lo.size(),
+            NodeView::Ite { cond, then, els } => 1 + cond.size() + then.size() + els.size(),
         }
     }
 }
@@ -769,17 +970,17 @@ pub fn fold_cmp(op: CmpOp, a: u64, b: u64, w: u32) -> bool {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.node() {
-            ExprNode::Const { bits, width } => write!(f, "{bits:#x}:{width}"),
-            ExprNode::Sym { id, width } => write!(f, "{id}:{width}"),
-            ExprNode::Not(e) => write!(f, "~{e}"),
-            ExprNode::Neg(e) => write!(f, "-{e}"),
-            ExprNode::Bin(op, a, b) => write!(f, "({a} {} {b})", bin_sym(*op)),
-            ExprNode::Cmp(op, a, b) => write!(f, "({a} {} {b})", cmp_sym(*op)),
-            ExprNode::ZExt { e, width } => write!(f, "zext({e}, {width})"),
-            ExprNode::SExt { e, width } => write!(f, "sext({e}, {width})"),
-            ExprNode::Extract { e, hi, lo } => write!(f, "{e}[{hi}:{lo}]"),
-            ExprNode::Concat { hi, lo } => write!(f, "({hi} ++ {lo})"),
-            ExprNode::Ite { cond, then, els } => write!(f, "ite({cond}, {then}, {els})"),
+            NodeView::Const { bits, width } => write!(f, "{bits:#x}:{width}"),
+            NodeView::Sym { id, width } => write!(f, "{id}:{width}"),
+            NodeView::Not(e) => write!(f, "~{e}"),
+            NodeView::Neg(e) => write!(f, "-{e}"),
+            NodeView::Bin(op, a, b) => write!(f, "({a} {} {b})", bin_sym(op)),
+            NodeView::Cmp(op, a, b) => write!(f, "({a} {} {b})", cmp_sym(op)),
+            NodeView::ZExt { e, width } => write!(f, "zext({e}, {width})"),
+            NodeView::SExt { e, width } => write!(f, "sext({e}, {width})"),
+            NodeView::Extract { e, hi, lo } => write!(f, "{e}[{hi}:{lo}]"),
+            NodeView::Concat { hi, lo } => write!(f, "({hi} ++ {lo})"),
+            NodeView::Ite { cond, then, els } => write!(f, "ite({cond}, {then}, {els})"),
         }
     }
 }
@@ -852,7 +1053,7 @@ mod tests {
         let x = s(1);
         let e = x.add(&c(3)).add(&c(4));
         match e.node() {
-            ExprNode::Bin(BinOp::Add, a, b) => {
+            NodeView::Bin(BinOp::Add, a, b) => {
                 assert_eq!(a, &x);
                 assert_eq!(b.as_const(), Some(7));
             }
@@ -877,7 +1078,7 @@ mod tests {
         let not_lt = lt.lnot();
         // !(x <u 5)  ==  5 <=u x
         match not_lt.node() {
-            ExprNode::Cmp(CmpOp::Ule, a, _) => assert_eq!(a.as_const(), Some(5)),
+            NodeView::Cmp(CmpOp::Ule, a, _) => assert_eq!(a.as_const(), Some(5)),
             other => panic!("expected flipped cmp, got {other:?}"),
         }
     }
@@ -939,6 +1140,44 @@ mod tests {
         let b = Expr::sym(SymId(2), 16);
         let r = std::panic::catch_unwind(|| a.add(&b));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn an_expr_is_one_word() {
+        assert_eq!(std::mem::size_of::<Expr>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Expr>>(), 8);
+    }
+
+    #[test]
+    fn narrow_constants_are_inline_and_wide_ones_interned() {
+        for width in 1..=32 {
+            let e = Expr::constant(u64::MAX, width);
+            assert!(e.interned().is_none(), "width {width}");
+            assert_eq!((e.as_const(), e.width()), (Some(mask(u64::MAX, width)), width));
+        }
+        for width in 33..=64 {
+            let e = Expr::constant(u64::MAX, width);
+            assert!(e.interned().is_some(), "width {width}");
+            assert_eq!((e.as_const(), e.width()), (Some(mask(u64::MAX, width)), width));
+            assert_eq!(e, Expr::constant(u64::MAX, width), "wide constants hash-cons");
+        }
+        // An unmasked constant a codec reproduces verbatim keeps its bits.
+        let raw = Expr::from_node(ExprNode::Const { bits: 0x1_0000_00ff, width: 8 });
+        assert_eq!(raw.as_const(), Some(0x1_0000_00ff));
+        assert_ne!(raw, Expr::constant(0xff, 8));
+    }
+
+    #[test]
+    fn constants_of_every_width_round_trip_through_serde() {
+        for width in 1..=64u32 {
+            for bits in [0, 1, u64::MAX, 0x8000_0000, 0x1234_5678_9abc_def0] {
+                let e = Expr::constant(bits, width);
+                let wire = e.to_value();
+                let node = ExprNode::Const { bits: mask(bits, width), width };
+                assert_eq!(wire, node.to_value(), "the wire shape is the node's");
+                assert_eq!(Expr::from_value(&wire).expect("decodes"), e, "width {width}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use crate::{Assignment, Expr, SymId};
+use crate::{Assignment, Expr, ExprHasher, SymId};
 
 fn arb_width() -> impl Strategy<Value = u32> {
     prop_oneof![Just(1u32), Just(8), Just(16), Just(32), Just(64)]
@@ -31,6 +31,38 @@ fn arb_small_expr(seed: u32) -> Expr {
         4 => leaf.sub(&y).and(&Expr::constant(0xffff, 32)),
         _ => leaf.or(&y.shl(&Expr::constant(1, 32))),
     }
+}
+
+/// An expression for the representation properties: a constant of any
+/// width 1–64 (so both the inline and the interned form), or a non-constant
+/// node over such constants. Few symbols and small constants make equal
+/// pairs common.
+fn arb_mixed(kind: u8, width: u32, bits: u64, sym: u32) -> Expr {
+    let c = |v: u64| Expr::constant(v, width);
+    let x = Expr::sym(SymId(sym % 3), width);
+    match kind % 7 {
+        0 => c(bits),
+        1 => c(bits % 4),
+        2 => c(bits >> (bits % 64)),
+        3 => x,
+        4 => x.add(&c(bits % 4)),
+        5 => x.ult(&c(bits)),
+        _ => Expr::ite(&x.eq(&c(bits % 2)), &c(bits), &c(!bits)),
+    }
+}
+
+/// The parent representation's digest of `e`: the shallow hash of its
+/// owned node, which for a constant involves no `Expr` at all.
+fn reference_hash(e: &Expr) -> u64 {
+    crate::intern::shallow_hash(&e.node().to_node())
+}
+
+/// The digest `e` writes into a hasher.
+fn written_hash(e: &Expr) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = ExprHasher::default();
+    e.hash(&mut h);
+    h.finish()
 }
 
 /// Deterministically builds a small boolean constraint from a seed.
@@ -207,5 +239,33 @@ proptest! {
         map.insert(SymId(0), Expr::constant(x, 32));
         map.insert(SymId(1), Expr::constant(y, 32));
         prop_assert_eq!(crate::subst(&e, &map).as_const(), Some(e.eval(&asg)));
+    }
+
+    /// Whatever form a constant takes (inline up to 32 bits, interned
+    /// above), `==`, `cmp` and `hash` agree with the structural reference:
+    /// equality and order of the owned `ExprNode`s, and the shallow hash
+    /// every interned node stored before constants went inline.
+    #[test]
+    fn eq_ord_hash_match_the_structural_reference(
+        a in (any::<u8>(), 1u32..=64, any::<u64>(), any::<u32>()),
+        b in (any::<u8>(), 1u32..=64, any::<u64>(), any::<u32>()),
+        same_width in any::<bool>(),
+    ) {
+        let x = arb_mixed(a.0, a.1, a.2, a.3);
+        let y = arb_mixed(b.0, if same_width { a.1 } else { b.1 }, b.2, b.3);
+        let (nx, ny) = (x.node().to_node(), y.node().to_node());
+        prop_assert_eq!(x == y, nx == ny, "{} vs {}", x, y);
+        prop_assert_eq!(x.cmp(&y), nx.cmp(&ny), "{} vs {}", x, y);
+        prop_assert_eq!(written_hash(&x), reference_hash(&x), "{}", x);
+        prop_assert_eq!(written_hash(&y), reference_hash(&y), "{}", y);
+        if let (Some(bx), Some(by)) = (x.as_const(), y.as_const()) {
+            // Constants order by (bits, width), whatever their form.
+            prop_assert_eq!(x.cmp(&y), (bx, x.width()).cmp(&(by, y.width())));
+        } else if x.is_const() != y.is_const() {
+            // ...and before every other node.
+            prop_assert_eq!(x.cmp(&y).is_lt(), x.is_const());
+        }
+        // A codec's verbatim rebuild is the same expression.
+        prop_assert_eq!(Expr::from_node(nx), x);
     }
 }

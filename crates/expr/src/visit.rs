@@ -2,29 +2,29 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::node::{Expr, ExprNode};
+use crate::node::{Expr, NodeView};
 use crate::SymId;
 
 /// Collects the set of symbols appearing in `e` into `out`.
 pub fn collect_syms(e: &Expr, out: &mut BTreeSet<SymId>) {
     match e.node() {
-        ExprNode::Const { .. } => {}
-        ExprNode::Sym { id, .. } => {
-            out.insert(*id);
+        NodeView::Const { .. } => {}
+        NodeView::Sym { id, .. } => {
+            out.insert(id);
         }
-        ExprNode::Not(a) | ExprNode::Neg(a) => collect_syms(a, out),
-        ExprNode::Bin(_, a, b) | ExprNode::Cmp(_, a, b) => {
+        NodeView::Not(a) | NodeView::Neg(a) => collect_syms(a, out),
+        NodeView::Bin(_, a, b) | NodeView::Cmp(_, a, b) => {
             collect_syms(a, out);
             collect_syms(b, out);
         }
-        ExprNode::ZExt { e, .. } | ExprNode::SExt { e, .. } | ExprNode::Extract { e, .. } => {
+        NodeView::ZExt { e, .. } | NodeView::SExt { e, .. } | NodeView::Extract { e, .. } => {
             collect_syms(e, out)
         }
-        ExprNode::Concat { hi, lo } => {
+        NodeView::Concat { hi, lo } => {
             collect_syms(hi, out);
             collect_syms(lo, out);
         }
-        ExprNode::Ite { cond, then, els } => {
+        NodeView::Ite { cond, then, els } => {
             collect_syms(cond, out);
             collect_syms(then, out);
             collect_syms(els, out);
@@ -64,26 +64,26 @@ pub fn sym_route(e: &Expr, id: SymId) -> Option<Vec<String>> {
         })
     }
     match e.node() {
-        ExprNode::Const { .. } => None,
-        ExprNode::Sym { id: here, width } => {
-            (*here == id).then(|| vec![format!("sym {here} ({width} bits)")])
+        NodeView::Const { .. } => None,
+        NodeView::Sym { id: here, width } => {
+            (here == id).then(|| vec![format!("sym {here} ({width} bits)")])
         }
-        ExprNode::Not(a) => step("not".into(), sym_route(a, id)),
-        ExprNode::Neg(a) => step("neg".into(), sym_route(a, id)),
-        ExprNode::Bin(op, a, b) => sym_route(a, id)
+        NodeView::Not(a) => step("not".into(), sym_route(a, id)),
+        NodeView::Neg(a) => step("neg".into(), sym_route(a, id)),
+        NodeView::Bin(op, a, b) => sym_route(a, id)
             .map(|r| step(format!("{op:?}.lhs").to_lowercase(), Some(r)).unwrap())
             .or_else(|| step(format!("{op:?}.rhs").to_lowercase(), sym_route(b, id))),
-        ExprNode::Cmp(op, a, b) => sym_route(a, id)
+        NodeView::Cmp(op, a, b) => sym_route(a, id)
             .map(|r| step(format!("{op:?}.lhs").to_lowercase(), Some(r)).unwrap())
             .or_else(|| step(format!("{op:?}.rhs").to_lowercase(), sym_route(b, id))),
-        ExprNode::ZExt { e, width } => step(format!("zext{width}"), sym_route(e, id)),
-        ExprNode::SExt { e, width } => step(format!("sext{width}"), sym_route(e, id)),
-        ExprNode::Extract { e, hi, lo } => {
+        NodeView::ZExt { e, width } => step(format!("zext{width}"), sym_route(e, id)),
+        NodeView::SExt { e, width } => step(format!("sext{width}"), sym_route(e, id)),
+        NodeView::Extract { e, hi, lo } => {
             step(format!("extract[{hi}:{lo}]"), sym_route(e, id))
         }
-        ExprNode::Concat { hi, lo } => step("concat.hi".into(), sym_route(hi, id))
+        NodeView::Concat { hi, lo } => step("concat.hi".into(), sym_route(hi, id))
             .or_else(|| step("concat.lo".into(), sym_route(lo, id))),
-        ExprNode::Ite { cond, then, els } => step("ite.cond".into(), sym_route(cond, id))
+        NodeView::Ite { cond, then, els } => step("ite.cond".into(), sym_route(cond, id))
             .or_else(|| step("ite.then".into(), sym_route(then, id)))
             .or_else(|| step("ite.else".into(), sym_route(els, id))),
     }
@@ -100,23 +100,23 @@ pub fn sym_route(e: &Expr, id: SymId) -> Option<Vec<String>> {
 /// Panics if a replacement has the wrong width.
 pub fn subst(e: &Expr, map: &HashMap<SymId, Expr>) -> Expr {
     match e.node() {
-        ExprNode::Const { .. } => e.clone(),
-        ExprNode::Sym { id, width } => match map.get(id) {
+        NodeView::Const { .. } => e.clone(),
+        NodeView::Sym { id, width } => match map.get(&id) {
             Some(r) => {
-                assert_eq!(r.width(), *width, "substitution width mismatch for {id}");
+                assert_eq!(r.width(), width, "substitution width mismatch for {id}");
                 r.clone()
             }
             None => e.clone(),
         },
-        ExprNode::Not(a) => subst(a, map).not(),
-        ExprNode::Neg(a) => subst(a, map).neg(),
-        ExprNode::Bin(op, a, b) => Expr::bin(*op, &subst(a, map), &subst(b, map)),
-        ExprNode::Cmp(op, a, b) => Expr::cmp(*op, &subst(a, map), &subst(b, map)),
-        ExprNode::ZExt { e, width } => subst(e, map).zext(*width),
-        ExprNode::SExt { e, width } => subst(e, map).sext(*width),
-        ExprNode::Extract { e, hi, lo } => subst(e, map).extract(*hi, *lo),
-        ExprNode::Concat { hi, lo } => subst(hi, map).concat(&subst(lo, map)),
-        ExprNode::Ite { cond, then, els } => {
+        NodeView::Not(a) => subst(a, map).not(),
+        NodeView::Neg(a) => subst(a, map).neg(),
+        NodeView::Bin(op, a, b) => Expr::bin(op, &subst(a, map), &subst(b, map)),
+        NodeView::Cmp(op, a, b) => Expr::cmp(op, &subst(a, map), &subst(b, map)),
+        NodeView::ZExt { e, width } => subst(e, map).zext(width),
+        NodeView::SExt { e, width } => subst(e, map).sext(width),
+        NodeView::Extract { e, hi, lo } => subst(e, map).extract(hi, lo),
+        NodeView::Concat { hi, lo } => subst(hi, map).concat(&subst(lo, map)),
+        NodeView::Ite { cond, then, els } => {
             Expr::ite(&subst(cond, map), &subst(then, map), &subst(els, map))
         }
     }

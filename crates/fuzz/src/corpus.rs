@@ -36,6 +36,8 @@ struct CorpusFile {
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
     seen: HashSet<u64>,
+    /// Advances on every change to the entries or their scores.
+    generation: u64,
 }
 
 impl Corpus {
@@ -51,7 +53,14 @@ impl Corpus {
             return false;
         }
         self.entries.push(CorpusEntry { input, score: score.max(1) });
+        self.generation += 1;
         true
+    }
+
+    /// A counter that advances whenever an entry is added or rescored, so
+    /// a reader can tell whether what it derived from the corpus is stale.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of entries.
@@ -78,6 +87,7 @@ impl Corpus {
     /// new coverage — AFL's "favored parent" feedback).
     pub fn bump(&mut self, i: usize, delta: u64) {
         self.entries[i].score = self.entries[i].score.saturating_add(delta);
+        self.generation += 1;
     }
 
     /// Serializes to versioned JSON at `path`.

@@ -7,11 +7,13 @@
 
 use crate::{Corpus, Rng};
 
-/// Weighted sampler over corpus indices.
+/// Weighted sampler over corpus indices. A scheduler follows one corpus.
 #[derive(Clone, Debug, Default)]
 pub struct Scheduler {
     weights: Vec<u64>,
     total: u64,
+    /// The corpus generation the weights were read at.
+    synced: Option<u64>,
 }
 
 impl Scheduler {
@@ -20,9 +22,14 @@ impl Scheduler {
         Scheduler::default()
     }
 
-    /// Rebuilds weights from the corpus' current scores. Call after any
-    /// batch of `add`/`bump` operations; cheap (one pass).
+    /// Brings the weights up to the corpus' current scores. Call before
+    /// picking; it rebuilds them (one pass) only when the corpus changed
+    /// since the last sync.
     pub fn sync(&mut self, corpus: &Corpus) {
+        if self.synced == Some(corpus.generation()) {
+            return;
+        }
+        self.synced = Some(corpus.generation());
         self.weights.clear();
         self.total = 0;
         for e in corpus.entries() {

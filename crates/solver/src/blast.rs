@@ -19,7 +19,7 @@ use ddt_expr::{
     BuildSymIdHasher,
     CmpOp,
     Expr,
-    ExprNode,
+    NodeView,
     SymId,
 };
 
@@ -166,20 +166,20 @@ impl Blaster {
 
     fn lower_uncached(&mut self, sat: &mut SatSolver, e: &Expr) -> Bits {
         match e.node() {
-            ExprNode::Const { bits, width } => self.constant(*bits, *width),
-            ExprNode::Sym { id, width } => self.sym_bits_of(sat, *id, *width),
-            ExprNode::Not(a) => {
+            NodeView::Const { bits, width } => self.constant(bits, width),
+            NodeView::Sym { id, width } => self.sym_bits_of(sat, id, width),
+            NodeView::Not(a) => {
                 let x = self.lower(sat, a);
                 self.negated(x)
             }
-            ExprNode::Neg(a) => {
+            NodeView::Neg(a) => {
                 // -x = ~x + 1.
                 let x = self.lower(sat, a);
                 let nx = self.negated(x);
                 let one = self.constant(1, a.width());
                 self.adder(sat, nx, one, self.false_lit()).0
             }
-            ExprNode::Bin(op, a, b) => {
+            NodeView::Bin(op, a, b) => {
                 let w = a.width();
                 let x = self.lower(sat, a);
                 let y = self.lower(sat, b);
@@ -197,11 +197,11 @@ impl Blaster {
                     BinOp::LShr => self.shifter(sat, x, y, ShiftKind::LogicalRight),
                     BinOp::AShr => self.shifter(sat, x, y, ShiftKind::ArithRight),
                     BinOp::UDiv | BinOp::URem | BinOp::SDiv | BinOp::SRem => {
-                        self.division(sat, *op, a, b, w)
+                        self.division(sat, op, a, b, w)
                     }
                 }
             }
-            ExprNode::Cmp(op, a, b) => {
+            NodeView::Cmp(op, a, b) => {
                 let x = self.lower(sat, a);
                 let y = self.lower(sat, b);
                 let r = match op {
@@ -216,21 +216,21 @@ impl Blaster {
                 self.pool.push(r);
                 self.since(start)
             }
-            ExprNode::ZExt { e, width } => {
+            NodeView::ZExt { e, width } => {
                 let x = self.lower(sat, e);
-                self.extended(x, *width, self.false_lit())
+                self.extended(x, width, self.false_lit())
             }
-            ExprNode::SExt { e, width } => {
+            NodeView::SExt { e, width } => {
                 let x = self.lower(sat, e);
                 let sign = self.lit(x, x.len as usize - 1);
-                self.extended(x, *width, sign)
+                self.extended(x, width, sign)
             }
-            ExprNode::Extract { e, hi, lo } => {
+            NodeView::Extract { e, hi, lo } => {
                 // A slice of the operand's span: nothing to copy.
                 let x = self.lower(sat, e);
                 Bits { start: x.start + lo, len: hi - lo + 1 }
             }
-            ExprNode::Concat { hi, lo } => {
+            NodeView::Concat { hi, lo } => {
                 let l = self.lower(sat, lo);
                 let h = self.lower(sat, hi);
                 let start = self.pool.len();
@@ -238,7 +238,7 @@ impl Blaster {
                 self.pool.extend_from_within(h.range());
                 self.since(start)
             }
-            ExprNode::Ite { cond, then, els } => {
+            NodeView::Ite { cond, then, els } => {
                 let c = self.lower(sat, cond);
                 let c = self.lit(c, 0);
                 let t = self.lower(sat, then);

@@ -8,10 +8,6 @@
 //! delegated to a [`SymEnv`] implementation — `ddt-core` plugs symbolic
 //! hardware and the memory-access checker in through this trait.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
 use ddt_expr::Expr;
 use ddt_isa::{
     decode, //
@@ -26,53 +22,6 @@ use ddt_solver::Solver;
 
 use crate::state::SymState;
 use crate::trace::TraceEvent;
-
-/// Decoded-instruction cache keyed by pc, shared by every state forked from
-/// one root (the handle clones as an `Arc`).
-///
-/// Driver text is immutable in practice, but the memory model does not
-/// forbid writes to it, so the cache is consulted only for pcs the state's
-/// memory vouches for ([`crate::SymMemory::code_bytes_stable`]): inside the
-/// declared code region on a path that never wrote to that region. States
-/// with no declared code region — or self-modifying lineages — fall back to
-/// the fetch-and-decode path byte for byte.
-///
-/// `None` entries record undecodable opcodes, so repeatedly faulting pcs
-/// are as cheap as valid ones.
-#[derive(Clone, Debug, Default)]
-pub struct DecodeCache {
-    inner: Arc<DecodeCacheInner>,
-}
-
-#[derive(Debug, Default)]
-struct DecodeCacheInner {
-    map: Mutex<HashMap<u32, Option<Insn>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl DecodeCache {
-    /// Looks up the decode result for `pc`. The outer `Option` is presence
-    /// in the cache; the inner one is decodability.
-    fn get(&self, pc: u32) -> Option<Option<Insn>> {
-        let got =
-            self.inner.map.lock().unwrap_or_else(PoisonError::into_inner).get(&pc).copied();
-        match got {
-            Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        got
-    }
-
-    fn put(&self, pc: u32, insn: Option<Insn>) {
-        self.inner.map.lock().unwrap_or_else(PoisonError::into_inner).insert(pc, insn);
-    }
-
-    /// (hits, misses) over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.inner.hits.load(Ordering::Relaxed), self.inner.misses.load(Ordering::Relaxed))
-    }
-}
 
 /// A fault detected during symbolic execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -487,18 +436,15 @@ pub fn step(st: &mut SymState, env: &mut dyn SymEnv, solver: &mut Solver) -> Sym
     if !st.mem.is_range_mapped(pc, INSN_SIZE) {
         return SymStep::Fault(SymFault::BadAccess { pc, addr: pc, kind: AccessKind::Fetch });
     }
-    let cacheable = st.mem.code_bytes_stable(pc, INSN_SIZE);
-    let decoded = match cacheable.then(|| st.decode_cache.get(pc)).flatten() {
-        Some(cached) => cached,
+    // Driver text comes decoded from the root; a lineage that wrote to its
+    // code region (or a pc outside it) fetches and decodes the bytes.
+    let decoded = match st.mem.decoded_insn(pc) {
+        Some(d) => d,
         None => {
             let Some(raw) = st.mem.read_concrete_bytes(pc, INSN_SIZE) else {
                 return SymStep::Fault(SymFault::IllegalInsn { pc });
             };
-            let d = decode(raw.as_slice().try_into().expect("8 bytes"));
-            if cacheable {
-                st.decode_cache.put(pc, d);
-            }
-            d
+            decode(raw.as_slice().try_into().expect("8 bytes"))
         }
     };
     let Some(insn) = decoded else {
@@ -771,7 +717,9 @@ fn check_transfer(st: &SymState) -> SymStep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::SymMemory;
     use crate::state::{SymCounter, SymOrigin};
+    use std::sync::Arc;
     use ddt_isa::asm::{assemble, ExportMap};
 
     /// Runs a state to completion, collecting all terminal outcomes.
@@ -834,23 +782,37 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_serves_repeat_fetches() {
-        let (st, _) = make_state(
+    fn roots_and_forks_share_one_decoded_text() {
+        let (st, entry) = make_state(
             "DriverEntry:
                 mov r0, 1
                 mov r1, 2
                 ret",
         );
-        let cache = st.decode_cache.clone();
-        run_to_return(st.clone());
-        let (h1, m1) = cache.stats();
-        assert_eq!(h1, 0, "first pass decodes everything");
-        assert!(m1 >= 3, "every fetch consulted the cache");
-        // A sibling sharing the root's cache replays the same pcs for free.
-        run_to_return(st.clone());
-        let (h2, m2) = cache.stats();
-        assert_eq!(m2, m1, "no new decodes on the second pass");
-        assert!(h2 >= 3, "second pass served from the cache");
+        // A second root of the same campaign and a fork of the first read
+        // the one table the first root was built with.
+        let root = st.mem.root().clone();
+        let mut sibling = st.clone();
+        sibling.mem = SymMemory::with_root(root.clone());
+        for (s, e) in st.mem.regions() {
+            sibling.mem.map(s, e - s);
+        }
+        let mut parent = st.clone();
+        let child = parent.fork();
+        for m in [&parent.mem, &child.mem, &sibling.mem] {
+            assert!(Arc::ptr_eq(m.root(), &root), "one table per campaign");
+        }
+        for pc in (entry..entry + 3 * INSN_SIZE).step_by(INSN_SIZE as usize) {
+            let raw = sibling.mem.read_concrete_bytes(pc, INSN_SIZE).expect("concrete text");
+            let fetched = decode(raw.as_slice().try_into().expect("8 bytes"));
+            assert!(fetched.is_some());
+            assert_eq!(child.mem.decoded_insn(pc), Some(fetched), "pc {pc:#x}");
+            assert_eq!(sibling.mem.decoded_insn(pc), Some(fetched), "pc {pc:#x}");
+        }
+        assert_eq!(child.mem.decoded_insn(entry + 1), None, "unaligned pcs are fetched");
+        for st in [child, sibling] {
+            assert_eq!(run_to_return(st).cpu.get(Reg(1)).as_const(), Some(2));
+        }
     }
 
     #[test]
@@ -865,11 +827,10 @@ mod tests {
                 ret";
         let (st, entry) = make_state(src_a);
         let patched = assemble(src_b, &ExportMap::new()).expect("asm").image.text;
-        // Populate the cache with the original second instruction.
         let clean = run_to_return(st.clone());
         assert_eq!(clean.cpu.get(Reg(2)).as_const(), Some(2));
         // A lineage that rewrites its own text must execute the new bytes,
-        // not the cached decode of the old ones.
+        // not the root's decode of the old ones.
         let mut dirty = st.clone();
         let off = INSN_SIZE as usize;
         dirty
@@ -877,7 +838,7 @@ mod tests {
             .write_concrete_bytes(entry + INSN_SIZE, &patched[off..off + INSN_SIZE as usize]);
         let dirty = run_to_return(dirty);
         assert_eq!(dirty.cpu.get(Reg(2)).as_const(), Some(99), "patched code must run");
-        // Clean siblings are unaffected and keep using the cache.
+        // Clean siblings are unaffected and keep using the root's decode.
         let clean2 = run_to_return(st.clone());
         assert_eq!(clean2.cpu.get(Reg(2)).as_const(), Some(2));
     }

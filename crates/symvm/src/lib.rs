@@ -25,8 +25,8 @@ pub mod mem;
 pub mod state;
 pub mod trace;
 
-pub use interp::{step, DecodeCache, SymEnv, SymFault, SymStep};
-pub use mem::SymMemory;
+pub use interp::{step, SymEnv, SymFault, SymStep};
+pub use mem::{RootMem, SymMemory};
 pub use state::{
     GrantRegion, //
     GrantSet,

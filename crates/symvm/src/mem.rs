@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ddt_expr::Expr;
+use ddt_isa::{decode, Insn, INSN_SIZE};
 
 /// Chain depth past which [`SymMemory::fork`] compacts the frozen layers
 /// into one. Deep chains make every uncached read an O(depth) pointer walk;
@@ -27,10 +28,67 @@ struct MemLayer {
     writes: HashMap<u32, Expr>,
 }
 
-/// The concrete root store: initial image bytes.
+/// The memory every root state starts from: the seeded image bytes and,
+/// once a code region is declared, the decode of its text.
+///
+/// A campaign builds it once and hands every root an `Arc` of it
+/// ([`SymMemory::with_root`]); forks share their root's. Nothing writes to
+/// it after that, so the symbolic step reads it without a lock.
 #[derive(Debug, Default)]
-struct RootMem {
+pub struct RootMem {
     bytes: HashMap<u32, u8>,
+    text: Option<DecodedText>,
+}
+
+/// The declared driver text `[start, end)` and the decode of every
+/// instruction slot in it (`None` for an undecodable opcode).
+#[derive(Debug)]
+struct DecodedText {
+    start: u32,
+    end: u32,
+    insns: Vec<Option<Insn>>,
+}
+
+impl RootMem {
+    /// An empty root: nothing seeded, no code region.
+    pub fn new() -> RootMem {
+        RootMem::default()
+    }
+
+    /// Seeds initial concrete contents (driver image).
+    pub fn seed(&mut self, addr: u32, bytes: &[u8]) {
+        for (i, &b) in bytes.iter().enumerate() {
+            self.bytes.insert(addr.wrapping_add(i as u32), b);
+        }
+        if let Some(t) = &self.text {
+            self.decode_text(t.start, t.end);
+        }
+    }
+
+    /// Declares `[start, start+len)` as the driver's code region and decodes
+    /// the seeded text in it (see [`SymMemory::code_bytes_stable`]).
+    pub fn set_code_region(&mut self, start: u32, len: u32) {
+        match len {
+            0 => self.text = None,
+            _ => self.decode_text(start, start.checked_add(len).expect("code region wraps")),
+        }
+    }
+
+    fn decode_text(&mut self, start: u32, end: u32) {
+        let insns = (0..(end - start) / INSN_SIZE)
+            .map(|i| {
+                let pc = start + i * INSN_SIZE;
+                let raw: [u8; INSN_SIZE as usize] =
+                    std::array::from_fn(|k| self.byte(pc + k as u32));
+                decode(&raw)
+            })
+            .collect();
+        self.text = Some(DecodedText { start, end, insns });
+    }
+
+    fn byte(&self, addr: u32) -> u8 {
+        self.bytes.get(&addr).copied().unwrap_or(0)
+    }
 }
 
 /// Symbolic memory: mapped-region tracking + COW expression store.
@@ -44,14 +102,13 @@ pub struct SymMemory {
     local: HashMap<u32, Expr>,
     /// Leaf read cache for chain walks (§4.1.3).
     cache: HashMap<u32, Expr>,
-    /// Immutable initial contents.
+    /// Immutable initial contents and decoded text.
     root: Arc<RootMem>,
     /// Number of layers below `local` (diagnostics / §5.2 stats).
     depth: usize,
-    /// Declared driver-text range backing the decoded-instruction cache.
-    code_region: Option<(u32, u32)>,
-    /// Writes that landed inside `code_region` on this path (self-modifying
-    /// code); any such write disables decode caching for this lineage.
+    /// Writes that landed inside the root's code region on this path
+    /// (self-modifying code); any such write stops this lineage from
+    /// reading the root's decoded text.
     code_writes: u64,
 }
 
@@ -64,37 +121,65 @@ impl Default for SymMemory {
 impl SymMemory {
     /// Creates empty, fully unmapped memory.
     pub fn new() -> SymMemory {
+        SymMemory::with_root(Arc::new(RootMem::default()))
+    }
+
+    /// Creates fully unmapped memory over a shared root: the root's bytes
+    /// and decoded text, built once for every root of a campaign.
+    pub fn with_root(root: Arc<RootMem>) -> SymMemory {
         SymMemory {
             regions: BTreeMap::new(),
             node: None,
             local: HashMap::new(),
             cache: HashMap::new(),
-            root: Arc::new(RootMem::default()),
+            root,
             depth: 0,
-            code_region: None,
             code_writes: 0,
         }
     }
 
-    /// Declares `[start, start+len)` as the driver's code region. Decoded
-    /// instructions at pcs inside it may be cached for as long as no write
-    /// targets the region (see [`Self::code_bytes_stable`]).
+    /// The root this memory (and every fork of it) reads through.
+    pub fn root(&self) -> &Arc<RootMem> {
+        &self.root
+    }
+
+    /// Declares `[start, start+len)` as the driver's code region and
+    /// decodes its seeded text (see [`RootMem::set_code_region`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root is shared (after a fork, or with a campaign's).
     pub fn set_code_region(&mut self, start: u32, len: u32) {
-        self.code_region = (len > 0).then(|| (start, start.checked_add(len).expect("code region wraps")));
+        let root = Arc::get_mut(&mut self.root).expect("set_code_region on a shared root");
+        root.set_code_region(start, len);
     }
 
     /// True when all of `[addr, addr+len)` lies inside the declared code
     /// region and no write has ever targeted the region on this path —
-    /// i.e. a decode of those bytes can be cached by pc alone.
+    /// i.e. those bytes are still the root's, whose decode is precomputed.
     pub fn code_bytes_stable(&self, addr: u32, len: u32) -> bool {
-        match self.code_region {
-            Some((s, e)) => {
+        match &self.root.text {
+            Some(t) => {
                 self.code_writes == 0
-                    && addr >= s
-                    && addr.checked_add(len).is_some_and(|end| end <= e)
+                    && addr >= t.start
+                    && addr.checked_add(len).is_some_and(|end| end <= t.end)
             }
             None => false,
         }
+    }
+
+    /// The root's decode of the instruction at `pc`, when this path may
+    /// use it: `pc` is an instruction slot of the code region and
+    /// [`Self::code_bytes_stable`] holds for it. The outer `Option` is
+    /// that availability; the inner one is decodability. Other pcs must be
+    /// fetched byte by byte and decoded.
+    pub fn decoded_insn(&self, pc: u32) -> Option<Option<Insn>> {
+        if !self.code_bytes_stable(pc, INSN_SIZE) {
+            return None;
+        }
+        let t = self.root.text.as_ref()?;
+        let off = pc - t.start;
+        off.is_multiple_of(INSN_SIZE).then(|| t.insns[(off / INSN_SIZE) as usize])
     }
 
     /// Seeds initial concrete contents (driver image). Only valid before
@@ -102,12 +187,9 @@ impl SymMemory {
     ///
     /// # Panics
     ///
-    /// Panics if called after a fork (the root is shared by then).
+    /// Panics if the root is shared (after a fork, or with a campaign's).
     pub fn seed_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        let root = Arc::get_mut(&mut self.root).expect("seed_bytes after fork");
-        for (i, &b) in bytes.iter().enumerate() {
-            root.bytes.insert(addr.wrapping_add(i as u32), b);
-        }
+        Arc::get_mut(&mut self.root).expect("seed_bytes on a shared root").seed(addr, bytes);
     }
 
     /// Maps `[start, start+len)` as accessible zero-filled memory.
@@ -235,7 +317,6 @@ impl SymMemory {
             cache: HashMap::new(),
             root: self.root.clone(),
             depth: self.depth,
-            code_region: self.code_region,
             code_writes: self.code_writes,
         }
     }
@@ -260,8 +341,7 @@ impl SymMemory {
             }
             cur = layer.parent.as_ref();
         }
-        let v = self.root.bytes.get(&addr).copied().unwrap_or(0);
-        let e = Expr::constant(v as u64, 8);
+        let e = Expr::constant(self.root.byte(addr) as u64, 8);
         self.cache.insert(addr, e.clone());
         e
     }
@@ -269,8 +349,8 @@ impl SymMemory {
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u32, value: Expr) {
         debug_assert_eq!(value.width(), 8, "byte writes take 8-bit values");
-        if let Some((s, e)) = self.code_region {
-            if addr >= s && addr < e {
+        if let Some(t) = &self.root.text {
+            if addr >= t.start && addr < t.end {
                 self.code_writes += 1;
             }
         }

@@ -275,9 +275,6 @@ pub struct SymState {
     /// Invariant: when `Some`, the model (with absent symbols read as 0)
     /// satisfies every constraint in `constraints`.
     pub last_model: Option<Assignment>,
-    /// Decoded-instruction cache shared by every state forked from one
-    /// root (an `Arc` handle; see [`crate::interp::DecodeCache`]).
-    pub decode_cache: crate::interp::DecodeCache,
     /// Escalation-lift pins for hardware reads (hybrid fuzzing): each
     /// hardware symbol created while this queue is non-empty is immediately
     /// constrained equal to the popped value, so the symbolic path retraces
@@ -306,7 +303,6 @@ impl SymState {
             pending_forks: Vec::new(),
             // The empty model satisfies the empty path condition.
             last_model: Some(Assignment::new()),
-            decode_cache: crate::interp::DecodeCache::default(),
             hw_pins: VecDeque::new(),
             label_pins: HashMap::new(),
         }
@@ -329,7 +325,6 @@ impl SymState {
             // Pending alternatives stay with the parent path.
             pending_forks: Vec::new(),
             last_model: self.last_model.clone(),
-            decode_cache: self.decode_cache.clone(),
             hw_pins: self.hw_pins.clone(),
             label_pins: self.label_pins.clone(),
         }
@@ -500,7 +495,7 @@ mod tests {
         let mut s = SymState::new(SymCounter::new());
         let x = s.new_symbol("registry:MaxList", SymOrigin::Registry { name: "MaxList".into() }, 32);
         let id = match x.node() {
-            ddt_expr::ExprNode::Sym { id, .. } => *id,
+            ddt_expr::NodeView::Sym { id, .. } => id,
             _ => panic!(),
         };
         let info = s.symbols.get(id).unwrap();
@@ -538,8 +533,8 @@ mod model_tests {
         assert!(s.last_model.is_none(), "stale model must be invalidated");
         // Installing a correct model restores model_eval.
         let mut m = ddt_expr::Assignment::new();
-        if let ddt_expr::ExprNode::Sym { id, .. } = x.node() {
-            m.set(*id, 5);
+        if let ddt_expr::NodeView::Sym { id, .. } = x.node() {
+            m.set(id, 5);
         }
         s.set_model(m);
         assert_eq!(s.model_eval(&x), Some(5));

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use ddt_expr::{BinOp, CmpOp, Expr, ExprNode, SymId};
+use ddt_expr::{BinOp, CmpOp, Expr, ExprNode, NodeView, SymId};
 use ddt_symvm::{SymOrigin, TraceEvent};
 
 /// File magic for trace event logs.
@@ -97,77 +97,76 @@ impl Writer {
         if let Some(&idx) = self.interned.get(e) {
             return idx;
         }
-        let node = e.node();
         // Children first: pool references always point backwards.
-        let entry = match node {
-            ExprNode::Const { bits, width } => {
+        let entry = match e.node() {
+            NodeView::Const { bits, width } => {
                 let mut b = vec![0u8];
-                Self::varint(&mut b, *bits);
-                Self::varint(&mut b, *width as u64);
+                Self::varint(&mut b, bits);
+                Self::varint(&mut b, width as u64);
                 b
             }
-            ExprNode::Sym { id, width } => {
+            NodeView::Sym { id, width } => {
                 let mut b = vec![1u8];
                 Self::varint(&mut b, id.0 as u64);
-                Self::varint(&mut b, *width as u64);
+                Self::varint(&mut b, width as u64);
                 b
             }
-            ExprNode::Not(a) => {
+            NodeView::Not(a) => {
                 let a = self.intern(a);
                 let mut b = vec![2u8];
                 Self::varint(&mut b, a as u64);
                 b
             }
-            ExprNode::Neg(a) => {
+            NodeView::Neg(a) => {
                 let a = self.intern(a);
                 let mut b = vec![3u8];
                 Self::varint(&mut b, a as u64);
                 b
             }
-            ExprNode::Bin(op, a, x) => {
+            NodeView::Bin(op, a, x) => {
                 let (a, x) = (self.intern(a), self.intern(x));
-                let mut b = vec![4u8, bin_op_tag(*op)];
+                let mut b = vec![4u8, bin_op_tag(op)];
                 Self::varint(&mut b, a as u64);
                 Self::varint(&mut b, x as u64);
                 b
             }
-            ExprNode::Cmp(op, a, x) => {
+            NodeView::Cmp(op, a, x) => {
                 let (a, x) = (self.intern(a), self.intern(x));
-                let mut b = vec![5u8, cmp_op_tag(*op)];
+                let mut b = vec![5u8, cmp_op_tag(op)];
                 Self::varint(&mut b, a as u64);
                 Self::varint(&mut b, x as u64);
                 b
             }
-            ExprNode::ZExt { e, width } => {
+            NodeView::ZExt { e, width } => {
                 let e = self.intern(e);
                 let mut b = vec![6u8];
                 Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, *width as u64);
+                Self::varint(&mut b, width as u64);
                 b
             }
-            ExprNode::SExt { e, width } => {
+            NodeView::SExt { e, width } => {
                 let e = self.intern(e);
                 let mut b = vec![7u8];
                 Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, *width as u64);
+                Self::varint(&mut b, width as u64);
                 b
             }
-            ExprNode::Extract { e, hi, lo } => {
+            NodeView::Extract { e, hi, lo } => {
                 let e = self.intern(e);
                 let mut b = vec![8u8];
                 Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, *hi as u64);
-                Self::varint(&mut b, *lo as u64);
+                Self::varint(&mut b, hi as u64);
+                Self::varint(&mut b, lo as u64);
                 b
             }
-            ExprNode::Concat { hi, lo } => {
+            NodeView::Concat { hi, lo } => {
                 let (hi, lo) = (self.intern(hi), self.intern(lo));
                 let mut b = vec![9u8];
                 Self::varint(&mut b, hi as u64);
                 Self::varint(&mut b, lo as u64);
                 b
             }
-            ExprNode::Ite { cond, then, els } => {
+            NodeView::Ite { cond, then, els } => {
                 let (c, t, e2) = (self.intern(cond), self.intern(then), self.intern(els));
                 let mut b = vec![10u8];
                 Self::varint(&mut b, c as u64);
@@ -591,6 +590,28 @@ mod tests {
         let bytes = encode_events(&events);
         let back = decode_events(&bytes).unwrap();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn constants_of_every_width_round_trip() {
+        // Inline (up to 32 bits) and interned (wider) constants, alone and
+        // under a node, decode to the same expressions.
+        let events: Vec<TraceEvent> = (1..=64u32)
+            .flat_map(|width| {
+                let c = Expr::constant(0xfedc_ba98_7654_3210, width);
+                let x = Expr::sym(SymId(width), width);
+                [
+                    TraceEvent::Concretize { pc: width, expr: c.clone(), value: 1 },
+                    TraceEvent::Branch {
+                        pc: width,
+                        taken: true,
+                        forked: false,
+                        constraint: x.ult(&c),
+                    },
+                ]
+            })
+            .collect();
+        assert_eq!(decode_events(&encode_events(&events)).unwrap(), events);
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl Expr {
         }
         let word = (bits as usize) << 32 | (width as usize) << 1 | INLINE_TAG;
         // The tag bit makes the word non-zero; an address without
-        // provenance is never dereferenced (see `interned`).
+        // provenance is never dereferenced (see `repr`).
         NonNull::new(std::ptr::without_provenance_mut(word)).map(Expr)
     }
 
@@ -301,23 +301,17 @@ impl Expr {
         self.0.as_ptr().addr()
     }
 
-    /// `(bits, width)` of an inline constant.
+    /// What the word holds.
     #[inline]
-    fn inline_const(&self) -> Option<(u64, u32)> {
+    fn repr(&self) -> Repr<'_> {
         let w = self.word();
-        (w & INLINE_TAG != 0).then_some(((w >> 32) as u64, (w >> 1) as u32 & 0x3f))
-    }
-
-    /// The interned payload, unless this is an inline constant.
-    #[inline]
-    fn interned(&self) -> Option<&Interned> {
-        if self.word() & INLINE_TAG != 0 {
-            return None;
+        if w & INLINE_TAG != 0 {
+            return Repr::Inline { bits: (w >> 32) as u64, width: (w >> 1) as u32 & 0x3f };
         }
         // SAFETY: an untagged word is the pointer `Arc::into_raw` returned
         // in `from_interned`, and this handle owns one strong count of that
         // `Arc`, so the payload lives at least as long as `&self`.
-        Some(unsafe { self.0.as_ref() })
+        Repr::Interned(unsafe { self.0.as_ref() })
     }
 
     /// Takes over one strong count of an interned payload (interner
@@ -328,6 +322,12 @@ impl Expr {
         debug_assert_eq!(ptr.addr() & INLINE_TAG, 0, "Interned is 8-aligned");
         Expr(NonNull::new(ptr).expect("Arc pointers are non-null"))
     }
+}
+
+/// The two kinds of [`Expr`] word, decoded.
+enum Repr<'a> {
+    Inline { bits: u64, width: u32 },
+    Interned(&'a Interned),
 }
 
 impl Clone for Expr {
@@ -393,9 +393,9 @@ impl Ord for Expr {
 impl Serialize for Expr {
     fn to_value(&self) -> serde::Value {
         // Same wire shape as the historical derived newtype impl: the node.
-        match self.interned() {
-            Some(i) => i.node.to_value(),
-            None => self.node().to_node().to_value(),
+        match self.repr() {
+            Repr::Interned(i) => i.node.to_value(),
+            Repr::Inline { bits, width } => ExprNode::Const { bits, width }.to_value(),
         }
     }
 }
@@ -453,10 +453,9 @@ impl Expr {
     /// inline constant the digest its `ExprNode::Const` would store.
     #[inline]
     fn structural_hash(&self) -> u64 {
-        match self.interned() {
-            Some(i) => i.hash,
-            None => {
-                let (bits, width) = self.inline_const().expect("untagged words are interned");
+        match self.repr() {
+            Repr::Interned(i) => i.hash,
+            Repr::Inline { bits, width } => {
                 crate::intern::shallow_hash(&ExprNode::Const { bits, width })
             }
         }
@@ -465,12 +464,9 @@ impl Expr {
     /// Returns a view of the underlying node.
     #[inline]
     pub fn node(&self) -> NodeView<'_> {
-        match self.interned() {
-            Some(i) => NodeView::of(&i.node),
-            None => {
-                let (bits, width) = self.inline_const().expect("untagged words are interned");
-                NodeView::Const { bits, width }
-            }
+        match self.repr() {
+            Repr::Interned(i) => NodeView::of(&i.node),
+            Repr::Inline { bits, width } => NodeView::Const { bits, width },
         }
     }
 
@@ -515,19 +511,19 @@ impl Expr {
     /// time; O(1) even for deep trees).
     #[inline]
     pub fn width(&self) -> u32 {
-        match self.interned() {
-            Some(i) => i.width,
-            None => (self.word() >> 1) as u32 & 0x3f,
+        match self.repr() {
+            Repr::Interned(i) => i.width,
+            Repr::Inline { width, .. } => width,
         }
     }
 
     /// Returns the constant value if this expression is a constant.
     #[inline]
     pub fn as_const(&self) -> Option<u64> {
-        match self.interned() {
-            Some(Interned { node: ExprNode::Const { bits, .. }, .. }) => Some(*bits),
-            Some(_) => None,
-            None => Some((self.word() >> 32) as u64),
+        match self.repr() {
+            Repr::Interned(Interned { node: ExprNode::Const { bits, .. }, .. }) => Some(*bits),
+            Repr::Interned(_) => None,
+            Repr::Inline { bits, .. } => Some(bits),
         }
     }
 
@@ -1152,12 +1148,12 @@ mod tests {
     fn narrow_constants_are_inline_and_wide_ones_interned() {
         for width in 1..=32 {
             let e = Expr::constant(u64::MAX, width);
-            assert!(e.interned().is_none(), "width {width}");
+            assert!(matches!(e.repr(), Repr::Inline { .. }), "width {width}");
             assert_eq!((e.as_const(), e.width()), (Some(mask(u64::MAX, width)), width));
         }
         for width in 33..=64 {
             let e = Expr::constant(u64::MAX, width);
-            assert!(e.interned().is_some(), "width {width}");
+            assert!(matches!(e.repr(), Repr::Interned(_)), "width {width}");
             assert_eq!((e.as_const(), e.width()), (Some(mask(u64::MAX, width)), width));
             assert_eq!(e, Expr::constant(u64::MAX, width), "wide constants hash-cons");
         }

@@ -1,22 +1,31 @@
-//! Benchmarks for the verdict-query optimization layer: hash-consed
-//! interning and independence slicing.
+//! Benchmarks for per-component solving and hash-consed interning.
 //!
 //! The headline measurement is the explorer's hot pattern — a *deep-path
 //! query stream*, where each branch decision re-decides a constraint prefix
-//! that grew by one conjunct. A plain solver blasts the whole prefix as one
-//! SAT instance per query; the sliced solver splits it into its
+//! that grew by one conjunct. The solver splits every prefix into its
 //! symbol-disjoint components and decides each one on its own, smaller
-//! instance. The run asserts the sliced stream is at least 2x faster than
-//! plain, with identical verdicts in both modes, then appends a history
-//! entry (keyed by git revision + date) to the `BENCH_solver.json`
-//! trajectory at the repo root, alongside per-stage criterion timings and a
-//! bundled-driver end-to-end sample.
+//! instance. Two lanes time the stream, each the fastest of three runs:
+//!
+//! - `deep_path_optimized_ms`: verdict queries on an uncached solver, so
+//!   every component of every prefix is solved afresh (the cost of
+//!   *deciding*; the query cache is measured by `cache_bench`);
+//! - `deep_path_cached_check_ms`: model-grade `check` queries on a cached
+//!   solver, so each prefix solves only the component its new conjunct
+//!   touches and reads the others from the cache.
+//!
+//! Gates, against the newest earlier entry of the `BENCH_solver.json`
+//! trajectory at the repo root that has the lane: each lane's time may be
+//! at most 25% above that entry's, and its SAT count must equal that
+//! entry's. The run then appends its own entry (keyed by git revision +
+//! date), with per-stage timings and a bundled-driver end-to-end sample:
+//! rtl8029 with the default configuration against `--no-query-cache`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::Criterion;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest};
+use ddt_bench::field;
 use ddt_expr::{cache_key, partition_independent, Expr, SymId};
 use ddt_solver::Solver;
 use serde::Value;
@@ -28,8 +37,8 @@ use serde::Value;
 /// under a fixed per-family witness — but those witnesses are nontrivial,
 /// so the solver's cheap candidate models (all-zero, all-ones, ...) never
 /// apply and every query pays for real decision work. That is the
-/// deep-path cost profile: a plain solver lowers and searches the whole
-/// prefix per query, the sliced solver three components a third its size.
+/// deep-path cost profile: the solver lowers and searches three components
+/// a third the prefix's size, of which one grew since the previous prefix.
 fn deep_path_prefixes(depth: usize) -> Vec<Vec<Expr>> {
     const W: u32 = 16;
     let mut prefix = Vec::new();
@@ -57,29 +66,40 @@ fn deep_path_prefixes(depth: usize) -> Vec<Vec<Expr>> {
     stream
 }
 
-fn solver_with(slicing: bool) -> Solver {
-    // Uncached on purpose: the point is the cost of *deciding*, not of
-    // remembering — the query cache is measured by `cache_bench`.
-    let mut s = Solver::uncached();
-    s.set_slicing(slicing);
-    s
-}
+/// Largest rise of a lane's time above the previous entry's that passes.
+const MAX_SLOWDOWN: f64 = 0.25;
 
-/// Decides every prefix in the stream, returning the SAT count (all of
-/// them, for this workload — the count guards against dead-code folding).
-fn run_stream(s: &mut Solver, stream: &[Vec<Expr>]) -> usize {
+/// Timed runs per lane; the lane's time is the fastest's.
+const RUNS: usize = 3;
+
+/// Decides every prefix in the stream on an uncached solver, returning the
+/// SAT count (all of them, for this workload — the count guards against
+/// dead-code folding).
+fn uncached_stream(stream: &[Vec<Expr>]) -> usize {
+    let mut s = Solver::uncached();
     stream.iter().filter(|p| s.is_feasible(p)).count()
 }
 
-/// Mean milliseconds per run of `f` over `iters` runs.
-fn measure_ms(iters: u32, mut f: impl FnMut() -> usize) -> f64 {
-    let start = Instant::now();
-    let mut acc = 0;
-    for _ in 0..iters {
-        acc += f();
+/// Solves every prefix in the stream for a model on a cached solver,
+/// returning the SAT count.
+fn cached_check_stream(stream: &[Vec<Expr>]) -> usize {
+    let mut s = Solver::new();
+    stream.iter().filter(|p| s.check(p).is_sat()).count()
+}
+
+/// The fastest of [`RUNS`] runs of `f` in milliseconds, with its result
+/// (every run must return the same).
+fn fastest_ms(f: impl Fn() -> usize) -> (f64, usize) {
+    let mut best = f64::INFINITY;
+    let mut result = None;
+    for _ in 0..RUNS {
+        let start = Instant::now();
+        let r = black_box(f());
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        assert!(result.is_none_or(|prev| prev == r), "runs of one lane disagree");
+        result = Some(r);
     }
-    black_box(acc);
-    start.elapsed().as_secs_f64() * 1e3 / iters as f64
+    (best, result.expect("RUNS > 0"))
 }
 
 fn bench_stages(c: &mut Criterion, stream: &[Vec<Expr>]) {
@@ -96,72 +116,101 @@ fn bench_stages(c: &mut Criterion, stream: &[Vec<Expr>]) {
     c.bench_function("slicing/partition_independent", |b| {
         b.iter(|| black_box(partition_independent(&key)).len())
     });
+}
 
-    c.bench_function("solver/deep_path_stream_plain", |b| {
-        b.iter(|| run_stream(&mut solver_with(false), stream))
-    });
-    c.bench_function("solver/deep_path_stream_sliced", |b| {
-        b.iter(|| run_stream(&mut solver_with(true), stream))
-    });
+/// Checks one lane against the newest earlier entry that has it; returns
+/// the failures.
+fn gate(lane: &str, sat_field: &str, ms: f64, sat: usize, prev: &Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    if let Some(before) = field(prev, lane).and_then(Value::as_f64) {
+        if ms > before * (1.0 + MAX_SLOWDOWN) {
+            failures.push(format!(
+                "{lane}: {ms:.1} ms is more than {:.0}% above the previous {before:.1} ms",
+                MAX_SLOWDOWN * 100.0
+            ));
+        }
+    }
+    if let Some(before) = field(prev, sat_field).and_then(Value::as_u64) {
+        if sat as u64 != before {
+            failures.push(format!("{sat_field}: {sat}, the previous entry has {before}"));
+        }
+    }
+    failures
 }
 
 fn main() {
     let stream = deep_path_prefixes(40);
 
-    // Correctness gate before timing anything: both modes agree on every
-    // prefix of the workload.
-    let plain_sat = run_stream(&mut solver_with(false), &stream);
-    let sliced_sat = run_stream(&mut solver_with(true), &stream);
-    assert_eq!(sliced_sat, plain_sat, "slicing changed a verdict");
-
     let mut c = Criterion::default().configure_from_args().sample_size(3);
     bench_stages(&mut c, &stream);
 
-    // The headline numbers, measured outside criterion so they can gate and
-    // be serialized: plain vs sliced over the 40-deep stream.
-    let iters = 3;
-    let plain_ms = measure_ms(iters, || run_stream(&mut solver_with(false), &stream));
-    let opt_ms = measure_ms(iters, || run_stream(&mut solver_with(true), &stream));
-    let speedup = plain_ms / opt_ms.max(1e-9);
-    println!("deep-path stream: plain {plain_ms:.2} ms, sliced {opt_ms:.2} ms ({speedup:.1}x)");
-    assert!(
-        speedup >= 2.0,
-        "sliced deep-path stream must be at least 2x faster \
-         (plain {plain_ms:.2} ms vs sliced {opt_ms:.2} ms = {speedup:.2}x)"
+    let (opt_ms, opt_sat) = fastest_ms(|| uncached_stream(&stream));
+    let (cached_ms, cached_sat) = fastest_ms(|| cached_check_stream(&stream));
+    // Every prefix is satisfiable by construction, in both lanes.
+    assert_eq!(opt_sat, stream.len(), "uncached lane lost a SAT prefix");
+    assert_eq!(cached_sat, stream.len(), "cached check lane lost a SAT prefix");
+    println!(
+        "deep-path stream: uncached verdicts {opt_ms:.2} ms, cached checks {cached_ms:.2} ms \
+         (fastest of {RUNS})"
     );
 
-    // One bundled driver end to end, `--no-slicing` vs the default, as the
-    // macro-level sample for the trajectory point.
+    // One bundled driver end to end, the default against `--no-query-cache`,
+    // as the macro-level sample for the trajectory point.
     let spec = ddt_drivers::driver_by_name("rtl8029").expect("bundled driver");
     let dut = DriverUnderTest::from_spec(&spec);
-    let run_campaign = |slicing: bool| {
-        Ddt::new(DdtConfig { use_slicing: slicing, ..DdtConfig::default() }).test(&dut)
+    let run_campaign = |cache: bool| {
+        Ddt::new(DdtConfig { use_query_cache: cache, ..DdtConfig::default() }).test(&dut)
     };
-    let campaign_off = run_campaign(false);
-    let campaign_on = run_campaign(true);
-    assert_eq!(campaign_on.bugs.len(), campaign_off.bugs.len(), "slicing changed bugs");
+    let uncached = run_campaign(false);
+    let default = run_campaign(true);
+    assert_eq!(default.bugs.len(), uncached.bugs.len(), "the cache changed bugs");
+    let paths = (default.stats.paths_started, uncached.stats.paths_started);
+    assert_eq!(paths.0, paths.1, "the cache changed paths");
     println!(
-        "rtl8029 campaign: --no-slicing {} ms, default {} ms ({} sliced queries)",
-        campaign_off.stats.wall_ms, campaign_on.stats.wall_ms, campaign_on.stats.solver_sliced,
+        "rtl8029 campaign: --no-query-cache {} ms, default {} ms ({} sliced queries)",
+        uncached.stats.wall_ms, default.stats.wall_ms, default.stats.solver_sliced,
     );
+
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
+    let history = ddt_bench::trajectory_history(std::fs::read_to_string(out).ok().as_deref());
+    let mut failures = Vec::new();
+    for (lane, sat_field, ms, sat) in [
+        ("deep_path_optimized_ms", "deep_path_sat", opt_ms, opt_sat),
+        ("deep_path_cached_check_ms", "deep_path_cached_check_sat", cached_ms, cached_sat),
+    ] {
+        match history.iter().rev().find(|e| field(e, lane).is_some()) {
+            Some(prev) => {
+                failures.extend(gate(lane, sat_field, ms, sat, prev));
+                println!(
+                    "  gate: {lane} within {:.0}% of rev {} ({})",
+                    MAX_SLOWDOWN * 100.0,
+                    field(prev, "rev").and_then(Value::as_str).unwrap_or("?"),
+                    field(prev, "date").and_then(Value::as_str).unwrap_or("?"),
+                );
+            }
+            None => println!("  gate: no earlier entry has {lane}, nothing to compare against"),
+        }
+    }
 
     let (interner_hits, interner_misses) = ddt_expr::intern_stats();
     let mut fields = ddt_bench::rev_and_date();
     fields.extend([
         ("deep_path_depth".into(), Value::U64(stream.len() as u64)),
-        ("deep_path_plain_ms".into(), Value::F64(round3(plain_ms))),
         ("deep_path_optimized_ms".into(), Value::F64(round3(opt_ms))),
-        ("deep_path_speedup".into(), Value::F64(round2(speedup))),
+        ("deep_path_sat".into(), Value::U64(opt_sat as u64)),
+        ("deep_path_cached_check_ms".into(), Value::F64(round3(cached_ms))),
+        ("deep_path_cached_check_sat".into(), Value::U64(cached_sat as u64)),
         ("campaign_driver".into(), Value::Str("rtl8029".into())),
-        ("campaign_baseline_ms".into(), Value::U64(campaign_off.stats.wall_ms)),
-        ("campaign_optimized_ms".into(), Value::U64(campaign_on.stats.wall_ms)),
-        ("campaign_sliced_queries".into(), Value::U64(campaign_on.stats.solver_sliced)),
+        ("campaign_uncached_ms".into(), Value::U64(uncached.stats.wall_ms)),
+        ("campaign_optimized_ms".into(), Value::U64(default.stats.wall_ms)),
+        ("campaign_sliced_queries".into(), Value::U64(default.stats.solver_sliced)),
         ("interner_hits".into(), Value::U64(interner_hits)),
         ("interner_misses".into(), Value::U64(interner_misses)),
     ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    let history = ddt_bench::trajectory_history(std::fs::read_to_string(out).ok().as_deref());
     let json = ddt_bench::trajectory_with("solver", history, Value::Map(fields), &["rev", "date"]);
+    // A failed gate leaves the trajectory as it was, so the entry it was
+    // measured against stays the newest.
+    assert!(failures.is_empty(), "solver bench gate failed:\n  {}", failures.join("\n  "));
     match std::fs::write(out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
@@ -170,8 +219,4 @@ fn main() {
 
 fn round3(v: f64) -> f64 {
     (v * 1e3).round() / 1e3
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 1e2).round() / 1e2
 }

@@ -102,11 +102,6 @@ pub struct DdtConfig {
     /// procedure on every non-trivial query — the exploration is identical,
     /// only slower (the cache is semantically invisible by construction).
     pub use_query_cache: bool,
-    /// Independence slicing of verdict-grade solver queries (on by default;
-    /// `--no-slicing` escape hatch). Like the cache, semantically invisible:
-    /// verdicts are properties of the constraint set, and model-consuming
-    /// queries never take the sliced path.
-    pub use_slicing: bool,
     /// Pre-built cache to share across runs (warm-cache benchmarking, or
     /// one cache spanning several drivers). `None` means each run builds a
     /// fresh cache shared by all of its workers. Ignored when
@@ -154,7 +149,6 @@ impl Default for DdtConfig {
             time_budget_ms: 120_000,
             fault_plan: FaultPlan::disabled(),
             use_query_cache: true,
-            use_slicing: true,
             shared_cache: None,
             panic_hook: None,
             trace_dir: None,

@@ -130,19 +130,18 @@ pub(crate) struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
-    /// An engine for `dut` whose solver shares the run's query cache and
-    /// applies the run's slicing switch, and whose roots share `root`.
+    /// An engine for `dut` whose solver shares the run's query cache, and
+    /// whose roots share `root`.
     pub(crate) fn new(
         ddt: &'a Ddt,
         dut: &'a DriverUnderTest,
         run_cache: &Option<Arc<QueryCache>>,
         root: &Arc<RootMem>,
     ) -> Explorer<'a> {
-        let mut solver = match run_cache {
+        let solver = match run_cache {
             Some(cache) => Solver::with_cache(cache.clone()),
             None => Solver::uncached(),
         };
-        solver.set_slicing(ddt.config.use_slicing);
         let stack = StackLayout::default();
         let mut env = DdtEnv::new(
             DEVICE_MMIO_BASE,

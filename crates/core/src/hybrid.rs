@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use ddt_expr::Assignment;
 use ddt_expr::SymId;
-use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng, Scheduler};
+use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng};
 use ddt_symvm::{SymOrigin, TraceEvent};
 use ddt_vm::BlockCache;
 
@@ -375,7 +375,6 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let mut pending_verbatim: VecDeque<FuzzInput> =
         corpus.entries().iter().map(|e| e.input.clone()).collect();
     let mut rng = Rng::new(fz.seed);
-    let mut sched = Scheduler::new();
     let mut cache = BlockCache::new();
     let mut runner: Option<ConcreteRunner> = None;
     // Summed at full resolution and stored once: a batch shorter than a
@@ -393,8 +392,7 @@ pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
             let input = match pending_verbatim.pop_front() {
                 Some(input) => input,
                 None => {
-                    sched.sync(&corpus);
-                    let idx = sched.pick(&mut rng);
+                    let idx = corpus.pick(&mut rng);
                     mutate(&corpus.entries()[idx].input, &mut rng, 4)
                 }
             };

@@ -3,7 +3,7 @@
 //! ```text
 //! ddt test <driver.dxe | bundled-name> [--audio] [--registry K=V]...
 //!          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle]
-//!          [--workers N] [--no-query-cache] [--no-slicing]
+//!          [--workers N] [--no-query-cache]
 //!          [--json FILE] [--replay] [--health]
 //!          [--trace-dir DIR] [--checkpoint-dir DIR] [--checkpoint-every N]
 //!          [--resume DIR]
@@ -112,7 +112,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ddt test <driver.dxe|name> [--audio] [--registry K=V]... \
          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle] [--workers N] \
-         [--no-query-cache] [--no-slicing] \
+         [--no-query-cache] \
          [--strategy fifo|coverage-new-first|rarest-branch|bug-directed] \
          [--prune] [--no-prune] \
          [--json FILE] [--replay] [--health] \
@@ -245,15 +245,12 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
         config.fault_plan.enabled = true;
         config.fault_plan.families.insert(ddt::FaultFamily::Lifecycle);
     }
-    // Escape hatches: disable the shared counterexample cache or verdict
-    // slicing. The exploration is identical (both are semantically
-    // invisible); only solver time changes. They are the reference paths
-    // of the differential tests.
+    // Escape hatch: disable the shared counterexample cache. The
+    // exploration is identical (the cache is semantically invisible); only
+    // solver time changes. It is the reference path of the differential
+    // tests.
     if args.iter().any(|a| a == "--no-query-cache") {
         config.use_query_cache = false;
-    }
-    if args.iter().any(|a| a == "--no-slicing") {
-        config.use_slicing = false;
     }
     // Search strategy and fingerprint pruning. Both are fingerprinted, so
     // supervisor and workers agree, and a resume refuses a mismatched
@@ -406,7 +403,6 @@ const SHARED_FLAGS: FlagTable = FlagTable {
         "--faults",
         "--lifecycle",
         "--no-query-cache",
-        "--no-slicing",
     ],
     valued: &["--registry", "--strategy", "--max-path-insns", "--max-insns"],
 };
@@ -1168,10 +1164,10 @@ mod tests {
         ] {
             check_flags(&argv(list)).expect("known flags");
         }
-        let ok = argv(&["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"]);
+        let ok = argv(&["test", "pcnet", "--no-memcheck", "--no-query-cache", "--registry", "K=7"]);
         check_flags(&ok).expect("known flags");
         let config = parse_config(&ok).expect("config parses");
-        assert!(!config.use_slicing && !config.use_query_cache);
+        assert!(!config.check_memory && !config.use_query_cache);
         let dut = parse_target(&ok).expect("target parses");
         assert!(dut.registry.contains(&("K".to_string(), 7)));
     }
@@ -1180,15 +1176,15 @@ mod tests {
     fn serve_forwards_only_the_flags_a_worker_accepts() {
         let serve = argv(&[
             "serve", "pcnet", "--workers", "2", "--faults", "--json", "r.json", "--heartbeat-ms",
-            "50", "--no-slicing", "--trace-dir", "t", "--health", "--registry", "K=7",
+            "50", "--no-memcheck", "--trace-dir", "t", "--health", "--registry", "K=7",
         ]);
         check_flags(&serve).expect("serve flags");
         let worker = worker_args_from(&serve);
         assert_eq!(
             worker,
             argv(&[
-                "worker", "pcnet", "--faults", "--heartbeat-ms", "50", "--no-slicing", "--registry",
-                "K=7",
+                "worker", "pcnet", "--faults", "--heartbeat-ms", "50", "--no-memcheck",
+                "--registry", "K=7",
             ])
         );
         let mut spawned = worker.clone();

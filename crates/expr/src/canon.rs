@@ -38,8 +38,8 @@ pub fn cache_key(constraints: &[Expr]) -> Vec<Expr> {
 /// component preserves the input's (canonical) element order, and the
 /// components themselves are ordered by their first member's position —
 /// so a canonical key always slices into the same component keys, which is
-/// what lets per-component solves and cache entries stand in for the
-/// monolithic ones.
+/// what makes a query's per-component solves and cache entries a pure
+/// function of its constraint set.
 ///
 /// Constraints without symbols (constants — the solver strips these before
 /// slicing) each form a singleton component.

@@ -65,6 +65,12 @@ impl FromIterator<(SymId, u64)> for Assignment {
     }
 }
 
+impl Extend<(SymId, u64)> for Assignment {
+    fn extend<T: IntoIterator<Item = (SymId, u64)>>(&mut self, iter: T) {
+        self.values.extend(iter);
+    }
+}
+
 impl Expr {
     /// Evaluates the expression under `asg`, treating unassigned symbols as
     /// zero. The result is masked to the expression's width.

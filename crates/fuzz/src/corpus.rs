@@ -11,7 +11,8 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::FuzzInput;
+use crate::sched::ScoreTree;
+use crate::{FuzzInput, Rng};
 
 /// On-disk corpus format version.
 pub const CORPUS_VERSION: u32 = 1;
@@ -36,8 +37,8 @@ struct CorpusFile {
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
     seen: HashSet<u64>,
-    /// Advances on every change to the entries or their scores.
-    generation: u64,
+    /// The entries' scores, kept for weighted picks.
+    pub(crate) scores: ScoreTree,
 }
 
 impl Corpus {
@@ -52,15 +53,10 @@ impl Corpus {
         if !self.seen.insert(input.hash()) {
             return false;
         }
-        self.entries.push(CorpusEntry { input, score: score.max(1) });
-        self.generation += 1;
+        let score = score.max(1);
+        self.entries.push(CorpusEntry { input, score });
+        self.scores.push(score);
         true
-    }
-
-    /// A counter that advances whenever an entry is added or rescored, so
-    /// a reader can tell whether what it derived from the corpus is stale.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of entries.
@@ -86,8 +82,22 @@ impl Corpus {
     /// Adds `delta` to an entry's score (called when a mutant of it found
     /// new coverage — AFL's "favored parent" feedback).
     pub fn bump(&mut self, i: usize, delta: u64) {
-        self.entries[i].score = self.entries[i].score.saturating_add(delta);
-        self.generation += 1;
+        let old = self.entries[i].score;
+        self.entries[i].score = old.saturating_add(delta);
+        self.scores.add(i, self.entries[i].score - old);
+    }
+
+    /// Picks an entry index, weighted by score: the draw
+    /// `rng.below(total score)` lands in entry `i` when it falls in `i`'s
+    /// share of the running sum, so a linear scan over the scores would
+    /// pick the same entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corpus is empty.
+    pub fn pick(&self, rng: &mut Rng) -> usize {
+        assert!(self.scores.total() > 0, "pick from an empty corpus");
+        self.scores.find(rng.below(self.scores.total()))
     }
 
     /// Serializes to versioned JSON at `path`.

@@ -7,8 +7,8 @@
 //! superblock speed. It deliberately has **no** dependency on the rest of
 //! the workspace: the `ddt-core` hybrid campaign owns all execution and
 //! escalation glue, and this crate only defines the input shape
-//! ([`FuzzInput`]), the [`corpus`], the [`mutate`] operators, and the
-//! [`sched`] power schedule.
+//! ([`FuzzInput`]), the [`corpus`] with its weighted power schedule
+//! ([`Corpus::pick`]), and the [`mutate`] operators.
 //!
 //! Everything here is deterministic under a fixed seed: the PRNG is a
 //! self-contained SplitMix64 (the vendored `rand` is an empty placeholder),
@@ -19,11 +19,10 @@ use serde::{Deserialize, Serialize};
 
 pub mod corpus;
 pub mod mutate;
-pub mod sched;
+mod sched;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use mutate::mutate;
-pub use sched::Scheduler;
 
 /// Deterministic SplitMix64 PRNG.
 ///

@@ -1,10 +1,10 @@
 //! Property tests for the fuzz subsystem: the mutator is a pure function of
 //! (input, seed), the corpus round-trips through disk with dedup by
-//! content hash, and the scheduler picks as if it re-read the corpus before
-//! every pick — the properties the hybrid differential harness's
-//! determinism claim rests on.
+//! content hash, and the corpus' tree-backed weighted pick chooses exactly
+//! what a linear scan over the scores chooses — the properties the hybrid
+//! differential harness's determinism claim rests on.
 
-use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng, Scheduler};
+use ddt_fuzz::{mutate, Corpus, FuzzInput, Rng};
 use proptest::prelude::*;
 
 /// Builds an arbitrary-but-deterministic input from raw generator output.
@@ -98,30 +98,36 @@ proptest! {
         prop_assert_eq!(hashes.len(), corpus.len());
     }
 
-    /// A scheduler that syncs only when the corpus changed picks exactly
-    /// what one rebuilt from the corpus before every pick picks, over any
-    /// script of adds (duplicates included), bumps and picks.
+    /// Over any script of adds (duplicates included), bumps and picks,
+    /// `Corpus::pick` returns the index a linear scan over the current
+    /// scores returns for the same `rng.below(total)` draw.
     #[test]
-    fn lazy_sync_picks_like_syncing_before_every_pick(
-        script in prop::collection::vec((0u8..3, any::<u32>(), 0u64..5), 1..60),
+    fn picks_match_a_linear_scan_over_the_scores(
+        script in prop::collection::vec((0u8..3, any::<u32>(), 0u64..5), 1..80),
         seed in any::<u64>(),
     ) {
         let mut corpus = Corpus::new();
         corpus.add(FuzzInput::default(), 1);
-        let mut lazy = Scheduler::new();
-        let (mut lazy_rng, mut eager_rng) = (Rng::new(seed), Rng::new(seed));
+        let (mut tree_rng, mut scan_rng) = (Rng::new(seed), Rng::new(seed));
         for (op, x, delta) in script {
             match op {
                 // Small values make duplicate adds common.
                 0 => {
-                    corpus.add(FuzzInput { hw: vec![x % 8], ..FuzzInput::default() }, delta);
+                    corpus.add(FuzzInput { hw: vec![x % 16], ..FuzzInput::default() }, delta);
                 }
                 1 => corpus.bump(x as usize % corpus.len(), delta),
                 _ => {
-                    let mut eager = Scheduler::new();
-                    eager.sync(&corpus);
-                    lazy.sync(&corpus);
-                    prop_assert_eq!(lazy.pick(&mut lazy_rng), eager.pick(&mut eager_rng));
+                    let total: u64 = corpus.entries().iter().map(|e| e.score).sum();
+                    let mut draw = scan_rng.below(total);
+                    let mut scan = corpus.len() - 1;
+                    for (i, e) in corpus.entries().iter().enumerate() {
+                        if draw < e.score {
+                            scan = i;
+                            break;
+                        }
+                        draw -= e.score;
+                    }
+                    prop_assert_eq!(corpus.pick(&mut tree_rng), scan);
                 }
             }
         }

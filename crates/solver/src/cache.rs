@@ -32,8 +32,9 @@
 //! back could perturb concretization-dependent paths. Three rules keep the
 //! cache invisible (exercised by `tests/solver_cache_differential.rs`):
 //!
-//! - the solver always blasts the *canonical* form of a query, so a fresh
-//!   solve is a deterministic function of the cache key;
+//! - the solver blasts the *canonical* form of one independence component
+//!   at a time, so a fresh solve is a deterministic function of the cache
+//!   key, and a query's model is the union of its components' models;
 //! - exact-hit models are therefore exactly what a fresh solve would return;
 //! - reused (cross-key) models are only surfaced for verdict-grade queries
 //!   (`is_feasible` and friends), whose models the caller discards.

@@ -9,17 +9,19 @@
 //! - on-demand concretization of symbolic arguments at kernel calls (§3.2),
 //! - deriving the concrete bug-triggering inputs recorded in traces (§3.5).
 //!
-//! The pipeline is: cheap model guessing (zero / small / all-ones candidate
-//! assignments evaluated directly) → shared [`QueryCache`] (exact
-//! memoization, UNSAT subset subsumption, counterexample reuse — see
-//! [`cache`]) → independence slicing for verdict-grade queries
-//! (symbol-disjoint components decided and cached separately) → Tseitin
-//! bit-blasting ([`blast`]) → CDCL SAT ([`sat`]). The procedure is complete
-//! for the supported widths: every query gets a definite Sat/Unsat answer.
+//! The pipeline is: cheap model guessing over the whole query (zero /
+//! small / all-ones candidate assignments evaluated directly) →
+//! independence slicing (symbol-disjoint components) → per component, the
+//! shared [`QueryCache`] (exact memoization, UNSAT subset subsumption, and
+//! for verdict-grade queries counterexample reuse — see [`cache`]) →
+//! Tseitin bit-blasting ([`blast`]) → CDCL SAT ([`sat`]). The procedure is
+//! complete for the supported widths: every query gets a definite
+//! Sat/Unsat answer.
 //!
-//! Full solves always assert constraints in *canonical key order* (sorted,
-//! deduplicated), so a solve is a deterministic function of the query set —
-//! the property that lets cached and uncached runs produce bit-identical
+//! Full solves always assert one component in *canonical key order*
+//! (sorted, deduplicated), so a solve is a deterministic function of the
+//! component, and a model the union of its components' models — the
+//! property that lets cached and uncached runs produce bit-identical
 //! explorations.
 //!
 //! # Examples
@@ -111,7 +113,7 @@ pub struct SolverStats {
     /// Total SAT conflicts across full solves.
     pub sat_conflicts: u64,
     /// Verdict-grade queries that sliced into more than one independence
-    /// component.
+    /// component (model-grade queries slice too, but are not counted).
     pub sliced_queries: u64,
     /// Total components produced by sliced queries (average components per
     /// sliced query = `slice_components / sliced_queries`).
@@ -120,29 +122,26 @@ pub struct SolverStats {
 
 /// The bitvector solver.
 ///
-/// Model-consuming queries (`check`) solve a fresh SAT instance over the
-/// canonical key, so their results are pure functions of the query. The
-/// instance is fresh in content only: every full solve resets and refills
-/// the solver's one [`SatSolver`] and [`Blaster`], so their memory is
-/// reused from solve to solve while no clause outlives its solve.
-/// Verdict-grade queries (`is_feasible` and friends) additionally go
-/// through **independence slicing** ([`Self::set_slicing`], default on): the
-/// query partitions into symbol-disjoint components that are decided
-/// separately and cached under their own (smaller) keys.
+/// Every query that the trivial cases and the fast path do not answer is
+/// decided one **independence component** at a time: the canonical key
+/// partitions into symbol-disjoint components, each answered by its exact
+/// cache entry, a cached UNSAT core, or a canonical full solve memoized
+/// under the component key. A `Sat` answer to a model-consuming query
+/// (`check`) is the union of the component models, so it is a pure
+/// function of the constraint set: the cache, or its absence, cannot move
+/// it. Every full solve resets and refills the solver's one [`SatSolver`]
+/// and [`Blaster`], so their memory is reused from solve to solve while no
+/// clause outlives its solve.
 ///
 /// Results are cached in a [`QueryCache`] that may be *shared* across
 /// solvers/workers: sibling paths in an exploration share long constraint
-/// prefixes, so the same conjunctions — and counterexamples — recur
+/// prefixes, so the same components — and counterexamples — recur
 /// constantly across the whole worker pool, not just within one worker.
 pub struct Solver {
     stats: SolverStats,
     /// Shared (or private) query cache; `None` disables caching entirely
     /// (the `--no-query-cache` escape hatch).
     cache: Option<Arc<QueryCache>>,
-    /// Independence slicing for verdict-grade queries (`--no-slicing` off
-    /// switch). Model-grade queries always run the canonical monolithic
-    /// solve, so slicing cannot perturb any model a caller consumes.
-    use_slicing: bool,
     /// The SAT core every full solve resets and refills.
     sat: SatSolver,
     /// The bit-blaster over `sat`, reset with it.
@@ -176,15 +175,7 @@ impl Solver {
     fn build(cache: Option<Arc<QueryCache>>) -> Solver {
         let mut sat = SatSolver::new();
         let blaster = Blaster::new(&mut sat);
-        Solver { stats: SolverStats::default(), cache, use_slicing: true, sat, blaster }
-    }
-
-    /// Enables or disables independence slicing of verdict-grade queries
-    /// (`--no-slicing` escape hatch; default on). Purely a performance
-    /// toggle: verdicts are semantic properties of the query, and
-    /// model-consuming queries never take the sliced path.
-    pub fn set_slicing(&mut self, on: bool) {
-        self.use_slicing = on;
+        Solver { stats: SolverStats::default(), cache, sat, blaster }
     }
 
     /// Returns accumulated per-solver statistics.
@@ -201,9 +192,11 @@ impl Solver {
     ///
     /// Constraints must be 1-bit expressions. On `Sat`, the model assigns
     /// every symbol mentioned in the constraints (unmentioned symbols are
-    /// free; callers default them to zero). The model is a deterministic
-    /// function of the constraint *set*: permuting or duplicating
-    /// constraints cannot change it, and neither can the cache.
+    /// free; callers default them to zero). It is the first cheap candidate
+    /// that satisfies the whole query if one does, and otherwise the union
+    /// of each independence component's canonical model. Either way it is a
+    /// deterministic function of the constraint *set*: permuting or
+    /// duplicating constraints cannot change it, and neither can the cache.
     ///
     /// # Panics
     ///
@@ -231,27 +224,10 @@ impl Solver {
         for c in &live {
             collect_syms(c, &mut syms);
         }
-        // Verdict-grade queries discard the model, so the shared cache may
-        // answer them even before the fast path: any remembered
-        // counterexample (including past fast-path candidates, deposited
-        // below) that satisfies the key proves Sat without a solve. The
-        // verdict cannot differ from the uncached path — a witness is a
-        // witness — so this reordering stays semantically invisible.
-        let mut key: Option<Vec<Expr>> = None;
-        let mut looked_up = false;
-        if grade == QueryGrade::Verdict && self.cache.is_some() {
-            let k = QueryCache::canonical_key(&live);
-            match self.cache_lookup(&k, grade) {
-                Some(hit) => return hit,
-                None => looked_up = true,
-            }
-            key = Some(k);
-        }
-
-        // Fast path: try a few cheap candidate assignments. Order-insensitive
-        // and cache-independent, so it cannot perturb cached-vs-uncached
-        // equivalence. Winning candidates feed the shared counterexample
-        // ring so later verdict queries can reuse them.
+        // Fast path: try a few cheap candidate assignments over the whole
+        // query. Order-insensitive and cache-independent, so it answers
+        // every mode alike. Winning candidates feed the shared
+        // counterexample rings so later verdict queries can reuse them.
         for candidate in Self::candidate_models(&syms) {
             if live.iter().all(|c| c.eval_bool(&candidate)) {
                 self.stats.fast_path_hits += 1;
@@ -269,31 +245,55 @@ impl Solver {
                 return SatResult::Sat(candidate);
             }
         }
-        // Canonical form: the full solve below asserts constraints in key
-        // order even with the cache disabled, so every mode solves the same
-        // SAT instance for a given constraint set.
-        let key = key.unwrap_or_else(|| QueryCache::canonical_key(&live));
-        if !looked_up && self.cache.is_some() {
-            if let Some(hit) = self.cache_lookup(&key, grade) {
-                return hit;
+        // Independence slicing: the canonical key partitions into
+        // symbol-disjoint components, each itself a canonical key. The
+        // query is `Sat` iff every component is, and its model is the
+        // union of the component models, each a pure function of its
+        // component — so the answer depends on the constraint set alone,
+        // whatever the cache holds.
+        let key = QueryCache::canonical_key(&live);
+        let parts = partition_independent(&key);
+        if grade == QueryGrade::Verdict && parts.len() > 1 {
+            self.stats.sliced_queries += 1;
+            self.stats.slice_components += parts.len() as u64;
+        }
+        // Every component's cached answer first, so a component the cache
+        // proves UNSAT spares the solves of the others; for verdict-grade
+        // queries the lookup ends with the counterexample rings. Then the
+        // canonical full solve of each component the cache missed, which
+        // memoizes it under the component key. Verdict callers drop the
+        // model, so only model-grade answers pay for the union.
+        let compose = grade == QueryGrade::Model;
+        let mut model = Assignment::new();
+        let mut missed = Vec::new();
+        for part in parts {
+            match self.cache_lookup(&part, grade) {
+                Some(SatResult::Unsat) => return SatResult::Unsat,
+                Some(SatResult::Sat(m)) if compose => model.extend(m.iter()),
+                Some(SatResult::Sat(_)) => {}
+                None => missed.push(part),
             }
         }
-        // Verdict-grade queries may take the sliced pipeline. Sat/Unsat is a
-        // semantic property of the constraint set, and slicing never feeds a
-        // non-canonical model into the exact cache map, so model-grade
-        // queries behave byte-identically whether or not it is enabled.
-        if grade == QueryGrade::Verdict && self.use_slicing {
-            return self.solve_sliced(key);
+        for part in missed {
+            match self.full_solve(part) {
+                SatResult::Unsat => return SatResult::Unsat,
+                SatResult::Sat(m) if compose => model.extend(m.iter()),
+                SatResult::Sat(_) => {}
+            }
         }
-        // Full decision procedure over the canonical key.
-        self.full_solve(key, &syms)
+        debug_assert!(
+            !compose || key.iter().all(|c| c.eval_bool(&model)),
+            "the union of component models does not satisfy the query"
+        );
+        SatResult::Sat(model)
     }
 
-    /// Canonical monolithic solve: blasts `key` in canonical order on a
-    /// freshly reset core. The result — verdict *and* model — is a
-    /// deterministic pure function of the key, which is what makes it safe
-    /// to memoize under the key and replay to model-consuming callers.
-    fn full_solve(&mut self, key: Vec<Expr>, syms: &BTreeSet<SymId>) -> SatResult {
+    /// Canonical solve of one component: blasts `key` in canonical order on
+    /// a freshly reset core. The result — verdict *and* model, which
+    /// assigns exactly the component's symbols — is a deterministic pure
+    /// function of the key, which is what makes it safe to memoize under
+    /// the key and replay to model-consuming callers.
+    fn full_solve(&mut self, key: Vec<Expr>) -> SatResult {
         self.stats.full_solves += 1;
         let (sat, blaster) = (&mut self.sat, &mut self.blaster);
         blaster.reset(sat);
@@ -305,10 +305,14 @@ impl Solver {
         let result = match outcome {
             SatOutcome::Unsat => SatResult::Unsat,
             SatOutcome::Sat => {
-                let model: Assignment =
-                    syms.iter().map(|&id| (id, blaster.sym_model(sat, id).unwrap_or(0))).collect();
                 // The blaster's internal division symbols are filtered out by
                 // only reporting symbols that occur in the input constraints.
+                let mut syms = BTreeSet::new();
+                for c in &key {
+                    collect_syms(c, &mut syms);
+                }
+                let model: Assignment =
+                    syms.iter().map(|&id| (id, blaster.sym_model(sat, id).unwrap_or(0))).collect();
                 debug_assert!(
                     key.iter().all(|c| c.eval_bool(&model)),
                     "model does not satisfy constraints"
@@ -320,63 +324,6 @@ impl Solver {
             cache.insert(key, result.clone());
         }
         result
-    }
-
-    /// The verdict-grade sliced pipeline: partition the canonical key into
-    /// symbol-disjoint independence components, decide each component
-    /// separately — preferring component-granular cache answers — and
-    /// compose a model of the whole query from the per-component models.
-    /// The conjunction is `Sat` iff every component is, and
-    /// symbol-disjointness makes the union of component models a model of
-    /// the conjunction.
-    fn solve_sliced(&mut self, key: Vec<Expr>) -> SatResult {
-        let parts = partition_independent(&key);
-        let multi = parts.len() > 1;
-        if multi {
-            self.stats.sliced_queries += 1;
-            self.stats.slice_components += parts.len() as u64;
-        }
-        let mut composed = Assignment::new();
-        for part in parts {
-            let mut part_syms = BTreeSet::new();
-            for c in &part {
-                collect_syms(c, &mut part_syms);
-            }
-            // Component-granular cache consultation. The whole key already
-            // missed; a strict component is a smaller key with strictly
-            // better hit odds (this is where slicing compounds with the
-            // shared cache: one worker's solved component answers every
-            // sibling query that embeds it).
-            if multi {
-                if let Some(hit) = self.cache_lookup(&part, QueryGrade::Verdict) {
-                    match hit {
-                        SatResult::Unsat => return SatResult::Unsat,
-                        SatResult::Sat(m) => {
-                            merge_for(&mut composed, &m, &part_syms);
-                            continue;
-                        }
-                    }
-                }
-            }
-            // A fresh solve is canonical for the component key and
-            // `full_solve` memoizes it under that key.
-            match self.full_solve(part, &part_syms) {
-                SatResult::Unsat => return SatResult::Unsat,
-                SatResult::Sat(m) => merge_for(&mut composed, &m, &part_syms),
-            }
-        }
-        debug_assert!(
-            key.iter().all(|c| c.eval_bool(&composed)),
-            "composed model does not satisfy the query"
-        );
-        if let Some(cache) = &self.cache {
-            // The composed model depends on how the key sliced (it is not
-            // the canonical monolithic model), so it goes to the
-            // verdict-reuse ring only — never the exact map, which
-            // model-grade callers read.
-            cache.remember_verdict_model(&composed);
-        }
-        SatResult::Sat(composed)
     }
 
     /// Consults the shared cache and maps the answer onto stats. `None`
@@ -460,18 +407,6 @@ impl Solver {
             }
         }
         found
-    }
-}
-
-/// Merges into `into` the values `from` assigns to the symbols in `syms`.
-/// Restricting to the component's own symbols matters: a reused ring model
-/// may assign symbols belonging to *other* components (whatever its
-/// original query mentioned), and those values must not override the models
-/// those components produce for themselves. Symbols the source model leaves
-/// unassigned default to zero, exactly as `eval` treats them.
-fn merge_for(into: &mut Assignment, from: &Assignment, syms: &BTreeSet<SymId>) {
-    for id in syms {
-        into.set(*id, from.get_or_zero(*id));
     }
 }
 
@@ -753,8 +688,10 @@ mod tests {
         let core = [x.ult(&c32(5)), c32(10).ult(&x)];
         let mut s = Solver::new();
         assert_eq!(s.check(&core), SatResult::Unsat);
-        // Any superset is UNSAT without another solve.
-        let superset = [core[0].clone(), y.eq(&c32(7)), core[1].clone()];
+        // Any superset is UNSAT without another solve. The extra constraint
+        // on x keeps the core's component a strict superset of the core (an
+        // equal component would be an exact hit).
+        let superset = [core[0].clone(), y.eq(&c32(7)), x.ne(&c32(3)), core[1].clone()];
         assert_eq!(s.check(&superset), SatResult::Unsat);
         assert_eq!(s.stats().cache_unsat_subset, 1);
         assert_eq!(s.stats().full_solves, 1);
@@ -784,35 +721,35 @@ mod tests {
         assert_eq!(uncached.stats().cache_model_reuse, 0);
     }
 
-    /// A solver with independence slicing disabled (the `--no-slicing`
-    /// escape hatch).
-    fn plain_solver() -> Solver {
-        let mut s = Solver::new();
-        s.set_slicing(false);
-        s
+    /// Decides a conjunction over 6-bit symbols 0..3 by trying every
+    /// assignment.
+    fn brute_force_sat(constraints: &[Expr]) -> bool {
+        (0u64..1 << 18).any(|m| {
+            let asg: Assignment = (0..3).map(|i| (SymId(i), (m >> (6 * i)) & 0x3f)).collect();
+            constraints.iter().all(|c| c.eval_bool(&asg))
+        })
     }
 
     #[test]
-    fn sliced_verdicts_agree_with_plain_solver() {
-        let x = sym(0, 32);
-        let y = sym(1, 32);
-        let z = sym(2, 32);
+    fn sliced_verdicts_agree_with_brute_force() {
+        let c6 = |v: u64| Expr::constant(v, 6);
+        let (x, y, z) = (sym(0, 6), sym(1, 6), sym(2, 6));
         let queries: Vec<Vec<Expr>> = vec![
             // Three independent components, all satisfiable.
-            vec![x.eq(&c32(42)), y.ult(&c32(9)), z.urem(&c32(3)).eq(&c32(2))],
+            vec![x.eq(&c6(42)), y.ult(&c6(9)), z.urem(&c6(3)).eq(&c6(2))],
             // One unsat component among satisfiable ones.
-            vec![x.eq(&c32(42)), y.ult(&c32(5)), c32(10).ult(&y)],
+            vec![x.eq(&c6(42)), y.ult(&c6(5)), c6(10).ult(&y)],
             // Entangled: single component.
-            vec![x.add(&y).eq(&c32(7)), y.ult(&c32(3)), x.ult(&c32(100))],
+            vec![x.add(&y).eq(&c6(7)), y.ult(&c6(3)), x.ult(&c6(60))],
+            // Entangled and unsat: x + y == 7 with both above 7.
+            vec![x.add(&y).eq(&c6(7)), c6(7).ult(&x), c6(7).ult(&y), z.eq(&c6(1))],
         ];
         for q in &queries {
-            let mut optimized = Solver::new();
-            let mut plain = plain_solver();
-            assert_eq!(
-                optimized.is_feasible(q),
-                plain.is_feasible(q),
-                "optimized pipeline changed the verdict of {q:?}"
-            );
+            let expected = brute_force_sat(q);
+            for mut s in [Solver::new(), Solver::uncached()] {
+                assert_eq!(s.is_feasible(q), expected, "verdict of {q:?}");
+                assert_eq!(s.check(q).is_sat(), expected, "check of {q:?}");
+            }
         }
     }
 
@@ -823,8 +760,10 @@ mod tests {
         // Two independent components that defeat the fast-path candidates.
         let q = [x.eq(&c32(42)), y.mul(&c32(3)).eq(&c32(21))];
         let mut s = Solver::new();
-        let r = s.check_graded(&q, QueryGrade::Verdict);
-        match r {
+        assert!(s.is_feasible(&q));
+        assert_eq!(s.stats().sliced_queries, 1);
+        assert_eq!(s.stats().slice_components, 2);
+        match s.check(&q) {
             SatResult::Sat(m) => {
                 assert!(q.iter().all(|c| c.eval_bool(&m)), "composed model invalid");
                 assert_eq!(m.get_or_zero(SymId(0)), 42);
@@ -832,8 +771,8 @@ mod tests {
             }
             SatResult::Unsat => panic!("both components are satisfiable"),
         }
+        // Model-grade queries slice too, but the counters count verdicts.
         assert_eq!(s.stats().sliced_queries, 1);
-        assert_eq!(s.stats().slice_components, 2);
     }
 
     #[test]
@@ -864,41 +803,80 @@ mod tests {
         // Verdict query whose unsat component is two constraints wide.
         let contradiction = [x.ult(&c32(5)), c32(10).ult(&x)];
         assert!(!a.is_feasible(&[contradiction[0].clone(), y.eq(&c32(3)), contradiction[1].clone()]));
-        // The small component core now proves any superset UNSAT for
-        // model-grade callers through the existing subsumption path.
+        // The small component core now proves any superset of it UNSAT for
+        // model-grade callers through the subsumption path.
         let mut b = Solver::with_cache(cache);
-        let superset =
-            [contradiction[0].clone(), contradiction[1].clone(), y.ult(&c32(100))];
+        let superset = [
+            contradiction[0].clone(),
+            contradiction[1].clone(),
+            x.ne(&c32(3)),
+            y.ult(&c32(100)),
+        ];
         assert_eq!(b.check(&superset), SatResult::Unsat);
         assert_eq!(b.stats().cache_unsat_subset, 1);
         assert_eq!(b.stats().full_solves, 0);
     }
 
     #[test]
-    fn escape_hatches_restore_baseline_counters() {
-        let x = sym(0, 32);
-        let mut s = plain_solver();
-        assert!(s.is_feasible(&[x.eq(&c32(42))]));
-        assert_eq!(s.stats().sliced_queries, 0);
-        assert_eq!(s.stats().full_solves, 1);
-    }
-
-    #[test]
-    fn model_grade_checks_never_use_session_or_slicing() {
+    fn model_grade_checks_solve_each_component_and_return_the_union() {
         let x = sym(0, 32);
         let y = sym(1, 32);
         let mut s = Solver::new();
-        // Two independent components; model grade must still run the
-        // canonical monolithic solve.
+        // Two independent components, each solved on its own: no full solve
+        // ever covers both.
         match s.check(&[x.eq(&c32(42)), y.eq(&c32(17))]) {
             SatResult::Sat(m) => {
+                assert_eq!(m.len(), 2, "the union assigns exactly the query's symbols");
                 assert_eq!(m.get_or_zero(SymId(0)), 42);
                 assert_eq!(m.get_or_zero(SymId(1)), 17);
             }
             SatResult::Unsat => panic!(),
         }
-        assert_eq!(s.stats().sliced_queries, 0);
-        assert_eq!(s.stats().full_solves, 1);
+        assert_eq!(s.stats().full_solves, 2);
+        // Each component's answer is memoized under its own key.
+        let mut t = Solver::with_cache(s.cache().unwrap().clone());
+        assert!(t.check(&[y.eq(&c32(17))]).is_sat());
+        assert!(t.check(&[x.eq(&c32(42)), y.eq(&c32(17))]).is_sat());
+        assert_eq!(t.stats().cache_hits, 3);
+        assert_eq!(t.stats().full_solves, 0);
+    }
+
+    #[test]
+    fn component_models_do_not_depend_on_the_other_components() {
+        // Six blast-heavy conjuncts over three symbol pairs, each pinned to
+        // its value under a fixed witness. One CDCL run over all three
+        // components would settle the pair (4, 5) on another model than a
+        // run over its component alone: restarts forced by the other
+        // components' conflicts interleave with that component's search.
+        let w = 12;
+        let c = |v: u64| Expr::constant(v, w);
+        let q: Vec<Expr> = (0..6u64)
+            .map(|i| {
+                let fam = (i % 3) as u32 * 2;
+                let (x, y) = (sym(fam, w), sym(fam + 1, w));
+                let (wx, wy) = (11 + u64::from(fam) * 13, 7 + u64::from(fam) * 5);
+                let witness: Assignment =
+                    [(SymId(fam), wx), (SymId(fam + 1), wy)].into_iter().collect();
+                let t = x
+                    .mul(&y.add(&c(i * 7 + 1)))
+                    .mul(&x.xor(&c(i | 1)))
+                    .add(&y.mul(&x.add(&c(i * 3 + 2))));
+                t.eq(&c(t.eval(&witness)))
+            })
+            .collect();
+        let SatResult::Sat(whole) = Solver::uncached().check(&q) else {
+            panic!("satisfiable by construction")
+        };
+        let parts = partition_independent(&ddt_expr::cache_key(&q));
+        assert_eq!(parts.len(), 3);
+        for part in parts {
+            let SatResult::Sat(alone) = Solver::uncached().check(&part) else {
+                panic!("every component is satisfiable")
+            };
+            for (id, v) in alone.iter() {
+                assert_eq!(whole.get(id), Some(v), "{id:?} moved with its neighbours");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Differential property tests for the verdict-grade solver optimization:
-//! independence slicing must agree — in verdict and in model validity — with
-//! the plain monolithic solver on random constraint sets, cached and
-//! uncached.
+//! Differential property tests for per-component solving: every query is
+//! decided one independence component at a time, and a model-grade answer
+//! is the union of its components' canonical models. Verdicts must agree
+//! with brute-force enumeration, cached and uncached, and the model must be
+//! a pure function of the constraint set — whatever the constraint order,
+//! the cache, or the queries that cache answered before.
 //!
 //! Multi-symbol generators are biased so queries actually slice: symbols 0/1
 //! and 2/3 form two families that only sometimes mix, producing a healthy
 //! blend of one-, two-, and three-component partitions.
 
-use ddt_expr::{partition_independent, Assignment, BinOp, CmpOp, Expr, SymId};
+use std::collections::BTreeSet;
+
+use ddt_expr::{cache_key, partition_independent, Assignment, BinOp, CmpOp, Expr, SymId};
 use ddt_solver::{SatResult, Solver};
 use proptest::prelude::*;
 
@@ -63,69 +67,102 @@ fn arb_constraint() -> BoxedStrategy<Expr> {
     prop_oneof![family_constraint(0), family_constraint(1)].boxed()
 }
 
-/// Exhaustively decides satisfiability over the four 6-bit symbols.
+/// Exhaustively decides satisfiability over the 6-bit symbols the
+/// constraints mention (at most four, so at most 2^24 assignments).
 fn brute_force_sat(constraints: &[Expr]) -> bool {
-    let mut asg = Assignment::new();
-    for m in 0u64..(1 << (6 * NSYMS)) {
-        for i in 0..NSYMS {
-            asg.set(SymId(i), (m >> (6 * i)) & 0x3f);
-        }
-        if constraints.iter().all(|c| c.eval_bool(&asg)) {
-            return true;
-        }
-    }
-    false
+    let syms: BTreeSet<SymId> = constraints.iter().flat_map(|c| c.syms()).collect();
+    (0u64..1 << (6 * syms.len())).any(|m| {
+        let asg: Assignment =
+            syms.iter().enumerate().map(|(i, &id)| (id, (m >> (6 * i)) & 0x3f)).collect();
+        constraints.iter().all(|c| c.eval_bool(&asg))
+    })
 }
 
-/// Builds a solver with the given slicing and cache switches.
-fn solver_with(slicing: bool, cached: bool) -> Solver {
-    let mut s = if cached { Solver::new() } else { Solver::uncached() };
-    s.set_slicing(slicing);
-    s
+/// A component of its own on symbol 4 that none of the solver's cheap
+/// candidate models (all symbols 0, 1, all-ones, 4 or 0x80) satisfies. A
+/// query that contains it is never answered by the whole-query fast path,
+/// so `check` must report the union of its components' canonical models.
+fn pin() -> Expr {
+    Expr::sym(SymId(NSYMS), 6).eq(&Expr::constant(42, 6))
+}
+
+/// What `check(cs + [pin()])` must return: `Unsat` if some component is,
+/// else the union, over the components of `cs` and the pin, of the model
+/// each one gets from a fresh uncached solver beside the pin alone.
+fn union_of_component_models(cs: &[Expr]) -> SatResult {
+    let mut union = Assignment::new();
+    for part in partition_independent(&cache_key(cs)) {
+        let own: BTreeSet<SymId> = part.iter().flat_map(|c| c.syms()).collect();
+        let mut alone = part.clone();
+        alone.push(pin());
+        match Solver::uncached().check(&alone) {
+            SatResult::Unsat => return SatResult::Unsat,
+            SatResult::Sat(m) => union.extend(m.iter().filter(|(id, _)| own.contains(id))),
+        }
+    }
+    match Solver::uncached().check(&[pin()]) {
+        SatResult::Sat(m) => union.extend(m.iter()),
+        SatResult::Unsat => unreachable!("the pin is satisfiable"),
+    }
+    SatResult::Sat(union)
+}
+
+/// A permutation of `cs` drawn from `seed` (Fisher-Yates over SplitMix64).
+fn shuffled(cs: &[Expr], mut seed: u64) -> Vec<Expr> {
+    let mut out = cs.to_vec();
+    for i in (1..out.len()).rev() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        out.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+fn solver(cached: bool) -> Solver {
+    if cached {
+        Solver::new()
+    } else {
+        Solver::uncached()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every flag combination produces the same verdict as the plain
-    /// monolithic solver, and satisfiable verdicts carry genuinely
-    /// satisfying models.
+    /// Cached and uncached solvers give the brute-force verdict, for
+    /// verdict-grade and model-grade queries alike, and satisfiable
+    /// answers carry genuinely satisfying models.
     #[test]
     fn all_modes_agree_on_verdict_and_model_validity(
         cs in prop::collection::vec(arb_constraint(), 1..5),
     ) {
-        let mut plain = solver_with(false, false);
-        let expected = plain.is_feasible(&cs);
-        for slicing in [false, true] {
-            for cached in [false, true] {
-                let mut s = solver_with(slicing, cached);
-                prop_assert_eq!(
-                    s.is_feasible(&cs), expected,
-                    "verdict flipped (slicing={}, cached={})",
-                    slicing, cached
-                );
-                // The full SatResult's model must satisfy the query in
-                // every mode (composition soundness).
-                match s.check(&cs) {
-                    SatResult::Sat(m) => {
-                        prop_assert!(expected, "check Sat but plain infeasible");
-                        for c in &cs {
-                            prop_assert!(c.eval_bool(&m), "model fails {}", c);
-                        }
+        let expected = brute_force_sat(&cs);
+        for cached in [false, true] {
+            let mut s = solver(cached);
+            prop_assert_eq!(s.is_feasible(&cs), expected, "verdict flipped (cached={})", cached);
+            // The full SatResult's model must satisfy the query in every
+            // mode (composition soundness).
+            match s.check(&cs) {
+                SatResult::Sat(m) => {
+                    prop_assert!(expected, "check Sat but brute force finds no model");
+                    for c in &cs {
+                        prop_assert!(c.eval_bool(&m), "model fails {}", c);
                     }
-                    SatResult::Unsat => prop_assert!(!expected),
                 }
+                SatResult::Unsat => prop_assert!(!expected),
             }
         }
     }
 
-    /// The optimized verdict agrees with brute force directly (not merely
-    /// with another solver configuration).
+    /// The verdict agrees with brute force directly, on the same solver
+    /// for both grades.
     #[test]
     fn optimized_verdict_matches_brute_force(
         cs in prop::collection::vec(arb_constraint(), 1..4),
     ) {
-        let mut s = solver_with(true, true);
+        let mut s = Solver::new();
         prop_assert_eq!(s.is_feasible(&cs), brute_force_sat(&cs));
     }
 
@@ -134,42 +171,73 @@ proptest! {
     /// composes to whole-query satisfiability.
     #[test]
     fn partition_soundness(cs in prop::collection::vec(arb_constraint(), 1..5)) {
-        let key = ddt_expr::cache_key(&cs);
+        let key = cache_key(&cs);
         let parts = partition_independent(&key);
         let total: usize = parts.iter().map(Vec::len).sum();
         prop_assert_eq!(total, key.len());
         for (i, p) in parts.iter().enumerate() {
-            let ps: std::collections::BTreeSet<_> =
-                p.iter().flat_map(|e| e.syms()).collect();
+            let ps: BTreeSet<_> = p.iter().flat_map(|e| e.syms()).collect();
             for q in parts.iter().skip(i + 1) {
-                let qs: std::collections::BTreeSet<_> =
-                    q.iter().flat_map(|e| e.syms()).collect();
+                let qs: BTreeSet<_> = q.iter().flat_map(|e| e.syms()).collect();
                 prop_assert!(ps.is_disjoint(&qs));
             }
         }
         // Conjunction over disjoint components: sat iff all components sat.
-        let mut plain = solver_with(false, false);
-        let whole = plain.is_feasible(&key);
-        let all_parts = parts.iter().all(|p| {
-            let mut s = solver_with(false, false);
-            s.is_feasible(p)
-        });
-        prop_assert_eq!(whole, all_parts);
+        let all_parts = parts.iter().all(|p| brute_force_sat(p));
+        prop_assert_eq!(brute_force_sat(&key), all_parts);
+        prop_assert_eq!(Solver::uncached().is_feasible(&key), all_parts);
     }
 
     /// A long deepening-path query stream (the explorer's hot pattern) gives
-    /// identical verdict sequences with slicing and the cache on and off.
+    /// identical answers, models included, with the cache on and off.
     #[test]
     fn deepening_path_stream_matches(
         base in arb_constraint(),
         extras in prop::collection::vec(arb_constraint(), 1..6),
     ) {
-        let mut optimized = solver_with(true, true);
-        let mut plain = solver_with(false, false);
+        let mut cached = Solver::new();
+        let mut uncached = Solver::uncached();
         let mut cs = vec![base];
         for e in extras {
             cs.push(e);
-            prop_assert_eq!(optimized.is_feasible(&cs), plain.is_feasible(&cs));
+            prop_assert_eq!(cached.is_feasible(&cs), uncached.is_feasible(&cs));
+            prop_assert_eq!(cached.check(&cs), uncached.check(&cs));
         }
+    }
+
+    /// The model definition. A query the whole-query fast path cannot
+    /// answer gets exactly the union of each component's own model, the
+    /// one `check` gives that component beside the pin alone — from a
+    /// cached or an uncached solver, for any order of the constraints, and
+    /// after any earlier stream of queries on the same cache (drawn partly
+    /// from the same constraints, so the cache holds some of the
+    /// components).
+    #[test]
+    fn check_returns_the_union_of_component_models(
+        cs in prop::collection::vec(arb_constraint(), 1..6),
+        order in any::<u64>(),
+        history in prop::collection::vec(
+            (any::<u8>(), prop::collection::vec(arb_constraint(), 0..3), any::<bool>()),
+            0..6,
+        ),
+    ) {
+        let mut query = cs.clone();
+        query.push(pin());
+        let expected = union_of_component_models(&cs);
+        let mut warm = Solver::new();
+        for (mask, extra, verdict) in history {
+            let picked = cs.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1);
+            let mut earlier: Vec<Expr> = picked.map(|(_, c)| c.clone()).collect();
+            earlier.extend(extra);
+            if verdict {
+                warm.is_feasible(&earlier);
+            } else {
+                warm.check(&earlier);
+            }
+        }
+        let query = shuffled(&query, order);
+        prop_assert_eq!(&warm.check(&query), &expected, "warm cache");
+        prop_assert_eq!(&Solver::new().check(&query), &expected, "cold cache");
+        prop_assert_eq!(&Solver::uncached().check(&query), &expected, "uncached");
     }
 }

@@ -1,11 +1,12 @@
-//! Differential harness for the verdict-query optimization: independence
-//! slicing, crossed with the shared query cache.
+//! Differential harness for the solver's optimizations: per-component
+//! solving under the shared query cache.
 //!
-//! Both are pure solver-time optimizations and must be *semantically
-//! invisible*: an exploration with them on, off, or in any mixture must
-//! find the same bugs via the same decision schedules with the same solved
-//! inputs and the same coverage. This harness runs bundled drivers across
-//! the flag matrix and compares the reports field by field (semantic fields
+//! Every query is decided one independence component at a time, and the
+//! shared cache answers components it has seen. The cache must be
+//! *semantically invisible*: an exploration with it on or off must find the
+//! same bugs via the same decision schedules with the same solved inputs
+//! and the same coverage. This harness runs bundled drivers with and
+//! without it and compares the reports field by field (semantic fields
 //! only — solver counters legitimately differ between modes).
 
 use std::collections::HashMap;
@@ -13,8 +14,8 @@ use std::process::Command;
 
 use ddt::{decision_streams, Ddt, DdtConfig, DriverUnderTest, FaultPlan, Report};
 
-fn run(dut: &DriverUnderTest, base: &DdtConfig, slicing: bool, cache: bool) -> Report {
-    let config = DdtConfig { use_slicing: slicing, use_query_cache: cache, ..base.clone() };
+fn run(dut: &DriverUnderTest, base: &DdtConfig, cache: bool) -> Report {
+    let config = DdtConfig { use_query_cache: cache, ..base.clone() };
     Ddt::new(config).test(dut)
 }
 
@@ -49,12 +50,12 @@ fn assert_semantically_equal(a: &Report, b: &Report, label: &str) {
     assert_eq!(a.stats.states_dropped, b.stats.states_dropped, "{label}: drop counts diverged");
 }
 
-/// Every cache × slicing combination against the all-on default, on two
-/// drivers at the default state cap and on rtl8029 at `max_states: 64`,
-/// with and without every fault family. At that cap the frontier is full
-/// for most of the run and forks are dropped, so a mode that admitted a
-/// different set of children, or admitted them at a different time, would
-/// change which paths survive and the drop count.
+/// `--no-query-cache` against the default, on two drivers at the default
+/// state cap and on rtl8029 at `max_states: 64`, with and without every
+/// fault family. At that cap the frontier is full for most of the run and
+/// forks are dropped, so a mode that admitted a different set of children,
+/// or admitted them at a different time, would change which paths survive
+/// and the drop count.
 #[test]
 fn optimization_flag_matrix_is_semantically_invisible() {
     let capped = DdtConfig { max_states: 64, ..DdtConfig::default() };
@@ -69,37 +70,20 @@ fn optimization_flag_matrix_is_semantically_invisible() {
         let driver = label.split(' ').next().expect("driver name");
         let spec = ddt::drivers::driver_by_name(driver).expect("bundled");
         let dut = DriverUnderTest::from_spec(&spec);
-        let baseline = run(&dut, base, true, true); // Everything on (default).
+        let baseline = run(&dut, base, true); // The default.
         if base.max_states == 64 {
             assert!(baseline.stats.states_dropped > 0, "{label}: the cap never bit");
         }
-        for (slicing, cache) in [
-            (false, true),  // --no-slicing
-            (true, false),  // --no-query-cache
-            (false, false), // both hatches
-        ] {
-            let other = run(&dut, base, slicing, cache);
-            let label = format!("{label} (slicing={slicing}, cache={cache})");
-            assert_semantically_equal(&baseline, &other, &label);
-        }
+        let uncached = run(&dut, base, false);
+        assert_semantically_equal(&baseline, &uncached, &format!("{label} (--no-query-cache)"));
     }
-}
-
-#[test]
-fn escape_hatches_really_disable_the_machinery() {
-    let spec = ddt::drivers::driver_by_name("rtl8029").expect("bundled");
-    let dut = DriverUnderTest::from_spec(&spec);
-
-    let no_slicing = run(&dut, &DdtConfig::default(), false, true);
-    assert_eq!(no_slicing.stats.solver_sliced, 0, "--no-slicing still sliced");
-    assert_eq!(no_slicing.stats.solver_slice_components, 0);
 }
 
 #[test]
 fn optimization_counters_surface_in_stats_and_health() {
     let spec = ddt::drivers::driver_by_name("rtl8029").expect("bundled");
     let dut = DriverUnderTest::from_spec(&spec);
-    let on = run(&dut, &DdtConfig::default(), true, true);
+    let on = run(&dut, &DdtConfig::default(), true);
 
     // Slicing counters are structurally consistent: every sliced query has
     // at least two components.
@@ -112,13 +96,15 @@ fn optimization_counters_surface_in_stats_and_health() {
     assert!(on.health.render().contains("sliced verdicts"));
 }
 
-/// `--no-batch`, `--no-portfolio`, `--no-rewrite` and `--no-incremental`
-/// name no layer any more: the CLI must refuse them rather than silently
-/// run a default campaign, and the surviving hatches must still parse.
+/// `--no-batch`, `--no-portfolio`, `--no-rewrite`, `--no-incremental` and
+/// `--no-slicing` name no layer any more: the CLI must refuse them rather
+/// than silently run a default campaign, and the surviving hatch must still
+/// parse.
 #[test]
 fn cli_rejects_removed_hatches_and_keeps_the_surviving_ones() {
     let ddt = env!("CARGO_BIN_EXE_ddt");
-    for flag in ["--no-batch", "--no-portfolio", "--no-rewrite", "--no-incremental"] {
+    for flag in ["--no-batch", "--no-portfolio", "--no-rewrite", "--no-incremental", "--no-slicing"]
+    {
         let out = Command::new(ddt).args(["test", "pcnet", flag]).output().expect("spawn ddt");
         assert_eq!(out.status.code(), Some(2), "{flag} was accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -126,7 +112,7 @@ fn cli_rejects_removed_hatches_and_keeps_the_surviving_ones() {
     }
     // A one-quantum budget keeps the accepted run short.
     let out = Command::new(ddt)
-        .args(["test", "pcnet", "--no-slicing", "--no-query-cache", "--registry", "K=7"])
+        .args(["test", "pcnet", "--no-query-cache", "--registry", "K=7"])
         .args(["--max-insns", "1"])
         .output()
         .expect("spawn ddt");

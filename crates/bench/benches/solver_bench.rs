@@ -4,20 +4,25 @@
 //! query stream*, where each branch decision re-decides a constraint prefix
 //! that grew by one conjunct. The solver splits every prefix into its
 //! symbol-disjoint components and decides each one on its own, smaller
-//! instance. Two lanes time the stream, each the fastest of three runs:
+//! instance. Three lanes time the stream, each the fastest of three runs:
 //!
 //! - `deep_path_optimized_ms`: verdict queries on an uncached solver, so
 //!   every component of every prefix is solved afresh (the cost of
 //!   *deciding*; the query cache is measured by `cache_bench`);
 //! - `deep_path_cached_check_ms`: model-grade `check` queries on a cached
 //!   solver, so each prefix solves only the component its new conjunct
-//!   touches and reads the others from the cache.
+//!   touches and reads the others from the cache;
+//! - `deep_path_incremental_check_ms`: the explorer's own pattern — one
+//!   `PathCondition` extended by each prefix's new conjunct, with a cached
+//!   `check_under` of every prefix — so no query partitions a prefix
+//!   again.
 //!
 //! Gates, against the newest earlier entry of the `BENCH_solver.json`
 //! trajectory at the repo root that has the lane: each lane's time may be
 //! at most 25% above that entry's, and its SAT count must equal that
 //! entry's. The run then appends its own entry (keyed by git revision +
-//! date), with per-stage timings and a bundled-driver end-to-end sample:
+//! date; the revision reads `<rev>-dirty` when tracked code differs from
+//! it), with per-stage timings and a bundled-driver end-to-end sample:
 //! rtl8029 with the default configuration against `--no-query-cache`.
 
 use std::hint::black_box;
@@ -26,8 +31,8 @@ use std::time::Instant;
 use criterion::Criterion;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest};
 use ddt_bench::field;
-use ddt_expr::{cache_key, partition_independent, Expr, SymId};
-use ddt_solver::Solver;
+use ddt_expr::{cache_key, Expr, SymId};
+use ddt_solver::{PathCondition, Solver};
 use serde::Value;
 
 /// Growing constraint prefixes over three symbol families, mimicking a
@@ -87,6 +92,20 @@ fn cached_check_stream(stream: &[Vec<Expr>]) -> usize {
     stream.iter().filter(|p| s.check(p).is_sat()).count()
 }
 
+/// Pushes each prefix's new conjunct onto one path condition and solves it
+/// for a model on a cached solver, returning the SAT count.
+fn incremental_check_stream(stream: &[Vec<Expr>]) -> usize {
+    let mut s = Solver::new();
+    let mut pc = PathCondition::new();
+    stream
+        .iter()
+        .filter(|prefix| {
+            pc.push(prefix.last().expect("non-empty prefix").clone());
+            s.check_under(&pc, &[]).is_sat()
+        })
+        .count()
+}
+
 /// The fastest of [`RUNS`] runs of `f` in milliseconds, with its result
 /// (every run must return the same).
 fn fastest_ms(f: impl Fn() -> usize) -> (f64, usize) {
@@ -111,10 +130,10 @@ fn bench_stages(c: &mut Criterion, stream: &[Vec<Expr>]) {
         b.iter(|| black_box(cache_key(deepest)).len())
     });
 
-    // Union-find partition of the deepest prefix into its three families.
-    let key = cache_key(deepest);
-    c.bench_function("slicing/partition_independent", |b| {
-        b.iter(|| black_box(partition_independent(&key)).len())
+    // Building the deepest prefix's path condition one push at a time:
+    // each push merges the conjunct into its family's component.
+    c.bench_function("path/push_deep_prefix", |b| {
+        b.iter(|| black_box(deepest.iter().cloned().collect::<PathCondition>()).len())
     });
 }
 
@@ -146,12 +165,14 @@ fn main() {
 
     let (opt_ms, opt_sat) = fastest_ms(|| uncached_stream(&stream));
     let (cached_ms, cached_sat) = fastest_ms(|| cached_check_stream(&stream));
-    // Every prefix is satisfiable by construction, in both lanes.
+    let (incr_ms, incr_sat) = fastest_ms(|| incremental_check_stream(&stream));
+    // Every prefix is satisfiable by construction, in every lane.
     assert_eq!(opt_sat, stream.len(), "uncached lane lost a SAT prefix");
     assert_eq!(cached_sat, stream.len(), "cached check lane lost a SAT prefix");
+    assert_eq!(incr_sat, stream.len(), "incremental check lane lost a SAT prefix");
     println!(
-        "deep-path stream: uncached verdicts {opt_ms:.2} ms, cached checks {cached_ms:.2} ms \
-         (fastest of {RUNS})"
+        "deep-path stream: uncached verdicts {opt_ms:.2} ms, cached checks {cached_ms:.2} ms, \
+         incremental checks {incr_ms:.2} ms (fastest of {RUNS})"
     );
 
     // One bundled driver end to end, the default against `--no-query-cache`,
@@ -177,6 +198,7 @@ fn main() {
     for (lane, sat_field, ms, sat) in [
         ("deep_path_optimized_ms", "deep_path_sat", opt_ms, opt_sat),
         ("deep_path_cached_check_ms", "deep_path_cached_check_sat", cached_ms, cached_sat),
+        ("deep_path_incremental_check_ms", "deep_path_incremental_check_sat", incr_ms, incr_sat),
     ] {
         match history.iter().rev().find(|e| field(e, lane).is_some()) {
             Some(prev) => {
@@ -200,6 +222,8 @@ fn main() {
         ("deep_path_sat".into(), Value::U64(opt_sat as u64)),
         ("deep_path_cached_check_ms".into(), Value::F64(round3(cached_ms))),
         ("deep_path_cached_check_sat".into(), Value::U64(cached_sat as u64)),
+        ("deep_path_incremental_check_ms".into(), Value::F64(round3(incr_ms))),
+        ("deep_path_incremental_check_sat".into(), Value::U64(incr_sat as u64)),
         ("campaign_driver".into(), Value::Str("rtl8029".into())),
         ("campaign_uncached_ms".into(), Value::U64(uncached.stats.wall_ms)),
         ("campaign_optimized_ms".into(), Value::U64(default.stats.wall_ms)),

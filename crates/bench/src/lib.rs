@@ -37,26 +37,51 @@ pub fn human_kb(bytes: usize) -> String {
     format!("{:.1} KB", bytes as f64 / 1024.0)
 }
 
-/// Runs `cmd args...` and returns its first output line (trimmed), or
-/// `"unknown"` when unavailable — bench results must not depend on the
-/// environment cooperating.
-pub fn cmd_line(cmd: &str, args: &[&str]) -> String {
+/// Runs `cmd args...` and returns its standard output, or `None` when the
+/// command is missing or fails.
+fn cmd_output(cmd: &str, args: &[&str]) -> Option<String> {
     std::process::Command::new(cmd)
         .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
+}
+
+/// Runs `cmd args...` and returns its first output line (trimmed), or
+/// `"unknown"` when unavailable — bench results must not depend on the
+/// environment cooperating.
+pub fn cmd_line(cmd: &str, args: &[&str]) -> String {
+    cmd_output(cmd, args)
         .map(|s| s.lines().next().unwrap_or("").trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The revision label of a trajectory entry measured on a checkout of
+/// `rev` whose tracked files `changed` differ from it (repository-relative
+/// paths, as `git diff --name-only HEAD` prints them): `rev` itself when
+/// nothing but the root's `BENCH_*.json` trajectories changed, else
+/// `rev-dirty`, because the code measured is not the code `rev` names.
+pub fn rev_label(rev: &str, changed: &[&str]) -> String {
+    let trajectory = |path: &str| {
+        !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json")
+    };
+    if changed.iter().all(|path| trajectory(path)) {
+        rev.to_string()
+    } else {
+        format!("{rev}-dirty")
+    }
+}
+
 /// The `rev` and `date` fields that key a trajectory entry: the short git
-/// revision of the checkout and today's date.
+/// revision of the checkout (see [`rev_label`]) and today's date.
 pub fn rev_and_date() -> Vec<(String, Value)> {
+    let rev = cmd_line("git", &["rev-parse", "--short", "HEAD"]);
+    let changed = cmd_output("git", &["diff", "--name-only", "HEAD"]).unwrap_or_default();
+    let changed: Vec<&str> = changed.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
     vec![
-        ("rev".into(), Value::Str(cmd_line("git", &["rev-parse", "--short", "HEAD"]))),
+        ("rev".into(), Value::Str(rev_label(&rev, &changed))),
         ("date".into(), Value::Str(cmd_line("date", &["+%F"]))),
     ]
 }
@@ -123,6 +148,17 @@ mod tests {
     fn human_kb_formats() {
         assert_eq!(human_kb(2048), "2.0 KB");
         assert_eq!(human_kb(1536), "1.5 KB");
+    }
+
+    #[test]
+    fn entries_measured_on_changed_code_are_dirty() {
+        assert_eq!(rev_label("2df608c", &[]), "2df608c");
+        assert_eq!(rev_label("2df608c", &["BENCH_solver.json", "BENCH_concrete.json"]), "2df608c");
+        assert_eq!(rev_label("2df608c", &["crates/solver/src/lib.rs"]), "2df608c-dirty");
+        assert_eq!(rev_label("2df608c", &["BENCH_solver.json", "README.md"]), "2df608c-dirty");
+        // Only the root's trajectories are exempt.
+        assert_eq!(rev_label("2df608c", &["docs/BENCH_solver.json"]), "2df608c-dirty");
+        assert_eq!(rev_label("2df608c", &["BENCH_solver.json.orig"]), "2df608c-dirty");
     }
 
     #[test]

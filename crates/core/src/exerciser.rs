@@ -578,8 +578,9 @@ impl Ddt {
                             // without a solver call; decide it once it is
                             // sure of a frontier slot.
                             sinks.admit(m.id, SiteKind::BranchFork, 1, |id| {
-                                (!needs_verdict || solver.is_feasible(&other.constraints))
-                                    .then(|| m.adopt(*other, id))
+                                let live = !needs_verdict
+                                    || solver.is_feasible_under(&other.constraints, &[]);
+                                live.then(|| m.adopt(*other, id))
                             });
                             m.note_site();
                         }
@@ -707,7 +708,7 @@ impl Ddt {
             None => match m.st.last_model.clone() {
                 // The cached model satisfies the path condition by invariant.
                 Some(model) => model,
-                None => match solver.check(&m.st.constraints) {
+                None => match solver.check_under(&m.st.constraints, &[]) {
                     ddt_solver::SatResult::Sat(model) => model,
                     ddt_solver::SatResult::Unsat => return, // Dead path; not a bug.
                 },
@@ -837,13 +838,12 @@ impl Ddt {
                     continue;
                 }
                 let exclude = e.ne(&Expr::constant(v as u64, 32));
-                let mut cs = snap.st.constraints.clone();
-                cs.push(exclude.clone());
-                if let ddt_solver::SatResult::Sat(model) = solver.check(&cs) {
+                let excluded = snap.st.constraints.with(exclude.clone());
+                if let ddt_solver::SatResult::Sat(model) = solver.check_under(&excluded, &[]) {
                     // A feasible alternative exists: this is a fork site.
                     let call_idx = m.kernel_calls - 1;
                     let arm = move |s: &mut Machine| {
-                        s.st.add_constraint(exclude);
+                        s.st.adopt_constraint(excluded, &exclude);
                         s.st.set_model(model);
                         s.push_decision(Decision::ConcretizationBacktrack {
                             kernel_call: call_idx,
@@ -1021,7 +1021,7 @@ impl Ddt {
                 let v = m
                     .st
                     .model_eval(&ret_e)
-                    .or_else(|| solver.concretize(&m.st.constraints, &ret_e))
+                    .or_else(|| solver.concretize_under(&m.st.constraints, &ret_e))
                     .unwrap_or(0) as u32;
                 m.st.record_concretization(ret_e, v);
                 v

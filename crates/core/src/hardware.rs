@@ -200,14 +200,13 @@ impl SymEnv for DdtEnv {
         }
         // Symbolic address: can it leave every permitted region?
         let inside = self.inside_expr(st, addr, size);
-        if solver.must_be_true(&st.constraints, &inside) {
+        let escape = st.constraints.with(inside.lnot());
+        if !solver.is_feasible_under(&escape, &[]) {
             return Ok(());
         }
         // Violation: produce a concrete witness outside the regions and a
         // full model of the escaping execution (for replay).
-        let mut cs = st.constraints.clone();
-        cs.push(inside.lnot());
-        let model = match solver.check(&cs) {
+        let model = match solver.check_under(&escape, &[]) {
             ddt_solver::SatResult::Sat(m) => m,
             ddt_solver::SatResult::Unsat => return Ok(()), // Cannot escape.
         };
@@ -230,10 +229,9 @@ impl SymEnv for DdtEnv {
             let cont = Expr::constant(start as u64, w)
                 .ule(addr)
                 .and(&addr.add(&Expr::constant(size as u64, w)).ule(&Expr::constant(end as u64, w)));
-            let mut cs2 = st.constraints.clone();
-            cs2.push(cont.clone());
-            if solver.is_feasible(&cs2) {
-                st.add_constraint(cont);
+            let inside_aim = st.constraints.with(cont.clone());
+            if solver.is_feasible_under(&inside_aim, &[]) {
+                st.adopt_constraint(inside_aim, &cont);
                 self.pending.push(violation);
                 return Ok(());
             }

@@ -452,7 +452,7 @@ impl<'a> SymHost<'a> {
         // consistent with the path condition without a solver call.
         let v = match self.st.model_eval(e) {
             Some(v) => v as u32,
-            None => match self.solver.check(&self.st.constraints) {
+            None => match self.solver.check_under(&self.st.constraints, &[]) {
                 ddt_solver::SatResult::Sat(m) => {
                     let v = e.eval(&m) as u32;
                     self.st.set_model(m);

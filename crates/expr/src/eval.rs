@@ -75,24 +75,37 @@ impl Expr {
     /// Evaluates the expression under `asg`, treating unassigned symbols as
     /// zero. The result is masked to the expression's width.
     pub fn eval(&self, asg: &Assignment) -> u64 {
+        self.eval_by(&|id| asg.get_or_zero(id))
+    }
+
+    /// Evaluates the expression with every symbol set to `v` (masked to
+    /// the symbol's width), without building an assignment: the solver's
+    /// fast-path candidates are uniform assignments of this kind.
+    pub fn eval_uniform(&self, v: u64) -> u64 {
+        self.eval_by(&|_| v)
+    }
+
+    fn eval_by(&self, value: &impl Fn(SymId) -> u64) -> u64 {
         match self.node() {
             NodeView::Const { bits, .. } => bits,
-            NodeView::Sym { id, width } => mask(asg.get_or_zero(id), width),
-            NodeView::Not(e) => mask(!e.eval(asg), e.width()),
-            NodeView::Neg(e) => mask(e.eval(asg).wrapping_neg(), e.width()),
-            NodeView::Bin(op, a, b) => fold_bin(op, a.eval(asg), b.eval(asg), a.width()),
-            NodeView::Cmp(op, a, b) => fold_cmp(op, a.eval(asg), b.eval(asg), a.width()) as u64,
-            NodeView::ZExt { e, .. } => e.eval(asg),
-            NodeView::SExt { e, width } => mask(sext(e.eval(asg), e.width()) as u64, width),
-            NodeView::Extract { e, hi, lo } => mask(e.eval(asg) >> lo, hi - lo + 1),
+            NodeView::Sym { id, width } => mask(value(id), width),
+            NodeView::Not(e) => mask(!e.eval_by(value), e.width()),
+            NodeView::Neg(e) => mask(e.eval_by(value).wrapping_neg(), e.width()),
+            NodeView::Bin(op, a, b) => fold_bin(op, a.eval_by(value), b.eval_by(value), a.width()),
+            NodeView::Cmp(op, a, b) => {
+                fold_cmp(op, a.eval_by(value), b.eval_by(value), a.width()) as u64
+            }
+            NodeView::ZExt { e, .. } => e.eval_by(value),
+            NodeView::SExt { e, width } => mask(sext(e.eval_by(value), e.width()) as u64, width),
+            NodeView::Extract { e, hi, lo } => mask(e.eval_by(value) >> lo, hi - lo + 1),
             NodeView::Concat { hi, lo } => {
-                mask((hi.eval(asg) << lo.width()) | lo.eval(asg), self.width())
+                mask((hi.eval_by(value) << lo.width()) | lo.eval_by(value), self.width())
             }
             NodeView::Ite { cond, then, els } => {
-                if cond.eval(asg) != 0 {
-                    then.eval(asg)
+                if cond.eval_by(value) != 0 {
+                    then.eval_by(value)
                 } else {
-                    els.eval(asg)
+                    els.eval_by(value)
                 }
             }
         }
@@ -120,6 +133,16 @@ mod tests {
         let mut asg = Assignment::new();
         asg.set(SymId(1), 10);
         assert_eq!(e.eval(&asg), 30);
+    }
+
+    #[test]
+    fn uniform_evaluation_matches_a_uniform_assignment() {
+        let (x, y) = (Expr::sym(SymId(1), 8), Expr::sym(SymId(2), 32));
+        let e = x.zext(32).add(&y).ult(&Expr::constant(0x100, 32));
+        for v in [0, 1, u64::MAX, 4, 0x80] {
+            let asg: Assignment = [(SymId(1), v), (SymId(2), v)].into_iter().collect();
+            assert_eq!(e.eval_uniform(v), e.eval(&asg), "all symbols at {v:#x}");
+        }
     }
 
     #[test]

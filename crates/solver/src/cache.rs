@@ -6,9 +6,11 @@
 //! counterexample cache (Baldoni et al., §survey of symbolic execution
 //! caching) shared by *all* explorer workers:
 //!
-//! 1. **Exact memoization** — canonicalized constraint-set signatures
-//!    ([`ddt_expr::cache_key`]) map to their full [`SatResult`]s. Keys carry
-//!    the expressions themselves, so hash collisions cannot corrupt answers.
+//! 1. **Exact memoization** — canonical component keys (sorted,
+//!    deduplicated constraint sets, as [`ddt_expr::cache_key`] builds them
+//!    and [`crate::PathCondition`] keeps them) map to their full
+//!    [`SatResult`]s. Keys carry the expressions themselves, so hash
+//!    collisions cannot corrupt answers.
 //! 2. **Counterexample (model) reuse** — satisfying [`Assignment`]s from
 //!    past queries are retained; a new query first evaluates cached models
 //!    and answers `Sat` without blasting when one fits. A model cached for a
@@ -43,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::sync::ShardedLock;
-use ddt_expr::{cache_key, is_subset_sorted, subset_signature, Assignment, Expr};
+use ddt_expr::{is_subset_sorted, subset_signature, Assignment, Expr};
 
 use crate::SatResult;
 
@@ -250,12 +252,6 @@ impl QueryCache {
         }
     }
 
-    /// Canonicalizes a live (non-trivial) constraint slice into a cache key.
-    pub fn canonical_key(constraints: &[&Expr]) -> Vec<Expr> {
-        let owned: Vec<Expr> = constraints.iter().map(|e| (*e).clone()).collect();
-        cache_key(&owned)
-    }
-
     /// Looks up a canonical key, trying exact memoization, then UNSAT subset
     /// subsumption, then (for verdict-grade queries) counterexample reuse.
     pub fn lookup(&self, key: &[Expr], grade: QueryGrade) -> CacheAnswer {
@@ -410,8 +406,7 @@ mod tests {
     }
 
     fn key_of(cs: &[Expr]) -> Vec<Expr> {
-        let refs: Vec<&Expr> = cs.iter().collect();
-        QueryCache::canonical_key(&refs)
+        ddt_expr::cache_key(cs)
     }
 
     #[test]

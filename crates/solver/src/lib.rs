@@ -9,9 +9,11 @@
 //! - on-demand concretization of symbolic arguments at kernel calls (§3.2),
 //! - deriving the concrete bug-triggering inputs recorded in traces (§3.5).
 //!
-//! The pipeline is: cheap model guessing over the whole query (zero /
-//! small / all-ones candidate assignments evaluated directly) →
-//! independence slicing (symbol-disjoint components) → per component, the
+//! A query is a [`PathCondition`] — a conjunction kept as its
+//! symbol-disjoint components (see [`path`]) — plus the constraints the
+//! query adds to it. The pipeline is: cheap model guessing over the whole
+//! query (zero / small / all-ones candidate assignments, read off the
+//! path condition's candidate mask) → per component, newest first, the
 //! shared [`QueryCache`] (exact memoization, UNSAT subset subsumption, and
 //! for verdict-grade queries counterexample reuse — see [`cache`]) →
 //! Tseitin bit-blasting ([`blast`]) → CDCL SAT ([`sat`]). The procedure is
@@ -53,20 +55,15 @@
 
 pub mod blast;
 pub mod cache;
+pub mod path;
 pub mod sat;
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ddt_expr::{
-    collect_syms, //
-    partition_independent,
-    Assignment,
-    Expr,
-    SymId,
-};
+use ddt_expr::{Assignment, Expr, SymId};
 
 pub use crate::cache::{CacheAnswer, CacheStats, QueryCache, QueryGrade};
+pub use crate::path::{Component, PathCondition, CANDIDATES};
 
 use crate::blast::Blaster;
 use crate::sat::{SatOutcome, SatSolver};
@@ -123,13 +120,13 @@ pub struct SolverStats {
 /// The bitvector solver.
 ///
 /// Every query that the trivial cases and the fast path do not answer is
-/// decided one **independence component** at a time: the canonical key
-/// partitions into symbol-disjoint components, each answered by its exact
-/// cache entry, a cached UNSAT core, or a canonical full solve memoized
-/// under the component key. A `Sat` answer to a model-consuming query
-/// (`check`) is the union of the component models, so it is a pure
-/// function of the constraint set: the cache, or its absence, cannot move
-/// it. Every full solve resets and refills the solver's one [`SatSolver`]
+/// decided one **independence component** at a time, newest first: the
+/// [`PathCondition`] holds the symbol-disjoint components already, and each
+/// is answered by its exact cache entry, a cached UNSAT core, or a
+/// canonical full solve memoized under the component key. A `Sat` answer
+/// to a model-consuming query (`check`) is the union of the component
+/// models, so it is a pure function of the constraint set: the cache, or
+/// its absence, cannot move it. Every full solve resets and refills the solver's one [`SatSolver`]
 /// and [`Blaster`], so their memory is reused from solve to solve while no
 /// clause outlives its solve.
 ///
@@ -202,60 +199,171 @@ impl Solver {
     ///
     /// Panics if any constraint is not 1 bit wide.
     pub fn check(&mut self, constraints: &[Expr]) -> SatResult {
-        // Public `check` callers consume the model (concretization, bug
-        // inputs), so only bit-deterministic cache shortcuts are allowed.
-        self.check_graded(constraints, QueryGrade::Model)
+        self.check_under(&slice_condition(constraints), &[])
     }
 
-    fn check_graded(&mut self, constraints: &[Expr], grade: QueryGrade) -> SatResult {
-        self.stats.queries += 1;
-        for c in constraints {
-            assert_eq!(c.width(), 1, "constraints must be boolean: {c}");
+    /// Decides `pc` conjoined with `extra`, as [`Solver::check`] decides the
+    /// same constraints as a slice: same answer, same model.
+    pub fn check_under(&mut self, pc: &PathCondition, extra: &[Expr]) -> SatResult {
+        // Public `check` callers consume the model (concretization, bug
+        // inputs), so only bit-deterministic cache shortcuts are allowed.
+        self.decide(pc, extra, QueryGrade::Model)
+    }
+
+    /// Returns true if the conjunction is satisfiable.
+    ///
+    /// This is a verdict-grade query — the model is discarded — so the cache
+    /// may additionally answer it by counterexample reuse.
+    pub fn is_feasible(&mut self, constraints: &[Expr]) -> bool {
+        self.is_feasible_under(&slice_condition(constraints), &[])
+    }
+
+    /// Returns true if `pc` conjoined with `extra` is satisfiable (a
+    /// verdict-grade query, like [`Solver::is_feasible`]).
+    pub fn is_feasible_under(&mut self, pc: &PathCondition, extra: &[Expr]) -> bool {
+        self.decide(pc, extra, QueryGrade::Verdict).is_sat()
+    }
+
+    /// Returns true if `cond` can be true under `constraints`.
+    pub fn may_be_true(&mut self, constraints: &[Expr], cond: &Expr) -> bool {
+        self.is_feasible(&[constraints, std::slice::from_ref(cond)].concat())
+    }
+
+    /// Returns true if `cond` can be true under `pc`.
+    pub fn may_be_true_under(&mut self, pc: &PathCondition, cond: &Expr) -> bool {
+        self.is_feasible_under(pc, std::slice::from_ref(cond))
+    }
+
+    /// Returns true if `cond` must be true under `constraints` (its negation
+    /// is infeasible).
+    pub fn must_be_true(&mut self, constraints: &[Expr], cond: &Expr) -> bool {
+        !self.is_feasible(&[constraints, &[cond.lnot()]].concat())
+    }
+
+    /// Returns true if `cond` must be true under `pc`.
+    pub fn must_be_true_under(&mut self, pc: &PathCondition, cond: &Expr) -> bool {
+        !self.is_feasible_under(pc, &[cond.lnot()])
+    }
+
+    /// Produces a feasible concrete value of `e` under `constraints`, or
+    /// `None` if the constraints are unsatisfiable.
+    ///
+    /// This is the concretization primitive of §3.2: the returned value is a
+    /// witness, and the caller records the induced `e == value` constraint.
+    pub fn concretize(&mut self, constraints: &[Expr], e: &Expr) -> Option<u64> {
+        self.concretize_under(&slice_condition(constraints), e)
+    }
+
+    /// Produces a feasible concrete value of `e` under `pc`.
+    pub fn concretize_under(&mut self, pc: &PathCondition, e: &Expr) -> Option<u64> {
+        if let Some(v) = e.as_const() {
+            return Some(v);
         }
-        // Trivial cases.
-        if constraints.iter().any(|c| c.is_false()) {
-            return SatResult::Unsat;
+        match self.check_under(pc, &[]) {
+            SatResult::Unsat => None,
+            SatResult::Sat(model) => Some(e.eval(&model)),
         }
-        let live: Vec<&Expr> = constraints.iter().filter(|c| !c.is_true()).collect();
-        if live.is_empty() {
-            return SatResult::Sat(Assignment::new());
+    }
+
+    /// Enumerates up to `max` distinct feasible values of `e`, used when DDT
+    /// backtracks a concretization and re-issues a kernel call with different
+    /// feasible concrete values (§3.2).
+    pub fn distinct_values(&mut self, constraints: &[Expr], e: &Expr, max: usize) -> Vec<u64> {
+        self.distinct_values_under(&slice_condition(constraints), e, max)
+    }
+
+    /// Enumerates up to `max` distinct feasible values of `e` under `pc`.
+    ///
+    /// Each value is `e` under the model of the path condition with the
+    /// earlier values excluded, the model [`Solver::check_under`] returns.
+    /// Once `pc` is known satisfiable, an exclusion changes only the
+    /// component it merges into, so each later query decides only that
+    /// component and the ones that hold a symbol of `e`: the others are
+    /// satisfiable and do not move `e`'s value.
+    pub fn distinct_values_under(&mut self, pc: &PathCondition, e: &Expr, max: usize) -> Vec<u64> {
+        let mut found = Vec::new();
+        if max == 0 {
+            return found;
         }
-        let mut syms = BTreeSet::new();
-        for c in &live {
-            collect_syms(c, &mut syms);
+        match self.check_under(pc, &[]) {
+            SatResult::Unsat => return found,
+            SatResult::Sat(model) => found.push(e.eval(&model)),
         }
-        // Fast path: try a few cheap candidate assignments over the whole
-        // query. Order-insensitive and cache-independent, so it answers
-        // every mode alike. Winning candidates feed the shared
-        // counterexample rings so later verdict queries can reuse them.
-        for candidate in Self::candidate_models(&syms) {
-            if live.iter().all(|c| c.eval_bool(&candidate)) {
-                self.stats.fast_path_hits += 1;
-                if let Some(cache) = &self.cache {
-                    // Verdict-grade wins go to the protected ring: they are
-                    // exactly the models future feasibility checks can
-                    // reuse, and must not churn out under full-solve
-                    // deposits. Model-grade wins join the general pool.
-                    if grade == QueryGrade::Verdict {
-                        cache.remember_verdict_model(&candidate);
-                    } else {
-                        cache.remember_model(&candidate);
-                    }
-                }
-                return SatResult::Sat(candidate);
+        let e_syms: Vec<SymId> = e.syms().into_iter().collect();
+        let mut query = pc.clone();
+        while found.len() < max {
+            let last = *found.last().expect("the first value was found");
+            query.push(e.ne(&Expr::constant(last, e.width())));
+            let newest = query.newest().cloned();
+            let needed = |part: &Arc<Component>| {
+                newest.as_ref().is_some_and(|n| Arc::ptr_eq(n, part))
+                    || part.shares_symbol_with(&e_syms)
+            };
+            match self.decide_scoped(&query, QueryGrade::Model, needed) {
+                SatResult::Unsat => break,
+                SatResult::Sat(model) => found.push(e.eval(&model)),
             }
         }
-        // Independence slicing: the canonical key partitions into
-        // symbol-disjoint components, each itself a canonical key. The
-        // query is `Sat` iff every component is, and its model is the
+        found
+    }
+
+    fn decide(&mut self, pc: &PathCondition, extra: &[Expr], grade: QueryGrade) -> SatResult {
+        if extra.is_empty() {
+            return self.decide_scoped(pc, grade, |_| true);
+        }
+        let mut query = pc.clone();
+        query.extend(extra.iter().cloned());
+        self.decide_scoped(&query, grade, |_| true)
+    }
+
+    /// Decides `query`, reading and solving only the components `needed`
+    /// selects; every other component must be known satisfiable, and the
+    /// model then assigns only the selected components' symbols.
+    fn decide_scoped(
+        &mut self,
+        query: &PathCondition,
+        grade: QueryGrade,
+        needed: impl Fn(&Arc<Component>) -> bool,
+    ) -> SatResult {
+        self.stats.queries += 1;
+        // Trivial cases.
+        if query.is_unsat() {
+            return SatResult::Unsat;
+        }
+        if query.is_empty() {
+            return SatResult::Sat(Assignment::new());
+        }
+        // Fast path: the first cheap candidate assignment (every symbol at
+        // one value) that satisfies the whole query, read off the path
+        // condition's mask. Order-insensitive and cache-independent, so it
+        // answers every mode alike. Winning candidates feed the shared
+        // counterexample rings so later verdict queries can reuse them.
+        if let Some(v) = query.first_candidate() {
+            self.stats.fast_path_hits += 1;
+            let candidate: Assignment = query.symbols().map(|id| (id, v)).collect();
+            if let Some(cache) = &self.cache {
+                // Verdict-grade wins go to the protected ring: they are
+                // exactly the models future feasibility checks can
+                // reuse, and must not churn out under full-solve
+                // deposits. Model-grade wins join the general pool.
+                if grade == QueryGrade::Verdict {
+                    cache.remember_verdict_model(&candidate);
+                } else {
+                    cache.remember_model(&candidate);
+                }
+            }
+            return SatResult::Sat(candidate);
+        }
+        // The query is `Sat` iff every component is, and its model is the
         // union of the component models, each a pure function of its
         // component — so the answer depends on the constraint set alone,
-        // whatever the cache holds.
-        let key = QueryCache::canonical_key(&live);
-        let parts = partition_independent(&key);
-        if grade == QueryGrade::Verdict && parts.len() > 1 {
+        // whatever the cache holds. Components go newest first: only a
+        // component a recent push reached can be new to the cache, or
+        // unsatisfiable on a live path.
+        let count = query.components().len();
+        if grade == QueryGrade::Verdict && count > 1 {
             self.stats.sliced_queries += 1;
-            self.stats.slice_components += parts.len() as u64;
+            self.stats.slice_components += count as u64;
         }
         // Every component's cached answer first, so a component the cache
         // proves UNSAT spares the solves of the others; for verdict-grade
@@ -266,8 +374,8 @@ impl Solver {
         let compose = grade == QueryGrade::Model;
         let mut model = Assignment::new();
         let mut missed = Vec::new();
-        for part in parts {
-            match self.cache_lookup(&part, grade) {
+        for part in query.newest_first().filter(|p| needed(p)) {
+            match self.cache_lookup(part.key(), grade) {
                 Some(SatResult::Unsat) => return SatResult::Unsat,
                 Some(SatResult::Sat(m)) if compose => model.extend(m.iter()),
                 Some(SatResult::Sat(_)) => {}
@@ -282,22 +390,26 @@ impl Solver {
             }
         }
         debug_assert!(
-            !compose || key.iter().all(|c| c.eval_bool(&model)),
+            !compose
+                || query
+                    .newest_first()
+                    .filter(|p| needed(p))
+                    .all(|p| p.key().iter().all(|c| c.eval_bool(&model))),
             "the union of component models does not satisfy the query"
         );
         SatResult::Sat(model)
     }
 
-    /// Canonical solve of one component: blasts `key` in canonical order on
-    /// a freshly reset core. The result — verdict *and* model, which
+    /// Canonical solve of one component: blasts its key in canonical order
+    /// on a freshly reset core. The result — verdict *and* model, which
     /// assigns exactly the component's symbols — is a deterministic pure
     /// function of the key, which is what makes it safe to memoize under
     /// the key and replay to model-consuming callers.
-    fn full_solve(&mut self, key: Vec<Expr>) -> SatResult {
+    fn full_solve(&mut self, part: &Component) -> SatResult {
         self.stats.full_solves += 1;
         let (sat, blaster) = (&mut self.sat, &mut self.blaster);
         blaster.reset(sat);
-        for c in &key {
+        for c in part.key() {
             blaster.assert_true(sat, c);
         }
         let outcome = sat.solve();
@@ -307,21 +419,20 @@ impl Solver {
             SatOutcome::Sat => {
                 // The blaster's internal division symbols are filtered out by
                 // only reporting symbols that occur in the input constraints.
-                let mut syms = BTreeSet::new();
-                for c in &key {
-                    collect_syms(c, &mut syms);
-                }
-                let model: Assignment =
-                    syms.iter().map(|&id| (id, blaster.sym_model(sat, id).unwrap_or(0))).collect();
+                let model: Assignment = part
+                    .syms()
+                    .iter()
+                    .map(|&id| (id, blaster.sym_model(sat, id).unwrap_or(0)))
+                    .collect();
                 debug_assert!(
-                    key.iter().all(|c| c.eval_bool(&model)),
+                    part.key().iter().all(|c| c.eval_bool(&model)),
                     "model does not satisfy constraints"
                 );
                 SatResult::Sat(model)
             }
         };
         if let Some(cache) = &self.cache {
-            cache.insert(key, result.clone());
+            cache.insert(part.key().to_vec(), result.clone());
         }
         result
     }
@@ -346,68 +457,18 @@ impl Solver {
             CacheAnswer::Miss => None,
         }
     }
+}
 
-    fn candidate_models(syms: &BTreeSet<SymId>) -> Vec<Assignment> {
-        let mk = |v: u64| -> Assignment { syms.iter().map(|&id| (id, v)).collect() };
-        vec![mk(0), mk(1), mk(u64::MAX), mk(4), mk(0x80)]
-    }
-
-    /// Returns true if the conjunction is satisfiable.
-    ///
-    /// This is a verdict-grade query — the model is discarded — so the cache
-    /// may additionally answer it by counterexample reuse.
-    pub fn is_feasible(&mut self, constraints: &[Expr]) -> bool {
-        self.check_graded(constraints, QueryGrade::Verdict).is_sat()
-    }
-
-    /// Returns true if `cond` can be true under `constraints`.
-    pub fn may_be_true(&mut self, constraints: &[Expr], cond: &Expr) -> bool {
-        let mut cs: Vec<Expr> = constraints.to_vec();
-        cs.push(cond.clone());
-        self.is_feasible(&cs)
-    }
-
-    /// Returns true if `cond` must be true under `constraints` (its negation
-    /// is infeasible).
-    pub fn must_be_true(&mut self, constraints: &[Expr], cond: &Expr) -> bool {
-        let mut cs: Vec<Expr> = constraints.to_vec();
-        cs.push(cond.lnot());
-        !self.is_feasible(&cs)
-    }
-
-    /// Produces a feasible concrete value of `e` under `constraints`, or
-    /// `None` if the constraints are unsatisfiable.
-    ///
-    /// This is the concretization primitive of §3.2: the returned value is a
-    /// witness, and the caller records the induced `e == value` constraint.
-    pub fn concretize(&mut self, constraints: &[Expr], e: &Expr) -> Option<u64> {
-        if let Some(v) = e.as_const() {
-            return Some(v);
-        }
-        match self.check(constraints) {
-            SatResult::Unsat => None,
-            SatResult::Sat(model) => Some(e.eval(&model)),
-        }
-    }
-
-    /// Enumerates up to `max` distinct feasible values of `e`, used when DDT
-    /// backtracks a concretization and re-issues a kernel call with different
-    /// feasible concrete values (§3.2).
-    pub fn distinct_values(&mut self, constraints: &[Expr], e: &Expr, max: usize) -> Vec<u64> {
-        let mut found = Vec::new();
-        let mut cs: Vec<Expr> = constraints.to_vec();
-        while found.len() < max {
-            match self.check(&cs) {
-                SatResult::Unsat => break,
-                SatResult::Sat(model) => {
-                    let v = e.eval(&model);
-                    found.push(v);
-                    cs.push(e.ne(&Expr::constant(v, e.width())));
-                }
-            }
-        }
-        found
-    }
+/// The path condition of a constraint slice. A slice has no newest
+/// constraint, so it is pushed in descending structural order: the
+/// newest-first order is then the one slice queries have always been
+/// decided in, components by their smallest constraint. (An UNSAT answer
+/// stops at the first unsatisfiable component, so the order decides which
+/// full solves an unsatisfiable slice costs.)
+fn slice_condition(constraints: &[Expr]) -> PathCondition {
+    let mut sorted = constraints.to_vec();
+    sorted.sort_unstable();
+    sorted.into_iter().rev().collect()
 }
 
 #[cfg(test)]
@@ -867,7 +928,7 @@ mod tests {
         let SatResult::Sat(whole) = Solver::uncached().check(&q) else {
             panic!("satisfiable by construction")
         };
-        let parts = partition_independent(&ddt_expr::cache_key(&q));
+        let parts = ddt_expr::partition_independent(&ddt_expr::cache_key(&q));
         assert_eq!(parts.len(), 3);
         for part in parts {
             let SatResult::Sat(alone) = Solver::uncached().check(&part) else {

@@ -192,7 +192,7 @@ fn resolve_addr(st: &mut SymState, solver: &mut Solver, addr: &Expr) -> Result<u
     // solver call both decides feasibility and refreshes the model.
     let v = match st.model_eval(addr) {
         Some(v) => v as u32,
-        None => match solver.check(&st.constraints) {
+        None => match solver.check_under(&st.constraints, &[]) {
             ddt_solver::SatResult::Sat(m) => {
                 let v = addr.eval(&m) as u32;
                 st.set_model(m);
@@ -210,15 +210,14 @@ fn resolve_addr(st: &mut SymState, solver: &mut Solver, addr: &Expr) -> Result<u
     let already_enumerating =
         st.concretizations.iter().filter(|c| c.pc == here).count() > 0;
     let small_set = already_enumerating
-        || solver.distinct_values(&st.constraints, addr, MULTIWAY_ADDR_LIMIT + 1).len()
+        || solver.distinct_values_under(&st.constraints, addr, MULTIWAY_ADDR_LIMIT + 1).len()
             <= MULTIWAY_ADDR_LIMIT;
     if small_set {
         let exclude = addr.ne(&Expr::constant(v as u64, addr.width()));
-        let mut cs = st.constraints.clone();
-        cs.push(exclude.clone());
-        if let ddt_solver::SatResult::Sat(m) = solver.check(&cs) {
+        let excluded = st.constraints.with(exclude.clone());
+        if let ddt_solver::SatResult::Sat(m) = solver.check_under(&excluded, &[]) {
             let mut other = st.fork();
-            other.add_constraint(exclude);
+            other.adopt_constraint(excluded, &exclude);
             other.set_model(m);
             st.pending_forks.push(other);
         }
@@ -325,9 +324,8 @@ fn branch(
             // fresh model, and the partner inherits the parent model. This
             // side needs the model-grade check here: the verdict decides
             // which side `st` itself executes *this* instruction.
-            let mut cs = st.constraints.clone();
-            cs.push(cond.clone());
-            match solver.check(&cs) {
+            let taken = st.constraints.with(cond.clone());
+            match solver.check_under(&taken, &[]) {
                 ddt_solver::SatResult::Sat(m) => {
                     let mut other = st.fork();
                     other.add_constraint(not_cond.clone());
@@ -338,7 +336,7 @@ fn branch(
                         constraint: not_cond,
                     });
                     other.cpu.pc = fallthrough;
-                    st.add_constraint(cond.clone());
+                    st.adopt_constraint(taken, &cond);
                     st.trace.push(TraceEvent::Branch {
                         pc,
                         taken: true,
@@ -371,9 +369,8 @@ fn branch(
             // No cached model: one model-grade call decides the taken side;
             // if it is live, `st` takes it and the ¬cond child is left to
             // the caller exactly as in the model-witnessed case.
-            let mut cs = st.constraints.clone();
-            cs.push(cond.clone());
-            match solver.check(&cs) {
+            let taken = st.constraints.with(cond.clone());
+            match solver.check_under(&taken, &[]) {
                 ddt_solver::SatResult::Sat(mt) => {
                     st.set_model(mt);
                     let mut other = st.fork();
@@ -385,7 +382,7 @@ fn branch(
                         constraint: not_cond,
                     });
                     other.cpu.pc = fallthrough;
-                    st.add_constraint(cond.clone());
+                    st.adopt_constraint(taken, &cond);
                     st.trace.push(TraceEvent::Branch {
                         pc,
                         taken: true,
@@ -396,12 +393,11 @@ fn branch(
                     Ok(SymStep::Forked { other: Box::new(other), needs_verdict: true })
                 }
                 ddt_solver::SatResult::Unsat => {
-                    cs.pop();
-                    cs.push(not_cond.clone());
-                    match solver.check(&cs) {
+                    let untaken = st.constraints.with(not_cond.clone());
+                    match solver.check_under(&untaken, &[]) {
                         ddt_solver::SatResult::Sat(mf) => {
                             st.set_model(mf);
-                            st.add_constraint(not_cond.clone());
+                            st.adopt_constraint(untaken, &not_cond);
                             st.trace.push(TraceEvent::Branch {
                                 pc,
                                 taken: false,
@@ -493,14 +489,17 @@ pub fn step(st: &mut SymState, env: &mut dyn SymEnv, solver: &mut Solver) -> Sym
                         // Fork the divisor-is-zero case; that path re-executes
                         // this instruction with the == 0 constraint and then
                         // takes the `Some(1)` arm above.
-                        if solver.may_be_true(&st.constraints, &is_zero) {
-                            if !solver.may_be_true(&st.constraints, &is_zero.lnot()) {
+                        let zero_side = st.constraints.with(is_zero.clone());
+                        if solver.is_feasible_under(&zero_side, &[]) {
+                            let nonzero = is_zero.lnot();
+                            let nonzero_side = st.constraints.with(nonzero.clone());
+                            if !solver.is_feasible_under(&nonzero_side, &[]) {
                                 return Err(SymFault::DivByZero { pc });
                             }
                             let mut other = st.fork();
-                            other.add_constraint(is_zero.clone());
+                            other.adopt_constraint(zero_side, &is_zero);
                             other.cpu.pc = pc; // Re-execute the division.
-                            st.add_constraint(is_zero.lnot());
+                            st.adopt_constraint(nonzero_side, &nonzero);
                             // Perform the division on the nonzero side.
                             let a = st.cpu.get(rs);
                             let v = match insn {
@@ -737,7 +736,7 @@ mod tests {
                     SymStep::Forked { other, needs_verdict } => {
                         // Decide an unconfirmed branch child like the core
                         // exerciser does at its fork site.
-                        if !needs_verdict || solver.is_feasible(&other.constraints) {
+                        if !needs_verdict || solver.is_feasible_under(&other.constraints, &[]) {
                             work.push(*other);
                         }
                         continue;
@@ -883,7 +882,7 @@ mod tests {
         // Each final state's constraints pin x to the matching side.
         for (s, _) in &done {
             let mut solver = Solver::new();
-            let model = match solver.check(&s.constraints) {
+            let model = match solver.check_under(&s.constraints, &[]) {
                 ddt_solver::SatResult::Sat(m) => m,
                 _ => panic!("path must be feasible"),
             };

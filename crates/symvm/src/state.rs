@@ -4,6 +4,7 @@ use std::collections::{HashMap, VecDeque};
 
 use ddt_expr::{Assignment, Expr, SymId};
 use ddt_isa::Reg;
+use ddt_solver::PathCondition;
 use serde::{Deserialize, Serialize};
 
 use crate::mem::SymMemory;
@@ -131,8 +132,6 @@ pub struct Concretization {
     pub expr: Expr,
     /// The concrete value chosen.
     pub value: u32,
-    /// Index in `constraints` of the `expr == value` constraint.
-    pub constraint_index: usize,
     /// Program counter at the concretization point.
     pub pc: u32,
 }
@@ -250,8 +249,9 @@ pub struct SymState {
     /// Memory.
     pub mem: SymMemory,
     /// Path constraints (all 1-bit expressions; the path condition is their
-    /// conjunction).
-    pub constraints: Vec<Expr>,
+    /// conjunction), kept as their independence components so that a query
+    /// starts from the partition and a fork shares it.
+    pub constraints: PathCondition,
     /// Provenance of every symbol created on this path.
     pub symbols: SymbolTable,
     /// Concretization log for backtracking (§3.2).
@@ -292,7 +292,7 @@ impl SymState {
         SymState {
             cpu: SymCpu::default(),
             mem: SymMemory::new(),
-            constraints: Vec::new(),
+            constraints: PathCondition::new(),
             symbols: SymbolTable::default(),
             concretizations: Vec::new(),
             grants: GrantSet::default(),
@@ -372,12 +372,25 @@ impl SymState {
         if c.is_true() {
             return;
         }
+        self.keep_model_honest(&c);
+        self.constraints.push(c);
+    }
+
+    /// Adds `c` by adopting `extended`, the path condition a solver query
+    /// built as this state's with `c` pushed, so `c` is partitioned once.
+    /// The model is kept honest as [`SymState::add_constraint`] keeps it.
+    pub fn adopt_constraint(&mut self, extended: PathCondition, c: &Expr) {
+        debug_assert_eq!(extended, self.constraints.with(c.clone()), "not this path's extension");
+        self.keep_model_honest(c);
+        self.constraints = extended;
+    }
+
+    fn keep_model_honest(&mut self, c: &Expr) {
         if let Some(m) = &self.last_model {
             if !c.eval_bool(m) {
                 self.last_model = None;
             }
         }
-        self.constraints.push(c);
     }
 
     /// Evaluates `e` under the cached model, if one is present.
@@ -388,7 +401,7 @@ impl SymState {
     /// Installs a fresh satisfying model (from a solver call).
     pub fn set_model(&mut self, m: Assignment) {
         debug_assert!(
-            self.constraints.iter().all(|c| c.eval_bool(&m)),
+            !self.constraints.is_unsat() && self.constraints.iter().all(|c| c.eval_bool(&m)),
             "installed model must satisfy the path condition"
         );
         self.last_model = Some(m);
@@ -396,16 +409,9 @@ impl SymState {
 
     /// Records a concretization: constrains `expr == value` and logs it.
     pub fn record_concretization(&mut self, expr: Expr, value: u32) {
-        let c = expr.eq(&Expr::constant(value as u64, expr.width()));
-        let constraint_index = self.constraints.len();
-        self.constraints.push(c);
+        self.constraints.push(expr.eq(&Expr::constant(value as u64, expr.width())));
         self.trace.push(TraceEvent::Concretize { pc: self.cpu.pc, expr: expr.clone(), value: value as u64 });
-        self.concretizations.push(Concretization {
-            expr,
-            value,
-            constraint_index,
-            pc: self.cpu.pc,
-        });
+        self.concretizations.push(Concretization { expr, value, pc: self.cpu.pc });
     }
 }
 
@@ -482,8 +488,9 @@ mod tests {
         s.record_concretization(x.clone(), 42);
         assert_eq!(s.concretizations.len(), 1);
         assert_eq!(s.concretizations[0].value, 42);
-        let c = &s.constraints[s.concretizations[0].constraint_index];
-        assert_eq!(*c, x.eq(&Expr::constant(42, 32)));
+        let c = x.eq(&Expr::constant(42, 32));
+        assert_eq!(s.concretizations[0].expr, x);
+        assert_eq!(s.constraints.iter().collect::<Vec<_>>(), vec![&c]);
         // Trace carries both events.
         let evs = s.trace.events();
         assert!(matches!(evs[0], TraceEvent::SymCreate { .. }));

@@ -163,7 +163,7 @@ impl PathCondition {
     }
 
     /// The components, oldest first.
-    pub fn components(&self) -> impl DoubleEndedIterator<Item = &Component> + ExactSizeIterator {
+    pub fn components(&self) -> impl ExactSizeIterator<Item = &Component> {
         self.parts.iter().map(|p| &**p)
     }
 

@@ -13,42 +13,28 @@
 //! bug count. A separate pruning column shows how many duplicate states
 //! `--prune` drops without changing the bug set.
 //!
-//! `--smoke` runs the pcnet subset for CI and still writes the JSON.
+//! Every run appends an entry to the `BENCH_search.json` trajectory at the
+//! repo root (`format: trajectory-v1`, one slot per rev, date and mode),
+//! and fails when any count column of any strategy differs from the newest
+//! earlier entry of the same mode: selection is deterministic, so a moved
+//! count means the strategies picked different states.
+//!
+//! `--smoke` runs the pcnet subset for CI.
 
+use ddt_bench::field;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest, Report, Strategy};
-use serde::Deserialize;
+use serde::Value;
 
-// Mirror of the emitted JSON, deserialized back as the well-formedness
-// check (the vendored serde has no free-form `Value` parser).
-#[derive(Deserialize)]
-#[allow(dead_code)]
-struct BenchFile {
-    bench: String,
-    smoke: bool,
-    drivers: Vec<BenchDriver>,
-}
-
-#[derive(Deserialize)]
-#[allow(dead_code)]
-struct BenchDriver {
-    driver: String,
-    table2_bugs: u64,
-    guided_winner: String,
-    strategies: Vec<BenchRow>,
-}
-
-#[derive(Deserialize)]
-#[allow(dead_code)]
-struct BenchRow {
-    strategy: String,
-    wall_ms: u64,
-    quanta: u64,
-    quanta_to_first_bug: u64,
-    quanta_to_last_cover: u64,
-    bugs: u64,
-    covered_blocks: u64,
-    states_pruned_with_prune: u64,
-}
+/// The columns of a strategy row that must not move between entries of
+/// the same mode.
+const COUNT_COLUMNS: [&str; 6] = [
+    "quanta",
+    "quanta_to_first_bug",
+    "quanta_to_last_cover",
+    "bugs",
+    "covered_blocks",
+    "states_pruned_with_prune",
+];
 
 struct Row {
     strategy: &'static str,
@@ -106,7 +92,7 @@ fn main() {
 
     println!("Search strategies vs FIFO (serial, prune off; pruned column from a --prune run)");
     println!();
-    let mut driver_blobs = Vec::new();
+    let mut driver_rows = Vec::new();
     for &(name, table2_bugs) in drivers {
         let rows = bench_driver(name, table2_bugs);
         println!("{name} (Table 2: {table2_bugs} bugs)");
@@ -152,54 +138,131 @@ fn main() {
         );
         println!();
 
-        let strategy_json: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "      {{\"strategy\": \"{}\", \"wall_ms\": {}, \"quanta\": {}, ",
-                        "\"quanta_to_first_bug\": {}, \"quanta_to_last_cover\": {}, ",
-                        "\"bugs\": {}, \"covered_blocks\": {}, \"states_pruned_with_prune\": {}}}"
-                    ),
-                    r.strategy,
-                    r.wall_ms,
-                    r.quanta,
-                    r.first_bug,
-                    r.last_cover,
-                    r.bugs,
-                    r.covered,
-                    r.pruned_with_prune
-                )
-            })
-            .collect();
-        driver_blobs.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"driver\": \"{}\",\n",
-                "      \"table2_bugs\": {},\n",
-                "      \"guided_winner\": \"{}\",\n",
-                "      \"strategies\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            name,
-            table2_bugs,
-            winner.unwrap().strategy,
-            strategy_json.join(",\n")
-        ));
+        let strategies = rows.iter().map(row_value).collect();
+        driver_rows.push(Value::Map(vec![
+            ("driver".into(), Value::Str(name.into())),
+            ("table2_bugs".into(), Value::U64(table2_bugs as u64)),
+            ("guided_winner".into(), Value::Str(winner.unwrap().strategy.into())),
+            ("strategies".into(), Value::List(strategies)),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"search\",\n  \"smoke\": {},\n  \"drivers\": [\n{}\n  ]\n}}\n",
-        smoke,
-        driver_blobs.join(",\n")
-    );
-    // Well-formedness check before writing: the CI job parses this file.
-    let parsed: BenchFile = serde_json::from_str(&json).expect("bench JSON is well-formed");
-    assert_eq!(parsed.bench, "search");
-    assert_eq!(parsed.drivers.len(), drivers.len());
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
+    let history = ddt_bench::trajectory_history(std::fs::read_to_string(out).ok().as_deref());
+    let previous = history
+        .iter()
+        .rev()
+        .find(|e| field(e, "smoke").and_then(Value::as_bool) == Some(smoke));
+    let failures = match previous {
+        Some(prev) => {
+            println!(
+                "gate: every count column equal to rev {} ({})",
+                field(prev, "rev").and_then(Value::as_str).unwrap_or("?"),
+                field(prev, "date").and_then(Value::as_str).unwrap_or("?"),
+            );
+            compare(&driver_rows, prev)
+        }
+        None => {
+            println!("gate: first entry of this mode, nothing to compare against");
+            Vec::new()
+        }
+    };
+
+    let mut entry = ddt_bench::rev_and_date();
+    entry.push(("smoke".into(), Value::Bool(smoke)));
+    entry.push(("drivers".into(), Value::List(driver_rows)));
+    let slot = ["rev", "date", "smoke"];
+    let json = ddt_bench::trajectory_with("search", history, Value::Map(entry), &slot);
+    // A failed gate leaves the trajectory as it was, so the entry it was
+    // measured against stays the newest.
+    assert!(failures.is_empty(), "search bench gate failed:\n  {}", failures.join("\n  "));
     match std::fs::write(out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
+    }
+}
+
+fn row_value(r: &Row) -> Value {
+    let u = Value::U64;
+    Value::Map(vec![
+        ("strategy".into(), Value::Str(r.strategy.into())),
+        ("wall_ms".into(), u(r.wall_ms)),
+        ("quanta".into(), u(r.quanta)),
+        ("quanta_to_first_bug".into(), u(r.first_bug)),
+        ("quanta_to_last_cover".into(), u(r.last_cover)),
+        ("bugs".into(), u(r.bugs as u64)),
+        ("covered_blocks".into(), u(r.covered)),
+        ("states_pruned_with_prune".into(), u(r.pruned_with_prune)),
+    ])
+}
+
+fn list<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    field(v, key).and_then(Value::as_list).unwrap_or(&[])
+}
+
+/// The element of `items` whose `key` field equals `like`'s.
+fn find<'a>(items: &'a [Value], key: &str, like: &Value) -> Option<&'a Value> {
+    items.iter().find(|p| field(p, key) == field(like, key))
+}
+
+/// Checks every strategy row of every driver against the same row of the
+/// previous entry; returns the failures.
+fn compare(drivers: &[Value], prev: &Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    for driver in drivers {
+        let Some(prev_driver) = find(list(prev, "drivers"), "driver", driver) else { continue };
+        let name = field(driver, "driver").and_then(Value::as_str).unwrap_or("?");
+        for row in list(driver, "strategies") {
+            let Some(prev_row) = find(list(prev_driver, "strategies"), "strategy", row) else {
+                continue;
+            };
+            let strategy = field(row, "strategy").and_then(Value::as_str).unwrap_or("?");
+            for key in COUNT_COLUMNS {
+                let (now, before) = (field(row, key), field(prev_row, key));
+                if now != before {
+                    let show = |v: Option<&Value>| {
+                        v.and_then(Value::as_u64).map_or("-".into(), |n| n.to_string())
+                    };
+                    failures.push(format!(
+                        "{name}/{strategy}: {key} is {}, the previous entry has {}",
+                        show(now),
+                        show(before)
+                    ));
+                }
+            }
+        }
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(quanta: u64, wall_ms: u64) -> Value {
+        let row = Row {
+            strategy: "fifo",
+            wall_ms,
+            quanta,
+            first_bug: 3,
+            last_cover: 4,
+            bugs: 2,
+            covered: 55,
+            pruned_with_prune: 7,
+        };
+        Value::Map(vec![
+            ("driver".into(), Value::Str("pcnet".into())),
+            ("strategies".into(), Value::List(vec![row_value(&row)])),
+        ])
+    }
+
+    #[test]
+    fn gate_ignores_wall_time_and_fails_on_a_moved_count() {
+        let prev = Value::Map(vec![("drivers".into(), Value::List(vec![entry(338, 80)]))]);
+        assert!(compare(&[entry(338, 95)], &prev).is_empty());
+        assert_eq!(
+            compare(&[entry(339, 80)], &prev),
+            vec!["pcnet/fifo: quanta is 339, the previous entry has 338"]
+        );
     }
 }

@@ -9,8 +9,12 @@
 //!
 //! The tracker also records the coverage-over-time series plotted in
 //! Figures 2 and 3.
+//!
+//! Counters live in arrays indexed like [`CodeAnalysis::blocks`], so the
+//! per-instruction `on_exec` and the frontier's per-state `priority` and
+//! `rarity` are array reads through the analysis's dense block table.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use ddt_isa::analysis::CodeAnalysis;
@@ -20,8 +24,18 @@ use crate::report::CoverageSample;
 /// Global coverage state for one driver test run.
 pub struct Coverage {
     analysis: CodeAnalysis,
-    hits: HashMap<u32, u64>,
-    covered: BTreeSet<u32>,
+    /// Hit count per block (`None` until the block's first count).
+    hits: Vec<Option<u64>>,
+    /// Whether each block is covered.
+    covered: Vec<bool>,
+    /// Number of `true`s in `covered`.
+    covered_count: usize,
+    /// Hit counts for pcs that start no block. This tracker only counts
+    /// block starts, so only an absorbed delta or a restored checkpoint can
+    /// carry such a pc; it is kept so that `snapshot` returns it.
+    other_hits: BTreeMap<u32, u64>,
+    /// Covered pcs that start no block (see `other_hits`).
+    other_covered: BTreeSet<u32>,
     timeline: Vec<CoverageSample>,
     start: Instant,
     /// Milliseconds already consumed by earlier segments of a resumed
@@ -34,10 +48,14 @@ pub struct Coverage {
 impl Coverage {
     /// Creates a tracker over the driver's block partition.
     pub fn new(analysis: CodeAnalysis) -> Coverage {
+        let n = analysis.block_count();
         Coverage {
             analysis,
-            hits: HashMap::new(),
-            covered: BTreeSet::new(),
+            hits: vec![None; n],
+            covered: vec![false; n],
+            covered_count: 0,
+            other_hits: BTreeMap::new(),
+            other_covered: BTreeSet::new(),
             timeline: Vec::new(),
             start: Instant::now(),
             base_ms: 0,
@@ -54,33 +72,74 @@ impl Coverage {
         timeline: Vec<CoverageSample>,
         base_ms: u64,
     ) -> Coverage {
-        Coverage {
-            analysis,
-            hits: hits.into_iter().collect(),
-            covered: covered.into_iter().collect(),
-            timeline,
-            start: Instant::now(),
-            base_ms,
+        let mut coverage = Coverage::new(analysis);
+        for (pc, n) in hits {
+            match coverage.analysis.block_index_at(pc) {
+                Some(i) => coverage.hits[i] = Some(n),
+                None => {
+                    coverage.other_hits.insert(pc, n);
+                }
+            }
         }
+        coverage.absorb([], covered);
+        coverage.timeline = timeline;
+        coverage.base_ms = base_ms;
+        coverage
     }
 
     /// Exports the checkpointable state: sorted hit counts, sorted covered
     /// set, timeline.
     pub fn snapshot(&self) -> (Vec<(u32, u64)>, Vec<u32>, Vec<CoverageSample>) {
-        let mut hits: Vec<(u32, u64)> = self.hits.iter().map(|(&pc, &n)| (pc, n)).collect();
+        let blocks = &self.analysis.blocks;
+        let mut hits: Vec<(u32, u64)> = blocks
+            .iter()
+            .zip(&self.hits)
+            .filter_map(|(b, n)| n.map(|n| (b.start, n)))
+            .chain(self.other_hits.iter().map(|(&pc, &n)| (pc, n)))
+            .collect();
         hits.sort_unstable();
-        let covered: Vec<u32> = self.covered.iter().copied().collect();
+        let mut covered: Vec<u32> = blocks
+            .iter()
+            .zip(&self.covered)
+            .filter_map(|(b, &c)| c.then_some(b.start))
+            .chain(self.other_covered.iter().copied())
+            .collect();
+        covered.sort_unstable();
         (hits, covered, self.timeline.clone())
     }
 
     /// Notes execution of the instruction at `pc`; counts block entries.
     pub fn on_exec(&mut self, pc: u32) {
-        if self.analysis.blocks.contains_key(&pc) {
-            *self.hits.entry(pc).or_insert(0) += 1;
-            if self.covered.insert(pc) {
-                let ms = self.elapsed_ms();
-                self.timeline.push((ms, self.covered.len()));
-            }
+        if let Some(i) = self.analysis.block_index_at(pc) {
+            self.count_entry(i);
+        }
+    }
+
+    /// Counts one entry into block `i`; true when it covers the block for
+    /// the first time, which takes a timeline sample.
+    fn count_entry(&mut self, i: usize) -> bool {
+        *self.hits[i].get_or_insert(0) += 1;
+        if !self.mark_covered(i) {
+            return false;
+        }
+        let ms = self.elapsed_ms();
+        self.timeline.push((ms, self.covered_blocks()));
+        true
+    }
+
+    /// Marks block `i` covered; true when it was not yet.
+    fn mark_covered(&mut self, i: usize) -> bool {
+        let fresh = !std::mem::replace(&mut self.covered[i], true);
+        self.covered_count += fresh as usize;
+        fresh
+    }
+
+    /// The hit count of the block starting at `pc`, or of a pc that starts
+    /// no block (0 unless a delta carried one).
+    fn hits_at(&self, pc: u32) -> u64 {
+        match self.analysis.block_index_at(pc) {
+            Some(i) => self.hits[i].unwrap_or(0),
+            None => self.other_hits.get(&pc).copied().unwrap_or(0),
         }
     }
 
@@ -95,9 +154,21 @@ impl Coverage {
         covered: impl IntoIterator<Item = u32>,
     ) {
         for (pc, n) in hits {
-            *self.hits.entry(pc).or_insert(0) += n;
+            match self.analysis.block_index_at(pc) {
+                Some(i) => *self.hits[i].get_or_insert(0) += n,
+                None => *self.other_hits.entry(pc).or_insert(0) += n,
+            }
         }
-        self.covered.extend(covered);
+        for pc in covered {
+            match self.analysis.block_index_at(pc) {
+                Some(i) => {
+                    self.mark_covered(i);
+                }
+                None => {
+                    self.other_covered.insert(pc);
+                }
+            }
+        }
     }
 
     /// Folds a concrete-executor block trace into this tracker. The fast
@@ -110,13 +181,8 @@ impl Coverage {
     pub fn absorb_concrete(&mut self, block_trace: impl IntoIterator<Item = u32>) -> u64 {
         let mut new_blocks = 0;
         for pc in block_trace {
-            if self.analysis.blocks.contains_key(&pc) {
-                *self.hits.entry(pc).or_insert(0) += 1;
-                if self.covered.insert(pc) {
-                    new_blocks += 1;
-                    let ms = self.elapsed_ms();
-                    self.timeline.push((ms, self.covered.len()));
-                }
+            if let Some(i) = self.analysis.block_index_at(pc) {
+                new_blocks += self.count_entry(i) as u64;
             }
         }
         new_blocks
@@ -125,8 +191,8 @@ impl Coverage {
     /// Hit count of the block containing `pc` (the EXE-style priority:
     /// smaller is more interesting).
     pub fn priority(&self, pc: u32) -> u64 {
-        match self.analysis.block_of(pc) {
-            Some(block) => self.hits.get(&block).copied().unwrap_or(0),
+        match self.analysis.block_index_of(pc) {
+            Some(i) => self.hits[i].unwrap_or(0),
             None => u64::MAX, // Outside the driver (kernel trap): neutral.
         }
     }
@@ -140,16 +206,16 @@ impl Coverage {
     /// successors fall back to their own count; outside the driver the
     /// score is neutral (`u64::MAX`).
     pub fn rarity(&self, pc: u32) -> u64 {
-        let Some(start) = self.analysis.block_of(pc) else {
+        let Some(i) = self.analysis.block_index_of(pc) else {
             return u64::MAX;
         };
-        let block = &self.analysis.blocks[&start];
+        let block = &self.analysis.blocks[i];
         block
             .successors
             .iter()
-            .map(|s| self.hits.get(s).copied().unwrap_or(0))
+            .map(|&s| self.hits_at(s))
             .min()
-            .unwrap_or_else(|| self.hits.get(&start).copied().unwrap_or(0))
+            .unwrap_or_else(|| self.hits[i].unwrap_or(0))
     }
 
     /// The block partition this tracker counts over (shared with the
@@ -160,7 +226,7 @@ impl Coverage {
 
     /// Blocks covered so far.
     pub fn covered_blocks(&self) -> usize {
-        self.covered.len()
+        self.covered_count + self.other_covered.len()
     }
 
     /// Total blocks in the driver.
@@ -196,7 +262,7 @@ mod tests {
                 ret";
         let a = assemble(src, &ExportMap::new()).unwrap();
         let analysis = ddt_isa::analysis::analyze(&a.image);
-        let blocks: Vec<u32> = analysis.blocks.keys().copied().collect();
+        let blocks: Vec<u32> = analysis.blocks.iter().map(|b| b.start).collect();
         (Coverage::new(analysis), blocks)
     }
 

@@ -449,8 +449,8 @@ fn explore_shard<W: Write>(
     let mut since_control: u64 = 0;
     let drained = explorer.drain(&mut run, &mut frontier, |_, _| false, |_, run, _, q| {
         st.insns += q.exec_pcs.len() as u64;
-        let blocks = &run.coverage.analysis().blocks;
-        st.covered.extend(q.exec_pcs.iter().filter(|pc| blocks.contains_key(pc)));
+        let analysis = run.coverage.analysis();
+        st.covered.extend(q.exec_pcs.iter().filter(|&&pc| analysis.block_index_at(pc).is_some()));
         st.quanta += 1;
         since_control += 1;
         if since_control < WORKER_CONTROL_STRIDE {

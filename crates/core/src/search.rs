@@ -25,9 +25,9 @@
 //! is dropped before it is ever scheduled.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
 
 use ddt_isa::analysis::CodeAnalysis;
+use ddt_isa::hash::IntMap;
 use ddt_trace::{fnv1a64, MachineFingerprint};
 
 use crate::coverage::Coverage;
@@ -87,7 +87,13 @@ impl Strategy {
             Strategy::CoverageNewFirst => Box::new(CoverageNewFirst),
             Strategy::RarestBranch => Box::new(RarestBranch),
             Strategy::BugDirected => {
-                Box::new(BugDirected { distances: analysis.checker_distances() })
+                let to_site = analysis.checker_distances();
+                let distances = analysis
+                    .blocks
+                    .iter()
+                    .map(|b| to_site.get(&b.start).copied().unwrap_or(u64::MAX))
+                    .collect();
+                Box::new(BugDirected { distances })
             }
         }
     }
@@ -179,15 +185,14 @@ impl SearchStrategy for RarestBranch {
 /// that calls into the kernel (where every dynamic checker observes the
 /// driver), tie-broken by the cold-block rule.
 struct BugDirected {
-    distances: BTreeMap<u32, u64>,
+    /// Distance to the nearest checker site per block, indexed like
+    /// [`CodeAnalysis::blocks`] (`u64::MAX` when none is reachable).
+    distances: Vec<u64>,
 }
 
 impl BugDirected {
     fn distance(&self, cov: &Coverage, pc: u32) -> u64 {
-        cov.analysis()
-            .block_of(pc)
-            .and_then(|b| self.distances.get(&b).copied())
-            .unwrap_or(u64::MAX)
+        cov.analysis().block_index_of(pc).map_or(u64::MAX, |i| self.distances[i])
     }
 }
 
@@ -286,7 +291,7 @@ impl Frontier {
 /// state changed, so the duplicate may now behave differently.
 #[derive(Default)]
 pub struct PruneSet {
-    seen: HashMap<u64, u64>,
+    seen: IntMap<u64, u64>,
 }
 
 impl PruneSet {

@@ -116,7 +116,7 @@ fn blocks_and_coverage() -> (Vec<u32>, Coverage) {
             ret";
     let a = assemble(src, &ExportMap::new()).expect("fixture assembles");
     let analysis = ddt_isa::analysis::analyze(&a.image);
-    let blocks: Vec<u32> = analysis.blocks.keys().copied().collect();
+    let blocks: Vec<u32> = analysis.blocks.iter().map(|b| b.start).collect();
     (blocks, Coverage::new(analysis))
 }
 

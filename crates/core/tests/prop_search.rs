@@ -67,7 +67,7 @@ proptest! {
         let strategy = Strategy::ALL[strategy_pick];
         let analysis = pcnet_analysis();
         // Candidate pcs: real block starts plus a few foreign addresses.
-        let mut pcs: Vec<u32> = analysis.blocks.keys().copied().take(12).collect();
+        let mut pcs: Vec<u32> = analysis.blocks.iter().map(|b| b.start).take(12).collect();
         pcs.extend([0xdead_0000, 0x1, 0xffff_fff0]);
         let runtime = strategy.runtime(&analysis);
         let mut coverage = Coverage::new(analysis);
@@ -117,7 +117,7 @@ proptest! {
         warm in proptest::collection::vec(any::<usize>(), 0..16),
     ) {
         let analysis = pcnet_analysis();
-        let pcs: Vec<u32> = analysis.blocks.keys().copied().take(16).collect();
+        let pcs: Vec<u32> = analysis.blocks.iter().map(|b| b.start).take(16).collect();
         for strategy in Strategy::ALL {
             let runtime = strategy.runtime(&analysis);
             let mut coverage = Coverage::new(analysis.clone());

@@ -1,10 +1,9 @@
 //! Concrete evaluation of expressions under symbol assignments.
 
-use std::collections::HashMap;
-
+use ddt_isa::hash::IntMap;
 use serde::{Deserialize, Serialize};
 
-use crate::node::{BuildSymIdHasher, Expr, NodeView};
+use crate::node::{Expr, NodeView};
 use crate::{fold_bin, fold_cmp, mask, sext, SymId};
 
 /// A concrete assignment of values to symbolic variables.
@@ -12,11 +11,11 @@ use crate::{fold_bin, fold_cmp, mask, sext, SymId};
 /// Produced by the solver as a model of a satisfiable path condition and
 /// consumed by the replay engine (concrete values for hardware reads,
 /// registry parameters, entry-point arguments). Every evaluation looks
-/// symbols up here, so the map hashes with [`crate::SymIdHasher`]; the
+/// symbols up here, so the map hashes with [`ddt_isa::hash::IntHasher`]; the
 /// serialized form lists the pairs sorted by symbol whatever the hasher.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
-    values: HashMap<SymId, u64, BuildSymIdHasher>,
+    values: IntMap<SymId, u64>,
 }
 
 impl Assignment {

@@ -25,18 +25,21 @@
 //! the expression's structure (no pointers), hence stable across processes
 //! — the cache's Bloom signatures derived from it are deterministic.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, Weak};
+
+use ddt_isa::hash::IntMap;
 
 use crate::node::{Expr, ExprNode, Interned};
 
 /// Shard count; a power of two so shard selection is a mask.
 const SHARDS: usize = 64;
 
-/// One shard: hash -> bucket of weak handles to live interned nodes.
-type Shard = Mutex<HashMap<u64, Vec<Weak<Interned>>>>;
+/// One shard: hash -> bucket of weak handles to live interned nodes. The
+/// shard is chosen by the digest's low bits, and the map multiplies the
+/// digest before it picks a bucket, so keys of one shard still spread.
+type Shard = Mutex<IntMap<u64, Vec<Weak<Interned>>>>;
 
 static TABLE: OnceLock<Vec<Shard>> = OnceLock::new();
 
@@ -44,13 +47,13 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn table() -> &'static [Shard] {
-    TABLE.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect())
+    TABLE.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(IntMap::default())).collect())
 }
 
 /// Locks a shard, tolerating poison: an interning caller that panicked
 /// (the explorer isolates such panics per-state) cannot have left the map
 /// itself inconsistent — every mutation is a single `retain`/`push`.
-fn lock(shard: &Shard) -> MutexGuard<'_, HashMap<u64, Vec<Weak<Interned>>>> {
+fn lock(shard: &Shard) -> MutexGuard<'_, IntMap<u64, Vec<Weak<Interned>>>> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 

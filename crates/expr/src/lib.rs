@@ -42,14 +42,12 @@ pub use node::{
     fold_cmp,
     BinOp,
     BuildExprHasher,
-    BuildSymIdHasher,
     CmpOp,
     Expr,
     ExprHasher,
     ExprNode,
     NodeView,
     SymId,
-    SymIdHasher,
 };
 pub use visit::{collect_syms, subst, sym_route};
 

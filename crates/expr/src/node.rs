@@ -25,44 +25,6 @@ impl fmt::Display for SymId {
     }
 }
 
-/// Hashes a [`SymId`] with one multiplication instead of SipHash.
-///
-/// The Fibonacci multiplier spreads small dense ids over the high bits of
-/// the hash (a `HashMap`'s tag), and folding the high half into the low
-/// half spreads them over the low bits (its bucket), even for ids that
-/// differ only in their high bits, as ids read from a trace file may.
-/// Other input is folded the same way, one word at a time.
-#[derive(Clone, Copy, Default)]
-pub struct SymIdHasher(u64);
-
-impl Hasher for SymIdHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// `BuildHasher` for maps and sets keyed by [`SymId`].
-pub type BuildSymIdHasher = BuildHasherDefault<SymIdHasher>;
-
 /// Passes an [`Expr`]'s precomputed structural hash through unchanged.
 ///
 /// That hash is already a SipHash digest (computed once, at intern time),

@@ -43,8 +43,10 @@ impl BasicBlock {
 /// Static analysis results for one driver binary.
 #[derive(Clone, Debug)]
 pub struct CodeAnalysis {
-    /// Basic blocks keyed by start address.
-    pub blocks: BTreeMap<u32, BasicBlock>,
+    /// Basic blocks in address order. A block's position here is its
+    /// index: the coverage tracker and the search strategies keep their
+    /// per-block counters in arrays indexed by it.
+    pub blocks: Vec<BasicBlock>,
     /// Function entry addresses (the image entry + every static call target
     /// inside the image).
     pub functions: BTreeSet<u32>,
@@ -54,12 +56,48 @@ pub struct CodeAnalysis {
     /// checker observes the driver at these call boundaries, so they are
     /// the "checker sites" the bug-directed search heuristic steers toward.
     pub call_blocks: BTreeSet<u32>,
+    /// The address of the text's first instruction slot.
+    text_base: u32,
+    /// For every instruction slot of the text, how many blocks start at or
+    /// before the slot's first byte: the dense index [`Self::block_index_of`]
+    /// reads instead of searching `blocks`.
+    slot_blocks: Vec<u32>,
 }
 
 impl CodeAnalysis {
+    /// The index in [`Self::blocks`] of the block containing `pc`, if any:
+    /// the last block starting at or before `pc`, when it reaches `pc`.
+    ///
+    /// One array read for every pc in the text. A block that starts inside
+    /// a slot (at a branch target off the slot grid) is still found: the
+    /// blocks starting between the slot's first byte and `pc` are stepped
+    /// over.
+    #[inline]
+    pub fn block_index_of(&self, pc: u32) -> Option<usize> {
+        let slot = pc.wrapping_sub(self.text_base) / INSN_SIZE;
+        let mut n = *self.slot_blocks.get(slot as usize)? as usize;
+        while self.blocks.get(n).is_some_and(|b| b.start <= pc) {
+            n += 1;
+        }
+        let i = n.checked_sub(1)?;
+        self.blocks[i].contains(pc).then_some(i)
+    }
+
+    /// The index of the block that starts at `pc`, if one does.
+    #[inline]
+    pub fn block_index_at(&self, pc: u32) -> Option<usize> {
+        self.block_index_of(pc).filter(|&i| self.blocks[i].start == pc)
+    }
+
     /// The start address of the block containing `pc`, if any.
+    #[inline]
     pub fn block_of(&self, pc: u32) -> Option<u32> {
-        self.blocks.range(..=pc).next_back().and_then(|(_, b)| b.contains(pc).then_some(b.start))
+        self.block_index_of(pc).map(|i| self.blocks[i].start)
+    }
+
+    /// The block that starts at `start`, if one does.
+    pub fn block_at(&self, start: u32) -> Option<&BasicBlock> {
+        self.block_index_at(start).map(|i| &self.blocks[i])
     }
 
     /// Total number of basic blocks.
@@ -73,9 +111,9 @@ impl CodeAnalysis {
     /// BFS seeded from [`call_blocks`](Self::call_blocks) at distance 0.
     pub fn checker_distances(&self) -> BTreeMap<u32, u64> {
         let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for b in self.blocks.values() {
+        for b in &self.blocks {
             for &s in &b.successors {
-                if self.blocks.contains_key(&s) {
+                if self.block_index_at(s).is_some() {
                     preds.entry(s).or_default().push(b.start);
                 }
             }
@@ -159,8 +197,8 @@ pub fn analyze(image: &DxeImage) -> CodeAnalysis {
         }
     }
 
-    // Partition into blocks.
-    let mut blocks = BTreeMap::new();
+    // Partition into blocks, in address order.
+    let mut blocks = Vec::new();
     let mut call_blocks: BTreeSet<u32> = BTreeSet::new();
     let leader_list: Vec<u32> = leaders.iter().copied().collect();
     for (k, &start) in leader_list.iter().enumerate() {
@@ -222,11 +260,14 @@ pub fn analyze(image: &DxeImage) -> CodeAnalysis {
                 // Fell through into the next leader.
                 successors.push(limit);
             }
-            blocks.insert(start, BasicBlock { start, end, successors });
+            blocks.push(BasicBlock { start, end, successors });
         }
     }
 
-    CodeAnalysis { blocks, functions, called_exports, call_blocks }
+    let slot_blocks = (0..n)
+        .map(|i| blocks.partition_point(|b: &BasicBlock| b.start <= base + i * INSN_SIZE) as u32)
+        .collect();
+    CodeAnalysis { blocks, functions, called_exports, call_blocks, text_base: base, slot_blocks }
 }
 
 /// Summary row for the Table 1 census.
@@ -276,7 +317,7 @@ mod tests {
         let img = build("DriverEntry:\n nop\n nop\n ret");
         let a = analyze(&img);
         assert_eq!(a.block_count(), 1);
-        let b = a.blocks.values().next().unwrap();
+        let b = &a.blocks[0];
         assert_eq!(b.len(), 3);
         assert!(b.successors.is_empty());
     }
@@ -293,7 +334,7 @@ mod tests {
         );
         let a = analyze(&img);
         assert_eq!(a.block_count(), 3);
-        let entry = &a.blocks[&img.entry];
+        let entry = a.block_at(img.entry).unwrap();
         assert_eq!(entry.successors.len(), 2, "branch + fall-through");
     }
 
@@ -308,7 +349,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let entry = &a.blocks[&img.entry];
+        let entry = a.block_at(img.entry).unwrap();
         assert_eq!(entry.len(), 2, "movi and beq together");
     }
 
@@ -354,7 +395,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let top = &a.blocks[&img.entry];
+        let top = a.block_at(img.entry).unwrap();
         assert!(top.successors.contains(&img.entry), "back edge");
         assert!(top.successors.iter().any(|&s| s != img.entry), "exit edge");
     }
@@ -380,9 +421,57 @@ mod tests {
         // The entry block branches into the calling block: distance 1.
         assert_eq!(dist.get(&img.entry), Some(&1));
         // `far` never reaches a kernel call: absent from the map.
-        let far = a.blocks.keys().copied().max().unwrap();
+        let far = a.blocks.last().unwrap().start;
         assert!(!a.call_blocks.contains(&far));
         assert_eq!(dist.get(&far), None, "unreachable-from: no distance");
+    }
+
+    /// The dense table against the block list's own definition: the last
+    /// block starting at or before `pc`, when it reaches `pc`. The text
+    /// below has an off-grid branch target (a block starting inside a slot
+    /// and overlapping the next one), a gap after an undecodable slot, and
+    /// trailing bytes past the last whole slot.
+    #[test]
+    fn dense_block_table_matches_the_ordered_search() {
+        let base = 0x1000;
+        let mut text = Vec::new();
+        for insn in [
+            Some(Insn::Beq { rs: crate::Reg(0), rt: crate::Reg(1), imm: base + 0x2b }),
+            Some(Insn::Nop),
+            None, // Undecodable: ends its block; the next slots are a gap.
+            Some(Insn::Nop),
+            Some(Insn::Jmp { imm: base + 0x30 }),
+            Some(Insn::Nop),
+            Some(Insn::Ret),
+        ] {
+            text.extend(insn.map_or([0xff; 8], crate::encode));
+        }
+        text.extend([0; 5]);
+        let img = DxeImage {
+            name: "grid".into(),
+            load_base: base,
+            entry: base,
+            text,
+            data: Vec::new(),
+            bss_size: 0,
+            imports: Vec::new(),
+        };
+        let a = analyze(&img);
+        let ordered: BTreeMap<u32, &BasicBlock> = a.blocks.iter().map(|b| (b.start, b)).collect();
+        let starts: Vec<u32> = ordered.keys().copied().collect();
+        assert_eq!(starts, vec![base, base + 0x8, base + 0x28, base + 0x2b, base + 0x30]);
+        for pc in base - 16..base + img.text.len() as u32 + 16 {
+            let oracle = ordered
+                .range(..=pc)
+                .next_back()
+                .and_then(|(_, b)| b.contains(pc).then_some(b.start));
+            assert_eq!(a.block_of(pc), oracle, "pc {pc:#x}");
+            let at = a.block_index_at(pc).map(|i| a.blocks[i].start);
+            assert_eq!(at, ordered.contains_key(&pc).then_some(pc), "pc {pc:#x}");
+        }
+        assert_eq!(a.block_of(base + 0x1c), None, "the gap after the undecodable slot");
+        assert_eq!(a.block_of(base + 0x2d), Some(base + 0x2b), "off-grid start");
+        assert_eq!(a.block_of(base + 0x31), Some(base + 0x30), "the later of two overlapping");
     }
 
     #[test]
@@ -394,7 +483,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let entry = &a.blocks[&img.entry];
+        let entry = a.block_at(img.entry).unwrap();
         // Kernel call: only the fall-through successor is static.
         assert_eq!(entry.successors, vec![img.entry + 8]);
     }

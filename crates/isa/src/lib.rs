@@ -12,7 +12,9 @@
 //!   base, entry point, text/data/bss sections, import table,
 //! - [`dis`]: a disassembler,
 //! - [`analysis`]: basic-block and function discovery over binaries, used by
-//!   DDT's coverage heuristic (§4.3) and the Table 1 census.
+//!   DDT's coverage heuristic (§4.3) and the Table 1 census,
+//! - [`hash`]: the integer hasher every per-step map of the executors, the
+//!   interner and the query cache uses.
 //!
 //! The ISA plays the role x86 plays in the paper: the guest instruction set
 //! that QEMU translates and Klee interprets (DESIGN.md §4.1).
@@ -30,6 +32,7 @@
 pub mod analysis;
 pub mod asm;
 pub mod dis;
+pub mod hash;
 pub mod image;
 mod insn;
 

@@ -4,8 +4,9 @@
 //! forked execution state. Sizes are tiny compared to guest memory, so an
 //! eager clone is cheap (guest memory itself is chained-COW in `ddt-symvm`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use ddt_isa::hash::IntMap;
 use serde::{Deserialize, Serialize};
 
 /// Interrupt request levels (simplified Windows model).
@@ -385,25 +386,25 @@ pub struct KernelState {
     /// Driver configuration parameters (the registry).
     pub registry: BTreeMap<String, u32>,
     /// Live pool allocations keyed by guest address.
-    pub pool: HashMap<u32, PoolAlloc>,
+    pub pool: IntMap<u32, PoolAlloc>,
     /// Open configuration handles.
-    pub config_handles: HashMap<u32, bool>,
+    pub config_handles: IntMap<u32, bool>,
     /// Spinlocks keyed by lock address.
-    pub spinlocks: HashMap<u32, SpinLockState>,
+    pub spinlocks: IntMap<u32, SpinLockState>,
     /// Timers keyed by descriptor address.
-    pub timers: HashMap<u32, TimerState>,
+    pub timers: IntMap<u32, TimerState>,
     /// Registered interrupt, if any.
     pub interrupt: Option<InterruptRegistration>,
     /// Packet pools (handle → capacity).
-    pub packet_pools: HashMap<u32, u32>,
+    pub packet_pools: IntMap<u32, u32>,
     /// Buffer pools (handle → capacity).
-    pub buffer_pools: HashMap<u32, u32>,
+    pub buffer_pools: IntMap<u32, u32>,
     /// Live packets (handle → owning pool).
-    pub packets: HashMap<u32, u32>,
+    pub packets: IntMap<u32, u32>,
     /// Live buffers (handle → owning pool).
-    pub buffers: HashMap<u32, u32>,
+    pub buffers: IntMap<u32, u32>,
     /// DMA channels (audio).
-    pub dma_channels: HashMap<u32, u32>,
+    pub dma_channels: IntMap<u32, u32>,
     /// Registered entry points.
     pub miniport: Option<MiniportTable>,
     /// Completed sends (handle values passed to `NdisMSendComplete`).
@@ -460,16 +461,16 @@ impl KernelState {
             irql: Irql::Passive,
             context: ExecContext::Passive,
             registry: BTreeMap::new(),
-            pool: HashMap::new(),
-            config_handles: HashMap::new(),
-            spinlocks: HashMap::new(),
-            timers: HashMap::new(),
+            pool: IntMap::default(),
+            config_handles: IntMap::default(),
+            spinlocks: IntMap::default(),
+            timers: IntMap::default(),
             interrupt: None,
-            packet_pools: HashMap::new(),
-            buffer_pools: HashMap::new(),
-            packets: HashMap::new(),
-            buffers: HashMap::new(),
-            dma_channels: HashMap::new(),
+            packet_pools: IntMap::default(),
+            buffer_pools: IntMap::default(),
+            packets: IntMap::default(),
+            buffers: IntMap::default(),
+            dma_channels: IntMap::default(),
             miniport: None,
             completed_sends: Vec::new(),
             indicated_packets: 0,

@@ -13,10 +13,11 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
+use ddt_isa::hash::IntMap;
+
 use ddt_expr::{
     BinOp, //
     BuildExprHasher,
-    BuildSymIdHasher,
     CmpOp,
     Expr,
     NodeView,
@@ -52,7 +53,7 @@ pub struct Blaster {
     /// Every lowered literal; each [`Bits`] names a run of it.
     pool: Vec<Lit>,
     /// Bits allocated per symbolic variable.
-    sym_bits: HashMap<SymId, Bits, BuildSymIdHasher>,
+    sym_bits: IntMap<SymId, Bits>,
     /// Structural cache of lowered expressions.
     cache: HashMap<Expr, Bits, BuildExprHasher>,
 }

@@ -38,21 +38,29 @@
 //!   at a time, so a fresh solve is a deterministic function of the cache
 //!   key, and a query's model is the union of its components' models;
 //! - exact-hit models are therefore exactly what a fresh solve would return;
-//! - reused (cross-key) models are only surfaced for verdict-grade queries
-//!   (`is_feasible` and friends), whose models the caller discards.
+//! - reused (cross-key) models only answer verdict-grade queries
+//!   (`is_feasible` and friends), and a verdict-grade answer carries no
+//!   model at all, exact hits included: the caller would discard it, so
+//!   the cache does not clone it.
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::sync::ShardedLock;
 use ddt_expr::{is_subset_sorted, subset_signature, Assignment, Expr};
+use ddt_isa::hash::{BuildIntHasher, IntMap};
 
 use crate::SatResult;
 
-/// Number of shards (a power of two; the shard index is the key hash's low
-/// bits). Sixteen keeps write contention negligible at the worker counts the
-/// parallel explorer uses.
+/// Number of shards (a power of two). Sixteen keeps write contention
+/// negligible at the worker counts the parallel explorer uses.
 const SHARDS: usize = 16;
+
+/// The shard index is the key hash's bits 32–35. A shard's map picks a
+/// bucket from the hash's low bits and a tag from its top seven, so the
+/// shard choice reads bits neither of them does, and the keys of one shard
+/// still spread over its buckets and tags.
+const SHARD_SHIFT: u32 = 32;
 
 /// Default total entry capacity, matching the previous wholesale-clear bound.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -122,10 +130,12 @@ impl CacheStats {
 /// Which mechanism answered a cache probe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CacheAnswer {
-    /// The exact canonical key was memoized.
+    /// The exact canonical key was memoized. A verdict-grade probe gets a
+    /// `Sat` without its model.
     Exact(SatResult),
-    /// A cached counterexample satisfies the query (verdict-grade only).
-    ModelReuse(Assignment),
+    /// A cached counterexample satisfies the query (verdict-grade only, so
+    /// the model is not returned).
+    ModelReuse,
     /// A cached UNSAT core is a subset of the query.
     UnsatSubset,
     /// Nothing applicable: run the decision procedure.
@@ -141,7 +151,7 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Vec<Expr>, Entry>,
+    map: IntMap<Vec<Expr>, Entry>,
 }
 
 /// A stored UNSAT core: canonical key plus its Bloom-bit signature.
@@ -223,11 +233,8 @@ impl QueryCache {
     }
 
     fn shard_of(&self, key: &[Expr]) -> &ShardedLock<Shard> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+        let h = BuildIntHasher::default().hash_one(key);
+        &self.shards[(h >> SHARD_SHIFT) as usize & (SHARDS - 1)]
     }
 
     /// Total cached query entries (racy snapshot across shards).
@@ -254,6 +261,7 @@ impl QueryCache {
 
     /// Looks up a canonical key, trying exact memoization, then UNSAT subset
     /// subsumption, then (for verdict-grade queries) counterexample reuse.
+    /// Only a model-grade exact hit returns a model.
     pub fn lookup(&self, key: &[Expr], grade: QueryGrade) -> CacheAnswer {
         // Exact hit: read lock only; recency via a relaxed atomic store.
         {
@@ -261,7 +269,10 @@ impl QueryCache {
             if let Some(entry) = shard.map.get(key) {
                 entry.stamp.store(self.tick(), Ordering::Relaxed);
                 self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                return CacheAnswer::Exact(entry.result.clone());
+                return CacheAnswer::Exact(match (&entry.result, grade) {
+                    (SatResult::Sat(_), QueryGrade::Verdict) => SatResult::Sat(Assignment::new()),
+                    (result, _) => result.clone(),
+                });
             }
         }
         // A cached UNSAT subset proves this superset UNSAT. Sound for every
@@ -285,7 +296,7 @@ impl QueryCache {
                 for model in models.iter() {
                     if key.iter().all(|c| c.eval_bool(model)) {
                         self.model_reuse_hits.fetch_add(1, Ordering::Relaxed);
-                        return CacheAnswer::ModelReuse(model.clone());
+                        return CacheAnswer::ModelReuse;
                     }
                 }
             }
@@ -293,7 +304,7 @@ impl QueryCache {
             for model in models.iter() {
                 if key.iter().all(|c| c.eval_bool(model)) {
                     self.model_reuse_hits.fetch_add(1, Ordering::Relaxed);
-                    return CacheAnswer::ModelReuse(model.clone());
+                    return CacheAnswer::ModelReuse;
                 }
             }
         }
@@ -438,12 +449,28 @@ mod tests {
         cache.insert(key_of(&[sym(0).eq(&c32(42))]), SatResult::Sat(model));
         // A *different* query the cached model happens to satisfy.
         let query = key_of(&[sym(0).ult(&c32(100))]);
-        match cache.lookup(&query, QueryGrade::Verdict) {
-            CacheAnswer::ModelReuse(m) => assert_eq!(m.get_or_zero(SymId(0)), 42),
-            other => panic!("expected model reuse, got {other:?}"),
-        }
+        assert_eq!(cache.lookup(&query, QueryGrade::Verdict), CacheAnswer::ModelReuse);
         // Model-grade callers must fall through to a deterministic solve.
         assert_eq!(cache.lookup(&query, QueryGrade::Model), CacheAnswer::Miss);
+    }
+
+    #[test]
+    fn verdict_grade_exact_hit_answers_sat_without_a_model() {
+        let cache = QueryCache::new();
+        let key = key_of(&[sym(0).eq(&c32(42))]);
+        let mut model = Assignment::new();
+        model.set(SymId(0), 42);
+        cache.insert(key.clone(), SatResult::Sat(model.clone()));
+        assert_eq!(
+            cache.lookup(&key, QueryGrade::Verdict),
+            CacheAnswer::Exact(SatResult::Sat(Assignment::new()))
+        );
+        // Model-grade callers still get the stored model back.
+        assert_eq!(
+            cache.lookup(&key, QueryGrade::Model),
+            CacheAnswer::Exact(SatResult::Sat(model))
+        );
+        assert_eq!(cache.stats().exact_hits, 2);
     }
 
     #[test]

@@ -450,9 +450,9 @@ impl Solver {
                 self.stats.cache_unsat_subset += 1;
                 Some(SatResult::Unsat)
             }
-            CacheAnswer::ModelReuse(model) => {
+            CacheAnswer::ModelReuse => {
                 self.stats.cache_model_reuse += 1;
-                Some(SatResult::Sat(model))
+                Some(SatResult::Sat(Assignment::new()))
             }
             CacheAnswer::Miss => None,
         }

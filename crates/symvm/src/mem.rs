@@ -10,10 +10,11 @@
 //! Every byte is an 8-bit [`Expr`]; fully concrete bytes are constant
 //! expressions, so the same store holds mixed symbolic/concrete data.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ddt_expr::Expr;
+use ddt_isa::hash::IntMap;
 use ddt_isa::{decode, Insn, INSN_SIZE};
 
 /// Chain depth past which [`SymMemory::fork`] compacts the frozen layers
@@ -25,7 +26,7 @@ const COMPACT_DEPTH: usize = 32;
 #[derive(Debug)]
 struct MemLayer {
     parent: Option<Arc<MemLayer>>,
-    writes: HashMap<u32, Expr>,
+    writes: IntMap<u32, Expr>,
 }
 
 /// The memory every root state starts from: the seeded image bytes and,
@@ -36,7 +37,7 @@ struct MemLayer {
 /// it after that, so the symbolic step reads it without a lock.
 #[derive(Debug, Default)]
 pub struct RootMem {
-    bytes: HashMap<u32, u8>,
+    bytes: IntMap<u32, u8>,
     text: Option<DecodedText>,
 }
 
@@ -99,9 +100,9 @@ pub struct SymMemory {
     /// Frozen parent chain.
     node: Option<Arc<MemLayer>>,
     /// Writes since the last fork.
-    local: HashMap<u32, Expr>,
+    local: IntMap<u32, Expr>,
     /// Leaf read cache for chain walks (§4.1.3).
-    cache: HashMap<u32, Expr>,
+    cache: IntMap<u32, Expr>,
     /// Immutable initial contents and decoded text.
     root: Arc<RootMem>,
     /// Number of layers below `local` (diagnostics / §5.2 stats).
@@ -130,8 +131,8 @@ impl SymMemory {
         SymMemory {
             regions: BTreeMap::new(),
             node: None,
-            local: HashMap::new(),
-            cache: HashMap::new(),
+            local: IntMap::default(),
+            cache: IntMap::default(),
             root,
             depth: 0,
             code_writes: 0,
@@ -281,7 +282,7 @@ impl SymMemory {
     /// unchanged. Sibling states still hold `Arc`s to the old layers; only
     /// this state and its future children see (and pay for) the merge.
     fn compact_chain(&mut self) {
-        let mut merged: HashMap<u32, Expr> = HashMap::new();
+        let mut merged: IntMap<u32, Expr> = IntMap::default();
         let mut cur = self.node.as_ref();
         while let Some(layer) = cur {
             for (addr, e) in &layer.writes {
@@ -313,8 +314,8 @@ impl SymMemory {
         SymMemory {
             regions: self.regions.clone(),
             node: self.node.clone(),
-            local: HashMap::new(),
-            cache: HashMap::new(),
+            local: IntMap::default(),
+            cache: IntMap::default(),
             root: self.root.clone(),
             depth: self.depth,
             code_writes: self.code_writes,

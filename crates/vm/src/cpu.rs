@@ -1,5 +1,8 @@
 //! The DDT-32 CPU and the concrete interpreter.
 
+use std::collections::hash_map::Entry;
+
+use ddt_isa::hash::IntMap;
 use ddt_isa::{decode, trap_export_id, Insn, Reg, INSN_SIZE, RETURN_TRAP};
 use serde::{Deserialize, Serialize};
 
@@ -158,19 +161,13 @@ impl Vm {
             return StepEvent::KernelCall { export_id, return_to: self.cpu.get(Reg::LR) };
         }
         // Fetch.
-        let mut raw = [0u8; 8];
-        for (i, b) in raw.iter_mut().enumerate() {
-            match self.mem.read_u8(pc.wrapping_add(i as u32), AccessKind::Fetch) {
-                Ok(v) => *b = v,
-                Err(e) => {
-                    return StepEvent::Faulted(Fault::BadAccess {
-                        pc,
-                        addr: e.addr,
-                        kind: AccessKind::Fetch,
-                    })
-                }
+        let raw = match self.mem.read(pc, INSN_SIZE as u8, AccessKind::Fetch) {
+            Ok(v) => v.to_le_bytes(),
+            Err(e) => {
+                let kind = AccessKind::Fetch;
+                return StepEvent::Faulted(Fault::BadAccess { pc, addr: e.addr, kind });
             }
-        }
+        };
         let Some(insn) = decode(&raw) else {
             return StepEvent::Faulted(Fault::IllegalInsn { pc });
         };
@@ -421,21 +418,8 @@ impl Vm {
         let mut insns = Vec::new();
         let mut cur = pc;
         while insns.len() < MAX_SUPERBLOCK {
-            let mut raw = [0u8; 8];
-            let mut ok = true;
-            for (i, b) in raw.iter_mut().enumerate() {
-                match self.mem.read_u8(cur.wrapping_add(i as u32), AccessKind::Fetch) {
-                    Ok(v) => *b = v,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                break;
-            }
-            let Some(insn) = decode(&raw) else { break };
+            let Ok(raw) = self.mem.read(cur, INSN_SIZE as u8, AccessKind::Fetch) else { break };
+            let Some(insn) = decode(&raw.to_le_bytes()) else { break };
             let terminal = insn.is_terminator();
             insns.push((cur, insn));
             if terminal {
@@ -475,25 +459,27 @@ impl Vm {
             if let Some(export_id) = trap_export_id(pc) {
                 return StepEvent::KernelCall { export_id, return_to: self.cpu.get(Reg::LR) };
             }
-            if let std::collections::hash_map::Entry::Vacant(slot) = cache.blocks.entry(pc) {
-                let b = self.decode_block(pc);
-                if b.insns.is_empty() {
-                    // Unfetchable or undecodable right at the entry: one slow
-                    // step produces the exact fault.
-                    if budget == 0 {
-                        return StepEvent::Continue;
-                    }
-                    match self.step() {
-                        StepEvent::Continue => {
-                            budget -= 1;
-                            continue 'dispatch;
+            let block = match cache.blocks.entry(pc) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    let b = self.decode_block(pc);
+                    if b.insns.is_empty() {
+                        // Unfetchable or undecodable right at the entry: one
+                        // slow step produces the exact fault.
+                        if budget == 0 {
+                            return StepEvent::Continue;
                         }
-                        ev => return ev,
+                        match self.step() {
+                            StepEvent::Continue => {
+                                budget -= 1;
+                                continue 'dispatch;
+                            }
+                            ev => return ev,
+                        }
                     }
+                    slot.insert(b)
                 }
-                slot.insert(b);
-            }
-            let block = &cache.blocks[&pc];
+            };
             block_trace.push(pc);
             for &(ipc, insn) in &block.insns {
                 if budget == 0 {
@@ -535,7 +521,7 @@ struct SuperBlock {
 /// memory's code generation moves.
 #[derive(Debug, Default)]
 pub struct BlockCache {
-    blocks: std::collections::HashMap<u32, SuperBlock>,
+    blocks: IntMap<u32, SuperBlock>,
     generation: u64,
 }
 

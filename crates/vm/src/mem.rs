@@ -4,9 +4,16 @@
 //! explicitly mapped by the loader or the kernel — an access outside every
 //! mapped region is a fault, which is how the concrete VM surfaces wild
 //! pointer dereferences during replay.
+//!
+//! An access of up to 8 bytes that stays inside one page and one mapped
+//! region, which is nearly every load, store and fetch, costs one region
+//! lookup and one page lookup. Any other access goes byte by byte, so a
+//! fault names the first unmapped byte and a faulting write keeps the
+//! bytes before it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use ddt_isa::hash::IntMap;
 use serde::{Deserialize, Serialize};
 
 /// Page size in bytes.
@@ -29,7 +36,7 @@ pub struct Memory {
     /// Mapped regions: start → end (exclusive). Non-overlapping.
     regions: BTreeMap<u32, u32>,
     /// Demand-allocated pages keyed by page base address.
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: IntMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
     /// Declared code region `[start, end)`, if any. Writes landing inside it
     /// bump `code_generation`, which is the concrete analog of the symbolic
     /// interpreter's `code_bytes_stable` guard: the superblock cache is
@@ -94,8 +101,9 @@ impl Memory {
         let last_page = (end - 1) / PAGE_SIZE;
         for p in first_page..=last_page {
             let page_base = p * PAGE_SIZE;
-            // Only drop pages fully inside the unmapped range.
-            if page_base >= start && page_base + PAGE_SIZE <= end {
+            // Only drop pages fully inside the unmapped range (the top
+            // page of the address space ends past `u32::MAX`).
+            if page_base >= start && page_base as u64 + PAGE_SIZE as u64 <= end as u64 {
                 self.pages.remove(&page_base);
             }
         }
@@ -104,6 +112,20 @@ impl Memory {
     /// True if the byte at `addr` is mapped.
     pub fn is_mapped(&self, addr: u32) -> bool {
         self.regions.range(..=addr).next_back().is_some_and(|(_, &end)| addr < end)
+    }
+
+    /// The offset of `addr` in its page when all of `[addr, addr+size)`
+    /// lies in that page and in one mapped region (`size` in 1..=8).
+    fn in_page_offset(&self, addr: u32, size: u8) -> Option<usize> {
+        if !(1..=8).contains(&size) {
+            return None;
+        }
+        let last = addr.checked_add(size as u32 - 1)?;
+        if addr / PAGE_SIZE != last / PAGE_SIZE {
+            return None;
+        }
+        let (_, &end) = self.regions.range(..=addr).next_back()?;
+        (last < end).then_some((addr % PAGE_SIZE) as usize)
     }
 
     /// True if the whole range `[addr, addr+len)` is mapped.
@@ -171,6 +193,13 @@ impl Memory {
 
     /// Reads a little-endian value of `size` bytes (1, 2, 4, or 8).
     pub fn read(&mut self, addr: u32, size: u8, kind: AccessKind) -> Result<u64, MemError> {
+        if let Some(off) = self.in_page_offset(addr, size) {
+            let mut bytes = [0u8; 8];
+            if let Some(page) = self.pages.get(&(addr - off as u32)) {
+                bytes[..size as usize].copy_from_slice(&page[off..off + size as usize]);
+            }
+            return Ok(u64::from_le_bytes(bytes));
+        }
         let mut v = 0u64;
         for i in 0..size {
             v |= (self.read_u8(addr.wrapping_add(i as u32), kind)? as u64) << (8 * i);
@@ -180,6 +209,16 @@ impl Memory {
 
     /// Writes a little-endian value of `size` bytes.
     pub fn write(&mut self, addr: u32, size: u8, v: u64) -> Result<(), MemError> {
+        if let Some(off) = self.in_page_offset(addr, size) {
+            if let Some((s, e)) = self.code_region {
+                // One bump per byte that lands in the code region.
+                let (lo, hi) = (addr.max(s), (addr + size as u32).min(e));
+                self.code_generation += hi.saturating_sub(lo) as u64;
+            }
+            let n = size as usize;
+            self.page(addr)[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
+            return Ok(());
+        }
         for i in 0..size {
             self.write_u8(addr.wrapping_add(i as u32), (v >> (8 * i)) as u8)?;
         }

@@ -95,11 +95,6 @@ impl CodeAnalysis {
         self.block_index_of(pc).map(|i| self.blocks[i].start)
     }
 
-    /// The block that starts at `start`, if one does.
-    pub fn block_at(&self, start: u32) -> Option<&BasicBlock> {
-        self.block_index_at(start).map(|i| &self.blocks[i])
-    }
-
     /// Total number of basic blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -305,6 +300,10 @@ mod tests {
     use super::*;
     use crate::asm::{assemble, ExportMap};
 
+    fn block_at(a: &CodeAnalysis, start: u32) -> &BasicBlock {
+        &a.blocks[a.block_index_at(start).expect("a block starts here")]
+    }
+
     fn build(src: &str) -> DxeImage {
         let mut exports = ExportMap::new();
         exports.insert("KeSleep".into(), 4);
@@ -334,7 +333,7 @@ mod tests {
         );
         let a = analyze(&img);
         assert_eq!(a.block_count(), 3);
-        let entry = a.block_at(img.entry).unwrap();
+        let entry = block_at(&a, img.entry);
         assert_eq!(entry.successors.len(), 2, "branch + fall-through");
     }
 
@@ -349,7 +348,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let entry = a.block_at(img.entry).unwrap();
+        let entry = block_at(&a, img.entry);
         assert_eq!(entry.len(), 2, "movi and beq together");
     }
 
@@ -395,7 +394,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let top = a.block_at(img.entry).unwrap();
+        let top = block_at(&a, img.entry);
         assert!(top.successors.contains(&img.entry), "back edge");
         assert!(top.successors.iter().any(|&s| s != img.entry), "exit edge");
     }
@@ -483,7 +482,7 @@ mod tests {
                 ret",
         );
         let a = analyze(&img);
-        let entry = a.block_at(img.entry).unwrap();
+        let entry = block_at(&a, img.entry);
         // Kernel call: only the fall-through successor is static.
         assert_eq!(entry.successors, vec![img.entry + 8]);
     }

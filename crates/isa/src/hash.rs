@@ -10,7 +10,7 @@
 //! It lives here because every machine layer and the expression layer
 //! depend on this crate, so they all name the same hasher.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hashes integers with one multiplication instead of SipHash.
@@ -62,12 +62,10 @@ pub type BuildIntHasher = BuildHasherDefault<IntHasher>;
 /// A `HashMap` hashed by [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, BuildIntHasher>;
 
-/// A `HashSet` hashed by [`IntHasher`].
-pub type IntSet<K> = HashSet<K, BuildIntHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::BuildHasher;
 
     fn hash<T: std::hash::Hash>(v: T) -> u64 {
@@ -79,8 +77,8 @@ mod tests {
         // Page bases differ only above bit 12; consecutive ids only in the
         // lowest bits. Both must reach a map's bucket bits and its tag.
         for keys in [(0..256u32).map(|p| p << 12).collect::<Vec<_>>(), (0..256u32).collect()] {
-            let low: IntSet<u64> = keys.iter().map(|&k| hash(k) & 0xff).collect();
-            let high: IntSet<u64> = keys.iter().map(|&k| hash(k) >> 57).collect();
+            let low: HashSet<u64> = keys.iter().map(|&k| hash(k) & 0xff).collect();
+            let high: HashSet<u64> = keys.iter().map(|&k| hash(k) >> 57).collect();
             assert!(low.len() > 128, "bucket bits collide: {} of 256", low.len());
             assert!(high.len() > 96, "tag bits collide: {} of 128", high.len());
         }

@@ -19,7 +19,14 @@
 //! earlier entry of the same mode: selection is deterministic, so a moved
 //! count means the strategies picked different states.
 //!
+//! Each row's `wall_us` times the prune-off campaign with `Instant`, in
+//! microseconds: pcnet's campaigns take about 10 ms, so the report's
+//! whole-millisecond `wall_ms` would hide a change below 10%. Wall time is
+//! recorded, never gated.
+//!
 //! `--smoke` runs the pcnet subset for CI.
+
+use std::time::Instant;
 
 use ddt_bench::field;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest, Report, Strategy};
@@ -38,7 +45,7 @@ const COUNT_COLUMNS: [&str; 6] = [
 
 struct Row {
     strategy: &'static str,
-    wall_ms: u64,
+    wall_us: u64,
     quanta: u64,
     first_bug: u64,
     last_cover: u64,
@@ -57,7 +64,9 @@ fn bench_driver(name: &str, table2_bugs: usize) -> Vec<Row> {
     let dut = DriverUnderTest::from_spec(&spec);
     let mut rows = Vec::new();
     for &strategy in Strategy::ALL.iter() {
+        let t0 = Instant::now();
         let report = run(&dut, strategy, false);
+        let wall_us = t0.elapsed().as_micros() as u64;
         let pruned = run(&dut, strategy, true);
         assert_eq!(
             report.bugs.len(),
@@ -73,7 +82,7 @@ fn bench_driver(name: &str, table2_bugs: usize) -> Vec<Row> {
         );
         rows.push(Row {
             strategy: strategy.name(),
-            wall_ms: report.stats.wall_ms,
+            wall_us,
             quanta: report.stats.quanta_executed,
             first_bug: report.stats.quanta_to_first_bug,
             last_cover: report.stats.quanta_to_last_cover,
@@ -98,12 +107,12 @@ fn main() {
         println!("{name} (Table 2: {table2_bugs} bugs)");
         println!(
             "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8} {:>8}",
-            "Strategy", "Wall ms", "Quanta", "->1st bug", "->last cov", "Covered", "Pruned"
+            "Strategy", "Wall us", "Quanta", "->1st bug", "->last cov", "Covered", "Pruned"
         );
         for r in &rows {
             println!(
                 "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8} {:>8}",
-                r.strategy, r.wall_ms, r.quanta, r.first_bug, r.last_cover, r.covered, r.pruned_with_prune
+                r.strategy, r.wall_us, r.quanta, r.first_bug, r.last_cover, r.covered, r.pruned_with_prune
             );
         }
         println!();
@@ -186,7 +195,7 @@ fn row_value(r: &Row) -> Value {
     let u = Value::U64;
     Value::Map(vec![
         ("strategy".into(), Value::Str(r.strategy.into())),
-        ("wall_ms".into(), u(r.wall_ms)),
+        ("wall_us".into(), u(r.wall_us)),
         ("quanta".into(), u(r.quanta)),
         ("quanta_to_first_bug".into(), u(r.first_bug)),
         ("quanta_to_last_cover".into(), u(r.last_cover)),
@@ -239,10 +248,10 @@ fn compare(drivers: &[Value], prev: &Value) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn entry(quanta: u64, wall_ms: u64) -> Value {
+    fn entry(quanta: u64, wall_us: u64) -> Value {
         let row = Row {
             strategy: "fifo",
-            wall_ms,
+            wall_us,
             quanta,
             first_bug: 3,
             last_cover: 4,
@@ -258,10 +267,10 @@ mod tests {
 
     #[test]
     fn gate_ignores_wall_time_and_fails_on_a_moved_count() {
-        let prev = Value::Map(vec![("drivers".into(), Value::List(vec![entry(338, 80)]))]);
-        assert!(compare(&[entry(338, 95)], &prev).is_empty());
+        let prev = Value::Map(vec![("drivers".into(), Value::List(vec![entry(338, 10_480)]))]);
+        assert!(compare(&[entry(338, 9_730)], &prev).is_empty());
         assert_eq!(
-            compare(&[entry(339, 80)], &prev),
+            compare(&[entry(339, 10_480)], &prev),
             vec!["pcnet/fifo: quanta is 339, the previous entry has 338"]
         );
     }

@@ -194,7 +194,7 @@ fn read_cstr(st: &mut SymState, addr: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddt_symvm::SymCounter;
+    use ddt_symvm::{SymCounter, TraceEvent};
 
     #[test]
     fn defaults_cover_the_allocators() {
@@ -230,7 +230,8 @@ mod tests {
         // Provenance label carries the parameter name.
         let syms = v.syms();
         let id = *syms.iter().next().unwrap();
-        assert_eq!(st.symbols.get(id).unwrap().label, "registry:MaximumMulticastList");
+        let (label, _) = st.trace.provenance(&[id])[0].expect("created on this path");
+        assert_eq!(label, "registry:MaximumMulticastList");
     }
 
     #[test]
@@ -249,7 +250,8 @@ mod tests {
             export_id("NdisReadConfiguration").unwrap(),
             &[Some(0x1000), Some(0x1010), Some(0), Some(0x1040)],
         );
-        assert!(st.symbols.is_empty(), "no symbol injected on failure");
+        let created = st.trace.iter_from(0).any(|ev| matches!(ev, TraceEvent::SymCreate { .. }));
+        assert!(!created, "no symbol injected on failure");
     }
 
     #[test]

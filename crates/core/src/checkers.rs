@@ -108,7 +108,7 @@ pub fn classify_violation(m: &Machine, v: &AccessViolation) -> PendingBug {
         };
     }
     let mut origins: Vec<&SymOrigin> =
-        v.syms.iter().filter_map(|id| m.st.symbols.get(*id)).map(|i| &i.origin).collect();
+        m.st.trace.provenance(&v.syms).into_iter().flatten().map(|(_, origin)| origin).collect();
     origins.sort_by_key(|o| match o {
         SymOrigin::Registry { .. } => 0,
         SymOrigin::EntryArg { .. } => 1,
@@ -386,42 +386,45 @@ pub fn check_lifecycle(m: &mut Machine) -> Vec<PendingBug> {
     let mut bugs = Vec::new();
     if let Some(mark) = m.removed_trace_mark {
         if !m.touch_after_remove_reported {
-            let tail = m.st.trace.tail(m.st.trace.len().saturating_sub(mark));
-            let mut last_pc = m.st.cpu.pc;
-            for ev in &tail {
-                let touched = match ev {
-                    TraceEvent::Exec { pc } => {
-                        last_pc = *pc;
-                        None
-                    }
-                    TraceEvent::HardwareRead { addr, .. } => Some(("reads", *addr)),
-                    TraceEvent::HardwareWrite { addr, .. } => Some(("writes", *addr)),
-                    _ => None,
-                };
-                if let Some((verb, addr)) = touched {
-                    m.touch_after_remove_reported = true;
-                    bugs.push(PendingBug {
-                        class: BugClass::LifecycleViolation,
-                        description: format!(
-                            "{} {verb} device register {addr:#x} after the device \
-                             was surprise-removed",
-                            m.running()
-                        ),
-                        pc: last_pc,
-                        key: format!("touchremove:{last_pc:x}:{}", m.running()),
-                        model: None,
-                        syms: Vec::new(),
-                    });
-                    break;
+            // Resume where the last scan stopped, with the last instruction
+            // it passed.
+            let mut last_pc = m.removed_last_pc;
+            let touched = m.st.trace.iter_from(mark).find_map(|ev| match ev {
+                TraceEvent::Exec { pc } => {
+                    last_pc = Some(*pc);
+                    None
                 }
+                TraceEvent::HardwareRead { addr, .. } => Some(("reads", *addr)),
+                TraceEvent::HardwareWrite { addr, .. } => Some(("writes", *addr)),
+                _ => None,
+            });
+            m.removed_trace_mark = Some(m.st.trace.len());
+            m.removed_last_pc = last_pc;
+            if let Some((verb, addr)) = touched {
+                let last_pc = last_pc.unwrap_or(m.st.cpu.pc);
+                m.touch_after_remove_reported = true;
+                bugs.push(PendingBug {
+                    class: BugClass::LifecycleViolation,
+                    description: format!(
+                        "{} {verb} device register {addr:#x} after the device \
+                         was surprise-removed",
+                        m.running()
+                    ),
+                    pc: last_pc,
+                    key: format!("touchremove:{last_pc:x}:{}", m.running()),
+                    model: None,
+                    syms: Vec::new(),
+                });
             }
         }
     }
     if let Some(crate::machine::Frame::Pnp { event, trace_mark, .. }) = m.frames.last() {
         if *event == crate::report::LifecycleEvent::Resume {
-            let tail = m.st.trace.tail(m.st.trace.len().saturating_sub(*trace_mark));
-            let restored =
-                tail.iter().any(|ev| matches!(ev, TraceEvent::HardwareWrite { .. }));
+            let restored = m
+                .st
+                .trace
+                .iter_from(*trace_mark)
+                .any(|ev| matches!(ev, TraceEvent::HardwareWrite { .. }));
             if !restored {
                 bugs.push(PendingBug {
                     class: BugClass::LifecycleViolation,
@@ -630,6 +633,50 @@ mod tests {
     }
 
     #[test]
+    fn registry_origin_is_read_from_the_trace_among_other_symbols() {
+        // The origin comes from the symbol's own creation event: older and
+        // newer symbols of other origins, and a fork between them (the
+        // creation event sits in a frozen segment), must not be taken
+        // instead.
+        let mut m = machine();
+        let sym_id = |e: &ddt_expr::Expr| match e.node() {
+            ddt_expr::NodeView::Sym { id, .. } => id,
+            _ => unreachable!(),
+        };
+        m.st.new_symbol("hw0x10", SymOrigin::HardwareRead { addr: 0x10 }, 32);
+        let reg = m.st.new_symbol(
+            "registry:MaximumMulticastList",
+            SymOrigin::Registry { name: "MaximumMulticastList".into() },
+            32,
+        );
+        m.st.trace.push(TraceEvent::Exec { pc: 0x40_0100 });
+        let mut child = m.fork(1);
+        let arg = child.st.new_symbol(
+            "Send:arg1",
+            SymOrigin::EntryArg { entry: "Send".into(), index: 1 },
+            32,
+        );
+        child.st.new_symbol("hw0x14", SymOrigin::HardwareRead { addr: 0x14 }, 32);
+        let v = AccessViolation {
+            pc: 0x40_0300,
+            witness: 0x9999_0000,
+            kind: ddt_isa::AccessKind::Read,
+            size: 4,
+            reason: "escapes".into(),
+            syms: vec![sym_id(&reg)],
+            model: None,
+        };
+        let bug = classify_violation(&child, &v);
+        assert_eq!(bug.class, BugClass::MemoryCorruption);
+        assert!(bug.description.contains("\"MaximumMulticastList\""), "{}", bug.description);
+        // An entry argument alone is a bad-parameter crash naming its entry.
+        let v = AccessViolation { syms: vec![sym_id(&arg)], ..v };
+        let bug = classify_violation(&child, &v);
+        assert_eq!(bug.class, BugClass::SegFault);
+        assert!(bug.description.contains("unvalidated Send argument"), "{}", bug.description);
+    }
+
+    #[test]
     fn wild_fetch_attributed_to_last_executed_insn() {
         let mut m = machine();
         m.st.trace.push(TraceEvent::Exec { pc: 0x40_0500 });
@@ -784,6 +831,27 @@ mod tests {
         assert_eq!(bugs[0].pc, 0x40_0020, "attributed to the access instruction");
         assert!(bugs[0].description.contains("after the device was surprise-removed"));
         assert!(check_lifecycle(&mut m).is_empty(), "reported once per path");
+    }
+
+    #[test]
+    fn touch_after_remove_scan_resumes_with_the_last_instruction() {
+        let mut m = machine();
+        m.removed_trace_mark = Some(m.st.trace.len());
+        m.st.trace.push(TraceEvent::Exec { pc: 0x40_0030 });
+        assert!(check_lifecycle(&mut m).is_empty(), "no hardware access yet");
+        m.st.cpu.pc = 0x40_0090;
+        m.st.trace.push(TraceEvent::HardwareRead { addr: 0x14, id: ddt_expr::SymId(0) });
+        let bugs = check_lifecycle(&mut m);
+        assert_eq!(bugs.len(), 1);
+        assert_eq!(bugs[0].pc, 0x40_0030, "the instruction an earlier scan passed");
+        assert!(bugs[0].description.contains("reads device register 0x14"));
+        // With no instruction since the removal, the current pc is used.
+        let mut m = machine();
+        m.st.cpu.pc = 0x40_0040;
+        m.removed_trace_mark = Some(m.st.trace.len());
+        assert!(check_lifecycle(&mut m).is_empty());
+        m.st.trace.push(TraceEvent::HardwareWrite { addr: 0x12, value: None });
+        assert_eq!(check_lifecycle(&mut m)[0].pc, 0x40_0040);
     }
     #[test]
     fn accesses_before_removal_are_clean() {

@@ -720,7 +720,7 @@ impl Ddt {
         // execution here.
         let mut site_syms = pending.syms.clone();
         if site_syms.is_empty() {
-            if let Some(constraint) = m.st.trace.rfind_map(|ev| match ev {
+            if let Some(constraint) = m.st.trace.iter_rev().find_map(|ev| match ev {
                 TraceEvent::Branch { constraint, .. } => Some(constraint.clone()),
                 _ => None,
             }) {

@@ -151,8 +151,11 @@ pub struct Machine {
     /// a suspend→resume chain fits).
     pub lifecycle_budget: u32,
     /// Symbolic-trace length when the device was surprise-removed; the
-    /// touch-after-remove checker scans hardware accesses from here.
+    /// touch-after-remove checker scans hardware accesses from here and
+    /// moves the mark past what it scanned.
     pub removed_trace_mark: Option<usize>,
+    /// The last instruction those scans passed, if any.
+    pub removed_last_pc: Option<u32>,
     /// True once touch-after-remove was reported on this path (report the
     /// first offending access only).
     pub touch_after_remove_reported: bool,
@@ -223,6 +226,7 @@ impl Machine {
             interrupt_budget: 1,
             lifecycle_budget: 2,
             removed_trace_mark: None,
+            removed_last_pc: None,
             touch_after_remove_reported: false,
             kernel_calls: 0,
             boundaries: 0,
@@ -244,31 +248,8 @@ impl Machine {
 
     /// Forks the machine (cheap: COW memory/trace, small clones elsewhere).
     pub fn fork(&mut self, new_id: u64) -> Machine {
-        Machine {
-            st: self.st.fork(),
-            kernel: self.kernel.clone(),
-            frames: self.frames.clone(),
-            workload_pos: self.workload_pos,
-            interrupt_budget: self.interrupt_budget,
-            lifecycle_budget: self.lifecycle_budget,
-            removed_trace_mark: self.removed_trace_mark,
-            touch_after_remove_reported: self.touch_after_remove_reported,
-            kernel_calls: self.kernel_calls,
-            boundaries: self.boundaries,
-            decisions: self.decisions.clone(),
-            decisions_fnv: self.decisions_fnv,
-            events_scanned: self.events_scanned,
-            scratch_cursor: self.scratch_cursor,
-            steps_in_entry: self.steps_in_entry,
-            reported_held_locks: self.reported_held_locks.clone(),
-            injected_faults: self.injected_faults.clone(),
-            picks: self.picks.clone(),
-            trailing_skips: self.trailing_skips,
-            steps_total: self.steps_total,
-            cov_fresh: self.cov_fresh,
-            cov_stamp: self.cov_stamp,
-            id: new_id,
-        }
+        let st = self.st.fork();
+        self.adopt(st, new_id)
     }
 
     /// Wraps a forked [`SymState`] produced by the interpreter into a full
@@ -282,6 +263,7 @@ impl Machine {
             interrupt_budget: self.interrupt_budget,
             lifecycle_budget: self.lifecycle_budget,
             removed_trace_mark: self.removed_trace_mark,
+            removed_last_pc: self.removed_last_pc,
             touch_after_remove_reported: self.touch_after_remove_reported,
             kernel_calls: self.kernel_calls,
             boundaries: self.boundaries,
@@ -371,7 +353,7 @@ impl Machine {
 
     /// Allocates scratch guest memory (mapped and granted to the driver as
     /// a buffer passed in by the kernel).
-    pub fn alloc_scratch(&mut self, len: u32, label: &str) -> u32 {
+    pub fn alloc_scratch(&mut self, len: u32, label: &'static str) -> u32 {
         let addr = self.scratch_cursor.next_multiple_of(8);
         self.scratch_cursor = addr + len;
         assert!(

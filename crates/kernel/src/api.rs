@@ -37,16 +37,8 @@ use crate::{
 
 /// Dispatches one kernel export invocation.
 pub fn dispatch(k: &mut Kernel, export: u16, host: &mut dyn Host) {
-    let name = exports::export_name(export).unwrap_or("<unknown>").to_string();
-    k.state.log(KernelEvent::ApiCall {
-        export_id: export,
-        name: name.clone(),
-        args: [0; 4], // Filled lazily by impls that read args; kept for shape.
-        context: k.state.context,
-        irql: k.state.irql,
-    });
-    let r = call(k, export, host);
-    if let Err(HostError { addr }) = r {
+    if let Err(HostError { addr }) = call(k, export, host) {
+        let name = exports::export_name(export).unwrap_or("<unknown>");
         k.state.bug_check(
             BUGCHECK_FAULT,
             format!("kernel fault in {name}: driver passed inaccessible pointer {addr:#x}"),

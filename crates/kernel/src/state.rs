@@ -294,19 +294,6 @@ pub struct CrashInfo {
 /// Events the kernel logs for DDT's guest-OS-level checkers (§3.1.2).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelEvent {
-    /// A kernel API was invoked.
-    ApiCall {
-        /// Export id.
-        export_id: u16,
-        /// Export name.
-        name: String,
-        /// The four argument registers at call time.
-        args: [u32; 4],
-        /// Execution context at call time.
-        context: ExecContext,
-        /// IRQL at call time.
-        irql: Irql,
-    },
     /// A resource was granted to the driver.
     ResourceAcquired {
         /// Resource class.

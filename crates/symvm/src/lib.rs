@@ -8,8 +8,9 @@
 //! Architecture (paper §4.1):
 //!
 //! - [`SymState`] is one execution state — "conceptually a complete system
-//!   snapshot": symbolic CPU, symbolic memory, path constraints, symbol
-//!   provenance table, concretization log, and the trace.
+//!   snapshot": symbolic CPU, symbolic memory, path constraints,
+//!   concretization log, and the trace, whose symbol-creation events are
+//!   the path's provenance table.
 //! - [`mem::SymMemory`] implements the paper's chained copy-on-write (§4.1.3):
 //!   forks push an immutable layer; reads that miss locally walk the parent
 //!   chain and are cached in the leaf.
@@ -34,7 +35,5 @@ pub use state::{
     SymCpu,
     SymOrigin,
     SymState,
-    SymbolInfo,
-    SymbolTable,
 };
 pub use trace::{Trace, TraceEvent};

@@ -95,8 +95,9 @@ impl RootMem {
 /// Symbolic memory: mapped-region tracking + COW expression store.
 #[derive(Clone, Debug)]
 pub struct SymMemory {
-    /// Mapped regions: start → end (exclusive), per-state (cloned on fork).
-    regions: BTreeMap<u32, u32>,
+    /// Mapped regions: start → end (exclusive), shared by forks and copied
+    /// by the first `map` or `unmap` that changes them.
+    regions: Arc<BTreeMap<u32, u32>>,
     /// Frozen parent chain.
     node: Option<Arc<MemLayer>>,
     /// Writes since the last fork.
@@ -129,7 +130,7 @@ impl SymMemory {
     /// and decoded text, built once for every root of a campaign.
     pub fn with_root(root: Arc<RootMem>) -> SymMemory {
         SymMemory {
-            regions: BTreeMap::new(),
+            regions: Arc::default(),
             node: None,
             local: IntMap::default(),
             cache: IntMap::default(),
@@ -200,8 +201,8 @@ impl SymMemory {
         }
         let end = start.checked_add(len).expect("region wraps");
         let (mut s, mut e) = (start, end);
-        let overlapping: Vec<(u32, u32)> = self
-            .regions
+        let regions = Arc::make_mut(&mut self.regions);
+        let overlapping: Vec<(u32, u32)> = regions
             .range(..=e)
             .filter(|&(&rs, &re)| re >= s && rs <= e)
             .map(|(&rs, &re)| (rs, re))
@@ -209,9 +210,9 @@ impl SymMemory {
         for (rs, re) in overlapping {
             s = s.min(rs);
             e = e.max(re);
-            self.regions.remove(&rs);
+            regions.remove(&rs);
         }
-        self.regions.insert(s, e);
+        regions.insert(s, e);
     }
 
     /// Unmaps `[start, start+len)`.
@@ -220,24 +221,33 @@ impl SymMemory {
     /// re-mapping sees stale bytes, exactly like real freed memory — DDT's
     /// checkers, not the memory model, are responsible for flagging
     /// use-after-free.
+    ///
+    /// A range that reaches past the top of the address space unmaps up to
+    /// the top. An unmap that touches no region leaves a shared region map
+    /// shared.
     pub fn unmap(&mut self, start: u32, len: u32) {
         if len == 0 {
             return;
         }
-        let end = start + len;
+        let end = u64::from(start) + u64::from(len);
         let affected: Vec<(u32, u32)> = self
             .regions
-            .range(..end)
+            .iter()
+            .take_while(|&(&rs, _)| u64::from(rs) < end)
             .filter(|&(_, &re)| re > start)
             .map(|(&rs, &re)| (rs, re))
             .collect();
+        if affected.is_empty() {
+            return;
+        }
+        let regions = Arc::make_mut(&mut self.regions);
         for (rs, re) in affected {
-            self.regions.remove(&rs);
+            regions.remove(&rs);
             if rs < start {
-                self.regions.insert(rs, start);
+                regions.insert(rs, start);
             }
-            if re > end {
-                self.regions.insert(end, re);
+            if u64::from(re) > end {
+                regions.insert(end as u32, re);
             }
         }
     }

@@ -79,50 +79,6 @@ pub enum SymOrigin {
     Other,
 }
 
-/// Provenance record for one symbol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SymbolInfo {
-    /// Human-readable label ("registry:MaximumMulticastList").
-    pub label: String,
-    /// Structured origin.
-    pub origin: SymOrigin,
-    /// Width in bits.
-    pub width: u32,
-}
-
-/// Per-state symbol provenance table.
-#[derive(Clone, Debug, Default)]
-pub struct SymbolTable {
-    info: HashMap<SymId, SymbolInfo>,
-}
-
-impl SymbolTable {
-    /// Records a new symbol.
-    pub fn insert(&mut self, id: SymId, info: SymbolInfo) {
-        self.info.insert(id, info);
-    }
-
-    /// Looks up a symbol.
-    pub fn get(&self, id: SymId) -> Option<&SymbolInfo> {
-        self.info.get(&id)
-    }
-
-    /// Iterates all known symbols.
-    pub fn iter(&self) -> impl Iterator<Item = (SymId, &SymbolInfo)> {
-        self.info.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Number of symbols recorded.
-    pub fn len(&self) -> usize {
-        self.info.len()
-    }
-
-    /// True if no symbols were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.info.is_empty()
-    }
-}
-
 /// A log entry for an on-demand concretization (§3.2), kept so DDT can
 /// backtrack to the concretization point and re-issue the kernel call with
 /// a different feasible value.
@@ -141,14 +97,14 @@ pub struct Concretization {
 /// DDT's VM-level memory checker (§3.1.1) verifies every driver access
 /// against the union of granted regions. Grants change as the kernel hands
 /// resources to the driver and fork with the state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GrantRegion {
     /// First granted address.
     pub start: u32,
     /// One past the last granted address.
     pub end: u32,
     /// Why the driver may touch this ("driver image", "pool alloc", ...).
-    pub label: String,
+    pub label: &'static str,
 }
 
 /// The per-path set of granted regions.
@@ -159,11 +115,11 @@ pub struct GrantSet {
 
 impl GrantSet {
     /// Grants `[start, start+len)`.
-    pub fn grant(&mut self, start: u32, len: u32, label: impl Into<String>) {
+    pub fn grant(&mut self, start: u32, len: u32, label: &'static str) {
         if len == 0 {
             return;
         }
-        self.regions.push(GrantRegion { start, end: start + len, label: label.into() });
+        self.regions.push(GrantRegion { start, end: start + len, label });
     }
 
     /// Revokes any grant exactly starting at `start` (resource freed).
@@ -193,11 +149,8 @@ impl GrantSet {
     }
 
     /// The label of the grant containing `addr`, if any.
-    pub fn label_of(&self, addr: u32) -> Option<&str> {
-        self.regions
-            .iter()
-            .find(|r| addr >= r.start && addr < r.end)
-            .map(|r| r.label.as_str())
+    pub fn label_of(&self, addr: u32) -> Option<&'static str> {
+        self.regions.iter().find(|r| addr >= r.start && addr < r.end).map(|r| r.label)
     }
 }
 
@@ -252,8 +205,6 @@ pub struct SymState {
     /// conjunction), kept as their independence components so that a query
     /// starts from the partition and a fork shares it.
     pub constraints: PathCondition,
-    /// Provenance of every symbol created on this path.
-    pub symbols: SymbolTable,
     /// Concretization log for backtracking (§3.2).
     pub concretizations: Vec<Concretization>,
     /// Memory regions the driver may legally access (checker policy data).
@@ -293,7 +244,6 @@ impl SymState {
             cpu: SymCpu::default(),
             mem: SymMemory::new(),
             constraints: PathCondition::new(),
-            symbols: SymbolTable::default(),
             concretizations: Vec::new(),
             grants: GrantSet::default(),
             trace: Trace::new(),
@@ -315,7 +265,6 @@ impl SymState {
             cpu: self.cpu.clone(),
             mem: self.mem.fork(),
             constraints: self.constraints.clone(),
-            symbols: self.symbols.clone(),
             concretizations: self.concretizations.clone(),
             grants: self.grants.clone(),
             trace: self.trace.fork(),
@@ -344,7 +293,6 @@ impl SymState {
             }
             _ => self.label_pins.get_mut(&label).and_then(|q| q.pop_front()),
         };
-        self.symbols.insert(id, SymbolInfo { label: label.clone(), origin: origin.clone(), width });
         self.trace.push(TraceEvent::SymCreate { id, label, origin, width });
         let e = Expr::sym(id, width);
         if let Some(v) = pin {
@@ -505,9 +453,8 @@ mod tests {
             ddt_expr::NodeView::Sym { id, .. } => id,
             _ => panic!(),
         };
-        let info = s.symbols.get(id).unwrap();
-        assert_eq!(info.label, "registry:MaxList");
-        assert_eq!(info.origin, SymOrigin::Registry { name: "MaxList".into() });
+        let origin = SymOrigin::Registry { name: "MaxList".into() };
+        assert_eq!(s.trace.provenance(&[id]), vec![Some(("registry:MaxList", &origin))]);
     }
 }
 

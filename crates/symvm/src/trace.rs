@@ -139,6 +139,9 @@ pub struct Trace {
     frozen: Option<Arc<TraceSeg>>,
     local: Vec<TraceEvent>,
     frozen_len: usize,
+    /// Room the local tail takes at its first push: the length of the tail
+    /// the last fork froze.
+    tail_hint: usize,
 }
 
 impl Trace {
@@ -149,6 +152,9 @@ impl Trace {
 
     /// Appends an event.
     pub fn push(&mut self, ev: TraceEvent) {
+        if self.local.capacity() == 0 {
+            self.local.reserve_exact(self.tail_hint);
+        }
         self.local.push(ev);
     }
 
@@ -163,85 +169,63 @@ impl Trace {
     }
 
     /// Forks the trace: both sides keep the history, appends diverge.
+    ///
+    /// Each side's next local tail takes room, at its first push, for as
+    /// many events as the tail this fork froze, so the per-instruction
+    /// pushes that follow do not regrow it from empty. A side parked in a
+    /// frontier holds no tail until it runs.
     pub fn fork(&mut self) -> Trace {
         if !self.local.is_empty() {
-            let seg = TraceSeg {
-                parent: self.frozen.take(),
-                events: std::mem::take(&mut self.local),
-            };
-            self.frozen_len += seg.events.len();
-            self.frozen = Some(Arc::new(seg));
+            self.tail_hint = self.local.len();
+            let events = std::mem::take(&mut self.local);
+            self.frozen_len += events.len();
+            self.frozen = Some(Arc::new(TraceSeg { parent: self.frozen.take(), events }));
         }
-        Trace { frozen: self.frozen.clone(), local: Vec::new(), frozen_len: self.frozen_len }
+        Trace {
+            frozen: self.frozen.clone(),
+            local: Vec::new(),
+            frozen_len: self.frozen_len,
+            tail_hint: self.tail_hint,
+        }
+    }
+
+    /// Visits events newest-first: the local tail, then the frozen
+    /// segments back to the root. A query answered by recent history (the
+    /// common case for checkers asking "where was the last instruction?")
+    /// never touches the shared prefix.
+    pub fn iter_rev(&self) -> impl Iterator<Item = &TraceEvent> {
+        let frozen = std::iter::successors(self.frozen.as_deref(), |seg| seg.parent.as_deref());
+        self.local.iter().rev().chain(frozen.flat_map(|seg| seg.events.iter().rev()))
+    }
+
+    /// Visits the events from index `start` on, in execution order, without
+    /// cloning them. Only the segments that hold such events are walked.
+    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = &TraceEvent> {
+        let mut segs = Vec::new();
+        let mut seg_start = self.frozen_len;
+        let mut cur = self.frozen.as_deref();
+        while let Some(seg) = cur.filter(|_| seg_start > start) {
+            seg_start -= seg.events.len();
+            segs.push(seg);
+            cur = seg.parent.as_deref();
+        }
+        let skip = start.saturating_sub(seg_start);
+        segs.into_iter().rev().flat_map(|seg| seg.events.iter()).chain(&self.local).skip(skip)
     }
 
     /// Flattens the chain into execution order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut segs = Vec::new();
-        let mut cur = self.frozen.as_ref();
-        while let Some(seg) = cur {
-            segs.push(seg);
-            cur = seg.parent.as_ref();
-        }
-        let mut out = Vec::with_capacity(self.len());
-        for seg in segs.into_iter().rev() {
-            out.extend(seg.events.iter().cloned());
-        }
-        out.extend(self.local.iter().cloned());
-        out
+        self.iter_from(0).cloned().collect()
     }
 
     /// Iterates executed program counters in order.
     pub fn pcs(&self) -> Vec<u32> {
-        self.events()
-            .into_iter()
+        self.iter_from(0)
             .filter_map(|e| match e {
-                TraceEvent::Exec { pc } => Some(pc),
+                TraceEvent::Exec { pc } => Some(*pc),
                 _ => None,
             })
             .collect()
-    }
-
-    /// Visits every event in execution order without flattening the chain
-    /// into a fresh vector (no per-event clones).
-    pub fn for_each(&self, mut f: impl FnMut(&TraceEvent)) {
-        let mut segs = Vec::new();
-        let mut cur = self.frozen.as_ref();
-        while let Some(seg) = cur {
-            segs.push(seg);
-            cur = seg.parent.as_ref();
-        }
-        for seg in segs.into_iter().rev() {
-            for ev in &seg.events {
-                f(ev);
-            }
-        }
-        for ev in &self.local {
-            f(ev);
-        }
-    }
-
-    /// Visits events newest-first, stopping when `f` returns `Some`.
-    ///
-    /// Walks the local tail then the frozen segments backwards, so a query
-    /// answered by recent history (the common case for checkers asking
-    /// "where was the last instruction?") never touches the shared prefix.
-    pub fn rfind_map<T>(&self, mut f: impl FnMut(&TraceEvent) -> Option<T>) -> Option<T> {
-        for ev in self.local.iter().rev() {
-            if let Some(v) = f(ev) {
-                return Some(v);
-            }
-        }
-        let mut cur = self.frozen.as_ref();
-        while let Some(seg) = cur {
-            for ev in seg.events.iter().rev() {
-                if let Some(v) = f(ev) {
-                    return Some(v);
-                }
-            }
-            cur = seg.parent.as_ref();
-        }
-        None
     }
 
     /// Program counter of the most recently executed instruction, if any.
@@ -249,7 +233,7 @@ impl Trace {
     /// O(distance from the tail) — replaces the `events()` full flatten the
     /// checkers used to do on every fault-site lookup.
     pub fn last_exec_pc(&self) -> Option<u32> {
-        self.rfind_map(|ev| match ev {
+        self.iter_rev().find_map(|ev| match ev {
             TraceEvent::Exec { pc } => Some(*pc),
             _ => None,
         })
@@ -258,16 +242,31 @@ impl Trace {
     /// The last `n` events in execution order, without flattening the whole
     /// chain.
     pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(n.min(self.len()));
-        self.rfind_map(|ev| {
-            if out.len() == n {
-                return Some(());
+        self.iter_from(self.len().saturating_sub(n)).cloned().collect()
+    }
+
+    /// The label and origin of each symbol in `ids`, in `ids` order, as the
+    /// symbol's [`TraceEvent::SymCreate`] recorded them (`None` for a
+    /// symbol this path did not create). Every symbol of a path is created
+    /// by [`crate::SymState::new_symbol`], which logs that event, so the
+    /// trace is the path's provenance table (§3.6). One newest-first walk
+    /// that stops once every symbol is found.
+    pub fn provenance(&self, ids: &[SymId]) -> Vec<Option<(&str, &SymOrigin)>> {
+        let mut found = vec![None; ids.len()];
+        let mut missing = ids.len();
+        for ev in self.iter_rev() {
+            if missing == 0 {
+                break;
             }
-            out.push(ev.clone());
-            None
-        });
-        out.reverse();
-        out
+            let TraceEvent::SymCreate { id, label, origin, .. } = ev else { continue };
+            for (slot, want) in found.iter_mut().zip(ids) {
+                if want == id && slot.is_none() {
+                    *slot = Some((label.as_str(), origin));
+                    missing -= 1;
+                }
+            }
+        }
+        found
     }
 }
 
@@ -317,12 +316,13 @@ mod tests {
         assert_eq!(t.last_exec_pc(), Some(2));
         assert_eq!(t.tail(2).len(), 2);
         assert_eq!(t.tail(10).len(), 3);
-        let mut seen = Vec::new();
-        t.for_each(|ev| {
-            if let TraceEvent::Exec { pc } = ev {
-                seen.push(*pc);
-            }
-        });
+        let seen: Vec<u32> = t
+            .iter_from(0)
+            .filter_map(|ev| match ev {
+                TraceEvent::Exec { pc } => Some(*pc),
+                _ => None,
+            })
+            .collect();
         assert_eq!(seen, vec![1, 2]);
     }
 

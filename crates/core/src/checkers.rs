@@ -420,11 +420,8 @@ pub fn check_lifecycle(m: &mut Machine) -> Vec<PendingBug> {
     }
     if let Some(crate::machine::Frame::Pnp { event, trace_mark, .. }) = m.frames.last() {
         if *event == crate::report::LifecycleEvent::Resume {
-            let restored = m
-                .st
-                .trace
-                .iter_from(*trace_mark)
-                .any(|ev| matches!(ev, TraceEvent::HardwareWrite { .. }));
+            let mut since_mark = m.st.trace.iter_from(*trace_mark);
+            let restored = since_mark.any(|ev| matches!(ev, TraceEvent::HardwareWrite { .. }));
             if !restored {
                 bugs.push(PendingBug {
                     class: BugClass::LifecycleViolation,

@@ -1,17 +1,18 @@
 //! Search-strategy benchmark: what does coverage guidance buy?
 //!
-//! Runs the pro1000 and pcnet drivers under every [`Strategy`] (serial,
-//! pruning off so the comparison is pure ordering) and reports states
-//! expanded to the first bug and to the last new covered block — the two
-//! quantities a guided search is supposed to shrink. FIFO is the
+//! Runs the pro1000 and pcnet drivers under both [`Strategy`] values
+//! (serial, pruning off so the comparison is pure ordering) and reports
+//! states expanded to the first bug and to the last new covered block —
+//! the two quantities a guided search is supposed to shrink. FIFO is the
 //! report-identity baseline: same bugs, same coverage, only the order (and
 //! therefore the quanta-to-X counters) may differ.
 //!
-//! Acceptance gate: on each driver, at least one guided strategy must
-//! strictly beat FIFO on states-expanded-to-first-bug or on
+//! Acceptance gate: on each driver, `coverage-new-first` must strictly beat
+//! FIFO on states-expanded-to-first-bug or on
 //! states-expanded-to-full-coverage, and FIFO itself must land the Table 2
-//! bug count. A separate pruning column shows how many duplicate states
-//! `--prune` drops without changing the bug set.
+//! bug count. This is the standing check that the one optional strategy
+//! earns its place. A separate pruning column shows how many duplicate
+//! states `--prune` drops without changing the bug set.
 //!
 //! Every run appends an entry to the `BENCH_search.json` trajectory at the
 //! repo root (`format: trajectory-v1`, one slot per rev, date and mode),
@@ -117,33 +118,30 @@ fn main() {
         }
         println!();
 
-        let fifo = &rows[0];
-        assert_eq!(fifo.strategy, "fifo", "FIFO must be the baseline row");
-        // Every strategy reaches the same coverage and bug set; guidance
+        let [fifo, guided] = &rows[..] else { unreachable!("one row per strategy") };
+        assert_eq!(fifo.strategy, Strategy::Fifo.name(), "FIFO must be the baseline row");
+        assert_eq!(guided.strategy, Strategy::CoverageNewFirst.name());
+        // Both strategies reach the same coverage and bug set; guidance
         // only changes *when*. That is what the gate below measures.
-        for r in &rows[1..] {
-            assert_eq!(r.covered, fifo.covered, "{name}/{}: coverage diverged", r.strategy);
-            assert_eq!(r.bugs, fifo.bugs, "{name}/{}: bug count diverged", r.strategy);
-        }
-        let beats = |r: &Row| {
-            (r.first_bug != 0 && fifo.first_bug != 0 && r.first_bug < fifo.first_bug)
-                || r.last_cover < fifo.last_cover
-        };
-        let winner = rows[1..].iter().find(|r| beats(r));
+        assert_eq!(guided.covered, fifo.covered, "{name}/{}: coverage diverged", guided.strategy);
+        assert_eq!(guided.bugs, fifo.bugs, "{name}/{}: bug count diverged", guided.strategy);
+        let beats = (guided.first_bug != 0
+            && fifo.first_bug != 0
+            && guided.first_bug < fifo.first_bug)
+            || guided.last_cover < fifo.last_cover;
         assert!(
-            winner.is_some(),
-            "{name}: no guided strategy beat FIFO on states-to-first-bug \
-             ({}) or states-to-full-coverage ({})",
+            beats,
+            "{name}: {} did not beat FIFO on states-to-first-bug ({} vs {}) \
+             or states-to-full-coverage ({} vs {})",
+            guided.strategy,
+            guided.first_bug,
             fifo.first_bug,
+            guided.last_cover,
             fifo.last_cover
         );
         println!(
             "  gate: {} beats fifo (first bug {} vs {}, last cover {} vs {})",
-            winner.unwrap().strategy,
-            winner.unwrap().first_bug,
-            fifo.first_bug,
-            winner.unwrap().last_cover,
-            fifo.last_cover
+            guided.strategy, guided.first_bug, fifo.first_bug, guided.last_cover, fifo.last_cover
         );
         println!();
 
@@ -151,7 +149,7 @@ fn main() {
         driver_rows.push(Value::Map(vec![
             ("driver".into(), Value::Str(name.into())),
             ("table2_bugs".into(), Value::U64(table2_bugs as u64)),
-            ("guided_winner".into(), Value::Str(winner.unwrap().strategy.into())),
+            ("guided_winner".into(), Value::Str(guided.strategy.into())),
             ("strategies".into(), Value::List(strategies)),
         ]));
     }

@@ -11,8 +11,8 @@
 //! Figures 2 and 3.
 //!
 //! Counters live in arrays indexed like [`CodeAnalysis::blocks`], so the
-//! per-instruction `on_exec` and the frontier's per-state `priority` and
-//! `rarity` are array reads through the analysis's dense block table.
+//! per-instruction `on_exec` and the frontier's per-state `priority` are
+//! array reads through the analysis's dense block table.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -134,15 +134,6 @@ impl Coverage {
         fresh
     }
 
-    /// The hit count of the block starting at `pc`, or of a pc that starts
-    /// no block (0 unless a delta carried one).
-    fn hits_at(&self, pc: u32) -> u64 {
-        match self.analysis.block_index_at(pc) {
-            Some(i) => self.hits[i].unwrap_or(0),
-            None => self.other_hits.get(&pc).copied().unwrap_or(0),
-        }
-    }
-
     /// Folds a remote worker's coverage delta into this tracker: hit
     /// counts add, the covered set unions. No timeline samples are taken —
     /// remote deltas arrive in batches whose internal timing is unknown, so
@@ -197,29 +188,7 @@ impl Coverage {
         }
     }
 
-    /// Rarity of the frontier at `pc`: the smallest global hit count among
-    /// the static successors of the block containing `pc` (the branches a
-    /// state parked there could take next). A state sitting in front of a
-    /// never-taken branch scores 0 — the rarest possible — even when its
-    /// own block is hot, which is exactly the diamond/polling case the
-    /// EXE-style own-block count cannot distinguish. Blocks without static
-    /// successors fall back to their own count; outside the driver the
-    /// score is neutral (`u64::MAX`).
-    pub fn rarity(&self, pc: u32) -> u64 {
-        let Some(i) = self.analysis.block_index_of(pc) else {
-            return u64::MAX;
-        };
-        let block = &self.analysis.blocks[i];
-        block
-            .successors
-            .iter()
-            .map(|&s| self.hits_at(s))
-            .min()
-            .unwrap_or_else(|| self.hits[i].unwrap_or(0))
-    }
-
-    /// The block partition this tracker counts over (shared with the
-    /// search strategies, which need the CFG to rank frontier states).
+    /// The block partition this tracker counts over.
     pub fn analysis(&self) -> &CodeAnalysis {
         &self.analysis
     }
@@ -310,49 +279,6 @@ mod tests {
         assert_eq!(cov.priority(blocks[0]), 2);
         assert_eq!(cov.priority(blocks[1]), 0, "unvisited block is coldest");
         assert_eq!(cov.priority(0xdead_0000), u64::MAX, "outside the driver");
-    }
-
-    #[test]
-    fn rarity_scores_the_coldest_successor() {
-        let (mut cov, blocks) = coverage();
-        // blocks[0] is the entry branch with two successors; hammer one arm.
-        for _ in 0..5 {
-            cov.on_exec(blocks[1]);
-        }
-        // The other arm (blocks[2]) is untouched, so a state at the entry
-        // branch still scores 0: the rarest branch out of it is unvisited.
-        assert_eq!(cov.rarity(blocks[0]), 0);
-        cov.on_exec(blocks[2]);
-        cov.on_exec(blocks[2]);
-        assert_eq!(cov.rarity(blocks[0]), 2, "min over successor hit counts");
-        // A block with no static successors falls back to its own count.
-        assert_eq!(cov.rarity(blocks[1]), 5);
-        assert_eq!(cov.rarity(0xdead_0000), u64::MAX, "outside the driver");
-    }
-
-    /// Satellite: `absorb` must stay additive under the rarity accounting —
-    /// merging worker deltas in any order yields the same rarity ranking,
-    /// so rarest-branch selection is deterministic across runs.
-    #[test]
-    fn rarity_survives_absorb_merges_in_any_order() {
-        let (mut fwd, blocks) = coverage();
-        let (mut rev, _) = coverage();
-        let deltas: Vec<Vec<(u32, u64)>> = vec![
-            vec![(blocks[1], 3)],
-            vec![(blocks[1], 2), (blocks[2], 7)],
-            vec![(blocks[2], 1)],
-        ];
-        for d in &deltas {
-            fwd.absorb(d.clone(), d.iter().map(|&(pc, _)| pc).collect::<Vec<_>>());
-        }
-        for d in deltas.iter().rev() {
-            rev.absorb(d.clone(), d.iter().map(|&(pc, _)| pc).collect::<Vec<_>>());
-        }
-        for &b in &blocks {
-            assert_eq!(fwd.rarity(b), rev.rarity(b), "merge order must not matter");
-            assert_eq!(fwd.priority(b), rev.priority(b));
-        }
-        assert_eq!(fwd.rarity(blocks[0]), 5, "additive: 3+2 on the hot arm");
     }
 
     /// Satellite: the concrete edge map and the symbolic tracker share one

@@ -126,9 +126,9 @@ pub struct DdtConfig {
     /// campaign is active), and returns a partial report.
     pub stop_flag: Option<Arc<AtomicBool>>,
     /// Frontier search strategy (`--strategy`). The default `fifo` is the
-    /// report-identity baseline; the guided strategies reorder expansion
-    /// only, so all of them find the same bug set (the
-    /// `search_differential` harness pins this).
+    /// report-identity baseline; `coverage-new-first` reorders expansion
+    /// only, so both find the same bug set (the `search_differential`
+    /// harness pins this).
     pub strategy: Strategy,
     /// Opt-in structural-fingerprint pruning (`--prune` / `--no-prune`):
     /// drop a forked state whose [`Machine::fingerprint`] already appeared
@@ -1421,5 +1421,22 @@ mod tests {
         let mut b = DdtConfig::default();
         b.max_path_insns = 1000;
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Checkpoints and fleet handshakes carry the config fingerprint, and a
+    /// resume or a worker refuses a mismatch. The strategies' values are
+    /// pinned so that renaming a strategy, or reordering the fingerprint's
+    /// fields, cannot strand a checkpoint written before the change.
+    #[test]
+    fn kept_strategy_fingerprints_are_pinned() {
+        for (strategy, prune, want) in [
+            (Strategy::Fifo, false, 0x66f2_d5bd_2aea_456d),
+            (Strategy::Fifo, true, 0x4dfa_e612_e772_be9a),
+            (Strategy::CoverageNewFirst, false, 0x3fde_10a0_1653_cce9),
+            (Strategy::CoverageNewFirst, true, 0x34de_6247_c643_8fee),
+        ] {
+            let config = DdtConfig { strategy, prune, ..DdtConfig::default() };
+            assert_eq!(config.fingerprint(), want, "{} prune={prune}", strategy.name());
+        }
     }
 }

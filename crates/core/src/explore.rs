@@ -37,7 +37,7 @@ use crate::hardware::DdtEnv;
 use crate::machine::Machine;
 use crate::replay::ReplayCursor;
 use crate::report::{Bug, BugClass, ExploreStats, Report, RunHealth};
-use crate::search::{Frontier, LastIn, PruneSet, Strategy};
+use crate::search::{Frontier, PruneSet};
 
 /// What one quantum left behind, besides the machine and the forks it
 /// admitted to the worklist.
@@ -315,7 +315,7 @@ impl<'a> Explorer<'a> {
         m.id = rec.id;
         // Search metadata is not derivable from the choice log (it depends
         // on global coverage at fork time), so restore it from the record —
-        // guided strategies rank a resumed frontier exactly like the
+        // `coverage-new-first` ranks a resumed frontier exactly like the
         // uninterrupted run would.
         m.cov_fresh = rec.cov_fresh;
         m.cov_stamp = rec.cov_stamp;
@@ -370,13 +370,6 @@ impl RunState {
     ) -> (RunState, Frontier) {
         let config = &ddt.config;
         let lease = matches!(start, Start::Lease { .. });
-        // Built before `analysis` moves into the coverage tracker:
-        // bug-directed precomputes its CFG distance map here.
-        let strategy = if lease && config.strategy == Strategy::Fifo {
-            Box::new(LastIn)
-        } else {
-            config.strategy.runtime(&analysis)
-        };
         let mut stats = ExploreStats::default();
         let mut bugs = HashMap::new();
         let mut next_id = 1;
@@ -431,7 +424,12 @@ impl RunState {
             checkpoint_seq,
             resumed,
         };
-        (run, Frontier::new(strategy, pending))
+        let frontier = if lease {
+            Frontier::for_shard(config.strategy, pending)
+        } else {
+            Frontier::new(config.strategy, pending)
+        };
+        (run, frontier)
     }
 
     /// True once the run has spent its instruction or wall-clock budget.
@@ -446,7 +444,7 @@ impl RunState {
     /// - advance the quantum ordinal, and the first-bug and last-cover
     ///   ordinals;
     /// - stamp the coverage delta on the machine and on its new forks
-    ///   `children[first..]`, which the guided strategies rank by;
+    ///   `children[first..]`, which `coverage-new-first` ranks by;
     /// - with pruning on, drop the new forks whose structural fingerprint
     ///   already appeared with no coverage delta since. Only this
     ///   quantum's forks are candidates — never the machine itself, never

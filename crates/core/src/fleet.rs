@@ -437,9 +437,9 @@ fn explore_shard<W: Write>(
         Err(why) => return Ok(ShardOutcome::Failed(format!("prefix replay: {why}"))),
     };
     // Shard-disjoint id space; ids only label forks, uniqueness is enough.
-    // Guided strategies rank against the shard's own coverage census (the
-    // supervisor's merged view is not visible from here), and pruning is
-    // shard-local too.
+    // `coverage-new-first` ranks against the shard's own coverage census
+    // (the supervisor's merged view is not visible from here), and pruning
+    // is shard-local too.
     let (ddt, dut) = (explorer.ddt(), explorer.dut());
     let lease = Start::Lease { machine: root, next_id: (shard + 1) << 32 };
     let (mut run, mut frontier) = RunState::start(ddt, dut, analysis.clone(), lease);

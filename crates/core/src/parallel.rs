@@ -117,10 +117,9 @@ impl Pool {
     fn new(run: &RunState, start: Frontier, workers: usize, ddt: &Ddt) -> Pool {
         let view = RunView::new(run, start.len());
         let mut frontiers = vec![Mutex::new(start)];
-        frontiers.extend((1..workers).map(|_| {
-            let strategy = ddt.config.strategy.runtime(run.coverage.analysis());
-            Mutex::new(Frontier::new(strategy, Vec::new()))
-        }));
+        frontiers.extend(
+            (1..workers).map(|_| Mutex::new(Frontier::new(ddt.config.strategy, Vec::new()))),
+        );
         Pool {
             frontiers,
             view,

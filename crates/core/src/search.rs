@@ -1,23 +1,17 @@
-//! Pluggable frontier search strategies and structural-state pruning.
+//! Frontier search strategies and structural-state pruning.
 //!
 //! Which state the exerciser expands next decides whether a large driver
-//! finishes (§3 of the paper; Baldoni et al. catalog the standard
-//! techniques). The frontier is abstracted behind [`SearchStrategy`] so the
-//! selection policy is a configuration choice, not a property of the loop:
+//! finishes (§3 of the paper). The [`Frontier`] orders its worklist by the
+//! configured [`Strategy`]:
 //!
-//! - `fifo` — the report-identity baseline: the EXE-style minimum-block-hit
-//!   scan exactly as the serial loop has always run it (including the
+//! - `fifo` — the paper's heuristic: the EXE-style minimum-block-hit scan
+//!   exactly as the serial loop has always run it (including the
 //!   deterministic stride sampling for large worklists), so reports are
 //!   byte-identical to the pre-strategy exerciser;
 //! - `coverage-new-first` — states whose last quantum opened unseen blocks
-//!   jump the queue (fed by [`Coverage`] deltas stamped on the machine);
-//! - `rarest-branch` — states parked in front of the globally least-taken
-//!   branch run first ([`Coverage::rarity`] over merged hit counts);
-//! - `bug-directed` — states closest (in CFG blocks) to a kernel-call
-//!   "checker site" run first ([`CodeAnalysis::checker_distances`]).
-//!
-//! All guided strategies tie-break by the EXE cold-block priority and then
-//! by frontier position, so selection is fully deterministic.
+//!   jump the queue (fed by [`Coverage`] deltas stamped on the machine),
+//!   tie-broken by the EXE cold-block priority and then by frontier
+//!   position, so selection is fully deterministic.
 //!
 //! [`PruneSet`] implements the opt-in structural-fingerprint pruning: a
 //! forked state whose [`Machine::fingerprint`] (pc, invocation shape,
@@ -26,87 +20,20 @@
 
 use std::cmp::Reverse;
 
-use ddt_isa::analysis::CodeAnalysis;
 use ddt_isa::hash::IntMap;
 use ddt_trace::{fnv1a64, MachineFingerprint};
 
 use crate::coverage::Coverage;
 use crate::machine::Machine;
 
-/// The configured search strategy (a pure config value; the runtime object
-/// is built per run via [`Strategy::runtime`]).
+/// The configured search strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Today's behavior: EXE-style min-block-hit with stride sampling.
+    /// The paper's heuristic: EXE-style min-block-hit with stride sampling.
     #[default]
     Fifo,
     /// Prioritize states that just discovered new blocks.
     CoverageNewFirst,
-    /// Prioritize states in front of the globally rarest branch.
-    RarestBranch,
-    /// Prioritize states closest to a kernel-call checker site.
-    BugDirected,
-}
-
-impl Strategy {
-    /// Every strategy, in CLI order.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::Fifo,
-        Strategy::CoverageNewFirst,
-        Strategy::RarestBranch,
-        Strategy::BugDirected,
-    ];
-
-    /// Parses a `--strategy` value.
-    pub fn parse(s: &str) -> Option<Strategy> {
-        match s {
-            "fifo" => Some(Strategy::Fifo),
-            "coverage-new-first" => Some(Strategy::CoverageNewFirst),
-            "rarest-branch" => Some(Strategy::RarestBranch),
-            "bug-directed" => Some(Strategy::BugDirected),
-            _ => None,
-        }
-    }
-
-    /// The CLI / fingerprint name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Fifo => "fifo",
-            Strategy::CoverageNewFirst => "coverage-new-first",
-            Strategy::RarestBranch => "rarest-branch",
-            Strategy::BugDirected => "bug-directed",
-        }
-    }
-
-    /// Builds the runtime selector. `bug-directed` precomputes its
-    /// distance-to-checker-site map from the CFG here, so call this before
-    /// the analysis is consumed by [`Coverage::new`].
-    pub fn runtime(self, analysis: &CodeAnalysis) -> Box<dyn SearchStrategy> {
-        match self {
-            Strategy::Fifo => Box::new(FifoScan),
-            Strategy::CoverageNewFirst => Box::new(CoverageNewFirst),
-            Strategy::RarestBranch => Box::new(RarestBranch),
-            Strategy::BugDirected => {
-                let to_site = analysis.checker_distances();
-                let distances = analysis
-                    .blocks
-                    .iter()
-                    .map(|b| to_site.get(&b.start).copied().unwrap_or(u64::MAX))
-                    .collect();
-                Box::new(BugDirected { distances })
-            }
-        }
-    }
-}
-
-/// A frontier selection policy: given the current frontier and the merged
-/// global coverage, pick the index of the state to expand next. `frontier`
-/// is never empty at the call.
-pub trait SearchStrategy: Send + Sync {
-    /// The strategy's CLI name.
-    fn name(&self) -> &'static str;
-    /// Index of the state to expand next.
-    fn select(&self, frontier: &[Machine], cov: &Coverage) -> usize;
 }
 
 /// For large worklists the baseline scan samples a deterministic stride —
@@ -114,115 +41,54 @@ pub trait SearchStrategy: Send + Sync {
 /// O(n) pass per quantum. Kept bit-identical to the historic serial loop.
 const SCAN_LIMIT: usize = 64;
 
-/// The report-identity baseline (§4.3): minimum block-hit count, stride
-/// sampled beyond [`SCAN_LIMIT`], first minimum wins.
-struct FifoScan;
+impl Strategy {
+    /// Every strategy, in CLI order.
+    pub const ALL: [Strategy; 2] = [Strategy::Fifo, Strategy::CoverageNewFirst];
 
-impl SearchStrategy for FifoScan {
-    fn name(&self) -> &'static str {
-        Strategy::Fifo.name()
+    /// Parses a `--strategy` value.
+    pub fn parse(s: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|st| st.name() == s)
     }
 
-    fn select(&self, frontier: &[Machine], cov: &Coverage) -> usize {
-        if frontier.len() <= SCAN_LIMIT {
-            frontier
+    /// The CLI / fingerprint name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Strategy::Fifo => "fifo",
+            Strategy::CoverageNewFirst => "coverage-new-first",
+        }
+    }
+
+    /// Index of the state in `frontier` (never empty) to expand next.
+    ///
+    /// - `fifo` (§4.3): minimum block-hit count, stride sampled beyond
+    ///   [`SCAN_LIMIT`], first minimum wins.
+    /// - `coverage-new-first`: states that just opened unseen blocks jump
+    ///   the queue; among equally fresh states the newest discovery wins,
+    ///   then the EXE cold-block rule.
+    pub fn select(self, frontier: &[Machine], cov: &Coverage) -> usize {
+        match self {
+            Strategy::Fifo if frontier.len() > SCAN_LIMIT => {
+                let stride = frontier.len() / SCAN_LIMIT;
+                (0..SCAN_LIMIT)
+                    .map(|k| (k * stride) % frontier.len())
+                    .min_by_key(|&i| cov.priority(frontier[i].st.cpu.pc))
+                    .expect("frontier non-empty")
+            }
+            Strategy::Fifo => frontier
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, m)| cov.priority(m.st.cpu.pc))
                 .map(|(i, _)| i)
-                .expect("frontier non-empty")
-        } else {
-            let stride = frontier.len() / SCAN_LIMIT;
-            (0..SCAN_LIMIT)
-                .map(|k| (k * stride) % frontier.len())
-                .min_by_key(|&i| cov.priority(frontier[i].st.cpu.pc))
-                .expect("frontier non-empty")
+                .expect("frontier non-empty"),
+            Strategy::CoverageNewFirst => frontier
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, m)| {
+                    (Reverse(m.cov_fresh), Reverse(m.cov_stamp), cov.priority(m.st.cpu.pc))
+                })
+                .map(|(i, _)| i)
+                .expect("frontier non-empty"),
         }
-    }
-}
-
-/// States that just opened unseen blocks jump the queue; among equally
-/// fresh states the newest discovery wins, then the EXE cold-block rule.
-struct CoverageNewFirst;
-
-impl SearchStrategy for CoverageNewFirst {
-    fn name(&self) -> &'static str {
-        Strategy::CoverageNewFirst.name()
-    }
-
-    fn select(&self, frontier: &[Machine], cov: &Coverage) -> usize {
-        frontier
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| {
-                (Reverse(m.cov_fresh), Reverse(m.cov_stamp), cov.priority(m.st.cpu.pc))
-            })
-            .map(|(i, _)| i)
-            .expect("frontier non-empty")
-    }
-}
-
-/// Inverse global branch frequency: expand the state whose next branches
-/// include the globally least-executed one.
-struct RarestBranch;
-
-impl SearchStrategy for RarestBranch {
-    fn name(&self) -> &'static str {
-        Strategy::RarestBranch.name()
-    }
-
-    fn select(&self, frontier: &[Machine], cov: &Coverage) -> usize {
-        frontier
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| (cov.rarity(m.st.cpu.pc), cov.priority(m.st.cpu.pc)))
-            .map(|(i, _)| i)
-            .expect("frontier non-empty")
-    }
-}
-
-/// Directed search toward checker sites: smallest CFG distance to a block
-/// that calls into the kernel (where every dynamic checker observes the
-/// driver), tie-broken by the cold-block rule.
-struct BugDirected {
-    /// Distance to the nearest checker site per block, indexed like
-    /// [`CodeAnalysis::blocks`] (`u64::MAX` when none is reachable).
-    distances: Vec<u64>,
-}
-
-impl BugDirected {
-    fn distance(&self, cov: &Coverage, pc: u32) -> u64 {
-        cov.analysis().block_index_of(pc).map_or(u64::MAX, |i| self.distances[i])
-    }
-}
-
-impl SearchStrategy for BugDirected {
-    fn name(&self) -> &'static str {
-        Strategy::BugDirected.name()
-    }
-
-    fn select(&self, frontier: &[Machine], cov: &Coverage) -> usize {
-        frontier
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| (self.distance(cov, m.st.cpu.pc), cov.priority(m.st.cpu.pc)))
-            .map(|(i, _)| i)
-            .expect("frontier non-empty")
-    }
-}
-
-/// The fleet shard's `fifo` selector: the most recently pushed state first.
-/// Its `swap_remove` of the last index is a plain `pop`, so a shard runs
-/// depth-first down its leased subtree, as it always has.
-pub(crate) struct LastIn;
-
-impl SearchStrategy for LastIn {
-    fn name(&self) -> &'static str {
-        "last-in"
-    }
-
-    fn select(&self, frontier: &[Machine], _cov: &Coverage) -> usize {
-        frontier.len() - 1
     }
 }
 
@@ -231,14 +97,24 @@ impl SearchStrategy for LastIn {
 /// the `fifo` strategy reproduces it operation for operation.
 pub struct Frontier {
     items: Vec<Machine>,
-    strategy: Box<dyn SearchStrategy>,
+    strategy: Strategy,
+    /// Pop the most recently pushed state instead: the `swap_remove` of the
+    /// last index is a plain `pop`, so a `fifo` fleet shard runs depth-first
+    /// down its leased subtree.
+    last_in: bool,
 }
 
 impl Frontier {
     /// Wraps an initial worklist (the root machine, or a checkpoint's
     /// restored frontier) under a strategy.
-    pub fn new(strategy: Box<dyn SearchStrategy>, items: Vec<Machine>) -> Frontier {
-        Frontier { items, strategy }
+    pub fn new(strategy: Strategy, items: Vec<Machine>) -> Frontier {
+        Frontier { items, strategy, last_in: false }
+    }
+
+    /// A fleet shard's frontier: `fifo` pops last-in, first-out
+    /// (DESIGN §4.9); any other strategy pops as [`Frontier::new`]'s does.
+    pub(crate) fn for_shard(strategy: Strategy, items: Vec<Machine>) -> Frontier {
+        Frontier { items, strategy, last_in: strategy == Strategy::Fifo }
     }
 
     /// Adds a state.
@@ -251,7 +127,11 @@ impl Frontier {
         if self.items.is_empty() {
             return None;
         }
-        let i = self.strategy.select(&self.items, cov);
+        let i = if self.last_in {
+            self.items.len() - 1
+        } else {
+            self.strategy.select(&self.items, cov)
+        };
         Some(self.items.swap_remove(i))
     }
 
@@ -274,11 +154,6 @@ impl Frontier {
     /// post-quantum metadata stamping/pruning.
     pub fn storage_mut(&mut self) -> &mut Vec<Machine> {
         &mut self.items
-    }
-
-    /// The active strategy's name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
     }
 }
 

@@ -6,7 +6,7 @@
 //! block. Neither may change an answer: `block_of` must equal the ordered
 //! search at every byte address around every bundled driver's text, and
 //! random `on_exec`, `absorb_concrete` and `absorb` sequences must leave
-//! the same `snapshot`, `priority` and `rarity` as a `HashMap` tracker.
+//! the same `snapshot` and `priority` as a `HashMap` tracker.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -89,16 +89,6 @@ impl Reference {
             None => u64::MAX,
         }
     }
-
-    fn rarity(&self, pc: u32) -> u64 {
-        let Some(start) = block_of(&self.blocks, pc) else { return u64::MAX };
-        self.blocks[&start]
-            .successors
-            .iter()
-            .map(|s| self.hits.get(s).copied().unwrap_or(0))
-            .min()
-            .unwrap_or_else(|| self.hits.get(&start).copied().unwrap_or(0))
-    }
 }
 
 /// A pc of one of four kinds: a block start, a successor address (which
@@ -159,7 +149,6 @@ proptest! {
             for _ in 0..8 {
                 let pc = pick_pc(&mut rng, &a, base, end);
                 prop_assert_eq!(cov.priority(pc), reference.priority(pc), "step {step}: {pc:#x}");
-                prop_assert_eq!(cov.rarity(pc), reference.rarity(pc), "step {step}: {pc:#x}");
             }
         }
         // A tracker restored from the snapshot reads the same.
@@ -169,7 +158,6 @@ proptest! {
         prop_assert_eq!((rhits, rcovered), (hits, covered));
         for b in &a.blocks {
             prop_assert_eq!(restored.priority(b.start), reference.priority(b.start));
-            prop_assert_eq!(restored.rarity(b.start), reference.rarity(b.start));
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the pluggable search frontier.
+//! Property tests for the search frontier.
 //!
 //! Whatever order a [`Strategy`] imposes, the frontier must stay a faithful
 //! container: every pushed state is popped exactly once (no drops, no
 //! duplicates), selection never goes out of bounds, and coverage updates
-//! between pops — which reshuffle every guided strategy's priorities — can
-//! only reorder states, never lose them. [`PruneSet`] gets a model-based
+//! between pops — which reshuffle every strategy's priorities — can only
+//! reorder states, never lose them. [`PruneSet`] gets a model-based
 //! check: it may drop a state only when the same fingerprint hash was
 //! already seen at the same covered-block count.
 
@@ -62,17 +62,16 @@ proptest! {
     #[test]
     fn every_pushed_state_pops_exactly_once(
         steps in proptest::collection::vec(arb_step(), 1..60),
-        strategy_pick in 0usize..4,
+        strategy_pick in 0usize..Strategy::ALL.len(),
     ) {
         let strategy = Strategy::ALL[strategy_pick];
         let analysis = pcnet_analysis();
         // Candidate pcs: real block starts plus a few foreign addresses.
         let mut pcs: Vec<u32> = analysis.blocks.iter().map(|b| b.start).take(12).collect();
         pcs.extend([0xdead_0000, 0x1, 0xffff_fff0]);
-        let runtime = strategy.runtime(&analysis);
         let mut coverage = Coverage::new(analysis);
 
-        let mut frontier = Frontier::new(runtime, Vec::new());
+        let mut frontier = Frontier::new(strategy, Vec::new());
         let mut pushed: Vec<u64> = Vec::new();
         let mut popped: Vec<u64> = Vec::new();
         let mut next_unique: u64 = 1;
@@ -119,7 +118,6 @@ proptest! {
         let analysis = pcnet_analysis();
         let pcs: Vec<u32> = analysis.blocks.iter().map(|b| b.start).take(16).collect();
         for strategy in Strategy::ALL {
-            let runtime = strategy.runtime(&analysis);
             let mut coverage = Coverage::new(analysis.clone());
             for &w in &warm {
                 coverage.on_exec(pcs[w % pcs.len()]);
@@ -129,8 +127,8 @@ proptest! {
                 .enumerate()
                 .map(|(i, &(id, pc))| machine_at(id ^ i as u64, pcs[pc % pcs.len()]))
                 .collect();
-            let a = runtime.select(&items, &coverage);
-            let b = runtime.select(&items, &coverage);
+            let a = strategy.select(&items, &coverage);
+            let b = strategy.select(&items, &coverage);
             prop_assert!(a < items.len(), "{}: out of bounds", strategy.name());
             prop_assert_eq!(a, b, "{}: unstable selection", strategy.name());
         }

@@ -113,7 +113,7 @@ fn usage() -> ExitCode {
         "usage:\n  ddt test <driver.dxe|name> [--audio] [--registry K=V]... \
          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle] [--workers N] \
          [--no-query-cache] \
-         [--strategy fifo|coverage-new-first|rarest-branch|bug-directed] \
+         [--strategy fifo|coverage-new-first] \
          [--prune] [--no-prune] \
          [--json FILE] [--replay] [--health] \
          [--trace-dir DIR] [--checkpoint-dir DIR] [--checkpoint-every N] \
@@ -256,10 +256,11 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
     // supervisor and workers agree, and a resume refuses a mismatched
     // strategy. `--no-prune` is the escape hatch that wins over `--prune`.
     if let Some(name) = flag_value(args, "--strategy") {
-        match ddt::Strategy::parse(&name) {
-            Some(s) => config.strategy = s,
-            None => return Err(format!("bad --strategy value {name:?}")),
-        }
+        let Some(s) = ddt::Strategy::parse(&name) else {
+            let names: Vec<&str> = ddt::Strategy::ALL.iter().map(|s| s.name()).collect();
+            return Err(format!("bad --strategy value {name:?}: expected {}", names.join(" or ")));
+        };
+        config.strategy = s;
     }
     if args.iter().any(|a| a == "--prune") {
         config.prune = true;
@@ -1122,9 +1123,16 @@ mod tests {
             (&["serve", "pcnet", "--max-retries", "4294967296"], "--max-retries"),
             (&["worker", "pcnet", "--worker-id", "x"], "--worker-id"),
             (&["worker", "pcnet", "--heartbeat-ms", "0"], "--heartbeat-ms"),
+            (&["test", "pcnet", "--strategy", "rarest-branch"], "--strategy"),
+            (&["test", "pcnet", "--strategy", "bug-directed"], "--strategy"),
         ] {
             let err = bad(list);
             assert!(err.contains(flag), "{list:?}: {err}");
+        }
+        // An unknown strategy's error names every strategy there is.
+        let err = bad(&["test", "pcnet", "--strategy", "rarest-branch"]);
+        for s in ddt::Strategy::ALL {
+            assert!(err.contains(s.name()), "{err}");
         }
         let fz = parse_fuzz_config(&argv(&["fuzz", "pcnet", "--seed", "0xDD7"])).expect("hex");
         assert_eq!(fz.seed, 0xDD7);

@@ -63,11 +63,6 @@ impl Rng {
         assert!(n > 0, "empty range");
         self.next_u64() % n
     }
-
-    /// True with probability `num/den`.
-    pub fn coin(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
 }
 
 /// One complete concrete input to a driver exercise run.

@@ -5,7 +5,7 @@
 //! The Table 1 census ("number of functions", "number of called kernel
 //! functions") is computed here as well.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::image::DxeImage;
 use crate::insn::Insn;
@@ -44,18 +44,14 @@ impl BasicBlock {
 #[derive(Clone, Debug)]
 pub struct CodeAnalysis {
     /// Basic blocks in address order. A block's position here is its
-    /// index: the coverage tracker and the search strategies keep their
-    /// per-block counters in arrays indexed by it.
+    /// index: the coverage tracker keeps its per-block counters in arrays
+    /// indexed by it.
     pub blocks: Vec<BasicBlock>,
     /// Function entry addresses (the image entry + every static call target
     /// inside the image).
     pub functions: BTreeSet<u32>,
     /// Kernel export ids called anywhere in the text section.
     pub called_exports: BTreeSet<u16>,
-    /// Start addresses of blocks that call into the kernel. Every dynamic
-    /// checker observes the driver at these call boundaries, so they are
-    /// the "checker sites" the bug-directed search heuristic steers toward.
-    pub call_blocks: BTreeSet<u32>,
     /// The address of the text's first instruction slot.
     text_base: u32,
     /// For every instruction slot of the text, how many blocks start at or
@@ -98,38 +94,6 @@ impl CodeAnalysis {
     /// Total number of basic blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Shortest CFG distance (in blocks, over static successor edges) from
-    /// each block to the nearest kernel-call block. Blocks that cannot
-    /// reach a checker site statically are absent. Computed by a reverse
-    /// BFS seeded from [`call_blocks`](Self::call_blocks) at distance 0.
-    pub fn checker_distances(&self) -> BTreeMap<u32, u64> {
-        let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for b in &self.blocks {
-            for &s in &b.successors {
-                if self.block_index_at(s).is_some() {
-                    preds.entry(s).or_default().push(b.start);
-                }
-            }
-        }
-        let mut dist: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<u32> = BTreeSet::iter(&self.call_blocks)
-            .map(|&b| {
-                dist.insert(b, 0);
-                b
-            })
-            .collect();
-        while let Some(b) = queue.pop_front() {
-            let d = dist[&b];
-            for &p in preds.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
-                if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(p) {
-                    e.insert(d + 1);
-                    queue.push_back(p);
-                }
-            }
-        }
-        dist
     }
 }
 
@@ -194,7 +158,6 @@ pub fn analyze(image: &DxeImage) -> CodeAnalysis {
 
     // Partition into blocks, in address order.
     let mut blocks = Vec::new();
-    let mut call_blocks: BTreeSet<u32> = BTreeSet::new();
     let leader_list: Vec<u32> = leaders.iter().copied().collect();
     for (k, &start) in leader_list.iter().enumerate() {
         let limit = leader_list.get(k + 1).copied().unwrap_or(base + n * INSN_SIZE);
@@ -212,9 +175,6 @@ pub fn analyze(image: &DxeImage) -> CodeAnalysis {
                     Insn::Call { imm } => {
                         // Calls return; successor is the next instruction
                         // (and the callee, if it is local code).
-                        if trap_export_id(imm).is_some() {
-                            call_blocks.insert(start);
-                        }
                         if in_text(imm) {
                             successors.push(imm);
                         }
@@ -262,7 +222,7 @@ pub fn analyze(image: &DxeImage) -> CodeAnalysis {
     let slot_blocks = (0..n)
         .map(|i| blocks.partition_point(|b: &BasicBlock| b.start <= base + i * INSN_SIZE) as u32)
         .collect();
-    CodeAnalysis { blocks, functions, called_exports, call_blocks, text_base: base, slot_blocks }
+    CodeAnalysis { blocks, functions, called_exports, text_base: base, slot_blocks }
 }
 
 /// Summary row for the Table 1 census.
@@ -297,6 +257,8 @@ pub fn census(image: &DxeImage) -> DriverCensus {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::asm::{assemble, ExportMap};
 
@@ -397,32 +359,6 @@ mod tests {
         let top = block_at(&a, img.entry);
         assert!(top.successors.contains(&img.entry), "back edge");
         assert!(top.successors.iter().any(|&s| s != img.entry), "exit edge");
-    }
-
-    #[test]
-    fn kernel_call_blocks_and_checker_distances() {
-        let img = build(
-            "DriverEntry:
-                beq r0, r1, far
-                nop
-                call @KeSleep
-                ret
-            far:
-                nop
-                ret",
-        );
-        let a = analyze(&img);
-        // Exactly one block contains a kernel call: the fall-through arm.
-        assert_eq!(a.call_blocks.len(), 1);
-        let call_block = *a.call_blocks.iter().next().unwrap();
-        let dist = a.checker_distances();
-        assert_eq!(dist.get(&call_block), Some(&0), "checker site is distance 0");
-        // The entry block branches into the calling block: distance 1.
-        assert_eq!(dist.get(&img.entry), Some(&1));
-        // `far` never reaches a kernel call: absent from the map.
-        let far = a.blocks.last().unwrap().start;
-        assert!(!a.call_blocks.contains(&far));
-        assert_eq!(dist.get(&far), None, "unreachable-from: no distance");
     }
 
     /// The dense table against the block list's own definition: the last

@@ -86,11 +86,6 @@ impl DxeImage {
         self.load_base..self.load_base + self.text.len() as u32
     }
 
-    /// The address range occupied by the whole image.
-    pub fn image_range(&self) -> std::ops::Range<u32> {
-        self.load_base..self.image_end()
-    }
-
     /// Total size of the on-disk binary file.
     pub fn file_size(&self) -> usize {
         self.to_bytes().len()

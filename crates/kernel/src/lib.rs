@@ -51,8 +51,6 @@ pub use state::{
     ResourceKind,
 };
 
-use ddt_isa::RETURN_TRAP;
-
 /// NDIS_STATUS_SUCCESS.
 pub const STATUS_SUCCESS: u32 = 0;
 /// NDIS_STATUS_FAILURE.
@@ -108,11 +106,6 @@ impl Kernel {
             Some(c) => Err(c.clone()),
             None => Ok(()),
         }
-    }
-
-    /// The address driver entry points return to.
-    pub fn return_trap() -> u32 {
-        RETURN_TRAP
     }
 }
 

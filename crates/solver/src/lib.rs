@@ -229,20 +229,10 @@ impl Solver {
         self.is_feasible(&[constraints, std::slice::from_ref(cond)].concat())
     }
 
-    /// Returns true if `cond` can be true under `pc`.
-    pub fn may_be_true_under(&mut self, pc: &PathCondition, cond: &Expr) -> bool {
-        self.is_feasible_under(pc, std::slice::from_ref(cond))
-    }
-
     /// Returns true if `cond` must be true under `constraints` (its negation
     /// is infeasible).
     pub fn must_be_true(&mut self, constraints: &[Expr], cond: &Expr) -> bool {
         !self.is_feasible(&[constraints, &[cond.lnot()]].concat())
-    }
-
-    /// Returns true if `cond` must be true under `pc`.
-    pub fn must_be_true_under(&mut self, pc: &PathCondition, cond: &Expr) -> bool {
-        !self.is_feasible_under(pc, &[cond.lnot()])
     }
 
     /// Produces a feasible concrete value of `e` under `constraints`, or

@@ -36,8 +36,8 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"DDTJ";
 /// Current campaign format version (shared by both artifacts).
 ///
 /// v2: frontier records carry the search metadata (`cov_fresh`,
-/// `cov_stamp`) guided strategies rank by, and checkpoints carry the
-/// structural-fingerprint prune set.
+/// `cov_stamp`) that `coverage-new-first` ranks by, and checkpoints carry
+/// the structural-fingerprint prune set.
 ///
 /// v3 added a deferred-verdict flag to frontier records.
 ///
@@ -135,7 +135,7 @@ pub struct FrontierRecord {
     /// Validation fingerprint.
     pub fp: MachineFingerprint,
     /// New blocks the machine's minting quantum opened (search metadata;
-    /// guided strategies rank by it, replay cannot re-derive it).
+    /// `coverage-new-first` ranks by it, replay cannot re-derive it).
     pub cov_fresh: u64,
     /// Quantum ordinal that stamped `cov_fresh`.
     pub cov_stamp: u64,

@@ -123,7 +123,7 @@ fn serial_matrix_clean_nic_stays_clean() {
     serial_matrix("clean_nic", 0);
 }
 
-/// Parallel workers under every guided strategy (and pruning) still land on
+/// Parallel workers under every strategy (and pruning) still land on
 /// the serial baseline's bug set — scheduling noise may reorder discovery,
 /// never change it.
 #[test]
@@ -200,7 +200,7 @@ fn interrupt_resume_matrix_matches_uninterrupted() {
 fn resume_refuses_cross_strategy_checkpoint() {
     let dut = dut_by_name("clean_nic");
     let dir = tmp_dir("cross");
-    let mut config = config_for(Strategy::RarestBranch, true);
+    let mut config = config_for(Strategy::CoverageNewFirst, true);
     config.checkpoint = Some(CheckpointPolicy::new(dir.clone()));
     let _ = Ddt::new(config).test(&dut);
     match Ddt::new(config_for(Strategy::Fifo, false)).resume(&dut, &dir) {

@@ -257,8 +257,8 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
     // strategy. `--no-prune` is the escape hatch that wins over `--prune`.
     if let Some(name) = flag_value(args, "--strategy") {
         let Some(s) = ddt::Strategy::parse(&name) else {
-            let names: Vec<&str> = ddt::Strategy::ALL.iter().map(|s| s.name()).collect();
-            return Err(format!("bad --strategy value {name:?}: expected {}", names.join(" or ")));
+            let names = ddt::Strategy::ALL.map(ddt::Strategy::name).join(" or ");
+            return Err(format!("bad --strategy value {name:?}: expected {names}"));
         };
         config.strategy = s;
     }
@@ -1128,11 +1128,12 @@ mod tests {
         ] {
             let err = bad(list);
             assert!(err.contains(flag), "{list:?}: {err}");
-        }
-        // An unknown strategy's error names every strategy there is.
-        let err = bad(&["test", "pcnet", "--strategy", "rarest-branch"]);
-        for s in ddt::Strategy::ALL {
-            assert!(err.contains(s.name()), "{err}");
+            // An unknown strategy's error names every strategy there is.
+            if flag == "--strategy" {
+                for s in ddt::Strategy::ALL {
+                    assert!(err.contains(s.name()), "{list:?}: {err}");
+                }
+            }
         }
         let fz = parse_fuzz_config(&argv(&["fuzz", "pcnet", "--seed", "0xDD7"])).expect("hex");
         assert_eq!(fz.seed, 0xDD7);

@@ -1,18 +1,16 @@
 //! Search-strategy benchmark: what does coverage guidance buy?
 //!
 //! Runs the pro1000 and pcnet drivers under both [`Strategy`] values
-//! (serial, pruning off so the comparison is pure ordering) and reports
-//! states expanded to the first bug and to the last new covered block —
-//! the two quantities a guided search is supposed to shrink. FIFO is the
-//! report-identity baseline: same bugs, same coverage, only the order (and
-//! therefore the quanta-to-X counters) may differ.
+//! (serial) and reports states expanded to the first bug and to the last
+//! new covered block — the two quantities a guided search is supposed to
+//! shrink. FIFO is the report-identity baseline: same bugs, same coverage,
+//! only the order (and therefore the quanta-to-X counters) may differ.
 //!
 //! Acceptance gate: on each driver, `coverage-new-first` must strictly beat
 //! FIFO on states-expanded-to-first-bug or on
 //! states-expanded-to-full-coverage, and FIFO itself must land the Table 2
 //! bug count. This is the standing check that the one optional strategy
-//! earns its place. A separate pruning column shows how many duplicate
-//! states `--prune` drops without changing the bug set.
+//! earns its place.
 //!
 //! Every run appends an entry to the `BENCH_search.json` trajectory at the
 //! repo root (`format: trajectory-v1`, one slot per rev, date and mode),
@@ -20,7 +18,7 @@
 //! earlier entry of the same mode: selection is deterministic, so a moved
 //! count means the strategies picked different states.
 //!
-//! Each row's `wall_us` times the prune-off campaign with `Instant`, in
+//! Each row's `wall_us` times the campaign with `Instant`, in
 //! microseconds: pcnet's campaigns take about 10 ms, so the report's
 //! whole-millisecond `wall_ms` would hide a change below 10%. Wall time is
 //! recorded, never gated.
@@ -30,19 +28,13 @@
 use std::time::Instant;
 
 use ddt_bench::field;
-use ddt_core::{Ddt, DdtConfig, DriverUnderTest, Report, Strategy};
+use ddt_core::{Ddt, DdtConfig, DriverUnderTest, Strategy};
 use serde::Value;
 
 /// The columns of a strategy row that must not move between entries of
 /// the same mode.
-const COUNT_COLUMNS: [&str; 6] = [
-    "quanta",
-    "quanta_to_first_bug",
-    "quanta_to_last_cover",
-    "bugs",
-    "covered_blocks",
-    "states_pruned_with_prune",
-];
+const COUNT_COLUMNS: [&str; 5] =
+    ["quanta", "quanta_to_first_bug", "quanta_to_last_cover", "bugs", "covered_blocks"];
 
 struct Row {
     strategy: &'static str,
@@ -52,12 +44,6 @@ struct Row {
     last_cover: u64,
     bugs: usize,
     covered: u64,
-    pruned_with_prune: u64,
-}
-
-fn run(dut: &DriverUnderTest, strategy: Strategy, prune: bool) -> Report {
-    let config = DdtConfig { strategy, prune, ..DdtConfig::default() };
-    Ddt::new(config).test(dut)
 }
 
 fn bench_driver(name: &str, table2_bugs: usize) -> Vec<Row> {
@@ -66,19 +52,12 @@ fn bench_driver(name: &str, table2_bugs: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for &strategy in Strategy::ALL.iter() {
         let t0 = Instant::now();
-        let report = run(&dut, strategy, false);
+        let report = Ddt::new(DdtConfig { strategy, ..DdtConfig::default() }).test(&dut);
         let wall_us = t0.elapsed().as_micros() as u64;
-        let pruned = run(&dut, strategy, true);
         assert_eq!(
             report.bugs.len(),
             table2_bugs,
             "{name}/{}: strategy changed the Table 2 bug count",
-            strategy.name()
-        );
-        assert_eq!(
-            pruned.bugs.len(),
-            table2_bugs,
-            "{name}/{}: pruning changed the Table 2 bug count",
             strategy.name()
         );
         rows.push(Row {
@@ -89,7 +68,6 @@ fn bench_driver(name: &str, table2_bugs: usize) -> Vec<Row> {
             last_cover: report.stats.quanta_to_last_cover,
             bugs: report.bugs.len(),
             covered: report.covered_blocks as u64,
-            pruned_with_prune: pruned.stats.states_pruned,
         });
     }
     rows
@@ -100,20 +78,20 @@ fn main() {
     let drivers: &[(&str, usize)] =
         if smoke { &[("pcnet", 2)] } else { &[("pro1000", 1), ("pcnet", 2)] };
 
-    println!("Search strategies vs FIFO (serial, prune off; pruned column from a --prune run)");
+    println!("Search strategies vs FIFO (serial)");
     println!();
     let mut driver_rows = Vec::new();
     for &(name, table2_bugs) in drivers {
         let rows = bench_driver(name, table2_bugs);
         println!("{name} (Table 2: {table2_bugs} bugs)");
         println!(
-            "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8} {:>8}",
-            "Strategy", "Wall us", "Quanta", "->1st bug", "->last cov", "Covered", "Pruned"
+            "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8}",
+            "Strategy", "Wall us", "Quanta", "->1st bug", "->last cov", "Covered"
         );
         for r in &rows {
             println!(
-                "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8} {:>8}",
-                r.strategy, r.wall_us, r.quanta, r.first_bug, r.last_cover, r.covered, r.pruned_with_prune
+                "  {:<18} {:>8} {:>8} {:>10} {:>11} {:>8}",
+                r.strategy, r.wall_us, r.quanta, r.first_bug, r.last_cover, r.covered
             );
         }
         println!();
@@ -199,7 +177,6 @@ fn row_value(r: &Row) -> Value {
         ("quanta_to_last_cover".into(), u(r.last_cover)),
         ("bugs".into(), u(r.bugs as u64)),
         ("covered_blocks".into(), u(r.covered)),
-        ("states_pruned_with_prune".into(), u(r.pruned_with_prune)),
     ])
 }
 
@@ -255,7 +232,6 @@ mod tests {
             last_cover: 4,
             bugs: 2,
             covered: 55,
-            pruned_with_prune: 7,
         };
         Value::Map(vec![
             ("driver".into(), Value::Str("pcnet".into())),

@@ -47,7 +47,6 @@ use crate::exerciser::{Ddt, DriverUnderTest};
 use crate::explore::{Explorer, Quantum, RunState, Start};
 use crate::machine::Machine;
 use crate::report::{Bug, ExploreStats, Report, RunHealth};
-use crate::search::PruneSet;
 
 /// Campaign durability policy.
 #[derive(Clone, Debug)]
@@ -129,10 +128,6 @@ pub struct CampaignSeed {
     pub replayed_ok: u64,
     /// Frontier paths dropped on divergence (run-health counter).
     pub replay_failed: u64,
-    /// Structural-fingerprint prune set snapshot (`--prune` campaigns):
-    /// (fingerprint hash, covered-block count at last sighting). Empty when
-    /// pruning was off.
-    pub prune_seen: Vec<(u64, u64)>,
 }
 
 /// Appends the write-ahead journal and publishes frontier checkpoints.
@@ -477,7 +472,6 @@ pub(crate) fn checkpoint_file(
             timeline: timeline.into_iter().map(|(ms, n)| (ms, n as u64)).collect(),
         },
         frontier,
-        prune_seen: run.prune.as_ref().map(PruneSet::snapshot).unwrap_or_default(),
     }
 }
 
@@ -635,7 +629,6 @@ impl Ddt {
             next_checkpoint_seq: ck.seq + 1,
             replayed_ok,
             replay_failed,
-            prune_seen: ck.prune_seen,
         }
     }
 }

@@ -130,10 +130,6 @@ pub struct DdtConfig {
     /// only, so both find the same bug set (the `search_differential`
     /// harness pins this).
     pub strategy: Strategy,
-    /// Opt-in structural-fingerprint pruning (`--prune` / `--no-prune`):
-    /// drop a forked state whose [`Machine::fingerprint`] already appeared
-    /// at the same pc with no coverage delta since.
-    pub prune: bool,
 }
 
 impl Default for DdtConfig {
@@ -155,7 +151,6 @@ impl Default for DdtConfig {
             checkpoint: None,
             stop_flag: None,
             strategy: Strategy::Fifo,
-            prune: false,
         }
     }
 }
@@ -175,10 +170,12 @@ impl DdtConfig {
     /// records it and resume refuses a mismatch: a frontier recorded under
     /// one configuration will not replay under another. Cache and
     /// reporting knobs are deliberately excluded — they are semantically
-    /// invisible to path selection.
+    /// invisible to path selection. The text keeps the `prune=false` field
+    /// of the removed structural pruning, so checkpoints written before its
+    /// removal still resume.
     pub fn fingerprint(&self) -> u64 {
         let desc = format!(
-            "v1:ann={:?}:mem={}:irq={}:states={}:insns={}:per_inv={}:path={}:wall={}:faults={:016x}:strat={}:prune={}",
+            "v1:ann={:?}:mem={}:irq={}:states={}:insns={}:per_inv={}:path={}:wall={}:faults={:016x}:strat={}:prune=false",
             self.annotations,
             self.check_memory,
             self.interrupt_budget,
@@ -189,7 +186,6 @@ impl DdtConfig {
             self.time_budget_ms,
             self.fault_plan.fingerprint(),
             self.strategy.name(),
-            self.prune,
         );
         ddt_trace::fnv1a64(desc.as_bytes())
     }
@@ -1429,14 +1425,12 @@ mod tests {
     /// fields, cannot strand a checkpoint written before the change.
     #[test]
     fn kept_strategy_fingerprints_are_pinned() {
-        for (strategy, prune, want) in [
-            (Strategy::Fifo, false, 0x66f2_d5bd_2aea_456d),
-            (Strategy::Fifo, true, 0x4dfa_e612_e772_be9a),
-            (Strategy::CoverageNewFirst, false, 0x3fde_10a0_1653_cce9),
-            (Strategy::CoverageNewFirst, true, 0x34de_6247_c643_8fee),
+        for (strategy, want) in [
+            (Strategy::Fifo, 0x66f2_d5bd_2aea_456d),
+            (Strategy::CoverageNewFirst, 0x3fde_10a0_1653_cce9),
         ] {
-            let config = DdtConfig { strategy, prune, ..DdtConfig::default() };
-            assert_eq!(config.fingerprint(), want, "{} prune={prune}", strategy.name());
+            let config = DdtConfig { strategy, ..DdtConfig::default() };
+            assert_eq!(config.fingerprint(), want, "{}", strategy.name());
         }
     }
 }

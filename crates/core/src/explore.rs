@@ -8,13 +8,13 @@
 //! two things in as a stop rule and an after-quantum hook. The parallel
 //! explorer shares its frontier across threads, but it runs every quantum
 //! through [`Explorer::quantum`] and its bookkeeping through
-//! [`RunState::settle`], so every mode counts, stamps and prunes alike.
+//! [`RunState::settle`], so every mode counts and stamps alike.
 //!
 //! - [`Explorer`] is one thread's (or one worker process's) engine: the
 //!   symbolic-hardware environment, the solver, and the fold of the
 //!   solver's counters into a run's statistics.
 //! - [`RunState`] is one run's aggregates: coverage, statistics, the keyed
-//!   bug map, the next machine id and the prune set.
+//!   bug map and the next machine id.
 //!   [`RunState::into_report`] turns them into the [`Report`].
 
 use std::collections::hash_map::Entry;
@@ -37,7 +37,7 @@ use crate::hardware::DdtEnv;
 use crate::machine::Machine;
 use crate::replay::ReplayCursor;
 use crate::report::{Bug, BugClass, ExploreStats, Report, RunHealth};
-use crate::search::{Frontier, PruneSet};
+use crate::search::Frontier;
 
 /// What one quantum left behind, besides the machine and the forks it
 /// admitted to the worklist.
@@ -66,7 +66,7 @@ pub(crate) struct Quantum {
 pub(crate) struct RunView {
     /// Machines alive anywhere in the run: pending in a frontier, running,
     /// stolen in transit, or admitted by a running quantum. It drops when a
-    /// path ends or a fork is pruned, so zero means the run is over.
+    /// path ends, so zero means the run is over.
     live: AtomicUsize,
     /// Every key of the run's bug map. A key enters after its bug does.
     known_bugs: RwLock<HashSet<String>>,
@@ -92,8 +92,8 @@ impl RunView {
             .is_ok()
     }
 
-    /// Removes `n` machines from the run (ended paths, pruned forks, an
-    /// infeasible fork's place) and returns how many are left.
+    /// Removes `n` machines from the run (ended paths, an infeasible fork's
+    /// place) and returns how many are left.
     pub(crate) fn release(&self, n: usize) -> usize {
         self.live.fetch_sub(n, Ordering::SeqCst) - n
     }
@@ -248,7 +248,7 @@ impl<'a> Explorer<'a> {
                 &mut run.bugs,
                 None,
             );
-            run.settle(&q, &mut m, frontier.storage_mut(), first_child);
+            run.settle(&q, &mut m, &mut frontier.storage_mut()[first_child..]);
             if q.end.is_none() {
                 frontier.push(m);
             }
@@ -346,8 +346,6 @@ pub(crate) struct RunState {
     pub bugs: HashMap<String, Bug>,
     /// Id of the next forked machine.
     pub next_id: u64,
-    /// Opt-in structural pruning (`--prune`); `None` never prunes.
-    pub prune: Option<PruneSet>,
     /// The query cache all of the run's explorers share.
     pub cache: Option<Arc<QueryCache>>,
     /// The root memory all of the run's roots share.
@@ -375,7 +373,6 @@ impl RunState {
         let mut next_id = 1;
         let mut checkpoint_seq = 0;
         let mut resumed = (0, 0);
-        let mut prune_seen = Vec::new();
         let mut root_mem = None;
         let (coverage, pending) = match start {
             Start::Root => {
@@ -395,7 +392,6 @@ impl RunState {
                 next_id = s.next_id;
                 checkpoint_seq = s.next_checkpoint_seq;
                 resumed = (s.replayed_ok, s.replay_failed);
-                prune_seen = s.prune_seen;
                 let coverage = Coverage::seeded(
                     analysis,
                     s.coverage_hits,
@@ -416,7 +412,6 @@ impl RunState {
             stats,
             bugs,
             next_id,
-            prune: config.prune.then(|| PruneSet::seeded(prune_seen)),
             // A shard's solver lives in its worker's explorer, over the
             // worker's cache; shard results carry no cache counters.
             cache: if lease { None } else { config.run_cache() },
@@ -444,26 +439,15 @@ impl RunState {
     /// - advance the quantum ordinal, and the first-bug and last-cover
     ///   ordinals;
     /// - stamp the coverage delta on the machine and on its new forks
-    ///   `children[first..]`, which `coverage-new-first` ranks by;
-    /// - with pruning on, drop the new forks whose structural fingerprint
-    ///   already appeared with no coverage delta since. Only this
-    ///   quantum's forks are candidates — never the machine itself, never
-    ///   a state restored from a checkpoint.
-    pub(crate) fn settle(
-        &mut self,
-        q: &Quantum,
-        m: &mut Machine,
-        children: &mut Vec<Machine>,
-        first: usize,
-    ) {
+    ///   `forks`, which `coverage-new-first` ranks by.
+    pub(crate) fn settle(&mut self, q: &Quantum, m: &mut Machine, forks: &mut [Machine]) {
         let covered_before = self.coverage.covered_blocks();
         for &pc in &q.exec_pcs {
             self.coverage.on_exec(pc);
         }
         self.stats.quanta_executed += 1;
         let stamp = self.stats.quanta_executed;
-        let covered_now = self.coverage.covered_blocks();
-        let fresh = (covered_now - covered_before) as u64;
+        let fresh = (self.coverage.covered_blocks() - covered_before) as u64;
         if fresh > 0 {
             self.stats.quanta_to_last_cover = stamp;
         }
@@ -472,20 +456,9 @@ impl RunState {
         }
         m.cov_fresh = fresh;
         m.cov_stamp = stamp;
-        for child in &mut children[first..] {
+        for child in forks {
             child.cov_fresh = fresh;
             child.cov_stamp = stamp;
-        }
-        if let Some(p) = self.prune.as_mut() {
-            let mut i = first;
-            while i < children.len() {
-                if p.check(PruneSet::fp_hash(&children[i].fingerprint()), covered_now as u64) {
-                    children.swap_remove(i);
-                    self.stats.states_pruned += 1;
-                } else {
-                    i += 1;
-                }
-            }
         }
     }
 

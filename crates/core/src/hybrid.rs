@@ -21,8 +21,7 @@
 //!    every mode runs takes a bounded number of symbolic quanta; after the
 //!    last batch it drains the frontier completely, so a hybrid run
 //!    explores at least everything a symbolic-only run would (the Table 2
-//!    superset guarantee). Hybrid runs never prune, since a pruned fork
-//!    could be the only path to one of those findings.
+//!    superset guarantee).
 //!
 //! Bugs found purely concretely are synthesized into full [`Bug`] reports
 //! (trace events, solved-input assignment, decision schedule) so they
@@ -309,10 +308,9 @@ fn lift_to_machine(explorer: &Explorer, runner: &mut ConcreteRunner, input: &Fuz
 }
 
 /// Runs the one exploration loop for at most `max` more quanta, or until a
-/// budget runs out. Hybrid never prunes (see [`run_hybrid`]). After each
-/// quantum it propagates escalation origins: forks of an escalated machine
-/// stay escalated, and a bug first recorded on one is re-tagged
-/// [`BugOrigin::Escalated`].
+/// budget runs out. After each quantum it propagates escalation origins:
+/// forks of an escalated machine stay escalated, and a bug first recorded
+/// on one is re-tagged [`BugOrigin::Escalated`].
 fn symbolic_quanta(
     explorer: &mut Explorer,
     run: &mut RunState,
@@ -349,17 +347,9 @@ fn symbolic_quanta(
 /// The hybrid exploration loop: fuzz batches on the translated concrete
 /// executor interleaved with bounded symbolic quanta, then a full frontier
 /// drain. Produces the same [`Report`] shape as `Ddt::test`.
-///
-/// Hybrid mode never prunes, whatever `DdtConfig::prune` says. The drain
-/// guarantees that hybrid finds every bug the symbolic-only run finds, and
-/// a pruned fork can be the only path to one of them: on rtl8029, pruning
-/// the drain loses `fault:400420:QueryInformation:QueryInformation`, which
-/// `ddt test` finds with and without `--prune`.
 pub fn run_hybrid(ddt: &Ddt, dut: &DriverUnderTest, fz: &FuzzConfig) -> Report {
     let analysis = ddt_isa::analysis::analyze(&dut.image);
     let (mut run, mut frontier) = RunState::start(ddt, dut, analysis, Start::Root);
-    // No prune set: the superset guarantee needs every fork (see above).
-    run.prune = None;
     let mut explorer = Explorer::new(ddt, dut, &run.cache, &run.root);
     let mut escalated: HashSet<u64> = HashSet::new();
     // Escalation dedup: two fuzz inputs that pinned identical values would

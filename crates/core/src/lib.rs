@@ -68,5 +68,5 @@ pub use replay::{decision_streams, replay_bug, ReplayOutcome};
 pub use report::{
     Bug, BugClass, BugOrigin, Decision, ExploreStats, LifecycleEvent, Report, RunHealth,
 };
-pub use search::{Frontier, PruneSet, Strategy};
+pub use search::{Frontier, Strategy};
 pub use tracestore::{artifact_from_bug, bug_from_artifact, persist_bugs, replay_artifact};

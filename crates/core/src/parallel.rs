@@ -40,8 +40,8 @@
 //!   machine: it walks every worker's frontier in place, in worker order,
 //!   and takes a `FrontierSnap` of each machine (scalar fields, the O(1)
 //!   fingerprint, an `Arc` bump on the immutable choice log). Then it
-//!   copies the run state (stats, bugs, coverage, prune set) into the
-//!   checkpoint image and releases the cut.
+//!   copies the run state (stats, bugs, coverage) into the checkpoint
+//!   image and releases the cut.
 //! - **After the cut**, while the other workers explore, the writer copies
 //!   the choice logs into frontier records and flushes the journal buffer
 //!   under the writer mutex. Then, without the mutex, it runs the journal
@@ -363,12 +363,11 @@ pub(crate) fn explore_parallel(
                     }
                 }
                 explorer.fold(&mut run.stats);
-                let admitted = forks.len();
-                run.settle(&q, &mut m, &mut forks, 0);
-                // Pruned forks and an ended path leave the run. What is left
-                // is the serial loop's frontier after its push, and peaks
-                // are measured as it measures them.
-                let gone = admitted - forks.len() + usize::from(q.end.is_some());
+                run.settle(&q, &mut m, &mut forks);
+                // An ended path leaves the run. What is left is the serial
+                // loop's frontier after its push, and peaks are measured as
+                // it measures them.
+                let gone = usize::from(q.end.is_some());
                 let live = pool.view.release(gone);
                 run.stats.peak_states = run.stats.peak_states.max(live + 1);
             }

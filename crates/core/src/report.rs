@@ -162,10 +162,6 @@ pub struct ExploreStats {
     /// Quantum ordinal at which the last new basic block was covered
     /// (0 = nothing covered). Time-to-full-coverage in quanta.
     pub quanta_to_last_cover: u64,
-    /// Forked states dropped by structural-fingerprint pruning: the same
-    /// `Machine::fingerprint()` had already been seen at the same pc with
-    /// no coverage delta since.
-    pub states_pruned: u64,
     /// Hybrid mode: concrete fuzz executions completed.
     pub fuzz_execs: u64,
     /// Hybrid mode: instructions retired by the concrete fast executor.
@@ -275,7 +271,6 @@ impl ExploreStats {
             };
         }
         self.quanta_to_last_cover = self.quanta_to_last_cover.max(other.quanta_to_last_cover);
-        self.states_pruned += other.states_pruned;
         self.fuzz_execs += other.fuzz_execs;
         self.fuzz_insns += other.fuzz_insns;
         self.fuzz_wall_ms += other.fuzz_wall_ms;
@@ -292,11 +287,6 @@ impl ExploreStats {
 pub struct RunHealth {
     /// Forks discarded because the worklist was full (`max_states`).
     pub states_dropped: u64,
-    /// Forks dropped by opt-in structural-fingerprint pruning (duplicate
-    /// fingerprint at the same pc with no coverage delta). Pruning is a
-    /// deliberate search optimization, not degradation, so this does not
-    /// affect `pristine()`.
-    pub states_pruned: u64,
     /// Paths killed by the per-invocation instruction budget.
     pub budget_kills: u64,
     /// Paths killed by the whole-path step budget — each one is a
@@ -393,7 +383,6 @@ impl RunHealth {
     pub fn from_stats(stats: &ExploreStats, insn_exhausted: bool, wall_exhausted: bool) -> Self {
         RunHealth {
             states_dropped: stats.states_dropped,
-            states_pruned: stats.states_pruned,
             budget_kills: stats.paths_budget_killed,
             path_step_budget_kills: stats.paths_step_budget_killed,
             solver_fallbacks: stats.solver_full,
@@ -442,7 +431,6 @@ impl RunHealth {
     /// merges are order-independent regardless of worker completion order.
     pub fn merge_add(&mut self, other: &RunHealth) {
         self.states_dropped += other.states_dropped;
-        self.states_pruned += other.states_pruned;
         self.budget_kills += other.budget_kills;
         self.path_step_budget_kills += other.path_step_budget_kills;
         self.solver_fallbacks += other.solver_fallbacks;
@@ -504,12 +492,6 @@ impl RunHealth {
     pub fn render(&self) -> String {
         let mut out = String::from("run health:\n");
         out.push_str(&format!("  states dropped at cap:  {}\n", self.states_dropped));
-        if self.states_pruned > 0 {
-            out.push_str(&format!(
-                "  states pruned:          {} (duplicate fingerprints)\n",
-                self.states_pruned
-            ));
-        }
         out.push_str(&format!("  budget-killed paths:    {}\n", self.budget_kills));
         if self.path_step_budget_kills > 0 {
             out.push_str(&format!(
@@ -742,27 +724,18 @@ mod tests {
         a.quanta_executed = 10;
         a.quanta_to_first_bug = 0; // Never saw a bug.
         a.quanta_to_last_cover = 7;
-        a.states_pruned = 2;
         let mut b = ExploreStats::default();
         b.quanta_executed = 4;
         b.quanta_to_first_bug = 3;
         b.quanta_to_last_cover = 9;
-        b.states_pruned = 1;
         a.merge_add(&b);
         assert_eq!(a.quanta_executed, 14, "additive");
         assert_eq!(a.quanta_to_first_bug, 3, "earliest nonzero wins");
         assert_eq!(a.quanta_to_last_cover, 9, "max");
-        assert_eq!(a.states_pruned, 3, "additive");
         let mut c = ExploreStats::default();
         c.quanta_to_first_bug = 8;
         a.merge_add(&c);
         assert_eq!(a.quanta_to_first_bug, 3, "later sighting does not regress");
-        let h = RunHealth::from_stats(&a, false, false);
-        assert_eq!(h.states_pruned, 3);
-        assert!(h.pristine(), "pruning is not degradation");
-        assert!(h.render().contains("states pruned:          3"));
-        let none = RunHealth::from_stats(&ExploreStats::default(), false, false);
-        assert!(!none.render().contains("states pruned"), "hidden when zero");
     }
 
     #[test]

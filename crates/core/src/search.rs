@@ -1,4 +1,4 @@
-//! Frontier search strategies and structural-state pruning.
+//! Frontier search strategies.
 //!
 //! Which state the exerciser expands next decides whether a large driver
 //! finishes (§3 of the paper). The [`Frontier`] orders its worklist by the
@@ -12,16 +12,8 @@
 //!   jump the queue (fed by [`Coverage`] deltas stamped on the machine),
 //!   tie-broken by the EXE cold-block priority and then by frontier
 //!   position, so selection is fully deterministic.
-//!
-//! [`PruneSet`] implements the opt-in structural-fingerprint pruning: a
-//! forked state whose [`Machine::fingerprint`] (pc, invocation shape,
-//! decision schedule) was already seen with no global coverage delta since
-//! is dropped before it is ever scheduled.
 
 use std::cmp::Reverse;
-
-use ddt_isa::hash::IntMap;
-use ddt_trace::{fnv1a64, MachineFingerprint};
 
 use crate::coverage::Coverage;
 use crate::machine::Machine;
@@ -151,75 +143,9 @@ impl Frontier {
     }
 
     /// Raw storage, for the quantum sinks that push forked children and for
-    /// post-quantum metadata stamping/pruning.
+    /// post-quantum metadata stamping.
     pub fn storage_mut(&mut self) -> &mut Vec<Machine> {
         &mut self.items
-    }
-}
-
-/// Opt-in structural-fingerprint pruning (`--prune`): remembers every
-/// forked state's [`Machine::fingerprint`] hash together with the global
-/// covered-block count at its last sighting. A new fork whose fingerprint
-/// repeats while coverage has not moved is structurally redundant — the
-/// diamond/polling duplicate case — and is dropped before scheduling.
-/// A repeat *with* a coverage delta is kept (and re-stamped): the global
-/// state changed, so the duplicate may now behave differently.
-#[derive(Default)]
-pub struct PruneSet {
-    seen: IntMap<u64, u64>,
-}
-
-impl PruneSet {
-    /// An empty set.
-    pub fn new() -> PruneSet {
-        PruneSet::default()
-    }
-
-    /// Restores the set from a checkpoint snapshot, so a resumed campaign
-    /// prunes exactly where the uninterrupted one would.
-    pub fn seeded(snapshot: impl IntoIterator<Item = (u64, u64)>) -> PruneSet {
-        PruneSet { seen: snapshot.into_iter().collect() }
-    }
-
-    /// Exports the checkpointable state, sorted for determinism.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.seen.iter().map(|(&h, &c)| (h, c)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Hash of a structural fingerprint (pc is part of it: only states at
-    /// the same pc with the same invocation shape and schedule collide).
-    pub fn fp_hash(fp: &MachineFingerprint) -> u64 {
-        let mut buf = [0u8; 44];
-        buf[0..4].copy_from_slice(&fp.pc.to_le_bytes());
-        buf[4..12].copy_from_slice(&fp.kernel_calls.to_le_bytes());
-        buf[12..20].copy_from_slice(&fp.boundaries.to_le_bytes());
-        buf[20..28].copy_from_slice(&fp.workload_pos.to_le_bytes());
-        buf[28..32].copy_from_slice(&fp.interrupt_budget.to_le_bytes());
-        buf[32..36].copy_from_slice(&fp.frames.to_le_bytes());
-        buf[36..44].copy_from_slice(&fp.decisions_fnv.to_le_bytes());
-        fnv1a64(&buf)
-    }
-
-    /// Decides a freshly forked state's fate: `true` means prune. Always
-    /// records the sighting, so the first occurrence (kept) arms the set
-    /// and a later coverage delta re-arms it.
-    pub fn check(&mut self, h: u64, covered_now: u64) -> bool {
-        match self.seen.insert(h, covered_now) {
-            Some(prev) => prev == covered_now,
-            None => false,
-        }
-    }
-
-    /// Number of distinct fingerprints seen.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when no fingerprint has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
     }
 }
 
@@ -234,47 +160,5 @@ mod tests {
         }
         assert_eq!(Strategy::parse("breadth-first"), None);
         assert_eq!(Strategy::default(), Strategy::Fifo);
-    }
-
-    #[test]
-    fn prune_set_drops_only_repeats_without_coverage_delta() {
-        let mut ps = PruneSet::new();
-        assert!(!ps.check(7, 10), "first sighting is kept");
-        assert!(ps.check(7, 10), "repeat with no coverage delta is pruned");
-        assert!(!ps.check(7, 11), "coverage moved: the duplicate is kept");
-        assert!(ps.check(7, 11), "and the set re-arms at the new count");
-        assert!(!ps.check(8, 11), "distinct fingerprints never collide");
-        assert_eq!(ps.len(), 2);
-    }
-
-    #[test]
-    fn prune_set_snapshot_round_trips() {
-        let mut ps = PruneSet::new();
-        ps.check(3, 5);
-        ps.check(1, 9);
-        let snap = ps.snapshot();
-        assert_eq!(snap, vec![(1, 9), (3, 5)], "sorted for determinism");
-        let mut restored = PruneSet::seeded(snap);
-        assert!(restored.check(3, 5), "restored set prunes like the original");
-    }
-
-    #[test]
-    fn fp_hash_separates_pc_and_schedule() {
-        let base = MachineFingerprint {
-            pc: 0x1000,
-            kernel_calls: 2,
-            boundaries: 3,
-            workload_pos: 1,
-            interrupt_budget: 1,
-            frames: 1,
-            decisions_fnv: 42,
-        };
-        let mut other_pc = base.clone();
-        other_pc.pc = 0x1008;
-        let mut other_sched = base.clone();
-        other_sched.decisions_fnv = 43;
-        assert_eq!(PruneSet::fp_hash(&base), PruneSet::fp_hash(&base));
-        assert_ne!(PruneSet::fp_hash(&base), PruneSet::fp_hash(&other_pc));
-        assert_ne!(PruneSet::fp_hash(&base), PruneSet::fp_hash(&other_sched));
     }
 }

@@ -70,7 +70,6 @@ fn arb_stats(seed: u64) -> ExploreStats {
         quanta_executed: m.next(),
         quanta_to_first_bug: m.next(),
         quanta_to_last_cover: m.next(),
-        states_pruned: m.next(),
         fuzz_execs: m.next(),
         fuzz_insns: m.next(),
         fuzz_wall_ms: m.next(),

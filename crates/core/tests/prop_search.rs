@@ -4,14 +4,10 @@
 //! container: every pushed state is popped exactly once (no drops, no
 //! duplicates), selection never goes out of bounds, and coverage updates
 //! between pops — which reshuffle every strategy's priorities — can only
-//! reorder states, never lose them. [`PruneSet`] gets a model-based
-//! check: it may drop a state only when the same fingerprint hash was
-//! already seen at the same covered-block count.
-
-use std::collections::HashMap;
+//! reorder states, never lose them.
 
 use ddt_core::coverage::Coverage;
-use ddt_core::{Frontier, Machine, PruneSet, Strategy};
+use ddt_core::{Frontier, Machine, Strategy};
 use ddt_isa::analysis;
 use ddt_kernel::Kernel;
 use ddt_symvm::{SymCounter, SymState};
@@ -131,38 +127,6 @@ proptest! {
             let b = strategy.select(&items, &coverage);
             prop_assert!(a < items.len(), "{}: out of bounds", strategy.name());
             prop_assert_eq!(a, b, "{}: unstable selection", strategy.name());
-        }
-    }
-
-    /// PruneSet against a reference model: `check` prunes exactly when the
-    /// same hash was last recorded at the same covered-block count.
-    #[test]
-    fn prune_set_matches_reference_model(
-        ops in proptest::collection::vec((0u64..16, 0u64..6), 1..120),
-    ) {
-        let mut ps = PruneSet::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for (hash, covered) in ops {
-            let expect = model.insert(hash, covered) == Some(covered);
-            let got = ps.check(hash, covered);
-            prop_assert_eq!(got, expect, "hash {} at covered {}", hash, covered);
-        }
-        prop_assert_eq!(ps.len(), model.len());
-    }
-
-    /// The snapshot/seed round-trip preserves pruning behavior exactly.
-    #[test]
-    fn prune_snapshot_round_trip_is_behavior_preserving(
-        warm in proptest::collection::vec((0u64..16, 0u64..6), 0..60),
-        probe in proptest::collection::vec((0u64..16, 0u64..6), 1..60),
-    ) {
-        let mut original = PruneSet::new();
-        for &(h, c) in &warm {
-            original.check(h, c);
-        }
-        let mut restored = PruneSet::seeded(original.snapshot());
-        for (h, c) in probe {
-            prop_assert_eq!(original.check(h, c), restored.check(h, c));
         }
     }
 }

@@ -9,7 +9,7 @@
 //!          [--resume DIR]
 //! ddt fuzz <driver.dxe | bundled-name> [--seed N] [--batches N]
 //!          [--batch-size N] [--no-escalate] [--quanta-per-batch N]
-//!          [--no-drain] [...shared test flags but --prune/--no-prune]
+//!          [--no-drain] [...shared test flags]
 //! ddt serve <driver.dxe | bundled-name> [--workers N] [--lease-timeout MS]
 //!          [--max-retries N] [--heartbeat-ms MS] [--status-file FILE]
 //!          [--chaos-kill N] [--shard-factor N] [...shared test flags]
@@ -114,13 +114,12 @@ fn usage() -> ExitCode {
          [--no-annotations] [--no-memcheck] [--faults] [--lifecycle] [--workers N] \
          [--no-query-cache] \
          [--strategy fifo|coverage-new-first] \
-         [--prune] [--no-prune] \
          [--json FILE] [--replay] [--health] \
          [--trace-dir DIR] [--checkpoint-dir DIR] [--checkpoint-every N] \
          [--resume DIR] [--max-path-insns N] [--max-insns N]\n  \
          ddt fuzz <driver.dxe|name> [--seed N] [--batches N] [--batch-size N] \
          [--no-escalate] [--quanta-per-batch N] [--no-drain] \
-         [...shared test flags but --prune/--no-prune]\n  \
+         [...shared test flags]\n  \
          ddt serve <driver.dxe|name> [--workers N] [--lease-timeout MS] \
          [--max-retries N] [--heartbeat-ms MS] [--status-file FILE] \
          [--chaos-kill N] [--shard-factor N] [...shared test flags]\n  \
@@ -252,21 +251,14 @@ fn parse_config(args: &[String]) -> Result<ddt::DdtConfig, String> {
     if args.iter().any(|a| a == "--no-query-cache") {
         config.use_query_cache = false;
     }
-    // Search strategy and fingerprint pruning. Both are fingerprinted, so
-    // supervisor and workers agree, and a resume refuses a mismatched
-    // strategy. `--no-prune` is the escape hatch that wins over `--prune`.
+    // Search strategy. It is fingerprinted, so supervisor and workers
+    // agree, and a resume refuses a mismatched strategy.
     if let Some(name) = flag_value(args, "--strategy") {
         let Some(s) = ddt::Strategy::parse(&name) else {
             let names = ddt::Strategy::ALL.map(ddt::Strategy::name).join(" or ");
             return Err(format!("bad --strategy value {name:?}: expected {names}"));
         };
         config.strategy = s;
-    }
-    if args.iter().any(|a| a == "--prune") {
-        config.prune = true;
-    }
-    if args.iter().any(|a| a == "--no-prune") {
-        config.prune = false;
     }
     // The per-path step budget: the hang watchdog for drivers stuck in
     // polling loops (counted as potential hangs in the health report).
@@ -393,9 +385,7 @@ struct FlagTable {
 
 /// The target and configuration flags `parse_target` and `parse_config`
 /// read. Every campaign subcommand accepts them, so supervisor and workers
-/// parse the same fingerprinted knobs. The exception is fingerprint
-/// pruning (`--prune`, `--no-prune`): `test`, `serve` and `worker` list it,
-/// and `fuzz` rejects it, because hybrid mode never prunes (`run_hybrid`).
+/// parse the same fingerprinted knobs.
 const SHARED_FLAGS: FlagTable = FlagTable {
     bare: &[
         "--audio",
@@ -409,7 +399,7 @@ const SHARED_FLAGS: FlagTable = FlagTable {
 };
 
 const TEST_FLAGS: FlagTable = FlagTable {
-    bare: &["--replay", "--health", "--prune", "--no-prune"],
+    bare: &["--replay", "--health"],
     valued: &[
         "--json",
         "--trace-dir",
@@ -426,7 +416,7 @@ const FUZZ_FLAGS: FlagTable = FlagTable {
 };
 
 const SERVE_FLAGS: FlagTable = FlagTable {
-    bare: &["--replay", "--health", "--prune", "--no-prune"],
+    bare: &["--replay", "--health"],
     valued: &[
         "--json",
         "--trace-dir",
@@ -442,8 +432,7 @@ const SERVE_FLAGS: FlagTable = FlagTable {
 };
 
 /// Workers persist nothing themselves, so they take no report flags.
-const WORKER_FLAGS: FlagTable =
-    FlagTable { bare: &["--prune", "--no-prune"], valued: &["--worker-id", "--heartbeat-ms"] };
+const WORKER_FLAGS: FlagTable = FlagTable { bare: &[], valued: &["--worker-id", "--heartbeat-ms"] };
 
 /// `asm` and `export` name their output file.
 const OUTPUT_FLAGS: FlagTable = FlagTable { bare: &[], valued: &["-o"] };
@@ -1083,23 +1072,18 @@ mod tests {
 
     #[test]
     fn campaign_flags_are_checked_against_their_subcommand() {
+        // Removed switches, structural pruning's among them, are unknown to
+        // every campaign subcommand.
         for cmd in ["test", "fuzz", "serve", "worker"] {
-            let err = check_flags(&argv(&[cmd, "pcnet", "--no-batch"])).unwrap_err();
-            assert!(err.contains("--no-batch"), "{cmd}: {err}");
+            for flag in ["--no-batch", "--prune", "--no-prune"] {
+                let err = check_flags(&argv(&[cmd, "pcnet", flag])).unwrap_err();
+                assert!(err.contains(flag), "{cmd}: {err}");
+            }
         }
         let err = check_flags(&argv(&["test", "pcnet", "--json"])).unwrap_err();
         assert!(err.contains("--json"), "{err}");
         let err = check_flags(&argv(&["fuzz", "pcnet", "--chaos-kill", "1"])).unwrap_err();
         assert!(err.contains("--chaos-kill"), "{err}");
-        // Hybrid mode never prunes, so `fuzz` refuses the flags; the
-        // subcommands that prune accept them.
-        for flag in ["--prune", "--no-prune"] {
-            let err = check_flags(&argv(&["fuzz", "rtl8029", flag])).unwrap_err();
-            assert!(err.contains(flag), "{err}");
-            for cmd in ["test", "serve", "worker"] {
-                check_flags(&argv(&[cmd, "rtl8029", flag])).expect("prune is known");
-            }
-        }
         // A malformed or out-of-range number names its flag instead of
         // falling back to a default.
         let bad = |list: &[&str]| -> String {

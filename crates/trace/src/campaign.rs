@@ -26,8 +26,8 @@
 //! byte-sections; this module treats them as opaque payloads, which also
 //! keeps re-encoding byte-canonical.
 
-use crate::codec::DecodeError;
 use crate::signature::fnv1a64;
+use crate::wire::{put_bytes, put_str, put_varint, Cursor, DecodeError};
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DDTC";
@@ -43,6 +43,10 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"DDTJ";
 ///
 /// v4: the flag is gone again. Every branch child is decided at its fork
 /// site, so no frontier machine owes a verdict.
+///
+/// The prune set went with structural pruning, inside v4: its count is
+/// still written, always as 0, and the decoder refuses any other count,
+/// which only a campaign run with the removed `--prune` wrote.
 pub const CAMPAIGN_VERSION: u64 = 4;
 
 /// The kinds of nondeterministic fork sites the exploration visits, in the
@@ -183,9 +187,6 @@ pub struct CheckpointFile {
     pub coverage: CoverageRecord,
     /// Every pending machine as its decision-schedule prefix.
     pub frontier: Vec<FrontierRecord>,
-    /// Structural-fingerprint prune set: (fingerprint hash, covered-block
-    /// count at last sighting), sorted. Empty when pruning is off.
-    pub prune_seen: Vec<(u64, u64)>,
 }
 
 /// Terminal status of one explored path, as journaled.
@@ -267,104 +268,6 @@ pub enum JournalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive wire helpers (LEB128 varints, as in the `DDTT` codec). Shared
-// with the fleet protocol (`fleet.rs`), which frames its messages the same
-// way the journal frames its records.
-
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_varint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Cursor<'a> {
-        Cursor { data, pos: 0 }
-    }
-
-    pub(crate) fn err<T>(&self, message: impl Into<String>) -> Result<T, DecodeError> {
-        Err(DecodeError { offset: self.pos, message: message.into() })
-    }
-
-    pub(crate) fn byte(&mut self) -> Result<u8, DecodeError> {
-        match self.data.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 64 {
-                return self.err("varint overflows 64 bits");
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.data.len() - self.pos < n {
-            return self.err(format!("need {n} bytes, have {}", self.data.len() - self.pos));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.varint()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, DecodeError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| DecodeError {
-            offset: self.pos,
-            message: "invalid utf-8 in string".into(),
-        })
-    }
-
-    pub(crate) fn u64_le(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.data.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared sub-codecs: frontier records and coverage travel both inside
 // checkpoints and inside fleet protocol frames.
 
@@ -395,8 +298,8 @@ pub(crate) fn read_frontier_record(c: &mut Cursor<'_>) -> Result<FrontierRecord,
     let id = c.varint()?;
     let steps_total = c.varint()?;
     let trailing_skips = c.varint()?;
-    let npicks = c.varint()? as usize;
-    let mut picks = Vec::with_capacity(npicks.min(1 << 16));
+    let npicks = c.count()?;
+    let mut picks = Vec::with_capacity(npicks);
     for _ in 0..npicks {
         let skips = c.varint()?;
         let kb = c.byte()?;
@@ -440,20 +343,20 @@ pub(crate) fn put_coverage(out: &mut Vec<u8>, cov: &CoverageRecord) {
 
 /// Decodes a coverage record.
 pub(crate) fn read_coverage(c: &mut Cursor<'_>) -> Result<CoverageRecord, DecodeError> {
-    let nhits = c.varint()? as usize;
-    let mut hits = Vec::with_capacity(nhits.min(1 << 16));
+    let nhits = c.count()?;
+    let mut hits = Vec::with_capacity(nhits);
     for _ in 0..nhits {
         let pc = c.varint()? as u32;
         let n = c.varint()?;
         hits.push((pc, n));
     }
-    let ncov = c.varint()? as usize;
-    let mut covered = Vec::with_capacity(ncov.min(1 << 16));
+    let ncov = c.count()?;
+    let mut covered = Vec::with_capacity(ncov);
     for _ in 0..ncov {
         covered.push(c.varint()? as u32);
     }
-    let ntl = c.varint()? as usize;
-    let mut timeline = Vec::with_capacity(ntl.min(1 << 16));
+    let ntl = c.count()?;
+    let mut timeline = Vec::with_capacity(ntl);
     for _ in 0..ntl {
         let ms = c.varint()?;
         let blocks = c.varint()?;
@@ -484,11 +387,8 @@ pub fn encode_checkpoint(ck: &CheckpointFile) -> Vec<u8> {
     for rec in &ck.frontier {
         put_frontier_record(&mut out, rec);
     }
-    put_varint(&mut out, ck.prune_seen.len() as u64);
-    for &(h, n) in &ck.prune_seen {
-        out.extend_from_slice(&h.to_le_bytes());
-        put_varint(&mut out, n);
-    }
+    // The count of the removed prune set (see `CAMPAIGN_VERSION`).
+    put_varint(&mut out, 0);
     let sum = fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
@@ -526,17 +426,16 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<CheckpointFile, DecodeError> {
     let stats_json = c.bytes()?;
     let bugs_json = c.bytes()?;
     let coverage = read_coverage(&mut c)?;
-    let nfront = c.varint()? as usize;
-    let mut frontier = Vec::with_capacity(nfront.min(1 << 16));
+    let nfront = c.count()?;
+    let mut frontier = Vec::with_capacity(nfront);
     for _ in 0..nfront {
         frontier.push(read_frontier_record(&mut c)?);
     }
-    let nseen = c.varint()? as usize;
-    let mut prune_seen = Vec::with_capacity(nseen.min(1 << 16));
-    for _ in 0..nseen {
-        let h = c.u64_le()?;
-        let n = c.varint()?;
-        prune_seen.push((h, n));
+    let nseen = c.varint()?;
+    if nseen != 0 {
+        return c.err(format!(
+            "checkpoint holds {nseen} prune-set entries: written with the removed `--prune`"
+        ));
     }
     if !c.done() {
         return c.err("trailing bytes after checkpoint body");
@@ -554,7 +453,6 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<CheckpointFile, DecodeError> {
         bugs_json,
         coverage,
         frontier,
-        prune_seen,
     })
 }
 
@@ -630,8 +528,8 @@ fn decode_record_payload(payload: &[u8]) -> Result<JournalRecord, DecodeError> {
                 return c.err(format!("unknown path status {sb}"));
             };
             let steps = c.varint()?;
-            let n = c.varint()? as usize;
-            let mut new_bugs = Vec::with_capacity(n.min(1 << 12));
+            let n = c.count()?;
+            let mut new_bugs = Vec::with_capacity(n);
             for _ in 0..n {
                 new_bugs.push(c.string()?);
             }
@@ -753,7 +651,6 @@ mod tests {
                 cov_fresh: 2,
                 cov_stamp: 17,
             }],
-            prune_seen: vec![(0xaaaa_bbbb, 12), (0xcccc_dddd, 13)],
         }
     }
 
@@ -775,6 +672,18 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[10] ^= 0x40;
         assert!(decode_checkpoint(&flipped).is_err(), "bit flip accepted");
+    }
+
+    #[test]
+    fn checkpoint_with_a_prune_set_is_refused() {
+        let mut bytes = encode_checkpoint(&sample_checkpoint());
+        let body = bytes.len() - 8;
+        assert_eq!(bytes[body - 1], 0, "the prune-set count closes the body");
+        bytes[body - 1] = 2;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = decode_checkpoint(&bytes).unwrap_err();
+        assert!(err.message.contains("removed `--prune`"), "{err}");
     }
 
     #[test]

@@ -26,29 +26,14 @@ use std::collections::HashMap;
 use ddt_expr::{BinOp, CmpOp, Expr, ExprNode, NodeView, SymId};
 use ddt_symvm::{SymOrigin, TraceEvent};
 
+use crate::wire::{put_str, put_varint, Cursor, DecodeError};
+
 /// File magic for trace event logs.
 pub const TRACE_MAGIC: [u8; 4] = *b"DDTT";
 
 /// Current format version. Bump on any layout change; the decoder rejects
 /// versions it does not know.
 pub const TRACE_VERSION: u32 = 1;
-
-/// A decode failure: offset into the input plus a message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Byte offset at which decoding failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace decode error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 // ---------------------------------------------------------------- writing
 
@@ -64,29 +49,12 @@ impl Writer {
         Writer { buf: Vec::new(), pool: Vec::new(), pool_len: 0, interned: HashMap::new() }
     }
 
-    fn varint(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-
-    fn str(out: &mut Vec<u8>, s: &str) {
-        Self::varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-    }
-
     fn opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
         match v {
             None => out.push(0),
             Some(v) => {
                 out.push(1);
-                Self::varint(out, v);
+                put_varint(out, v);
             }
         }
     }
@@ -101,77 +69,77 @@ impl Writer {
         let entry = match e.node() {
             NodeView::Const { bits, width } => {
                 let mut b = vec![0u8];
-                Self::varint(&mut b, bits);
-                Self::varint(&mut b, width as u64);
+                put_varint(&mut b, bits);
+                put_varint(&mut b, width as u64);
                 b
             }
             NodeView::Sym { id, width } => {
                 let mut b = vec![1u8];
-                Self::varint(&mut b, id.0 as u64);
-                Self::varint(&mut b, width as u64);
+                put_varint(&mut b, id.0 as u64);
+                put_varint(&mut b, width as u64);
                 b
             }
             NodeView::Not(a) => {
                 let a = self.intern(a);
                 let mut b = vec![2u8];
-                Self::varint(&mut b, a as u64);
+                put_varint(&mut b, a as u64);
                 b
             }
             NodeView::Neg(a) => {
                 let a = self.intern(a);
                 let mut b = vec![3u8];
-                Self::varint(&mut b, a as u64);
+                put_varint(&mut b, a as u64);
                 b
             }
             NodeView::Bin(op, a, x) => {
                 let (a, x) = (self.intern(a), self.intern(x));
                 let mut b = vec![4u8, bin_op_tag(op)];
-                Self::varint(&mut b, a as u64);
-                Self::varint(&mut b, x as u64);
+                put_varint(&mut b, a as u64);
+                put_varint(&mut b, x as u64);
                 b
             }
             NodeView::Cmp(op, a, x) => {
                 let (a, x) = (self.intern(a), self.intern(x));
                 let mut b = vec![5u8, cmp_op_tag(op)];
-                Self::varint(&mut b, a as u64);
-                Self::varint(&mut b, x as u64);
+                put_varint(&mut b, a as u64);
+                put_varint(&mut b, x as u64);
                 b
             }
             NodeView::ZExt { e, width } => {
                 let e = self.intern(e);
                 let mut b = vec![6u8];
-                Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, width as u64);
+                put_varint(&mut b, e as u64);
+                put_varint(&mut b, width as u64);
                 b
             }
             NodeView::SExt { e, width } => {
                 let e = self.intern(e);
                 let mut b = vec![7u8];
-                Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, width as u64);
+                put_varint(&mut b, e as u64);
+                put_varint(&mut b, width as u64);
                 b
             }
             NodeView::Extract { e, hi, lo } => {
                 let e = self.intern(e);
                 let mut b = vec![8u8];
-                Self::varint(&mut b, e as u64);
-                Self::varint(&mut b, hi as u64);
-                Self::varint(&mut b, lo as u64);
+                put_varint(&mut b, e as u64);
+                put_varint(&mut b, hi as u64);
+                put_varint(&mut b, lo as u64);
                 b
             }
             NodeView::Concat { hi, lo } => {
                 let (hi, lo) = (self.intern(hi), self.intern(lo));
                 let mut b = vec![9u8];
-                Self::varint(&mut b, hi as u64);
-                Self::varint(&mut b, lo as u64);
+                put_varint(&mut b, hi as u64);
+                put_varint(&mut b, lo as u64);
                 b
             }
             NodeView::Ite { cond, then, els } => {
                 let (c, t, e2) = (self.intern(cond), self.intern(then), self.intern(els));
                 let mut b = vec![10u8];
-                Self::varint(&mut b, c as u64);
-                Self::varint(&mut b, t as u64);
-                Self::varint(&mut b, e2 as u64);
+                put_varint(&mut b, c as u64);
+                put_varint(&mut b, t as u64);
+                put_varint(&mut b, e2 as u64);
                 b
             }
         };
@@ -186,24 +154,24 @@ impl Writer {
         match o {
             SymOrigin::HardwareRead { addr } => {
                 out.push(0);
-                Self::varint(out, *addr as u64);
+                put_varint(out, *addr as u64);
             }
             SymOrigin::PortRead { port } => {
                 out.push(1);
-                Self::varint(out, *port as u64);
+                put_varint(out, *port as u64);
             }
             SymOrigin::EntryArg { entry, index } => {
                 out.push(2);
-                Self::str(out, entry);
-                Self::varint(out, *index as u64);
+                put_str(out, entry);
+                put_varint(out, *index as u64);
             }
             SymOrigin::Annotation { api } => {
                 out.push(3);
-                Self::str(out, api);
+                put_str(out, api);
             }
             SymOrigin::Registry { name } => {
                 out.push(4);
-                Self::str(out, name);
+                put_str(out, name);
             }
             SymOrigin::Other => out.push(5),
         }
@@ -215,71 +183,71 @@ impl Writer {
         match ev {
             TraceEvent::Exec { pc } => {
                 self.buf.push(0);
-                Self::varint(&mut self.buf, *pc as u64);
+                put_varint(&mut self.buf, *pc as u64);
             }
             TraceEvent::MemRead { pc, addr, size, value } => {
                 self.buf.push(1);
-                Self::varint(&mut self.buf, *pc as u64);
-                Self::varint(&mut self.buf, *addr as u64);
+                put_varint(&mut self.buf, *pc as u64);
+                put_varint(&mut self.buf, *addr as u64);
                 self.buf.push(*size);
                 Self::opt_u64(&mut self.buf, *value);
             }
             TraceEvent::MemWrite { pc, addr, size, value } => {
                 self.buf.push(2);
-                Self::varint(&mut self.buf, *pc as u64);
-                Self::varint(&mut self.buf, *addr as u64);
+                put_varint(&mut self.buf, *pc as u64);
+                put_varint(&mut self.buf, *addr as u64);
                 self.buf.push(*size);
                 Self::opt_u64(&mut self.buf, *value);
             }
             TraceEvent::Branch { pc, taken, forked, constraint } => {
                 let c = self.intern(constraint);
                 self.buf.push(3);
-                Self::varint(&mut self.buf, *pc as u64);
+                put_varint(&mut self.buf, *pc as u64);
                 self.buf.push(u8::from(*taken) | (u8::from(*forked) << 1));
-                Self::varint(&mut self.buf, c as u64);
+                put_varint(&mut self.buf, c as u64);
             }
             TraceEvent::SymCreate { id, label, origin, width } => {
                 self.buf.push(4);
-                Self::varint(&mut self.buf, id.0 as u64);
-                Self::str(&mut self.buf, label);
+                put_varint(&mut self.buf, id.0 as u64);
+                put_str(&mut self.buf, label);
                 Self::origin(&mut self.buf, origin);
-                Self::varint(&mut self.buf, *width as u64);
+                put_varint(&mut self.buf, *width as u64);
             }
             TraceEvent::Concretize { pc, expr, value } => {
                 let e = self.intern(expr);
                 self.buf.push(5);
-                Self::varint(&mut self.buf, *pc as u64);
-                Self::varint(&mut self.buf, e as u64);
-                Self::varint(&mut self.buf, *value);
+                put_varint(&mut self.buf, *pc as u64);
+                put_varint(&mut self.buf, e as u64);
+                put_varint(&mut self.buf, *value);
             }
             TraceEvent::KernelCall { export_id, name } => {
                 self.buf.push(6);
-                Self::varint(&mut self.buf, *export_id as u64);
-                Self::str(&mut self.buf, name);
+                put_varint(&mut self.buf, *export_id as u64);
+                put_str(&mut self.buf, name);
             }
             TraceEvent::KernelReturn { export_id, ret } => {
                 self.buf.push(7);
-                Self::varint(&mut self.buf, *export_id as u64);
-                Self::varint(&mut self.buf, *ret as u64);
+                put_varint(&mut self.buf, *export_id as u64);
+                put_varint(&mut self.buf, *ret as u64);
             }
             TraceEvent::EntryInvoke { name, addr } => {
                 self.buf.push(8);
-                Self::str(&mut self.buf, name);
-                Self::varint(&mut self.buf, *addr as u64);
+                put_str(&mut self.buf, name);
+                put_varint(&mut self.buf, *addr as u64);
             }
             TraceEvent::Interrupt { line, at_pc } => {
                 self.buf.push(9);
                 self.buf.push(*line);
-                Self::varint(&mut self.buf, *at_pc as u64);
+                put_varint(&mut self.buf, *at_pc as u64);
             }
             TraceEvent::HardwareRead { addr, id } => {
                 self.buf.push(10);
-                Self::varint(&mut self.buf, *addr as u64);
-                Self::varint(&mut self.buf, id.0 as u64);
+                put_varint(&mut self.buf, *addr as u64);
+                put_varint(&mut self.buf, id.0 as u64);
             }
             TraceEvent::HardwareWrite { addr, value } => {
                 self.buf.push(11);
-                Self::varint(&mut self.buf, *addr as u64);
+                put_varint(&mut self.buf, *addr as u64);
                 Self::opt_u64(&mut self.buf, *value);
             }
         }
@@ -324,233 +292,171 @@ pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + w.pool.len() + w.buf.len());
     out.extend_from_slice(&TRACE_MAGIC);
     out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-    Writer::varint(&mut out, w.pool_len as u64);
+    put_varint(&mut out, w.pool_len as u64);
     out.extend_from_slice(&w.pool);
-    Writer::varint(&mut out, events.len() as u64);
+    put_varint(&mut out, events.len() as u64);
     out.extend_from_slice(&w.buf);
     out
 }
 
 // ---------------------------------------------------------------- reading
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+fn opt_u64(c: &mut Cursor<'_>) -> Result<Option<u64>, DecodeError> {
+    match c.byte()? {
+        0 => Ok(None),
+        1 => Ok(Some(c.varint()?)),
+        t => c.err(format!("bad Option tag {t}")),
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, DecodeError> {
-        Err(DecodeError { offset: self.pos, message: message.into() })
+fn pool_ref(c: &mut Cursor<'_>, pool: &[Expr]) -> Result<Expr, DecodeError> {
+    let idx = c.varint()? as usize;
+    match pool.get(idx) {
+        Some(e) => Ok(e.clone()),
+        None => c.err(format!("pool reference {idx} out of range ({})", pool.len())),
     }
+}
 
-    fn byte(&mut self) -> Result<u8, DecodeError> {
-        match self.data.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => self.err("unexpected end of input"),
+fn node(c: &mut Cursor<'_>, pool: &[Expr]) -> Result<ExprNode, DecodeError> {
+    let tag = c.byte()?;
+    Ok(match tag {
+        0 => ExprNode::Const { bits: c.varint()?, width: c.u32()? },
+        1 => ExprNode::Sym { id: SymId(c.u32()?), width: c.u32()? },
+        2 => ExprNode::Not(pool_ref(c, pool)?),
+        3 => ExprNode::Neg(pool_ref(c, pool)?),
+        4 => {
+            let op = bin_op(c)?;
+            ExprNode::Bin(op, pool_ref(c, pool)?, pool_ref(c, pool)?)
         }
-    }
-
-    fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 64 {
-                return self.err("varint overflows 64 bits");
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+        5 => {
+            let op = cmp_op(c)?;
+            ExprNode::Cmp(op, pool_ref(c, pool)?, pool_ref(c, pool)?)
         }
-    }
+        6 => ExprNode::ZExt { e: pool_ref(c, pool)?, width: c.u32()? },
+        7 => ExprNode::SExt { e: pool_ref(c, pool)?, width: c.u32()? },
+        8 => ExprNode::Extract { e: pool_ref(c, pool)?, hi: c.u32()?, lo: c.u32()? },
+        9 => ExprNode::Concat { hi: pool_ref(c, pool)?, lo: pool_ref(c, pool)? },
+        10 => ExprNode::Ite {
+            cond: pool_ref(c, pool)?,
+            then: pool_ref(c, pool)?,
+            els: pool_ref(c, pool)?,
+        },
+        t => return c.err(format!("bad expression node tag {t}")),
+    })
+}
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let v = self.varint()?;
-        u32::try_from(v).or_else(|_| self.err(format!("value {v} does not fit in u32")))
-    }
+fn bin_op(c: &mut Cursor<'_>) -> Result<BinOp, DecodeError> {
+    Ok(match c.byte()? {
+        0 => BinOp::Add,
+        1 => BinOp::Sub,
+        2 => BinOp::Mul,
+        3 => BinOp::UDiv,
+        4 => BinOp::URem,
+        5 => BinOp::SDiv,
+        6 => BinOp::SRem,
+        7 => BinOp::And,
+        8 => BinOp::Or,
+        9 => BinOp::Xor,
+        10 => BinOp::Shl,
+        11 => BinOp::LShr,
+        12 => BinOp::AShr,
+        t => return c.err(format!("bad binary op tag {t}")),
+    })
+}
 
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.varint()? as usize;
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.data.len());
-        let Some(end) = end else { return self.err("string runs past end of input") };
-        let s = std::str::from_utf8(&self.data[self.pos..end])
-            .map_err(|e| DecodeError { offset: self.pos, message: format!("bad utf-8: {e}") })?
-            .to_string();
-        self.pos = end;
-        Ok(s)
-    }
+fn cmp_op(c: &mut Cursor<'_>) -> Result<CmpOp, DecodeError> {
+    Ok(match c.byte()? {
+        0 => CmpOp::Eq,
+        1 => CmpOp::Ne,
+        2 => CmpOp::Ult,
+        3 => CmpOp::Ule,
+        4 => CmpOp::Slt,
+        5 => CmpOp::Sle,
+        t => return c.err(format!("bad comparison op tag {t}")),
+    })
+}
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
-        match self.byte()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.varint()?)),
-            t => self.err(format!("bad Option tag {t}")),
+fn origin(c: &mut Cursor<'_>) -> Result<SymOrigin, DecodeError> {
+    Ok(match c.byte()? {
+        0 => SymOrigin::HardwareRead { addr: c.u32()? },
+        1 => SymOrigin::PortRead { port: c.u32()? },
+        2 => SymOrigin::EntryArg { entry: c.string()?, index: c.varint()? as usize },
+        3 => SymOrigin::Annotation { api: c.string()? },
+        4 => SymOrigin::Registry { name: c.string()? },
+        5 => SymOrigin::Other,
+        t => return c.err(format!("bad origin tag {t}")),
+    })
+}
+
+fn event(c: &mut Cursor<'_>, pool: &[Expr]) -> Result<TraceEvent, DecodeError> {
+    let tag = c.byte()?;
+    Ok(match tag {
+        0 => TraceEvent::Exec { pc: c.u32()? },
+        1 => TraceEvent::MemRead {
+            pc: c.u32()?,
+            addr: c.u32()?,
+            size: c.byte()?,
+            value: opt_u64(c)?,
+        },
+        2 => TraceEvent::MemWrite {
+            pc: c.u32()?,
+            addr: c.u32()?,
+            size: c.byte()?,
+            value: opt_u64(c)?,
+        },
+        3 => {
+            let pc = c.u32()?;
+            let flags = c.byte()?;
+            TraceEvent::Branch {
+                pc,
+                taken: flags & 1 != 0,
+                forked: flags & 2 != 0,
+                constraint: pool_ref(c, pool)?,
+            }
         }
-    }
-
-    fn pool_ref(&mut self, pool: &[Expr]) -> Result<Expr, DecodeError> {
-        let idx = self.varint()? as usize;
-        match pool.get(idx) {
-            Some(e) => Ok(e.clone()),
-            None => self.err(format!("pool reference {idx} out of range ({})", pool.len())),
-        }
-    }
-
-    fn node(&mut self, pool: &[Expr]) -> Result<ExprNode, DecodeError> {
-        let tag = self.byte()?;
-        Ok(match tag {
-            0 => ExprNode::Const { bits: self.varint()?, width: self.u32()? },
-            1 => ExprNode::Sym { id: SymId(self.u32()?), width: self.u32()? },
-            2 => ExprNode::Not(self.pool_ref(pool)?),
-            3 => ExprNode::Neg(self.pool_ref(pool)?),
-            4 => {
-                let op = self.bin_op()?;
-                ExprNode::Bin(op, self.pool_ref(pool)?, self.pool_ref(pool)?)
-            }
-            5 => {
-                let op = self.cmp_op()?;
-                ExprNode::Cmp(op, self.pool_ref(pool)?, self.pool_ref(pool)?)
-            }
-            6 => ExprNode::ZExt { e: self.pool_ref(pool)?, width: self.u32()? },
-            7 => ExprNode::SExt { e: self.pool_ref(pool)?, width: self.u32()? },
-            8 => ExprNode::Extract {
-                e: self.pool_ref(pool)?,
-                hi: self.u32()?,
-                lo: self.u32()?,
-            },
-            9 => ExprNode::Concat { hi: self.pool_ref(pool)?, lo: self.pool_ref(pool)? },
-            10 => ExprNode::Ite {
-                cond: self.pool_ref(pool)?,
-                then: self.pool_ref(pool)?,
-                els: self.pool_ref(pool)?,
-            },
-            t => return self.err(format!("bad expression node tag {t}")),
-        })
-    }
-
-    fn bin_op(&mut self) -> Result<BinOp, DecodeError> {
-        Ok(match self.byte()? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::UDiv,
-            4 => BinOp::URem,
-            5 => BinOp::SDiv,
-            6 => BinOp::SRem,
-            7 => BinOp::And,
-            8 => BinOp::Or,
-            9 => BinOp::Xor,
-            10 => BinOp::Shl,
-            11 => BinOp::LShr,
-            12 => BinOp::AShr,
-            t => return self.err(format!("bad binary op tag {t}")),
-        })
-    }
-
-    fn cmp_op(&mut self) -> Result<CmpOp, DecodeError> {
-        Ok(match self.byte()? {
-            0 => CmpOp::Eq,
-            1 => CmpOp::Ne,
-            2 => CmpOp::Ult,
-            3 => CmpOp::Ule,
-            4 => CmpOp::Slt,
-            5 => CmpOp::Sle,
-            t => return self.err(format!("bad comparison op tag {t}")),
-        })
-    }
-
-    fn origin(&mut self) -> Result<SymOrigin, DecodeError> {
-        Ok(match self.byte()? {
-            0 => SymOrigin::HardwareRead { addr: self.u32()? },
-            1 => SymOrigin::PortRead { port: self.u32()? },
-            2 => SymOrigin::EntryArg { entry: self.str()?, index: self.varint()? as usize },
-            3 => SymOrigin::Annotation { api: self.str()? },
-            4 => SymOrigin::Registry { name: self.str()? },
-            5 => SymOrigin::Other,
-            t => return self.err(format!("bad origin tag {t}")),
-        })
-    }
-
-    fn event(&mut self, pool: &[Expr]) -> Result<TraceEvent, DecodeError> {
-        let tag = self.byte()?;
-        Ok(match tag {
-            0 => TraceEvent::Exec { pc: self.u32()? },
-            1 => TraceEvent::MemRead {
-                pc: self.u32()?,
-                addr: self.u32()?,
-                size: self.byte()?,
-                value: self.opt_u64()?,
-            },
-            2 => TraceEvent::MemWrite {
-                pc: self.u32()?,
-                addr: self.u32()?,
-                size: self.byte()?,
-                value: self.opt_u64()?,
-            },
-            3 => {
-                let pc = self.u32()?;
-                let flags = self.byte()?;
-                TraceEvent::Branch {
-                    pc,
-                    taken: flags & 1 != 0,
-                    forked: flags & 2 != 0,
-                    constraint: self.pool_ref(pool)?,
-                }
-            }
-            4 => TraceEvent::SymCreate {
-                id: SymId(self.u32()?),
-                label: self.str()?,
-                origin: self.origin()?,
-                width: self.u32()?,
-            },
-            5 => TraceEvent::Concretize {
-                pc: self.u32()?,
-                expr: self.pool_ref(pool)?,
-                value: self.varint()?,
-            },
-            6 => TraceEvent::KernelCall { export_id: self.u32()? as u16, name: self.str()? },
-            7 => TraceEvent::KernelReturn { export_id: self.u32()? as u16, ret: self.u32()? },
-            8 => TraceEvent::EntryInvoke { name: self.str()?, addr: self.u32()? },
-            9 => TraceEvent::Interrupt { line: self.byte()?, at_pc: self.u32()? },
-            10 => TraceEvent::HardwareRead { addr: self.u32()?, id: SymId(self.u32()?) },
-            11 => TraceEvent::HardwareWrite { addr: self.u32()?, value: self.opt_u64()? },
-            t => return self.err(format!("bad event tag {t}")),
-        })
-    }
+        4 => TraceEvent::SymCreate {
+            id: SymId(c.u32()?),
+            label: c.string()?,
+            origin: origin(c)?,
+            width: c.u32()?,
+        },
+        5 => TraceEvent::Concretize { pc: c.u32()?, expr: pool_ref(c, pool)?, value: c.varint()? },
+        6 => TraceEvent::KernelCall { export_id: c.u32()? as u16, name: c.string()? },
+        7 => TraceEvent::KernelReturn { export_id: c.u32()? as u16, ret: c.u32()? },
+        8 => TraceEvent::EntryInvoke { name: c.string()?, addr: c.u32()? },
+        9 => TraceEvent::Interrupt { line: c.byte()?, at_pc: c.u32()? },
+        10 => TraceEvent::HardwareRead { addr: c.u32()?, id: SymId(c.u32()?) },
+        11 => TraceEvent::HardwareWrite { addr: c.u32()?, value: opt_u64(c)? },
+        t => return c.err(format!("bad event tag {t}")),
+    })
 }
 
 /// Decodes an event log produced by [`encode_events`].
 pub fn decode_events(data: &[u8]) -> Result<Vec<TraceEvent>, DecodeError> {
-    let mut r = Reader { data, pos: 0 };
+    let mut c = Cursor::new(data);
     if data.len() < 8 || data[..4] != TRACE_MAGIC {
-        return r.err("not a DDT trace (bad magic)");
+        return c.err("not a DDT trace (bad magic)");
     }
-    r.pos = 4;
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
+    c.pos = 4;
+    let version = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes"));
     if version != TRACE_VERSION {
-        return r.err(format!("unsupported trace version {version} (expected {TRACE_VERSION})"));
+        return c.err(format!("unsupported trace version {version} (expected {TRACE_VERSION})"));
     }
-    r.pos = 8;
-    let pool_len = r.varint()? as usize;
-    let mut pool: Vec<Expr> = Vec::with_capacity(pool_len.min(1 << 20));
+    let pool_len = c.count()?;
+    let mut pool: Vec<Expr> = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
         // Raw wrapping: the stored tree is reproduced exactly, not
         // re-simplified.
-        let node = r.node(&pool)?;
+        let node = node(&mut c, &pool)?;
         pool.push(Expr::from_node(node));
     }
-    let count = r.varint()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 24));
+    let count = c.count()?;
+    let mut events = Vec::with_capacity(count);
     for _ in 0..count {
-        events.push(r.event(&pool)?);
+        events.push(event(&mut c, &pool)?);
     }
-    if r.pos != data.len() {
-        return r.err(format!("{} trailing bytes after event log", data.len() - r.pos));
+    if !c.done() {
+        return c.err(format!("{} trailing bytes after event log", data.len() - c.pos));
     }
     Ok(events)
 }
@@ -590,6 +496,22 @@ mod tests {
         let bytes = encode_events(&events);
         let back = decode_events(&bytes).unwrap();
         assert_eq!(back, events);
+    }
+
+    /// The bytes of [`sample_events`] are pinned: a change to the codec or
+    /// to the wire primitives it shares must not move the `DDTT` layout of
+    /// artifacts already on disk.
+    #[test]
+    fn encoding_is_pinned() {
+        let pinned = concat!(
+            "444454540100000006010320000720040000010064200502020302040d080a496e697469616c697a",
+            "6580808002008080800204030968773a3078383030300080800220018480800280200401adbd0302",
+            "8880800284200200038c8080020304039080800200050594808002002a06090a4e6469734d536c65",
+            "65700709000901988080020a848002040b88800201ffffffffffffffffff01",
+        );
+        let bytes = encode_events(&sample_events());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned);
     }
 
     #[test]

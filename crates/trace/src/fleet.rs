@@ -18,11 +18,11 @@
 use std::io::Read;
 
 use crate::campaign::{
-    put_bytes, put_coverage, put_frontier_record, put_str, put_varint, read_coverage,
-    read_frontier_record, CoverageRecord, Cursor, FrontierRecord,
+    put_coverage, put_frontier_record, read_coverage, read_frontier_record, CoverageRecord,
+    FrontierRecord,
 };
-use crate::codec::DecodeError;
 use crate::signature::fnv1a64;
+use crate::wire::{put_bytes, put_str, put_varint, Cursor, DecodeError};
 
 /// Magic prefix of a quarantine record file.
 pub const QUARANTINE_MAGIC: [u8; 4] = *b"DDTQ";
@@ -202,8 +202,8 @@ fn decode_payload(payload: &[u8]) -> Result<FleetFrame, DecodeError> {
         }
         2 => FleetFrame::Steal { max: c.varint()? },
         3 => {
-            let n = c.varint()? as usize;
-            let mut shards = Vec::with_capacity(n.min(1 << 16));
+            let n = c.count()?;
+            let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
                 shards.push(c.varint()?);
             }
@@ -319,8 +319,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<FleetFrame>> {
             format!("fleet frame length {len} is implausible"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The payload grows as its bytes arrive: a length prefix alone
+    // reserves nothing.
+    let mut payload = Vec::new();
+    r.by_ref().take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "torn fleet frame (EOF in payload)",
+        ));
+    }
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
     if fnv1a64(&payload) != u64::from_le_bytes(sum) {

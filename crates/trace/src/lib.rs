@@ -34,6 +34,7 @@ mod provenance;
 mod signature;
 mod store;
 mod triage;
+mod wire;
 
 pub use artifact::{BugRecord, TraceArtifact, MANIFEST_VERSION};
 pub use bug::{BugClass, BugOrigin, Decision, LifecycleEvent};
@@ -43,7 +44,7 @@ pub use campaign::{
     JournalReplay, MachineFingerprint, PathPick, PathStatus, SiteKind, CAMPAIGN_VERSION,
     CHECKPOINT_MAGIC, JOURNAL_MAGIC,
 };
-pub use codec::{decode_events, encode_events, DecodeError, TRACE_MAGIC, TRACE_VERSION};
+pub use codec::{decode_events, encode_events, TRACE_MAGIC, TRACE_VERSION};
 pub use fleet::{
     decode_frame, decode_quarantine, encode_frame, encode_quarantine, read_frame, FleetFrame,
     QuarantineRecord, FLEET_VERSION, QUARANTINE_MAGIC,
@@ -54,6 +55,7 @@ pub use provenance::{provenance_chains, ProvenanceChain};
 pub use signature::{checker_id, fnv1a64, fnv1a64_extend, signature};
 pub use store::{load_artifact, StoreIndex, TraceStore, STORE_VERSION};
 pub use triage::{triage, TriageSummary};
+pub use wire::DecodeError;
 
 #[cfg(test)]
 mod prop_tests {
@@ -255,9 +257,6 @@ mod campaign_prop_tests {
                 timeline: (0..(seed % 5)).map(|i| (i * 100, i + 1)).collect(),
             },
             frontier: frontier_seeds.iter().map(|&s| arb_frontier_record(s)).collect(),
-            prune_seen: (0..(seed % 6))
-                .map(|i| (seed.rotate_left(i as u32) ^ i, seed % 900))
-                .collect(),
         }
     }
 

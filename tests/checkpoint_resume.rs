@@ -253,14 +253,13 @@ fn sigkill_resume_across_bundled_drivers() {
 }
 
 /// Strategy state survives the checkpoint: a campaign killed under each
-/// strategy (with pruning, the harder case — the prune set and the
-/// per-state coverage stamps must round-trip through the store) resumes
-/// with `--strategy`/`--prune` to the same report as the uninterrupted
-/// run under the same flags.
+/// strategy (the per-state coverage stamps must round-trip through the
+/// store) resumes with `--strategy` to the same report as the
+/// uninterrupted run under the same flag.
 #[test]
 fn sigkill_resume_round_trips_every_strategy() {
     for strategy in ["fifo", "coverage-new-first"] {
-        let flags = ["--strategy", strategy, "--prune"];
+        let flags = ["--strategy", strategy];
         let reference = run_json(
             &[&["test", "pcnet", "--faults"][..], &flags[..]].concat(),
             &format!("strat-{strategy}-ref"),
@@ -285,7 +284,7 @@ fn sigkill_resume_round_trips_every_strategy() {
 }
 
 /// A checkpoint taken under one strategy refuses to resume under another:
-/// the config fingerprint covers `--strategy` and `--prune`.
+/// the config fingerprint covers `--strategy`.
 #[test]
 fn resume_refuses_a_strategy_mismatch() {
     let dir = tmp("strat-mismatch");

@@ -3,13 +3,9 @@
 //!
 //! The search strategy decides *which* pending state runs next; it must
 //! never decide *what* the exploration finds. This harness runs every
-//! bundled driver under the full flag matrix — each [`Strategy`], with and
-//! without fingerprint pruning, serially and in parallel and across an
-//! interrupt/resume — and demands the same bug-key set as the FIFO/serial/
-//! no-prune baseline, which itself must match the Table 2 row counts.
-//!
-//! Pruning earns its keep here too: it may drop duplicate states (and the
-//! health section counts them), but it must never drop a bug.
+//! bundled driver under each [`Strategy`], serially and in parallel and
+//! across an interrupt/resume, and demands the same bug-key set as the
+//! FIFO/serial baseline, which itself must match the Table 2 row counts.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,11 +32,8 @@ fn dut_by_name(name: &str) -> DriverUnderTest {
     DriverUnderTest::from_spec(&ddt::drivers::driver_by_name(name).expect("bundled"))
 }
 
-fn config_for(strategy: Strategy, prune: bool) -> DdtConfig {
-    let mut config = DdtConfig::default();
-    config.strategy = strategy;
-    config.prune = prune;
-    config
+fn config_for(strategy: Strategy) -> DdtConfig {
+    DdtConfig { strategy, ..DdtConfig::default() }
 }
 
 fn bug_keys(report: &Report) -> Vec<String> {
@@ -49,12 +42,11 @@ fn bug_keys(report: &Report) -> Vec<String> {
     keys
 }
 
-/// The full serial matrix for one driver: every strategy × {prune on, off}
-/// must match the FIFO/no-prune baseline bug set, and the baseline must
-/// match the Table 2 count.
+/// The full serial matrix for one driver: every strategy must match the
+/// FIFO baseline bug set, and the baseline must match the Table 2 count.
 fn serial_matrix(name: &str, expected_bugs: usize) {
     let dut = dut_by_name(name);
-    let baseline = Ddt::new(config_for(Strategy::Fifo, false)).test(&dut);
+    let baseline = Ddt::new(config_for(Strategy::Fifo)).test(&dut);
     assert_eq!(
         baseline.bugs.len(),
         expected_bugs,
@@ -63,28 +55,16 @@ fn serial_matrix(name: &str, expected_bugs: usize) {
     );
     let want = bug_keys(&baseline);
     for &strategy in Strategy::ALL.iter() {
-        for prune in [false, true] {
-            if strategy == Strategy::Fifo && !prune {
-                continue; // that *is* the baseline
-            }
-            let report = Ddt::new(config_for(strategy, prune)).test(&dut);
-            assert_eq!(
-                bug_keys(&report),
-                want,
-                "{name}: {} (prune={prune}) diverged from the baseline bug set",
-                strategy.name()
-            );
-            // Pruning never hides itself: the health section owns the count
-            // and stays pristine (dropping duplicates is not degradation).
-            if prune {
-                assert!(report.health.pristine(), "{name}: pruning broke pristine()");
-            } else {
-                assert_eq!(
-                    report.health.states_pruned, 0,
-                    "{name}: pruned without --prune"
-                );
-            }
+        if strategy == Strategy::Fifo {
+            continue; // that *is* the baseline
         }
+        let report = Ddt::new(config_for(strategy)).test(&dut);
+        assert_eq!(
+            bug_keys(&report),
+            want,
+            "{name}: {} diverged from the baseline bug set",
+            strategy.name()
+        );
     }
 }
 
@@ -123,27 +103,19 @@ fn serial_matrix_clean_nic_stays_clean() {
     serial_matrix("clean_nic", 0);
 }
 
-/// Parallel workers under every strategy (and pruning) still land on
-/// the serial baseline's bug set — scheduling noise may reorder discovery,
+/// Parallel workers under every strategy still land on the serial
+/// baseline's bug set — scheduling noise may reorder discovery,
 /// never change it.
 #[test]
 fn parallel_matrix_matches_serial_baseline() {
     for &(name, expected_bugs) in &[("pcnet", 2usize), ("rtl8029", 5usize)] {
         let dut = dut_by_name(name);
-        let baseline = Ddt::new(config_for(Strategy::Fifo, false)).test(&dut);
+        let baseline = Ddt::new(config_for(Strategy::Fifo)).test(&dut);
         assert_eq!(baseline.bugs.len(), expected_bugs, "{name}");
         let want = bug_keys(&baseline);
         for &strategy in Strategy::ALL.iter() {
-            for prune in [false, true] {
-                let ddt = Ddt::new(config_for(strategy, prune));
-                let report = ddt::test_parallel(&ddt, &dut, 2);
-                assert_eq!(
-                    bug_keys(&report),
-                    want,
-                    "{name}: parallel {} (prune={prune}) diverged",
-                    strategy.name()
-                );
-            }
+            let report = ddt::test_parallel(&Ddt::new(config_for(strategy)), &dut, 2);
+            assert_eq!(bug_keys(&report), want, "{name}: parallel {} diverged", strategy.name());
         }
     }
 }
@@ -155,19 +127,19 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Interrupt + resume under every strategy (pruning on, the harder case:
-/// the prune set must survive the checkpoint round-trip) reproduces the
-/// uninterrupted bug set. The resume must use the *same* strategy config —
-/// the campaign fingerprint refuses anything else.
+/// Interrupt + resume under every strategy (the per-state coverage stamps
+/// `coverage-new-first` ranks by must survive the checkpoint round-trip)
+/// reproduces the uninterrupted bug set. The resume must use the *same*
+/// strategy config — the campaign fingerprint refuses anything else.
 #[test]
 fn interrupt_resume_matrix_matches_uninterrupted() {
     let dut = dut_by_name("pcnet");
-    let baseline = Ddt::new(config_for(Strategy::Fifo, false)).test(&dut);
+    let baseline = Ddt::new(config_for(Strategy::Fifo)).test(&dut);
     let want = bug_keys(&baseline);
     for &strategy in Strategy::ALL.iter() {
         let dir = tmp_dir(strategy.name());
         let flag = Arc::new(AtomicBool::new(false));
-        let mut config = config_for(strategy, true);
+        let mut config = config_for(strategy);
         let mut policy = CheckpointPolicy::new(dir.clone());
         policy.every_quanta = 8;
         config.checkpoint = Some(policy);
@@ -181,7 +153,7 @@ fn interrupt_resume_matrix_matches_uninterrupted() {
         };
         let _partial = Ddt::new(config).test(&dut);
         setter.join().unwrap();
-        let resumed = Ddt::new(config_for(strategy, true))
+        let resumed = Ddt::new(config_for(strategy))
             .resume(&dut, &dir)
             .expect("resume under the same strategy");
         assert_eq!(
@@ -195,15 +167,15 @@ fn interrupt_resume_matrix_matches_uninterrupted() {
 }
 
 /// A resume under a *different* strategy than the checkpoint's must be
-/// refused — the config fingerprint covers `--strategy` and `--prune`.
+/// refused — the config fingerprint covers `--strategy`.
 #[test]
 fn resume_refuses_cross_strategy_checkpoint() {
     let dut = dut_by_name("clean_nic");
     let dir = tmp_dir("cross");
-    let mut config = config_for(Strategy::CoverageNewFirst, true);
+    let mut config = config_for(Strategy::CoverageNewFirst);
     config.checkpoint = Some(CheckpointPolicy::new(dir.clone()));
     let _ = Ddt::new(config).test(&dut);
-    match Ddt::new(config_for(Strategy::Fifo, false)).resume(&dut, &dir) {
+    match Ddt::new(config_for(Strategy::Fifo)).resume(&dut, &dir) {
         Err(ddt::CampaignError::Mismatch(_)) => {}
         other => panic!("expected Mismatch, got {other:?}"),
     }
@@ -212,14 +184,14 @@ fn resume_refuses_cross_strategy_checkpoint() {
 
 /// FIFO must remain the report-identity baseline: strategy plumbing is not
 /// allowed to perturb the historic exploration. The default config *is*
-/// FIFO/no-prune, so a default run and an explicit FIFO run must agree on
+/// FIFO, so a default run and an explicit FIFO run must agree on
 /// the full report shape, not just bugs.
 #[test]
 fn fifo_is_report_identical_to_default() {
     for &(name, _) in EXPECTED {
         let dut = dut_by_name(name);
         let default_run = Ddt::default().test(&dut);
-        let explicit = Ddt::new(config_for(Strategy::Fifo, false)).test(&dut);
+        let explicit = Ddt::new(config_for(Strategy::Fifo)).test(&dut);
         assert_eq!(bug_keys(&default_run), bug_keys(&explicit), "{name}");
         assert_eq!(default_run.covered_blocks, explicit.covered_blocks, "{name}");
         assert_eq!(default_run.stats.insns, explicit.stats.insns, "{name}");
@@ -249,7 +221,7 @@ fn class_census_is_strategy_invariant() {
     };
     let baseline = census(&Ddt::default().test(&dut));
     for &strategy in Strategy::ALL.iter() {
-        let report = Ddt::new(config_for(strategy, true)).test(&dut);
+        let report = Ddt::new(config_for(strategy)).test(&dut);
         assert_eq!(census(&report), baseline, "{}", strategy.name());
     }
 }
